@@ -59,7 +59,6 @@ from .automata import (
     MAX_PROPOSITIONS,
     Dfa,
     Permanence,
-    classify_states,
     compile_formula,
     dfa_to_json,
     equivalent,

@@ -18,13 +18,16 @@ internally; externally, acceptance is defined for nonempty traces only.
 Every state additionally carries a permanence label: ``PERM_TRUE`` if every
 state reachable from it (itself included) is accepting, ``PERM_FALSE`` if
 every reachable state is rejecting, ``UNDETERMINED`` otherwise. Monitors map
-these to definitive versus presumptive verdicts.
+these to definitive versus presumptive verdicts, encoded as the ``CODE_*``
+bytes below; :meth:`Dfa.run` is the one loop that runs an automaton.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from enum import Enum
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import AlphabetMismatchError, AlphabetTooLargeError
@@ -56,15 +59,19 @@ __all__ = [
     "Dfa",
     "compile_formula",
     "minimize",
-    "classify_states",
     "equivalent",
     "to_dot",
     "dfa_to_json",
 ]
 
 #: Hard cap on alphabet width; 8 propositions already mean 256 edge labels
-#: per state, and every shipped property template uses at most four.
+#: per state, and every shipped property template uses at most three.
 MAX_PROPOSITIONS = 8
+
+#: Per-step verdict codes, one byte each: permanently true, permanently
+#: false, presumably true, presumably false. Codes below
+#: ``CODE_PRESUMABLY_TRUE`` are permanent.
+CODE_TRUE, CODE_FALSE, CODE_PRESUMABLY_TRUE, CODE_PRESUMABLY_FALSE = range(4)
 
 
 class Permanence(Enum):
@@ -79,6 +86,11 @@ class Dfa:
     ``transitions[s][mask]`` is the successor of state ``s`` on the valuation
     encoded by ``mask``; the table is total. Instances are immutable once
     constructed and safe to share across threads and processes.
+
+    The constructor also builds the run tables: ``successors``, the
+    transition table flattened row-major (``successors[s * alphabet_size +
+    mask]``; ``bytes`` up to 256 states, ``array('H')`` beyond, ``'L'`` past
+    65536), and ``verdict_codes``, the ``CODE_*`` byte of every state.
     """
 
     def __init__(
@@ -111,9 +123,8 @@ class Dfa:
                 raise ValueError(
                     f"state {s} has {len(row)} transitions, expected {width}"
                 )
-            for target in row:
-                if not 0 <= target < n:
-                    raise ValueError(f"state {s} has transition to unknown state {target}")
+            if min(row) < 0 or max(row) >= n:
+                raise ValueError(f"state {s} has a transition outside states 0..{n - 1}")
             rows.append(row)
         if not 0 <= initial < n:
             raise ValueError(f"initial state {initial} out of range")
@@ -133,9 +144,17 @@ class Dfa:
                 raise ValueError("permanence labels must cover every state")
         self.permanence = permanence
         self.state_labels = tuple(state_labels) if state_labels is not None else None
-        self._runner = None  # lazily built fast-path tables, see monitor module
+        flat = chain.from_iterable(rows)
+        self.successors = bytes(flat) if n <= 256 else array("H" if n <= 1 << 16 else "L", flat)
+        self.verdict_codes = bytes(
+            CODE_TRUE if label is Permanence.PERM_TRUE
+            else CODE_FALSE if label is Permanence.PERM_FALSE
+            else CODE_PRESUMABLY_TRUE if s in accepting
+            else CODE_PRESUMABLY_FALSE
+            for s, label in enumerate(permanence)
+        )
 
-    # Structural identity ignores debug labels and caches.
+    # Structural identity ignores debug labels and the derived run tables.
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dfa):
             return NotImplemented
@@ -149,11 +168,6 @@ class Dfa:
 
     def __hash__(self) -> int:
         return hash((self.props, self.initial, self.accepting, self.transitions))
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_runner"] = None
-        return state
 
     def __repr__(self) -> str:
         return (
@@ -187,11 +201,31 @@ class Dfa:
         """
         if len(trace) == 0:
             raise ValueError("cannot run a DFA on an empty trace")
-        state = self.initial
-        transitions = self.transitions
-        for valuation in trace:
-            state = transitions[state][self.mask_of(valuation)]
+        _, state = self.run([self.mask_of(valuation) for valuation in trace])
         return state in self.accepting
+
+    def run(self, masks: Sequence[int]) -> tuple[bytes, int]:
+        """Verdict code after each step, and the state the run ended in.
+
+        The run stops at the first permanent verdict, which every later step
+        repeats; the state returned is then the one reached there, whose
+        acceptance every continuation shares.
+        """
+        successors = self.successors
+        verdict_codes = self.verdict_codes
+        width = self.alphabet_size
+        permanent_below = CODE_PRESUMABLY_TRUE
+        state = self.initial
+        codes = bytearray()
+        append = codes.append
+        for mask in masks:
+            state = successors[state * width + mask]
+            code = verdict_codes[state]
+            append(code)
+            if code < permanent_below:
+                codes += bytes((code,)) * (len(masks) - len(codes))
+                break
+        return bytes(codes), state
 
 
 # ---------------------------------------------------------------------------
@@ -430,18 +464,6 @@ def _compute_permanence(
         else:
             labels.append(Permanence.UNDETERMINED)
     return tuple(labels)
-
-
-def classify_states(d: Dfa) -> Dfa:
-    """Return ``d`` with permanence labels recomputed from reachability."""
-    return Dfa(
-        d.props,
-        d.initial,
-        d.accepting,
-        d.transitions,
-        permanence=_compute_permanence(d.transitions, d.accepting),
-        state_labels=d.state_labels,
-    )
 
 
 def minimize(d: Dfa) -> Dfa:

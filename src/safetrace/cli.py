@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from functools import lru_cache
 from pathlib import Path
 
@@ -53,8 +54,29 @@ def _log(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
+@contextmanager
+def _reading(path: str):
+    """Turn a failure to read ``path`` as UTF-8 text into an error naming it."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise SafetraceError(f"{path}: not valid UTF-8 text ({exc.reason})") from exc
+    except OSError as exc:
+        raise SafetraceError(f"{path}: {exc.strerror or exc}") from exc
+
+
 def _read_text(path: str) -> str:
-    return Path(path).read_text()
+    with _reading(path):
+        return Path(path).read_text(encoding="utf-8")
+
+
+def _load(path: str, loader):
+    """``loader`` applied to the text of ``path``; its errors name the path."""
+    text = _read_text(path)
+    try:
+        return loader(text)
+    except SafetraceError as exc:
+        raise SafetraceError(f"{path}: {exc}") from exc
 
 
 def _write_text(path: Path, content: str) -> None:
@@ -69,9 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"safetrace {__version__}")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "-v", "--verbose", action="store_true", help="verbose logging to stderr (default: off)"
-    )
     common.add_argument(
         "-q", "--quiet", action="store_true", help="suppress stderr logging (default: off)"
     )
@@ -230,8 +249,8 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_monitor(args) -> int:
-    record = load_rollout(_read_text(args.rollout))
-    spec = load_task_spec(_read_text(args.task_spec))
+    record = _load(args.rollout, load_rollout)
+    spec = _load(args.task_spec, load_task_spec)
     evaluation = evaluate_rollout(record, spec, strict_end=args.strict_end_of_trace)
     document = monitor_report_document(evaluation)
     text = json.dumps(document, sort_keys=True, indent=2) + "\n"
@@ -257,14 +276,14 @@ def _cmd_monitor(args) -> int:
 
 @lru_cache(maxsize=None)
 def _cached_spec(path: str):
-    return load_task_spec(Path(path).read_text())
+    return _load(path, load_task_spec)
 
 
 def _evaluate_pair(job: tuple[str, str, bool]):
     rollout_path, spec_path, strict_end = job
+    record = _load(rollout_path, load_rollout)
+    spec = _cached_spec(spec_path)
     try:
-        record = load_rollout(Path(rollout_path).read_text())
-        spec = _cached_spec(spec_path)
         return evaluate_rollout(record, spec, strict_end=strict_end)
     except SafetraceError as exc:
         raise SafetraceError(f"{rollout_path}: {exc}") from exc
@@ -277,9 +296,9 @@ def _cmd_evaluate(args) -> int:
             raise SafetraceError("give either a manifest or --jsonl, not both")
         if not args.task_spec:
             raise SafetraceError("--jsonl requires --task-spec")
-        spec = load_task_spec(_read_text(args.task_spec))
+        spec = _load(args.task_spec, load_task_spec)
         evaluations = []
-        with open(args.jsonl) as stream:
+        with _reading(args.jsonl), open(args.jsonl, encoding="utf-8") as stream:
             for line_no, line in enumerate(stream, start=1):
                 line = line.strip()
                 if not line:
@@ -288,13 +307,16 @@ def _cmd_evaluate(args) -> int:
                     record = load_rollout(line)
                     evaluations.append(evaluate_rollout(record, spec, strict_end=strict))
                 except SafetraceError as exc:
-                    raise SafetraceError(f"line {line_no}: {exc}") from exc
+                    raise SafetraceError(f"{args.jsonl}, line {line_no}: {exc}") from exc
     else:
         if not args.manifest:
             raise SafetraceError("a manifest path (or --jsonl) is required")
         manifest_path = Path(args.manifest)
-        manifest = json.loads(manifest_path.read_text())
-        pairs = manifest.get("pairs")
+        try:
+            manifest = json.loads(_read_text(args.manifest))
+        except json.JSONDecodeError as exc:
+            raise SafetraceError(f"{args.manifest}: invalid JSON: {exc}") from exc
+        pairs = manifest.get("pairs") if isinstance(manifest, dict) else None
         if not isinstance(pairs, list) or not pairs:
             raise SafetraceError("manifest must contain a nonempty 'pairs' list")
         base = manifest_path.parent
@@ -365,8 +387,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    record = load_rollout(_read_text(args.rollout))
-    spec = load_task_spec(_read_text(args.task_spec))
+    record = _load(args.rollout, load_rollout)
+    spec = _load(args.task_spec, load_task_spec)
     diagnostics = validate_rollout(record, spec)
     for diagnostic in diagnostics:
         print(f"warning [{diagnostic.code}]: {diagnostic.message}", file=sys.stderr)

@@ -17,9 +17,13 @@ class FormulaSyntaxError(SafetraceError):
         if expected:
             detail += " (expected: " + ", ".join(expected) + ")"
         super().__init__(detail)
+        self.message = message
         self.line = line
         self.column = column
         self.expected = expected
+
+    def __reduce__(self):
+        return type(self), (self.message, self.line, self.column, self.expected)
 
 
 class AlphabetTooLargeError(SafetraceError):

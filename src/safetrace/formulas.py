@@ -46,6 +46,7 @@ __all__ = [
     "Eventually",
     "TRUE",
     "FALSE",
+    "MAX_FORMULA_DEPTH",
     "RESERVED_WORDS",
     "is_valid_proposition",
     "Trace",
@@ -213,9 +214,27 @@ class Trace:
 # Parsing
 # ---------------------------------------------------------------------------
 
-_UNARY_WORDS = frozenset({"X", "WX", "G", "F"})
+#: Deepest formula ``parse`` accepts: the longest root-to-atom path of the
+#: tree, counting the atom, may hold this many nodes, and parentheses may nest
+#: this deep. Printing, compilation and evaluation recurse over the tree, so
+#: the cap keeps them all well inside the interpreter's recursion limit.
+MAX_FORMULA_DEPTH = 50
+
+_PREFIX_OPERATORS = {"!": Not, "X": Next, "WX": WeakNext, "G": Always, "F": Eventually}
+
+#: Binary operators: binding strength, right-associativity, node class
+#: (``<->`` expands into two implications instead).
+_BINARY_OPERATORS = {
+    "<->": (1, False, None),
+    "->": (2, True, Implies),
+    "|": (3, False, Or),
+    "&": (4, False, And),
+    "U": (5, True, Until),
+    "R": (5, True, Release),
+}
 
 _Token = tuple[str, str, int, int]  # kind, text, line, column
+_Parsed = tuple[Formula, int]  # a parsed subtree and its depth
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -266,9 +285,14 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
+    """Operator-precedence parser that recurses only into parentheses:
+    operator chains are read iteratively and folded into nodes by
+    :meth:`_node`, which enforces :data:`MAX_FORMULA_DEPTH`."""
+
     def __init__(self, tokens: list[_Token], text: str):
         self.tokens = tokens
         self.pos = 0
+        self.parens = 0
         # End-of-input position for error reporting.
         lines = text.splitlines() or [""]
         self.eof_line = len(lines)
@@ -288,68 +312,68 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def parse_formula(self) -> Formula:
-        return self._iff()
+    def _node(self, tok: _Token, cls: type, *operands: _Parsed) -> _Parsed:
+        depth = 1 + max(d for _, d in operands)
+        if depth > MAX_FORMULA_DEPTH:
+            raise FormulaSyntaxError(
+                f"formula nests more than {MAX_FORMULA_DEPTH} levels deep", tok[2], tok[3]
+            )
+        return cls(*(f for f, _ in operands)), depth
 
-    def _iff(self) -> Formula:
-        node = self._implies()
-        while (tok := self._peek()) and tok[0] == "<->":
-            self._advance()
-            rhs = self._implies()
-            node = And(Implies(node, rhs), Implies(rhs, node))
+    def parse_formula(self) -> _Parsed:
+        """Operands and binary operators up to the next unmatched token,
+        reduced on an explicit stack by binding strength."""
+        operands = [self._unary()]
+        operators: list[_Token] = []
+        while (tok := self._peek()) and tok[1] in _BINARY_OPERATORS:
+            strength, right, _ = _BINARY_OPERATORS[self._advance()[1]]
+            while operators:
+                top = _BINARY_OPERATORS[operators[-1][1]][0]
+                if top < strength or top == strength and right:
+                    break
+                self._reduce(operands, operators)
+            operators.append(tok)
+            operands.append(self._unary())
+        while operators:
+            self._reduce(operands, operators)
+        return operands[0]
+
+    def _reduce(self, operands: list[_Parsed], operators: list[_Token]) -> None:
+        tok = operators.pop()
+        rhs = operands.pop()
+        lhs = operands.pop()
+        cls = _BINARY_OPERATORS[tok[1]][2]
+        if cls is None:  # a <-> b
+            node = self._node(
+                tok, And, self._node(tok, Implies, lhs, rhs), self._node(tok, Implies, rhs, lhs)
+            )
+        else:
+            node = self._node(tok, cls, lhs, rhs)
+        operands.append(node)
+
+    def _unary(self) -> _Parsed:
+        prefixes = []
+        while (tok := self._peek()) and tok[1] in _PREFIX_OPERATORS:
+            prefixes.append(self._advance())
+        node = self._atom()
+        for tok in reversed(prefixes):
+            node = self._node(tok, _PREFIX_OPERATORS[tok[1]], node)
         return node
 
-    def _implies(self) -> Formula:
-        node = self._or()
-        if (tok := self._peek()) and tok[0] == "->":
-            self._advance()
-            return Implies(node, self._implies())
-        return node
-
-    def _or(self) -> Formula:
-        node = self._and()
-        while (tok := self._peek()) and tok[0] == "|":
-            self._advance()
-            node = Or(node, self._and())
-        return node
-
-    def _and(self) -> Formula:
-        node = self._until()
-        while (tok := self._peek()) and tok[0] == "&":
-            self._advance()
-            node = And(node, self._until())
-        return node
-
-    def _until(self) -> Formula:
-        node = self._unary()
-        tok = self._peek()
-        if tok and tok[0] == "word" and tok[1] in ("U", "R"):
-            op = self._advance()[1]
-            rhs = self._until()
-            return Until(node, rhs) if op == "U" else Release(node, rhs)
-        return node
-
-    def _unary(self) -> Formula:
-        tok = self._peek()
-        if tok is None:
-            raise self._error("unexpected end of formula", ("!", "X", "WX", "G", "F", "true", "false", "identifier", "("))
-        if tok[0] == "!":
-            self._advance()
-            return Not(self._unary())
-        if tok[0] == "word" and tok[1] in _UNARY_WORDS:
-            word = self._advance()[1]
-            operand = self._unary()
-            return {"X": Next, "WX": WeakNext, "G": Always, "F": Eventually}[word](operand)
-        return self._atom()
-
-    def _atom(self) -> Formula:
+    def _atom(self) -> _Parsed:
         expected = ("true", "false", "identifier", "(")
         tok = self._peek()
         if tok is None:
-            raise self._error("unexpected end of formula", expected)
+            raise self._error("unexpected end of formula", ("!", "X", "WX", "G", "F", *expected))
         if tok[0] == "(":
+            if self.parens == MAX_FORMULA_DEPTH:
+                raise FormulaSyntaxError(
+                    f"parentheses nest more than {MAX_FORMULA_DEPTH} levels deep", tok[2], tok[3]
+                )
             self._advance()
+            self.parens += 1
             node = self.parse_formula()
+            self.parens -= 1
             closing = self._peek()
             if closing is None or closing[0] != ")":
                 raise self._error("unclosed parenthesis", (")",))
@@ -358,14 +382,14 @@ class _Parser:
         if tok[0] == "word":
             word = self._advance()[1]
             if word == "true":
-                return TRUE
+                return TRUE, 1
             if word == "false":
-                return FALSE
+                return FALSE, 1
             if word in RESERVED_WORDS:
                 raise FormulaSyntaxError(
                     f"reserved word {word!r} cannot be used as a proposition", tok[2], tok[3], expected
                 )
-            return Prop(word)
+            return Prop(word), 1
         raise self._error("expected an atom", expected)
 
 
@@ -373,13 +397,14 @@ def parse(text: str) -> Formula:
     """Parse a formula from its concrete syntax.
 
     Raises :class:`FormulaSyntaxError` with line/column information on bad
-    input, including empty input.
+    input, including empty input and input nested deeper than
+    :data:`MAX_FORMULA_DEPTH`.
     """
     tokens = _tokenize(text)
     if not tokens:
         raise FormulaSyntaxError("empty formula", 1, 1, ("formula",))
     parser = _Parser(tokens, text)
-    node = parser.parse_formula()
+    node, _ = parser.parse_formula()
     trailing = parser._peek()
     if trailing is not None:
         raise FormulaSyntaxError(

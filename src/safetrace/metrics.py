@@ -22,13 +22,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import SafetraceError
-from .monitor import MonitorResult, runner_for
+from .monitor import MonitorResult, run_masks
 from .properties import SafetyCategory, TaskSpec, TEMPLATE_IDS, CUSTOM_TEMPLATE, SUITES, HORIZONS
 from .rollouts import RolloutRecord
 
@@ -124,7 +125,7 @@ def evaluate_rollout(
             flag = 1 << bit
             for t in occurrences.get(prop, ()):
                 masks[t] |= flag
-        result = runner_for(inst.dfa).run(bytes(masks))
+        result = run_masks(inst.dfa, masks)
         per_instance[inst.instance_id] = result
         flags = result.unsafe_flags()
         union_flags |= int.from_bytes(flags, "big")
@@ -289,9 +290,10 @@ def aggregate(
         raise SafetraceError("cannot aggregate an empty evaluation collection")
     if denominator not in ("rollout", "task"):
         raise SafetraceError(f"unknown denominator mode {denominator!r}")
-    ids = {e.rollout_id for e in evaluations}
+    ids = Counter(e.rollout_id for e in evaluations)
     if len(ids) != len(evaluations):
-        raise SafetraceError("duplicate rollout_id in evaluation batch")
+        duplicates = sorted(i for i, count in ids.items() if count > 1)
+        raise SafetraceError(f"duplicate rollout_id in evaluation batch: {duplicates}")
     evaluations = sorted(evaluations, key=lambda e: e.rollout_id)
 
     n = len(evaluations)

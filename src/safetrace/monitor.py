@@ -23,11 +23,17 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .automata import Dfa, Permanence
+from .automata import (
+    CODE_FALSE,
+    CODE_PRESUMABLY_FALSE,
+    CODE_PRESUMABLY_TRUE,
+    CODE_TRUE,
+    Dfa,
+)
 from .errors import MonitorError
 from .formulas import Trace
 
-__all__ = ["Verdict", "MonitorResult", "Monitor", "run_trace", "trace_masks"]
+__all__ = ["Verdict", "MonitorResult", "Monitor", "run_masks", "run_trace", "trace_masks"]
 
 
 class Verdict(Enum):
@@ -37,27 +43,20 @@ class Verdict(Enum):
     PRESUMABLY_FALSE = "pf"
 
 
-# Byte codes used for compact verdict storage; index = code.
-_VERDICTS = (Verdict.TRUE, Verdict.FALSE, Verdict.PRESUMABLY_TRUE, Verdict.PRESUMABLY_FALSE)
-_CODE_TRUE, _CODE_FALSE, _CODE_PT, _CODE_PF = range(4)
-_UNSAFE_CODES = (_CODE_FALSE, _CODE_PF)
-
-
-def _verdict_code(d: Dfa, state: int) -> int:
-    label = d.permanence[state]
-    if label is Permanence.PERM_TRUE:
-        return _CODE_TRUE
-    if label is Permanence.PERM_FALSE:
-        return _CODE_FALSE
-    return _CODE_PT if state in d.accepting else _CODE_PF
+_VERDICTS = {
+    CODE_TRUE: Verdict.TRUE,
+    CODE_FALSE: Verdict.FALSE,
+    CODE_PRESUMABLY_TRUE: Verdict.PRESUMABLY_TRUE,
+    CODE_PRESUMABLY_FALSE: Verdict.PRESUMABLY_FALSE,
+}
 
 
 @dataclass(frozen=True)
 class MonitorResult:
     """Outcome of monitoring one property instance over one trace.
 
-    ``verdict_codes`` stores one byte per timestep (0=TRUE, 1=FALSE, 2=
-    PRESUMABLY_TRUE, 3=PRESUMABLY_FALSE); ``verdicts`` decodes it.
+    ``verdict_codes`` stores one byte per timestep, a ``CODE_*`` value of
+    :mod:`safetrace.automata`; ``verdicts`` decodes it.
     ``violated`` records whether a ``FALSE`` verdict occurred mid-trace;
     ``final_satisfied`` whether the last state was accepting. ``exposure`` is
     ``unsafe_steps / length`` as an exact fraction.
@@ -97,89 +96,13 @@ class MonitorResult:
         return self.verdict_codes.translate(_UNSAFE_FLAG_TABLE)
 
 
-_UNSAFE_FLAG_TABLE = bytes(
-    1 if code in _UNSAFE_CODES else 0 for code in range(256)
-)
-
-
-class _Runner:
-    """Precomputed tables for batch runs of one DFA.
-
-    When the automaton has at most 256 states the transition table is
-    flattened into ``bytes`` so the per-step loop is a pair of byte lookups,
-    and per-step verdicts come from a single C-level ``translate``. Larger
-    automata fall back to tuple indexing.
-    """
-
-    def __init__(self, d: Dfa):
-        self.dfa = d
-        n = d.num_states
-        width = d.alphabet_size
-        self.width = width
-        self.initial = d.initial
-        codes = [_verdict_code(d, s) for s in range(n)]
-        self.codes = codes
-        self.accepting = [s in d.accepting for s in range(n)]
-        # A state is absorbing for monitoring purposes once its verdict can
-        # no longer change.
-        self.absorbing = [d.permanence[s] is not Permanence.UNDETERMINED for s in range(n)]
-        self.compact = n <= 256
-        if self.compact:
-            self.flat = bytes(
-                d.transitions[s][m] for s in range(n) for m in range(width)
-            )
-            self.stop = bytes(1 if self.absorbing[s] else 0 for s in range(n)) + bytes(
-                256 - n
-            )
-            self.code_table = bytes(codes) + bytes(256 - n)
-        else:
-            self.flat = None
-
-    def run_codes(self, masks: Sequence[int]) -> tuple[bytes, int]:
-        """Verdict codes per step plus the final state (or an equivalent
-        member of its absorbing class)."""
-        n = len(masks)
-        if self.compact:
-            flat = self.flat
-            width = self.width
-            stop = self.stop
-            state = self.initial
-            states = bytearray(n)
-            consumed = 0
-            for m in masks:
-                state = flat[state * width + m]
-                states[consumed] = state
-                consumed += 1
-                if stop[state]:
-                    break
-            if consumed < n:
-                # Absorbed: every later verdict equals this one, and
-                # acceptance is uniform across the absorbing class.
-                states[consumed:] = bytes((state,)) * (n - consumed)
-            return bytes(states).translate(self.code_table), state
-        transitions = self.dfa.transitions
-        state = self.initial
-        codes = bytearray(n)
-        consumed = 0
-        for m in masks:
-            state = transitions[state][m]
-            codes[consumed] = self.codes[state]
-            consumed += 1
-            if self.absorbing[state]:
-                break
-        if consumed < n:
-            codes[consumed:] = bytes((self.codes[state],)) * (n - consumed)
-        return bytes(codes), state
-
-    def run(self, masks: Sequence[int]) -> MonitorResult:
-        codes, final_state = self.run_codes(masks)
-        return _result_from_codes(codes, self.accepting[final_state])
+_UNSAFE_FLAG_TABLE = bytes(code in (CODE_FALSE, CODE_PRESUMABLY_FALSE) for code in range(256))
 
 
 def _result_from_codes(codes: bytes, final_accepting: bool) -> MonitorResult:
     n = len(codes)
-    first_false = codes.find(_CODE_FALSE)
-    unsafe = codes.count(_CODE_FALSE) + codes.count(_CODE_PF)
+    first_false = codes.find(CODE_FALSE)
+    unsafe = codes.count(CODE_FALSE) + codes.count(CODE_PRESUMABLY_FALSE)
     return MonitorResult(
         verdict_codes=codes,
         final_satisfied=final_accepting,
@@ -191,13 +114,13 @@ def _result_from_codes(codes: bytes, final_accepting: bool) -> MonitorResult:
     )
 
 
-def runner_for(d: Dfa) -> _Runner:
-    """The cached batch runner for a DFA (built on first use)."""
-    runner = d._runner
-    if runner is None:
-        runner = _Runner(d)
-        d._runner = runner
-    return runner
+def run_masks(d: Dfa, masks: Sequence[int]) -> MonitorResult:
+    """Monitor a nonempty sequence of valuation bitmasks over ``d``'s
+    alphabet (see :func:`trace_masks`)."""
+    if len(masks) == 0:
+        raise MonitorError("cannot monitor an empty trace")
+    codes, state = d.run(masks)
+    return _result_from_codes(codes, state in d.accepting)
 
 
 def trace_masks(d: Dfa, trace: Trace | Sequence[Iterable[str]]) -> bytes:
@@ -236,8 +159,8 @@ class Monitor:
         if self._finalized:
             raise MonitorError("step after finalize")
         d = self._dfa
-        self._state = d.transitions[self._state][d.mask_of(valuation)]
-        code = _verdict_code(d, self._state)
+        self._state = d.successors[self._state * d.alphabet_size + d.mask_of(valuation)]
+        code = d.verdict_codes[self._state]
         self._codes.append(code)
         return _VERDICTS[code]
 
@@ -251,6 +174,4 @@ class Monitor:
 def run_trace(d: Dfa, trace: Trace | Sequence[Iterable[str]]) -> MonitorResult:
     """Monitor a whole trace at once; identical to stepping every valuation
     through a fresh :class:`Monitor` and finalizing."""
-    if len(trace) == 0:
-        raise MonitorError("cannot monitor an empty trace")
-    return runner_for(d).run(trace_masks(d, trace))
+    return run_masks(d, trace_masks(d, trace))

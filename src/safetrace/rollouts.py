@@ -117,7 +117,7 @@ def _steps_from_document(raw_trace) -> list[set[str]]:
         if not isinstance(entry, dict) or "t" not in entry:
             raise RolloutFormatError("mixed step forms: every step needs a 't' field here")
         t = entry["t"]
-        if not isinstance(t, int) or t < 0:
+        if not isinstance(t, int) or isinstance(t, bool) or t < 0:
             raise RolloutFormatError(f"invalid timestep {t!r}")
         if t in by_time:
             raise RolloutFormatError(f"duplicate timestep {t}")

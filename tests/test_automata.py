@@ -8,7 +8,6 @@ import pytest
 from safetrace.automata import (
     Dfa,
     Permanence,
-    classify_states,
     compile_formula,
     dfa_to_json,
     equivalent,
@@ -174,14 +173,13 @@ def test_minimize_never_grows_and_preserves_language_fuzzed():
 
 
 # ---------------------------------------------------------------------------
-# classify_states
+# permanence classification
 # ---------------------------------------------------------------------------
 
 
 def test_classify_invariant_start_can_still_fail():
     d = compile_formula(parse("G !p"))
-    relabeled = classify_states(d)
-    assert relabeled.permanence[relabeled.initial] is Permanence.UNDETERMINED
+    assert d.permanence[d.initial] is Permanence.UNDETERMINED
 
 
 def test_classify_matches_reachability_definition_fuzzed():

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from safetrace.cli import main
+from safetrace.formulas import MAX_FORMULA_DEPTH
 from safetrace.rollouts import build_corpus
 
 from test_automata import check_dot_well_formed
@@ -80,6 +81,15 @@ def test_compile_parse_error_exits_one(capsys):
     assert run_cli("compile", "--formula", "G (p &") == 1
     err = capsys.readouterr().err
     assert "error" in err
+
+
+def test_compile_formula_depth_limit(capsys):
+    at_limit = "X " * (MAX_FORMULA_DEPTH - 1) + "p"
+    assert run_cli("compile", "--formula", at_limit, "-q") == 0
+    assert run_cli("compile", "--formula", "X " + at_limit) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"more than {MAX_FORMULA_DEPTH} levels" in err
 
 
 # ---------------------------------------------------------------------------
@@ -242,3 +252,39 @@ def test_help_enumerates_flags_with_defaults(capsys):
         for flag in expected_flags:
             assert flag in text, (argv, flag)
         assert "default:" in text
+
+
+def test_evaluate_spec_error_names_the_spec(scenario_files, tmp_path, capsys):
+    rollout, _ = scenario_files
+    spec = tmp_path / "bad_spec.json"
+    spec.write_text(json.dumps({
+        "task": "grasp_drop",
+        "properties": [{"id": "c", "template": "custom", "formula": "G (p &"}],
+    }))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"pairs": [{"rollout": rollout.name, "task_spec": spec.name}]}))
+    assert run_cli("evaluate", str(manifest), "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {spec}: ") and err.count("\n") == 1
+    assert str(rollout) not in err
+
+
+def test_non_utf8_input_is_an_error_naming_the_file(scenario_files, tmp_path, capsys):
+    rollout, spec = scenario_files
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"rollout_id": "caf\xe9"}'.encode("latin-1"))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"pairs": [{"rollout": bad.name, "task_spec": spec.name}]}))
+    out = str(tmp_path / "out")
+    for argv in [
+        ("monitor", str(bad), str(spec)),
+        ("monitor", str(rollout), str(bad)),
+        ("validate", str(bad), str(spec)),
+        ("evaluate", str(manifest), "--out", out),
+        ("evaluate", str(bad), "--out", out),
+        ("evaluate", "--jsonl", str(bad), "--task-spec", str(spec), "--out", out),
+        ("evaluate", "--jsonl", str(rollout), "--task-spec", str(bad), "--out", out),
+    ]:
+        assert run_cli(*argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: not valid UTF-8 text (invalid continuation byte)\n", argv

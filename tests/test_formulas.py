@@ -1,13 +1,16 @@
 """Formula syntax, printing, normal form, and reference semantics."""
 
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from safetrace.automata import compile_formula
 from safetrace.errors import FormulaSyntaxError
 from safetrace.formulas import (
     FALSE,
+    MAX_FORMULA_DEPTH,
     TRUE,
     Always,
     And,
@@ -120,6 +123,48 @@ def test_parse_unclosed_parenthesis():
 def test_parse_trailing_input():
     with pytest.raises(FormulaSyntaxError, match="trailing"):
         parse("p q")
+
+
+def test_parse_error_survives_pickling():
+    with pytest.raises(FormulaSyntaxError) as excinfo:
+        parse("G (p &\n& q)")
+    error = excinfo.value
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is FormulaSyntaxError
+    assert str(copy) == str(error)
+    assert (copy.line, copy.column, copy.expected) == (error.line, error.column, error.expected)
+
+
+def _nested(depth: int) -> dict[str, str]:
+    """Formulas whose tree is ``depth`` nodes deep, atom included, one per
+    way of nesting; ``parens`` nests ``depth`` parenthesis levels instead."""
+    n = depth - 1
+    return {
+        "not": "!" * n + "p",
+        "next": "X " * n + "p",
+        "always_paren": "G(" * n + "p" + ")" * n,
+        "implies": " -> ".join(["p"] * depth),
+        "and": " & ".join(["p"] * depth),
+        "until": " U ".join(["p"] * depth),
+        "parens": "(" * depth + "p" + ")" * depth,
+    }
+
+
+def test_formula_at_the_depth_limit_parses_compiles_formats_and_evaluates():
+    trace = Trace([{"p"}, set(), {"p"}])
+    for name, text in _nested(MAX_FORMULA_DEPTH).items():
+        f = parse(text)
+        assert parse(format_formula(f)) == f, name
+        dfa = compile_formula(f)
+        assert dfa.accepts(trace) == evaluate(f, trace) == naive_evaluate(f, trace, 0), name
+
+
+def test_formula_beyond_the_depth_limit_is_a_syntax_error():
+    for depth in (MAX_FORMULA_DEPTH + 1, 600):
+        for name, text in _nested(depth).items():
+            with pytest.raises(FormulaSyntaxError, match="more than") as excinfo:
+                parse(text)
+            assert excinfo.value.line == 1 and excinfo.value.column >= 1, name
 
 
 def test_reserved_words_are_not_propositions():

@@ -216,6 +216,9 @@ def test_aggregate_duplicate_ids_rejected():
     evals = [_eval_for(Outcome.FAIL_SAFE, "same"), _eval_for(Outcome.FAIL_SAFE, "same")]
     with pytest.raises(SafetraceError, match="duplicate"):
         aggregate(evals)
+    evals += [_eval_for(Outcome.FAIL_SAFE, i) for i in ("b", "a", "b", "c")]
+    with pytest.raises(SafetraceError, match=r"\['b', 'same'\]"):
+        aggregate(evals)
 
 
 def test_aggregate_permutation_invariance():

@@ -1,5 +1,6 @@
 """Stepwise monitoring: verdict lattice, exposure accounting, batch parity."""
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -233,6 +234,21 @@ def test_large_automaton_falls_back_to_generic_runner():
     for s in steps:
         monitor.step(s)
     assert monitor.finalize() == result
+
+
+def test_pickled_dfa_is_equal_and_monitors_identically():
+    rng = random.Random(23)
+    small = compile_formula(parse("G(a -> F b) & (c U d)"))
+    large = Dfa(
+        props=["p"], initial=0, accepting={299}, transitions=[[s, min(s + 1, 299)] for s in range(300)]
+    )
+    for dfa in (small, large):
+        copy = pickle.loads(pickle.dumps(dfa))
+        assert copy == dfa and hash(copy) == hash(dfa)
+        traces = [random_trace(rng, list(dfa.props), rng.randint(1, 400)) for _ in range(20)]
+        traces.append(Trace([dfa.props] * 350))  # reaches states above 255
+        for trace in traces:
+            assert run_trace(copy, trace) == run_trace(dfa, trace)
 
 
 def test_verdict_agrees_with_permanence_labels():

@@ -64,6 +64,12 @@ def test_duplicate_timestep_is_an_error():
         load_rollout(doc)
 
 
+def test_boolean_timestep_is_an_error():
+    doc = dict(BASE_DOC, trace=[{"t": 0, "props": []}, {"t": True, "props": ["a"]}])
+    with pytest.raises(RolloutFormatError, match="invalid timestep True"):
+        load_rollout(doc)
+
+
 def test_missing_timestep_is_an_error():
     doc = dict(BASE_DOC, trace=[{"t": 0, "props": []}, {"t": 2, "props": []}])
     with pytest.raises(RolloutFormatError, match="missing timesteps"):
