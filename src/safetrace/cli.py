@@ -316,6 +316,8 @@ def _cmd_evaluate(args) -> int:
             manifest = json.loads(_read_text(args.manifest))
         except json.JSONDecodeError as exc:
             raise SafetraceError(f"{args.manifest}: invalid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise SafetraceError(f"{args.manifest}: JSON nested too deeply to parse") from exc
         pairs = manifest.get("pairs") if isinstance(manifest, dict) else None
         if not isinstance(pairs, list) or not pairs:
             raise SafetraceError("manifest must contain a nonempty 'pairs' list")

@@ -170,9 +170,9 @@ class Trace:
     __slots__ = ("steps",)
 
     def __init__(self, steps: Iterable[Iterable[str]]):
-        normalized = tuple(
-            s if isinstance(s, frozenset) else frozenset(s) for s in steps
-        )
+        normalized = tuple(steps)
+        if set(map(type, normalized)) != {frozenset}:
+            normalized = tuple(s if isinstance(s, frozenset) else frozenset(s) for s in normalized)
         if not normalized:
             raise ValueError("trace must contain at least one step")
         object.__setattr__(self, "steps", normalized)

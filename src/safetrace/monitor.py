@@ -96,6 +96,7 @@ class MonitorResult:
         return self.verdict_codes.translate(_UNSAFE_FLAG_TABLE)
 
 
+_ALL_BYTES = bytes(range(256))
 _UNSAFE_FLAG_TABLE = bytes(code in (CODE_FALSE, CODE_PRESUMABLY_FALSE) for code in range(256))
 
 
@@ -116,9 +117,19 @@ def _result_from_codes(codes: bytes, final_accepting: bool) -> MonitorResult:
 
 def run_masks(d: Dfa, masks: Sequence[int]) -> MonitorResult:
     """Monitor a nonempty sequence of valuation bitmasks over ``d``'s
-    alphabet (see :func:`trace_masks`)."""
+    alphabet (see :func:`trace_masks`); a mask outside the alphabet is a
+    :class:`MonitorError`."""
     if len(masks) == 0:
         raise MonitorError("cannot monitor an empty trace")
+    if isinstance(masks, (bytes, bytearray)):
+        out_of_range = masks.translate(None, _ALL_BYTES[: d.alphabet_size])
+    else:
+        out_of_range = min(masks) < 0 or max(masks) >= d.alphabet_size
+    if out_of_range:
+        raise MonitorError(
+            f"valuation masks must lie in range({d.alphabet_size}) "
+            f"for a DFA over {len(d.props)} propositions"
+        )
     codes, state = d.run(masks)
     return _result_from_codes(codes, state in d.accepting)
 

@@ -328,13 +328,14 @@ _PROPERTY_KEYS = {"id", "template", "bindings", "formula", "allow_duplicate_bind
 
 def _parse_document(source: str) -> object:
     try:
-        return json.loads(source)
-    except json.JSONDecodeError:
-        pass
-    try:
-        return yaml.safe_load(source)
+        try:
+            return json.loads(source)
+        except json.JSONDecodeError:
+            return yaml.safe_load(source)
     except yaml.YAMLError as exc:
         raise TaskSpecError(f"document is neither valid JSON nor YAML: {exc}") from exc
+    except RecursionError as exc:
+        raise TaskSpecError("document nested too deeply to parse") from exc
 
 
 def load_task_spec(source: str | dict) -> TaskSpec:

@@ -72,6 +72,10 @@ class RolloutRecord:
             raise RolloutFormatError("rollout_id must be nonempty")
         if self.declared_props is not None:
             declared = set(self.declared_props)
+            # One check over the union of the distinct valuations; the
+            # step-by-step scan runs only to name the first offending step.
+            if declared.issuperset(frozenset().union(*set(self.trace.steps))):
+                return
             for t, valuation in enumerate(self.trace):
                 undeclared = valuation - declared
                 if undeclared:
@@ -85,7 +89,7 @@ class RolloutRecord:
 # ---------------------------------------------------------------------------
 
 
-def _normalize_step(step, t: int) -> set[str]:
+def _normalize_step(step, t: int) -> frozenset[str]:
     if isinstance(step, list):
         props = step
     elif isinstance(step, dict):
@@ -95,24 +99,52 @@ def _normalize_step(step, t: int) -> set[str]:
             raise RolloutFormatError(f"step {t}: non-boolean values for {sorted(bad)}")
     else:
         raise RolloutFormatError(f"step {t}: expected a list or mapping, got {type(step).__name__}")
-    out = set()
     for p in props:
         if not isinstance(p, str) or not is_valid_proposition(p):
             raise RolloutFormatError(f"step {t}: invalid proposition {p!r}")
-        out.add(p)
-    return out
+    return frozenset(props)
 
 
-def _steps_from_document(raw_trace) -> list[set[str]]:
+def _interned_steps(raw_trace: list) -> list[frozenset[str]]:
+    """Decode a trace of sparse or dense steps, each distinct step once.
+
+    When every step is a sparse list, steps are keyed by their entries. Each
+    distinct key is checked by :func:`_normalize_step` at the step where it
+    first occurs, for the names no earlier key has shown valid, and every
+    repeat shares its frozenset. Keys are checked in order of first
+    occurrence, so the first error is the one a step-by-step decode raises.
+    Dense maps and traces with an unhashable entry are decoded step by step.
+    """
+    if set(map(type, raw_trace)) == {list}:
+        keys = list(map(tuple, raw_trace))
+        first_step: dict[tuple, int] = {}
+        try:
+            firsts = list(map(first_step.setdefault, keys, range(len(keys))))
+        except TypeError:  # an unhashable entry; the step-by-step decode names it
+            pass
+        else:
+            valuations: list = [None] * len(keys)
+            valid_names: set[str] = set()
+            for key, t in first_step.items():
+                fresh = [p for p in key if p not in valid_names]
+                if fresh:
+                    _normalize_step(fresh, t)
+                    valid_names.update(fresh)
+                valuations[t] = frozenset(key)
+            return list(map(valuations.__getitem__, firsts))
+    return [_normalize_step(step, t) for t, step in enumerate(raw_trace)]
+
+
+def _steps_from_document(raw_trace) -> list[frozenset[str]]:
     if not isinstance(raw_trace, list):
         raise RolloutFormatError("'trace' must be a list of steps")
     if not raw_trace:
         raise RolloutFormatError("'trace' must contain at least one step")
     timestep_form = isinstance(raw_trace[0], dict) and "t" in raw_trace[0]
     if not timestep_form:
-        return [_normalize_step(step, t) for t, step in enumerate(raw_trace)]
+        return _interned_steps(raw_trace)
 
-    by_time: dict[int, set[str]] = {}
+    by_time: dict[int, frozenset[str]] = {}
     for entry in raw_trace:
         if not isinstance(entry, dict) or "t" not in entry:
             raise RolloutFormatError("mixed step forms: every step needs a 't' field here")
@@ -136,6 +168,8 @@ def load_rollout(source: str | dict) -> RolloutRecord:
             data = json.loads(source)
         except json.JSONDecodeError as exc:
             raise RolloutFormatError(f"invalid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise RolloutFormatError("JSON nested too deeply to parse") from exc
     else:
         data = source
     if not isinstance(data, dict):

@@ -6,12 +6,17 @@ code with the package) and anchors the chain of trust: the package evaluator
 is checked against it on small exhaustive spaces, the vectorized bulk oracle
 is checked against the package evaluator, and the automaton pipeline is then
 checked against the bulk oracle at scale.
+
+`reference_trace` decodes a rollout's ``trace`` field the plain way, one
+step at a time with every name checked at every occurrence, to anchor the
+interned decoder in ``safetrace.rollouts``.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -215,3 +220,65 @@ def random_trace(rng: random.Random, props, length: int) -> Trace:
     return Trace(
         [frozenset(p for p in props if rng.random() < 0.4) for _ in range(length)]
     )
+
+
+class ReferenceDecodeError(ValueError):
+    """Raised by `reference_trace`; the message matches the package's."""
+
+
+_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_RESERVED = {"true", "false", "U", "R", "X", "WX", "G", "F"}
+
+
+def _reference_valuation(step, t: int) -> frozenset:
+    if isinstance(step, list):
+        names = step
+    elif isinstance(step, dict):
+        names = [p for p, v in step.items() if v is True]
+        bad = [p for p, v in step.items() if not isinstance(v, bool)]
+        if bad:
+            raise ReferenceDecodeError(f"step {t}: non-boolean values for {sorted(bad)}")
+    else:
+        raise ReferenceDecodeError(
+            f"step {t}: expected a list or mapping, got {type(step).__name__}"
+        )
+    for p in names:
+        if not (isinstance(p, str) and _NAME.fullmatch(p) and p not in _RESERVED):
+            raise ReferenceDecodeError(f"step {t}: invalid proposition {p!r}")
+    return frozenset(names)
+
+
+def reference_trace(raw_trace, declared=None) -> list[frozenset]:
+    """The valuations of a rollout document's ``trace`` (sparse lists, dense
+    boolean maps or ``{"t", "props"}`` objects), decoded step by step and
+    checked against ``declared`` names when given."""
+    if not isinstance(raw_trace, list):
+        raise ReferenceDecodeError("'trace' must be a list of steps")
+    if not raw_trace:
+        raise ReferenceDecodeError("'trace' must contain at least one step")
+    if isinstance(raw_trace[0], dict) and "t" in raw_trace[0]:
+        by_time = {}
+        for entry in raw_trace:
+            if not isinstance(entry, dict) or "t" not in entry:
+                raise ReferenceDecodeError("mixed step forms: every step needs a 't' field here")
+            t = entry["t"]
+            if type(t) is not int or t < 0:
+                raise ReferenceDecodeError(f"invalid timestep {t!r}")
+            if t in by_time:
+                raise ReferenceDecodeError(f"duplicate timestep {t}")
+            by_time[t] = _reference_valuation(entry.get("props", []), t)
+        missing = [t for t in range(max(by_time) + 1) if t not in by_time]
+        if missing:
+            raise ReferenceDecodeError(f"missing timesteps: {missing[:5]}")
+        steps = [by_time[t] for t in range(len(by_time))]
+    else:
+        steps = [_reference_valuation(step, t) for t, step in enumerate(raw_trace)]
+    if declared is not None:
+        declared = set(declared)
+        for t, valuation in enumerate(steps):
+            undeclared = valuation - declared
+            if undeclared:
+                raise ReferenceDecodeError(
+                    f"step {t} uses undeclared propositions: {sorted(undeclared)}"
+                )
+    return steps

@@ -288,3 +288,37 @@ def test_non_utf8_input_is_an_error_naming_the_file(scenario_files, tmp_path, ca
         assert run_cli(*argv) == 1, argv
         err = capsys.readouterr().err
         assert err == f"error: {bad}: not valid UTF-8 text (invalid continuation byte)\n", argv
+
+
+def test_deeply_nested_input_is_an_error_naming_the_file(scenario_files, tmp_path, capsys):
+    rollout, spec = scenario_files
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    deep_yaml = tmp_path / "deep.yaml"
+    deep_yaml.write_text("- " * 50000 + "x\n")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"pairs": [{"rollout": deep.name, "task_spec": spec.name}]}))
+    out = str(tmp_path / "out")
+    cases = [
+        (("monitor", str(deep), str(deep)), f"error: {deep}: JSON nested too deeply to parse\n"),
+        (
+            ("monitor", str(rollout), str(deep)),
+            f"error: {deep}: document nested too deeply to parse\n",
+        ),
+        (
+            ("monitor", str(rollout), str(deep_yaml)),
+            f"error: {deep_yaml}: document nested too deeply to parse\n",
+        ),
+        (("evaluate", str(deep), "--out", out), f"error: {deep}: JSON nested too deeply to parse\n"),
+        (
+            ("evaluate", str(manifest), "--out", out),
+            f"error: {deep}: JSON nested too deeply to parse\n",
+        ),
+        (
+            ("evaluate", "--jsonl", str(deep), "--task-spec", str(spec), "--out", out),
+            f"error: {deep}, line 1: JSON nested too deeply to parse\n",
+        ),
+    ]
+    for argv, expected in cases:
+        assert run_cli(*argv, "-q") == 1, argv
+        assert capsys.readouterr().err == expected, argv

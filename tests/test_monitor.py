@@ -9,7 +9,7 @@ import pytest
 from safetrace.automata import Dfa, Permanence, compile_formula
 from safetrace.errors import MonitorError
 from safetrace.formulas import Trace, evaluate, parse
-from safetrace.monitor import Monitor, Verdict, run_trace
+from safetrace.monitor import Monitor, Verdict, run_masks, run_trace
 from safetrace.properties import instantiate
 
 from oracles import all_traces, random_formula, random_trace
@@ -124,6 +124,15 @@ def test_trivial_run_has_zero_exposure():
 def test_run_trace_rejects_empty_trace():
     with pytest.raises(MonitorError):
         run_trace(compile_formula(parse("F p")), [])
+
+
+def test_run_masks_rejects_masks_outside_the_alphabet():
+    dfa = compile_formula(parse("G !p"))  # one proposition: masks 0 and 1
+    for masks in ([2, 3], [0, 1, 2], [-1], b"\x00\x02", bytearray(b"\x01\xff")):
+        with pytest.raises(MonitorError, match=r"range\(2\)"):
+            run_masks(dfa, masks)
+    assert run_masks(dfa, b"\x00\x01").violation_timestep == 1
+    assert run_masks(dfa, [0, 0]).violated is False
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from safetrace import rollouts
 from safetrace.errors import RolloutFormatError, ScenarioError
 from safetrace.formulas import Trace
 from safetrace.metrics import evaluate_rollout
@@ -21,6 +23,8 @@ from safetrace.rollouts import (
     serialize_rollout,
     validate_rollout,
 )
+
+from oracles import ReferenceDecodeError, reference_trace
 
 # ---------------------------------------------------------------------------
 # load / serialize
@@ -98,6 +102,98 @@ def test_schema_violations():
         load_rollout(dict(BASE_DOC, trace=[["9bad"]]))
     with pytest.raises(RolloutFormatError, match="invalid JSON"):
         load_rollout("{nope")
+
+
+# Interned decoding against the step-by-step reference.
+
+_NAMES = ("a", "b", "grasped_mug", "x1")
+_BAD_ENTRIES = (1, None, True, 2.5, ["a"], {"a": True}, "G", "true", "9bad", "", "a b", "late_name")
+
+
+def _encode(steps, form, rng):
+    if form == "sparse":
+        return steps
+    if form == "dense":
+        dense = []
+        for step in steps:
+            valuation = {}
+            for p in step:
+                if isinstance(p, (list, dict)):
+                    valuation["b"] = "yes"  # unhashable here: a non-boolean value instead
+                else:
+                    valuation[p] = True
+            valuation.setdefault("off", False)
+            dense.append(valuation)
+        return dense
+    entries = [{"t": t, "props": step} for t, step in enumerate(steps)]
+    rng.shuffle(entries)
+    return entries
+
+
+@st.composite
+def _rollout_documents(draw):
+    distinct = draw(st.lists(st.lists(st.sampled_from(_NAMES), max_size=4), min_size=1, max_size=5))
+    order = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=150))
+    steps = [list(distinct[i]) for i in order]
+    for _ in range(draw(st.integers(0, 2))):
+        t = draw(st.integers(0, len(steps) - 1))
+        steps[t].insert(draw(st.integers(0, len(steps[t]))), draw(st.sampled_from(_BAD_ENTRIES)))
+    form = draw(st.sampled_from(("sparse", "dense", "timestep")))
+    trace = _encode(steps, form, random.Random(draw(st.integers(0, 2**16))))
+    declared = draw(st.one_of(st.none(), st.just(list(_NAMES)), st.lists(st.sampled_from(_NAMES))))
+    doc = dict(BASE_DOC, trace=trace)
+    if declared is not None:
+        doc["declared_props"] = declared
+    return doc
+
+
+_LATE_UNDECLARED = dict(
+    BASE_DOC, declared_props=["a", "b"], trace=[["a"], ["a", "b"]] * 100 + [["b", "late_name"]]
+)
+
+
+@given(_rollout_documents())
+@example(dict(BASE_DOC, trace=[["a"]] * 50 + [["a", 7]]))  # a non-string entry
+@example(dict(BASE_DOC, trace=[["a"]] * 50 + [[["a"]]]))  # an unhashable entry
+@example(dict(BASE_DOC, trace=[["a"]] * 50 + [["b", "G"]]))  # a reserved word
+@example(dict(BASE_DOC, trace=[["G"], [["a"]]]))  # invalid before unhashable
+@example(_LATE_UNDECLARED)
+@settings(max_examples=400, deadline=None)
+def test_decode_matches_step_by_step_reference(doc):
+    try:
+        expected = reference_trace(doc["trace"], doc.get("declared_props"))
+    except ReferenceDecodeError as exc:
+        with pytest.raises(RolloutFormatError) as info:
+            load_rollout(doc)
+        assert str(info.value) == str(exc)
+    else:
+        assert load_rollout(doc).trace == Trace(expected)
+
+
+def test_repeated_steps_share_one_valuation():
+    record = load_rollout(dict(BASE_DOC, trace=[["a", "b"], [], ["a", "b"], ["b", "a"]]))
+    steps = record.trace.steps
+    assert steps[0] is steps[2]
+    assert steps[0] == steps[3] == {"a", "b"}
+
+
+def test_each_distinct_name_is_validated_once(monkeypatch):
+    checked = []
+    is_valid = rollouts.is_valid_proposition
+
+    def counting(name):
+        checked.append(name)
+        return is_valid(name)
+
+    monkeypatch.setattr(rollouts, "is_valid_proposition", counting)
+    names = ["a", "b", "c", "d"]
+    rng = random.Random(3)
+    trace = [sorted(rng.sample(names, rng.randint(0, 4))) for _ in range(300)]
+    declared = names + ["e"]
+    record = load_rollout(dict(BASE_DOC, declared_props=declared, trace=trace))
+    assert record.trace == Trace(trace)
+    assert len({frozenset(step) for step in trace}) > len(names)  # many distinct steps
+    assert len(checked) <= len(names) + len(declared)
 
 
 def test_serialize_round_trip_fuzzed():
