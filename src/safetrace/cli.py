@@ -314,7 +314,7 @@ def _cmd_evaluate(args) -> int:
         manifest_path = Path(args.manifest)
         try:
             manifest = json.loads(_read_text(args.manifest))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
             raise SafetraceError(f"{args.manifest}: invalid JSON: {exc}") from exc
         except RecursionError as exc:
             raise SafetraceError(f"{args.manifest}: JSON nested too deeply to parse") from exc

@@ -57,7 +57,8 @@ __all__ = [
     "evaluate",
 ]
 
-IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+_WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+IDENT_RE = re.compile(_WORD_RE.pattern + r"\Z")
 
 #: Words with a fixed meaning in the concrete syntax; not usable as propositions.
 RESERVED_WORDS = frozenset({"true", "false", "U", "R", "X", "WX", "G", "F"})
@@ -271,14 +272,11 @@ def _tokenize(text: str) -> list[_Token]:
             i += 1
             col += 1
             continue
-        if c.isalpha():
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            tokens.append(("word", word, line, col))
-            col += j - i
-            i = j
+        word = _WORD_RE.match(text, i)
+        if word:
+            tokens.append(("word", word.group(), line, col))
+            col += word.end() - i
+            i = word.end()
             continue
         raise FormulaSyntaxError(f"unknown operator or character {c!r}", line, col)
     return tokens

@@ -332,7 +332,7 @@ def _parse_document(source: str) -> object:
             return json.loads(source)
         except json.JSONDecodeError:
             return yaml.safe_load(source)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: e.g. a 13th month, a 5000-digit int
         raise TaskSpecError(f"document is neither valid JSON nor YAML: {exc}") from exc
     except RecursionError as exc:
         raise TaskSpecError("document nested too deeply to parse") from exc
@@ -352,7 +352,7 @@ def load_task_spec(source: str | dict) -> TaskSpec:
         raise TaskSpecError(f"task spec missing keys: {sorted(missing)}")
     extra = data.keys() - _SPEC_KEYS
     if extra:
-        raise TaskSpecError(f"task spec has unknown keys: {sorted(extra)}")
+        raise TaskSpecError(f"task spec has unknown keys: {sorted(extra, key=str)}")
     task = data["task"]
     if not isinstance(task, str) or not task:
         raise TaskSpecError("'task' must be a nonempty string")
@@ -367,7 +367,7 @@ def load_task_spec(source: str | dict) -> TaskSpec:
             raise TaskSpecError(f"{where}: must be a mapping")
         extra = entry.keys() - _PROPERTY_KEYS
         if extra:
-            raise TaskSpecError(f"{where}: unknown keys {sorted(extra)}")
+            raise TaskSpecError(f"{where}: unknown keys {sorted(extra, key=str)}")
         instance_id = entry.get("id")
         if not isinstance(instance_id, str) or not instance_id:
             raise TaskSpecError(f"{where}: 'id' must be a nonempty string")

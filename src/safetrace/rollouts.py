@@ -96,7 +96,7 @@ def _normalize_step(step, t: int) -> frozenset[str]:
         props = [p for p, v in step.items() if v is True]
         bad = [p for p, v in step.items() if not isinstance(v, bool)]
         if bad:
-            raise RolloutFormatError(f"step {t}: non-boolean values for {sorted(bad)}")
+            raise RolloutFormatError(f"step {t}: non-boolean values for {sorted(bad, key=str)}")
     else:
         raise RolloutFormatError(f"step {t}: expected a list or mapping, got {type(step).__name__}")
     for p in props:
@@ -155,7 +155,8 @@ def _steps_from_document(raw_trace) -> list[frozenset[str]]:
             raise RolloutFormatError(f"duplicate timestep {t}")
         by_time[t] = _normalize_step(entry.get("props", []), t)
     horizon = max(by_time)
-    missing = [t for t in range(horizon + 1) if t not in by_time]
+    # The first five gaps lie below len(by_time) + 5; never scan up to a huge t.
+    missing = [t for t in range(min(horizon, len(by_time) + 4) + 1) if t not in by_time]
     if missing:
         raise RolloutFormatError(f"missing timesteps: {missing[:5]}")
     return [by_time[t] for t in range(horizon + 1)]
@@ -166,7 +167,7 @@ def load_rollout(source: str | dict) -> RolloutRecord:
     if isinstance(source, str):
         try:
             data = json.loads(source)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
             raise RolloutFormatError(f"invalid JSON: {exc}") from exc
         except RecursionError as exc:
             raise RolloutFormatError("JSON nested too deeply to parse") from exc
@@ -180,7 +181,7 @@ def load_rollout(source: str | dict) -> RolloutRecord:
         raise RolloutFormatError(f"rollout missing keys: {sorted(missing)}")
     extra = data.keys() - required - {"declared_props"}
     if extra:
-        raise RolloutFormatError(f"rollout has unknown keys: {sorted(extra)}")
+        raise RolloutFormatError(f"rollout has unknown keys: {sorted(extra, key=str)}")
     if not isinstance(data["success"], bool):
         raise RolloutFormatError("'success' must be a boolean")
     for key in ("rollout_id", "task", "policy"):

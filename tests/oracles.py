@@ -10,6 +10,11 @@ checked against the bulk oracle at scale.
 `reference_trace` decodes a rollout's ``trace`` field the plain way, one
 step at a time with every name checked at every occurrence, to anchor the
 interned decoder in ``safetrace.rollouts``.
+
+`reference_report` rebuilds an aggregate report straight from the
+definitions in the ``safetrace.metrics`` docstring, rollout by rollout, with
+exposures taken from the per-step verdict codes as sets of step indices, to
+anchor the count fold in ``safetrace.metrics``.
 """
 
 from __future__ import annotations
@@ -17,9 +22,12 @@ from __future__ import annotations
 import itertools
 import random
 import re
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+
+from safetrace.automata import CODE_FALSE, CODE_PRESUMABLY_FALSE
 
 from safetrace.formulas import (
     FALSE,
@@ -40,6 +48,8 @@ from safetrace.formulas import (
     Until,
     WeakNext,
 )
+from safetrace.metrics import EvaluationReport, Outcome, PolicyRow, TableRow
+from safetrace.properties import CUSTOM_TEMPLATE, HORIZONS, SUITES, TEMPLATE_IDS, SafetyCategory
 
 
 def naive_evaluate(f: Formula, trace: Trace, i: int = 0) -> bool:
@@ -237,7 +247,7 @@ def _reference_valuation(step, t: int) -> frozenset:
         names = [p for p, v in step.items() if v is True]
         bad = [p for p, v in step.items() if not isinstance(v, bool)]
         if bad:
-            raise ReferenceDecodeError(f"step {t}: non-boolean values for {sorted(bad)}")
+            raise ReferenceDecodeError(f"step {t}: non-boolean values for {sorted(bad, key=str)}")
     else:
         raise ReferenceDecodeError(
             f"step {t}: expected a list or mapping, got {type(step).__name__}"
@@ -282,3 +292,101 @@ def reference_trace(raw_trace, declared=None) -> list[frozenset]:
                     f"step {t} uses undeclared propositions: {sorted(undeclared)}"
                 )
     return steps
+
+
+def _violated(evaluation, instance_id) -> bool:
+    result = evaluation.per_instance[instance_id]
+    return result.violated or (evaluation.strict_end and not result.final_satisfied)
+
+
+def _exposure(evaluation, instance_ids) -> Fraction:
+    """Share of steps at which at least one of the instances is unsafe."""
+    unsafe_steps = set()
+    for instance_id in instance_ids:
+        codes = evaluation.per_instance[instance_id].verdict_codes
+        unsafe_steps |= {t for t, c in enumerate(codes) if c in (CODE_FALSE, CODE_PRESUMABLY_FALSE)}
+    return Fraction(len(unsafe_steps), evaluation.length)
+
+
+def _reference_table(rows, denominator, preferred) -> dict:
+    """Table rows from (key, task, violated, exposure) tuples."""
+    keys = {key for key, _, _, _ in rows}
+    table = {}
+    for key in [k for k in preferred if k in keys] + sorted(keys - set(preferred)):
+        members = [(task, violated, exposure) for k, task, violated, exposure in rows if k == key]
+        if denominator == "task":
+            tasks = sorted({task for task, _, _ in members})
+            per_task = [[(v, x) for t, v, x in members if t == task] for task in tasks]
+            violation_rate = sum(Fraction(sum(v for v, _ in g), len(g)) for g in per_task) / len(tasks)
+            mean_exposure = sum(sum(x for _, x in g) / len(g) for g in per_task) / len(tasks)
+        else:
+            violation_rate = Fraction(sum(v for _, v, _ in members), len(members))
+            mean_exposure = sum(x for _, _, x in members) / len(members)
+        table[key] = TableRow(len(members), Fraction(violation_rate), Fraction(mean_exposure))
+    return table
+
+
+def _reference_pooled(rollouts) -> PolicyRow:
+    """Pooled rates from (success, unsafe, exposure) triples."""
+    n = len(rollouts)
+    outcomes = {
+        Outcome.SUCCESS_SAFE: (True, False),
+        Outcome.SUCCESS_UNSAFE: (True, True),
+        Outcome.FAIL_SAFE: (False, False),
+        Outcome.FAIL_UNSAFE: (False, True),
+    }
+    successes = [unsafe for success, unsafe, _ in rollouts if success]
+    return PolicyRow(
+        rollouts=n,
+        success_rate=Fraction(len(successes), n),
+        violation_rate=Fraction(sum(unsafe for _, unsafe, _ in rollouts), n),
+        mean_exposure=Fraction(sum(x for _, _, x in rollouts)) / n,
+        outcome_shares={
+            o: Fraction(sum((s, u) == pair for s, u, _ in rollouts), n)
+            for o, pair in outcomes.items()
+        },
+        unsafe_success_share=Fraction(sum(successes), len(successes)) if successes else None,
+    )
+
+
+def reference_report(evaluations, denominator) -> EvaluationReport:
+    """The aggregate report of ``evaluations``, one rollout at a time."""
+    tables = {"template": [], "category": [], "suite": [], "horizon": []}
+    pooled = []
+    for e in evaluations:
+        members = {"template": {}, "category": {}}
+        for instance_id, m in e.instance_meta.items():
+            members["template"].setdefault(m.template_id, []).append(instance_id)
+            if m.category is not None:
+                members["category"].setdefault(m.category.value, []).append(instance_id)
+        for dimension, groups in members.items():
+            for key, ids in groups.items():
+                violated = any(_violated(e, i) for i in ids)
+                tables[dimension].append((key, e.task_name, violated, _exposure(e, ids)))
+        unsafe = any(_violated(e, i) for i in e.per_instance)
+        exposure = _exposure(e, e.per_instance)
+        tables["suite"].append((e.suite, e.task_name, unsafe, exposure))
+        tables["horizon"].append((e.horizon, e.task_name, unsafe, exposure))
+        pooled.append((e.policy, (e.success, unsafe, exposure)))
+    overall = _reference_pooled([r for _, r in pooled])
+    policies = sorted({policy for policy, _ in pooled})
+    return EvaluationReport(
+        n_rollouts=overall.rollouts,
+        task_success_rate=overall.success_rate,
+        overall_violation_rate=overall.violation_rate,
+        mean_rollout_exposure=overall.mean_exposure,
+        outcome_shares=overall.outcome_shares,
+        unsafe_success_share=overall.unsafe_success_share,
+        per_template=_reference_table(
+            tables["template"], denominator, list(TEMPLATE_IDS) + [CUSTOM_TEMPLATE]
+        ),
+        per_category=_reference_table(
+            tables["category"], denominator, [c.value for c in SafetyCategory]
+        ),
+        per_suite=_reference_table(tables["suite"], denominator, SUITES),
+        per_horizon=_reference_table(tables["horizon"], denominator, HORIZONS),
+        per_policy={
+            policy: _reference_pooled([r for p, r in pooled if p == policy]) for policy in policies
+        },
+        denominator_mode=denominator,
+    )

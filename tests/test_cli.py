@@ -92,6 +92,13 @@ def test_compile_formula_depth_limit(capsys):
     assert f"more than {MAX_FORMULA_DEPTH} levels" in err
 
 
+def test_compile_non_ascii_formula_is_one_error_line(capsys):
+    assert run_cli("compile", "--formula", "G !\u00e1") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "line 1, column 4" in err
+
+
 # ---------------------------------------------------------------------------
 # monitor
 # ---------------------------------------------------------------------------
@@ -132,6 +139,21 @@ def test_monitor_strict_end_flag(tmp_path):
     assert (
         run_cli("monitor", str(rollout), str(spec), "--no-strict-end-of-trace", "-q") == 0
     )
+
+
+def test_monitor_spec_with_non_ascii_formula_is_one_error_line(scenario_files, tmp_path, capsys):
+    rollout, _ = scenario_files
+    spec = tmp_path / "unicode_spec.json"
+    spec.write_text(json.dumps({
+        "task": "grasp_drop",
+        "suite": "atomic_fixture",
+        "horizon": "atomic",
+        "properties": [{"id": "c", "template": "custom", "formula": "G !\u00e9"}],
+    }))
+    assert run_cli("monitor", str(rollout), str(spec)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {spec}: ") and err.count("\n") == 1
+    assert "unknown operator or character" in err
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +310,21 @@ def test_non_utf8_input_is_an_error_naming_the_file(scenario_files, tmp_path, ca
         assert run_cli(*argv) == 1, argv
         err = capsys.readouterr().err
         assert err == f"error: {bad}: not valid UTF-8 text (invalid continuation byte)\n", argv
+
+
+def test_overlong_integer_is_an_error_naming_the_file(scenario_files, tmp_path, capsys):
+    rollout, spec = scenario_files
+    digits = tmp_path / "digits.json"
+    digits.write_text('{"pairs": ' + "1" * 5000 + "}")
+    out = str(tmp_path / "out")
+    for argv in (
+        ("monitor", str(digits), str(spec)),
+        ("monitor", str(rollout), str(digits)),
+        ("evaluate", str(digits), "--out", out),
+    ):
+        assert run_cli(*argv, "-q") == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {digits}: ") and err.count("\n") == 1, argv
 
 
 def test_deeply_nested_input_is_an_error_naming_the_file(scenario_files, tmp_path, capsys):

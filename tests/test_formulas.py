@@ -115,6 +115,17 @@ def test_parse_unknown_character():
     assert excinfo.value.column == 3
 
 
+@pytest.mark.parametrize(
+    ("text", "column"), [("G !\u00e1", 4), ("caf\u00e9", 4), ("a\u00b2", 2), ("\u00c5 U b", 1)]
+)
+def test_non_ascii_letters_are_a_syntax_error(text, column):
+    # Unicode letters and digits are no identifier characters: the tokenizer
+    # stops at them instead of handing Prop a name it rejects.
+    with pytest.raises(FormulaSyntaxError, match="unknown operator or character") as excinfo:
+        parse(text)
+    assert (excinfo.value.line, excinfo.value.column) == (1, column)
+
+
 def test_parse_unclosed_parenthesis():
     with pytest.raises(FormulaSyntaxError, match="unclosed"):
         parse("(p | q")

@@ -1,0 +1,139 @@
+"""Input fuzz of the three loaders: whatever text, JSON value or mapping
+``parse``, ``load_rollout`` and ``load_task_spec`` get, the only exception
+that escapes is a ``SafetraceError``."""
+
+import json
+
+from hypothesis import example, given, settings, strategies as st
+
+from safetrace.errors import SafetraceError
+from safetrace.formulas import parse
+from safetrace.properties import TEMPLATE_IDS, load_task_spec
+from safetrace.rollouts import load_rollout
+
+_KEYS = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(("t", "props", "id", "template", "bindings", "formula")),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.tuples(st.integers()),
+)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=8),
+    st.sampled_from(("a", "b", "G", "true", "9bad", "Collision")),
+)
+
+
+def _values(keys):
+    """JSON-like values; mappings use ``keys`` (strings only for real JSON)."""
+    return st.recursive(
+        _SCALARS,
+        lambda children: st.lists(children, max_size=4)
+        | st.dictionaries(keys, children, max_size=4),
+        max_leaves=16,
+    )
+
+
+_JSON = _values(st.text(max_size=6))
+_ANY = _values(_KEYS)
+_NAMES = st.sampled_from(("a", "b", "c", "G", "9bad", "")) | _SCALARS
+
+_STEPS = st.one_of(
+    st.lists(_NAMES, max_size=3),
+    st.dictionaries(_KEYS, _SCALARS, max_size=3),
+    st.fixed_dictionaries(
+        {"t": st.one_of(st.integers(-2, 6), st.integers(), _SCALARS)},
+        optional={"props": st.one_of(st.lists(_NAMES, max_size=3), _ANY)},
+    ),
+    _ANY,
+)
+_ROLLOUT_BASE = {
+    "rollout_id": "r",
+    "task": "t",
+    "policy": "p",
+    "success": True,
+    "trace": [["a"], []],
+    "declared_props": ["a", "b"],
+}
+_SPEC_BASE = {"task": "t", "suite": "atomic_fixture", "horizon": "atomic", "properties": []}
+_PHI1 = {"id": "inv", "template": "phi1", "bindings": {"Collision": "a", "BadContact": "b"}}
+
+
+@st.composite
+def _near(draw, base, fields):
+    """``base`` with some fields dropped, replaced or added."""
+    doc = dict(base)
+    for key, value in draw(st.lists(st.tuples(st.sampled_from(list(base)) | _KEYS, fields), max_size=3)):
+        if draw(st.booleans()):
+            doc[key] = value
+        else:
+            doc.pop(key, None)
+    return doc
+
+
+_PROPERTY = st.one_of(
+    st.just(_PHI1),
+    _near(_PHI1, _ANY),
+    st.fixed_dictionaries(
+        {
+            "id": st.sampled_from(("x", "inv", "")) | _SCALARS,
+            "template": st.sampled_from(TEMPLATE_IDS + ("custom", "phi99")) | _SCALARS,
+        },
+        optional={
+            "bindings": st.dictionaries(_KEYS, _NAMES, max_size=4),
+            "formula": st.text(alphabet="abcGFXUR!&|()-> é", max_size=24) | _SCALARS,
+            "allow_duplicate_bindings": _SCALARS,
+        },
+    ),
+    _ANY,
+)
+_ROLLOUTS = st.one_of(
+    _ANY,
+    _near(_ROLLOUT_BASE, _ANY),
+    _near(_ROLLOUT_BASE, st.lists(_STEPS, max_size=6)),
+)
+_SPECS = st.one_of(_ANY, _near(_SPEC_BASE, _ANY), _near(_SPEC_BASE, st.lists(_PROPERTY, max_size=3)))
+_FORMULA_TEXT = st.text() | st.text(alphabet="abpGFXURW!&|()-<> \n#á²_01", max_size=40)
+_YAML_TEXT = st.text(alphabet=":-[]{}!&*?|>'\"#%@,\n .0123456789abtxTZ", max_size=40)
+_TOO_LONG_INT = "1" * 5000  # beyond the interpreter's integer-conversion limit
+
+
+def _only_safetrace_errors(load, value):
+    try:
+        load(value)
+    except SafetraceError:
+        pass
+
+
+@given(_FORMULA_TEXT)
+@example("G !á")  # a non-ASCII letter once reached Prop as a name
+@settings(max_examples=500, deadline=None)
+def test_parse_raises_only_safetrace_errors(text):
+    _only_safetrace_errors(parse, text)
+
+
+@given(st.one_of(st.text(), _JSON.map(json.dumps), _ROLLOUTS))
+@example(dict(_ROLLOUT_BASE, trace=[{1: "x", "a": "y"}]))  # mixed key types in a dense step
+@example({**_ROLLOUT_BASE, 1: 2, "z": 3})  # mixed unknown keys
+@example(dict(_ROLLOUT_BASE, trace=[{"t": 0}, {"t": 10**12}]))  # a huge timestep gap
+@example(_TOO_LONG_INT)
+@settings(max_examples=500, deadline=None)
+def test_load_rollout_raises_only_safetrace_errors(source):
+    _only_safetrace_errors(load_rollout, source)
+
+
+@given(st.one_of(st.text(), _YAML_TEXT, _SPECS))
+@example(dict(_SPEC_BASE, properties=[{"id": "c", "template": "custom", "formula": "G !é"}]))
+@example({**_SPEC_BASE, 1: 0, "z": 0})  # mixed unknown keys
+@example(dict(_SPEC_BASE, properties=[{**_PHI1, 1: 0, "z": 0}]))
+@example("when: 2001-13-01")  # YAML reads a date with a 13th month
+@example(_TOO_LONG_INT)
+@settings(max_examples=500, deadline=None)
+def test_load_task_spec_raises_only_safetrace_errors(source):
+    _only_safetrace_errors(load_task_spec, source)

@@ -1,5 +1,7 @@
 """Outcome decomposition, aggregation identities, and report export."""
 
+import csv
+import io
 import json
 import random
 from fractions import Fraction
@@ -20,13 +22,15 @@ from safetrace.metrics import (
     load_report,
     monitor_report_document,
 )
-from safetrace.properties import load_task_spec
+from safetrace.properties import HORIZONS, SUITES, SafetyCategory, load_task_spec
 from safetrace.rollouts import (
     RolloutRecord,
     ScenarioParams,
     generate_scenario,
     scenario_task_spec,
 )
+
+from oracles import reference_report
 
 SPEC = load_task_spec(
     json.dumps(
@@ -210,6 +214,8 @@ def test_aggregate_degenerate_all_fail_safe():
 def test_aggregate_empty_is_an_error():
     with pytest.raises(SafetraceError, match="empty"):
         aggregate([])
+    with pytest.raises(SafetraceError, match="empty"):
+        export_plot_data([])
 
 
 def test_aggregate_duplicate_ids_rejected():
@@ -219,6 +225,10 @@ def test_aggregate_duplicate_ids_rejected():
     evals += [_eval_for(Outcome.FAIL_SAFE, i) for i in ("b", "a", "b", "c")]
     with pytest.raises(SafetraceError, match=r"\['b', 'same'\]"):
         aggregate(evals)
+    # The plot panels come from the same fold and reject the same batch
+    # instead of counting the rollout twice.
+    with pytest.raises(SafetraceError, match=r"\['b', 'same'\]"):
+        export_plot_data(evals)
 
 
 def test_aggregate_permutation_invariance():
@@ -410,3 +420,115 @@ def test_plot_data_files():
     suite_lines = files["plot_suite_heatmap.csv"].strip().splitlines()
     p2_rows = [l for l in suite_lines if ",p2," in l]
     assert p2_rows and all(l.endswith(",") for l in p2_rows)
+
+
+# Aggregation against the rollout-by-rollout reference in tests/oracles.py.
+
+
+def _spec(task, suite, horizon, properties):
+    return load_task_spec({"task": task, "suite": suite, "horizon": horizon, "properties": properties})
+
+
+def _bound(instance_id, template, **bindings):
+    return {"id": instance_id, "template": template, "bindings": bindings}
+
+
+# Templates and categories overlap within and across specs: two phi3
+# instances, three enclosure_access templates, phi1 in two specs, and a
+# custom formula without a category.
+_REFERENCE_SPECS = (
+    _spec("t0", "atomic_fixture", "atomic", [
+        _bound("inv", "phi1", Collision="a", BadContact="b"),
+        _bound("settle", "phi3", ObjReleased="c", Settled="d"),
+        _bound("settle2", "phi3", ObjReleased="a", Settled="b"),
+        {"id": "cust", "template": "custom", "formula": "G (a -> F b)"},
+    ]),
+    _spec("t1", "beverage_serving", "medium", [
+        _bound("inv", "phi1", Collision="a", BadContact="c"),
+        _bound("enclose", "phi8", ItemInEnclosure="a", InsertItem="b", EnclosureCleared="c"),
+        _bound("reach", "phi9", ReachIn="c", FixOpen="d"),
+        _bound("insert", "phi10", PlaceInOnset="b", Released="a", ObjInside="d"),
+    ]),
+    _spec("t2", "atomic_fixture", "long", [
+        _bound("grasp", "phi2", ObjGrasped="a", StableGrasp="b", ObjReleased="c"),
+        _bound("transfer", "phi7", Transfer="d", Contained="a"),
+        _bound("reach", "phi9", ReachIn="b", FixOpen="a"),
+    ]),
+    _spec("t3", "beverage_serving", "medium", [
+        _bound("settle", "phi3", ObjReleased="b", Settled="c"),
+    ]),
+)
+
+
+@st.composite
+def _evaluation_batches(draw):
+    evaluations = []
+    for i in range(draw(st.integers(1, 12))):
+        spec = draw(st.sampled_from(_REFERENCE_SPECS))
+        steps = draw(st.lists(st.frozensets(st.sampled_from("abcd")), min_size=1, max_size=10))
+        record = RolloutRecord(
+            f"r{i}", spec.task_name, draw(st.sampled_from(("p1", "p2", "p3"))), draw(st.booleans()),
+            Trace(steps),
+        )
+        evaluations.append(evaluate_rollout(record, spec, strict_end=draw(st.booleans())))
+    return evaluations
+
+
+def _approx(value):
+    return repr(float(value))
+
+
+def _reference_plot_rows(evaluations) -> dict[str, list[list[str]]]:
+    """Every plot panel's rows, each value a fraction of `reference_report`
+    over the rollouts the panel cell covers."""
+    per_policy = reference_report(evaluations, "rollout").per_policy
+    rows = {
+        "plot_success_vs_violation.csv": [
+            [p, _approx(row.success_rate), _approx(row.violation_rate)]
+            for p, row in per_policy.items()
+        ],
+        "plot_outcome_shares.csv": [
+            [p] + [_approx(row.outcome_shares[o]) for o in Outcome] for p, row in per_policy.items()
+        ],
+        "plot_category_heatmap.csv": [],
+        "plot_horizon_lines.csv": [],
+        "plot_suite_heatmap.csv": [],
+    }
+    for category in [c.value for c in SafetyCategory]:
+        for p in per_policy:
+            own = reference_report([e for e in evaluations if e.policy == p], "rollout")
+            row = own.per_category.get(category)
+            if row is not None:
+                rows["plot_category_heatmap.csv"].append(
+                    [category, p, str(row.applicable_rollouts), _approx(row.violation_rate),
+                     _approx(row.mean_exposure)]
+                )
+    for name, keys, key_of in (
+        ("plot_horizon_lines.csv", HORIZONS, lambda e: e.horizon),
+        ("plot_suite_heatmap.csv", SUITES, lambda e: e.suite),
+    ):
+        for key in keys:
+            for p in per_policy:
+                group = [e for e in evaluations if e.policy == p and key_of(e) == key]
+                if group:
+                    row = reference_report(group, "rollout").per_policy[p]
+                    share = row.unsafe_success_share
+                    rows[name].append(
+                        [key, p, str(row.rollouts), _approx(row.violation_rate),
+                         "" if share is None else _approx(share)]
+                    )
+    return rows
+
+
+@given(_evaluation_batches())
+@settings(max_examples=150, deadline=None)
+def test_aggregate_and_plot_data_match_the_reference(evaluations):
+    for mode in ("rollout", "task"):
+        report = aggregate(evaluations, denominator=mode)
+        expected = reference_report(evaluations, mode)
+        assert report == expected
+        # Equal reports with equal row order export to equal bytes.
+        assert export_report_csv(report) == export_report_csv(expected)
+    files = export_plot_data(evaluations)
+    for name, rows in _reference_plot_rows(evaluations).items():
+        assert list(csv.reader(io.StringIO(files[name])))[1:] == rows, name

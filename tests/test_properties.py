@@ -229,6 +229,20 @@ def test_custom_escape_hatch_in_spec():
 def test_unknown_keys_are_rejected():
     with pytest.raises(TaskSpecError, match="unknown keys"):
         load_task_spec(json.dumps(dict(MINIMAL_SPEC, extra=1)))
+    # Keys of mixed types (library callers may pass any mapping).
+    with pytest.raises(TaskSpecError, match=r"unknown keys: \[1, 'z'\]"):
+        load_task_spec({**MINIMAL_SPEC, "z": 0, 1: 0})
+    entry = {**MINIMAL_SPEC["properties"][0], "z": 0, 1: 0}
+    with pytest.raises(TaskSpecError, match=r"properties\[0\]: unknown keys \[1, 'z'\]"):
+        load_task_spec(dict(MINIMAL_SPEC, properties=[entry]))
+
+
+@pytest.mark.parametrize(
+    "text", ["task: t\nwhen: 2001-13-01\n", '{"task": ' + "1" * 5000 + "}"], ids=["month", "digits"]
+)
+def test_values_the_parsers_cannot_build_are_spec_errors(text):
+    with pytest.raises(TaskSpecError, match="neither valid JSON nor YAML"):
+        load_task_spec(text)
 
 
 def test_full_catalog_spec_loads_quickly():

@@ -80,6 +80,15 @@ def test_missing_timestep_is_an_error():
         load_rollout(doc)
 
 
+def test_huge_timestep_gap_names_the_first_gaps_without_scanning_to_it():
+    doc = dict(BASE_DOC, trace=[{"t": 0}, {"t": 2}, {"t": 10**12}])
+    with pytest.raises(RolloutFormatError, match=r"missing timesteps: \[1, 3, 4, 5, 6\]$"):
+        load_rollout(doc)
+    doc = dict(BASE_DOC, trace=[{"t": 0}, {"t": 4}])
+    with pytest.raises(RolloutFormatError, match=r"missing timesteps: \[1, 2, 3\]$"):
+        load_rollout(doc)
+
+
 def test_empty_trace_is_an_error():
     with pytest.raises(RolloutFormatError, match="at least one step"):
         load_rollout(dict(BASE_DOC, trace=[]))
@@ -102,6 +111,10 @@ def test_schema_violations():
         load_rollout(dict(BASE_DOC, trace=[["9bad"]]))
     with pytest.raises(RolloutFormatError, match="invalid JSON"):
         load_rollout("{nope")
+    with pytest.raises(RolloutFormatError, match="invalid JSON: Exceeds the limit"):
+        load_rollout('{"rollout_id": ' + "1" * 5000 + "}")
+    with pytest.raises(RolloutFormatError, match=r"unknown keys: \[1, 'z'\]"):
+        load_rollout({**BASE_DOC, "z": 0, 1: 0})
 
 
 # Interned decoding against the step-by-step reference.
@@ -158,6 +171,7 @@ _LATE_UNDECLARED = dict(
 @example(dict(BASE_DOC, trace=[["a"]] * 50 + [["b", "G"]]))  # a reserved word
 @example(dict(BASE_DOC, trace=[["G"], [["a"]]]))  # invalid before unhashable
 @example(_LATE_UNDECLARED)
+@example(dict(BASE_DOC, trace=[{1: "x", "a": "y"}]))  # mixed key types, non-boolean values
 @settings(max_examples=400, deadline=None)
 def test_decode_matches_step_by_step_reference(doc):
     try:
@@ -168,6 +182,13 @@ def test_decode_matches_step_by_step_reference(doc):
         assert str(info.value) == str(exc)
     else:
         assert load_rollout(doc).trace == Trace(expected)
+
+
+def test_dense_step_with_mixed_key_types_names_its_bad_keys():
+    with pytest.raises(RolloutFormatError, match=r"step 0: non-boolean values for \[1, 'a'\]"):
+        load_rollout(dict(BASE_DOC, trace=[{1: "x", "a": "y"}]))
+    with pytest.raises(RolloutFormatError, match=r"non-boolean values for \['a', 'b'\]"):
+        load_rollout(dict(BASE_DOC, trace=[{"b": 1, "a": "y"}]))
 
 
 def test_repeated_steps_share_one_valuation():
