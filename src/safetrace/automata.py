@@ -4,11 +4,22 @@ The automaton alphabet is the set of valuations over the formula's own
 propositions, encoded as bitmasks: bit ``i`` of a symbol says whether
 ``props[i]`` holds at that step (``props`` is sorted by name). Construction is
 by formula progression: each state is the residual obligation left after the
-consumed prefix. Progressing through one valuation resolves every literal and
-rewrites the temporal operators into a flattened, duplicate-free disjunction
-of conjunctions of next-step obligations, with constants folded and subsumed
-conjunctions absorbed; that minimal form is the memoization key, so equal
-obligations share a state and the construction terminates.
+consumed prefix (Bacchus & Kabanza's progression). Progressing through one
+valuation resolves every literal and rewrites the temporal operators into a
+flattened, duplicate-free disjunction of conjunctions of next-step
+obligations, with constants folded and subsumed conjunctions absorbed; that
+minimal form is the memoization key, so equal obligations share a state and
+the construction terminates.
+
+The construction runs over the formula's interned NNF closure: each distinct
+subformula is an int node that knows its support, the propositions it reads
+at the current step, and a next-step obligation is the int ``2 * node +
+weak``. Progression is memoized per (node, valuation restricted to the
+node's support), and each state is progressed once per distinct valuation of
+the propositions its residual reads, the result shared by every symbol that
+agrees on them. Minimization renumbers the states and labels each class by
+the raw state it is first reached through, so the automaton, its labels and
+every export do not depend on the order in which raw states are found.
 
 Whether a reached state is accepting is decided on its obligation set as if
 the trace ended there: a strong next contributes false, a weak next true. The
@@ -28,7 +39,7 @@ from array import array
 from collections import deque
 from enum import Enum
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import AlphabetMismatchError, AlphabetTooLargeError
 from .formulas import (
@@ -229,21 +240,43 @@ class Dfa:
 
 
 # ---------------------------------------------------------------------------
-# Canonical residual forms
+# Interned closure and canonical residual forms
 # ---------------------------------------------------------------------------
 #
-# A residual obligation is kept as a disjunction of conjunctions whose atoms
-# are next-step obligations: ``Next(g)`` or ``WeakNext(g)`` with ``g`` drawn
-# from the NNF subformula closure. Residuals are monotone in these atoms, so
-# pruning subsumed conjunctions leaves the unique minimal set of implicants;
-# that set (of frozensets) is the canonical state key. Atoms come from a
-# finite closure and antichains over a finite set are finite, so the state
-# space is finite and construction terminates.
+# Each compilation first interns the NNF subformula closure: every
+# structurally distinct node gets an int id, a kind, its children and its
+# support, the bitmask of propositions it reads at the current step (``X``
+# and ``WX`` read none: their operand is read at the next step). A residual
+# obligation is a disjunction of conjunctions whose atoms are next-step
+# obligations on closure nodes, encoded as ints: ``2 * node`` for strong
+# next, ``2 * node + 1`` for weak next. Residuals are monotone in these
+# atoms, so pruning subsumed conjunctions leaves the unique minimal set of
+# implicants; that set (of frozensets) is the canonical state key. Atoms come
+# from a finite closure and antichains over a finite set are finite, so the
+# state space is finite and construction terminates.
 
-_Dnf = frozenset  # frozenset[frozenset[Formula]]
+_Dnf = frozenset  # frozenset[frozenset[int]]
 
 _DNF_TRUE: _Dnf = frozenset({frozenset()})
 _DNF_FALSE: _Dnf = frozenset()
+
+# Closure node kinds, keyed by the NNF node class they intern.
+_TRUE, _FALSE, _PROP, _NOT_PROP, _AND, _OR, _NEXT, _WEAK_NEXT = range(8)
+_UNTIL, _RELEASE, _EVENTUALLY, _ALWAYS = range(8, 12)
+_KINDS = {
+    TrueFormula: _TRUE,
+    FalseFormula: _FALSE,
+    Prop: _PROP,
+    Not: _NOT_PROP,
+    And: _AND,
+    Or: _OR,
+    Next: _NEXT,
+    WeakNext: _WEAK_NEXT,
+    Until: _UNTIL,
+    Release: _RELEASE,
+    Eventually: _EVENTUALLY,
+    Always: _ALWAYS,
+}
 
 
 def _dnf_prune(terms: set[frozenset]) -> _Dnf:
@@ -251,101 +284,174 @@ def _dnf_prune(terms: set[frozenset]) -> _Dnf:
     return frozenset(t for t in terms if not any(o < t for o in terms))
 
 
-def _dnf_or(a: _Dnf, b: _Dnf) -> _Dnf:
-    if a is _DNF_TRUE or b is _DNF_TRUE:
-        return _DNF_TRUE
-    return _dnf_prune(set(a) | set(b))
+class _Closure:
+    """The interned NNF closure of one formula over a sorted alphabet.
 
+    Progression is memoized on (node, valuation restricted to the node's
+    support), conjunction and disjunction on the operand pair. An instance
+    lives for one :func:`compile_formula` call.
+    """
 
-def _dnf_and(a: _Dnf, b: _Dnf) -> _Dnf:
-    if not a or not b:
-        return _DNF_FALSE
-    return _dnf_prune({s | t for s in a for t in b})
+    def __init__(self, root: Formula, names: Sequence[str]):
+        self.bits = {name: 1 << i for i, name in enumerate(names)}
+        self.ids: dict[tuple, int] = {}
+        self.kinds: list[int] = []
+        self.children: list[tuple[int, ...]] = []
+        self.support: list[int] = []
+        self.formulas: list[Formula] = []
+        # For X/WX: the DNF of its one atom; for U/R/F/G: the DNF of the
+        # atom that re-posts the node itself at the next step.
+        self.postponed: list[_Dnf | None] = []
+        self.progressed: dict[int, _Dnf] = {}
+        self.conjoined: dict[tuple[_Dnf, _Dnf], _Dnf] = {}
+        self.disjoined: dict[tuple[_Dnf, _Dnf], _Dnf] = {}
+        self.atom_texts: dict[int, str] = {}
+        self.root = self._intern(root)
 
+    def _intern(self, f: Formula) -> int:
+        kind = _KINDS[type(f)]  # ``f`` is in NNF: no ``->``, ``!`` only on a Prop
+        if kind == _PROP:
+            support, children = self.bits[f.name], ()
+        elif kind == _NOT_PROP:
+            support, children = self.bits[f.operand.name], ()
+        elif kind in (_TRUE, _FALSE):
+            support, children = 0, ()
+        elif kind in (_AND, _OR, _UNTIL, _RELEASE):
+            children = (self._intern(f.left), self._intern(f.right))
+            support = self.support[children[0]] | self.support[children[1]]
+        else:
+            children = (self._intern(f.operand),)
+            support = 0 if kind in (_NEXT, _WEAK_NEXT) else self.support[children[0]]
+        key = (kind, support, children)
+        node = self.ids.get(key)
+        if node is None:
+            node = self.ids[key] = len(self.kinds)
+            self.kinds.append(kind)
+            self.children.append(children)
+            self.support.append(support)
+            self.formulas.append(f)
+            if kind in (_NEXT, _WEAK_NEXT):
+                atom = 2 * children[0] + (kind == _WEAK_NEXT)
+            elif kind in (_UNTIL, _EVENTUALLY, _RELEASE, _ALWAYS):
+                atom = 2 * node + (kind in (_RELEASE, _ALWAYS))
+            else:
+                atom = None
+            self.postponed.append(None if atom is None else frozenset({frozenset({atom})}))
+        return node
 
-def _progress(f: Formula, valuation: frozenset[str], cache: dict) -> _Dnf:
-    """One-step derivative of an NNF obligation against a valuation, as a
-    canonical disjunction of conjunctions of next-step obligations."""
-    key = (id(f), valuation)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(f, TrueFormula):
-        result = _DNF_TRUE
-    elif isinstance(f, FalseFormula):
+    def conj(self, a: _Dnf, b: _Dnf) -> _Dnf:
+        if not a or not b:
+            return _DNF_FALSE
+        if a is _DNF_TRUE:
+            return b
+        if b is _DNF_TRUE:
+            return a
+        key = (a, b)
+        result = self.conjoined.get(key)
+        if result is None:
+            result = self.conjoined[key] = _dnf_prune({s | t for s in a for t in b})
+        return result
+
+    def disj(self, a: _Dnf, b: _Dnf) -> _Dnf:
+        if a is _DNF_TRUE or b is _DNF_TRUE:
+            return _DNF_TRUE
+        if not a:
+            return b
+        if not b:
+            return a
+        key = (a, b)
+        result = self.disjoined.get(key)
+        if result is None:
+            result = self.disjoined[key] = _dnf_prune(set(a) | set(b))
+        return result
+
+    def progress(self, node: int, mask: int) -> _Dnf:
+        """One-step derivative of a closure node against a valuation mask, as
+        a canonical disjunction of conjunctions of next-step atoms."""
+        key = node << MAX_PROPOSITIONS | mask & self.support[node]
+        result = self.progressed.get(key)
+        if result is not None:
+            return result
+        kind = self.kinds[node]
+        if kind == _PROP:
+            result = _DNF_TRUE if mask & self.support[node] else _DNF_FALSE
+        elif kind == _NOT_PROP:
+            result = _DNF_FALSE if mask & self.support[node] else _DNF_TRUE
+        elif kind == _TRUE:
+            result = _DNF_TRUE
+        elif kind == _FALSE:
+            result = _DNF_FALSE
+        elif kind in (_NEXT, _WEAK_NEXT):
+            result = self.postponed[node]
+        else:
+            children = self.children[node]
+            first = self.progress(children[0], mask)
+            if kind == _AND:
+                result = self.conj(first, self.progress(children[1], mask))
+            elif kind == _OR:
+                result = self.disj(first, self.progress(children[1], mask))
+            elif kind == _UNTIL:
+                result = self.disj(
+                    self.progress(children[1], mask), self.conj(first, self.postponed[node])
+                )
+            elif kind == _RELEASE:
+                result = self.conj(
+                    self.progress(children[1], mask), self.disj(first, self.postponed[node])
+                )
+            elif kind == _EVENTUALLY:
+                result = self.disj(first, self.postponed[node])
+            else:
+                result = self.conj(first, self.postponed[node])
+        self.progressed[key] = result
+        return result
+
+    def step(self, residual: _Dnf, mask: int) -> _Dnf:
+        """Progress a whole residual: each atom's node is consumed against
+        the valuation (the next-step wrapper is moot once a next step exists),
+        recombined along the residual's own and/or structure."""
         result = _DNF_FALSE
-    elif isinstance(f, Prop):
-        result = _DNF_TRUE if f.name in valuation else _DNF_FALSE
-    elif isinstance(f, Not):
-        if not isinstance(f.operand, Prop):
-            raise ValueError("progression requires negation normal form")
-        result = _DNF_FALSE if f.operand.name in valuation else _DNF_TRUE
-    elif isinstance(f, And):
-        result = _dnf_and(
-            _progress(f.left, valuation, cache), _progress(f.right, valuation, cache)
-        )
-    elif isinstance(f, Or):
-        result = _dnf_or(
-            _progress(f.left, valuation, cache), _progress(f.right, valuation, cache)
-        )
-    elif isinstance(f, (Next, WeakNext)):
-        result = frozenset({frozenset({f})})
-    elif isinstance(f, Until):
-        result = _dnf_or(
-            _progress(f.right, valuation, cache),
-            _dnf_and(_progress(f.left, valuation, cache), frozenset({frozenset({Next(f)})})),
-        )
-    elif isinstance(f, Release):
-        result = _dnf_and(
-            _progress(f.right, valuation, cache),
-            _dnf_or(_progress(f.left, valuation, cache), frozenset({frozenset({WeakNext(f)})})),
-        )
-    elif isinstance(f, Eventually):
-        result = _dnf_or(
-            _progress(f.operand, valuation, cache), frozenset({frozenset({Next(f)})})
-        )
-    elif isinstance(f, Always):
-        result = _dnf_and(
-            _progress(f.operand, valuation, cache), frozenset({frozenset({WeakNext(f)})})
-        )
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    cache[key] = result
-    return result
+        for term in residual:
+            term_dnf = _DNF_TRUE
+            for atom in term:
+                term_dnf = self.conj(term_dnf, self.progress(atom >> 1, mask))
+                if not term_dnf:
+                    break
+            result = self.disj(result, term_dnf)
+        return result
 
+    def reads(self, residual: _Dnf) -> int:
+        """Bitmask of the propositions a residual's next step depends on."""
+        support = self.support
+        read = 0
+        for term in residual:
+            for atom in term:
+                read |= support[atom >> 1]
+        return read
 
-def _dnf_step(state: _Dnf, valuation: frozenset[str], cache: dict) -> _Dnf:
-    """Progress a whole residual: each atom's wrapped obligation is consumed
-    against the valuation (the wrapper itself is moot once a next step
-    exists), recombined along the residual's own and/or structure."""
-    result = _DNF_FALSE
-    for term in state:
-        term_dnf = _DNF_TRUE
-        for atom in term:
-            term_dnf = _dnf_and(term_dnf, _progress(atom.operand, valuation, cache))
-            if not term_dnf:
-                break
-        result = _dnf_or(result, term_dnf)
-    return result
+    def label(self, residual: _Dnf) -> str:
+        if residual == _DNF_TRUE:
+            return "true"
+        if residual == _DNF_FALSE:
+            return "false"
+        rendered = []
+        for term in residual:
+            parts = sorted(self._atom_text(atom) for atom in term)
+            text = " & ".join(parts)
+            rendered.append(f"({text})" if len(parts) > 1 and len(residual) > 1 else text)
+        return " | ".join(sorted(rendered))
+
+    def _atom_text(self, atom: int) -> str:
+        text = self.atom_texts.get(atom)
+        if text is None:
+            wrapper = WeakNext if atom & 1 else Next
+            text = self.atom_texts[atom] = format_formula(wrapper(self.formulas[atom >> 1]))
+        return text
 
 
 def _dnf_accepts_if_trace_ends(state: _Dnf) -> bool:
     """Truth of a residual when no further step arrives: strong next
     obligations fail, weak ones are vacuously met."""
-    return any(all(isinstance(atom, WeakNext) for atom in term) for term in state)
-
-
-def _dnf_label(state: _Dnf) -> str:
-    if state == _DNF_TRUE:
-        return "true"
-    if state == _DNF_FALSE:
-        return "false"
-    rendered = []
-    for term in state:
-        parts = sorted(format_formula(atom) for atom in term)
-        text = " & ".join(parts)
-        rendered.append(f"({text})" if len(parts) > 1 and len(state) > 1 else text)
-    return " | ".join(sorted(rendered))
+    return any(all(atom & 1 for atom in term) for term in state)
 
 
 def _empty_suffix_value(f: Formula) -> bool:
@@ -392,45 +498,48 @@ def compile_formula(f: Formula) -> Dfa:
             + format_formula(f)
         )
     width = 1 << len(names)
-    valuations = [
-        frozenset(names[b] for b in range(len(names)) if mask >> b & 1)
-        for mask in range(width)
-    ]
 
     root = to_nnf(f)
+    closure = _Closure(root, names)
     # The initial residual wraps the whole formula; its acceptance flag is
-    # the formula's value on the empty suffix, queried only internally.
-    start = (frozenset({frozenset({WeakNext(root)})}), _empty_suffix_value(root))
-    index: dict[tuple[_Dnf, bool], int] = {start: 0}
-    order: list[tuple[_Dnf, bool]] = [start]
-    labels: list[str] = [format_formula(f)]
+    # the formula's value on the empty suffix, queried only internally. Every
+    # other state's flag follows from its residual, which is therefore the
+    # state key; the initial residual (one weak atom, so accepting as a
+    # successor) is shared with successors only when its own flag agrees.
+    initial = frozenset({frozenset({2 * closure.root + 1})})
+    order: list[_Dnf] = [initial]
+    accepting = [_empty_suffix_value(root)]
+    index: dict[_Dnf, int] = {initial: 0} if accepting[0] else {}
     rows: list[list[int]] = []
-    cache: dict = {}
     at = 0
     while at < len(order):
-        residual, _ = order[at]
+        residual = order[at]
         at += 1
-        row = []
-        for valuation in valuations:
-            successor = _dnf_step(residual, valuation, cache)
-            key = (successor, _dnf_accepts_if_trace_ends(successor))
-            target = index.get(key)
+        # The successor on ``mask`` depends on ``mask & read`` only, so the
+        # residual is progressed once per submask of ``read`` (enumerated in
+        # ascending order) and each mask takes its submask's successor.
+        read = closure.reads(residual)
+        targets: dict[int, int] = {}
+        sub = 0
+        while True:
+            successor = closure.step(residual, sub)
+            target = index.get(successor)
             if target is None:
-                target = len(order)
-                index[key] = target
-                order.append(key)
-                labels.append(_dnf_label(successor))
-            row.append(target)
-        rows.append(row)
+                target = index[successor] = len(order)
+                order.append(successor)
+                accepting.append(_dnf_accepts_if_trace_ends(successor))
+            targets[sub] = target
+            if sub == read:
+                break
+            sub = (sub - read) & read
+        rows.append([targets[mask & read] for mask in range(width)])
 
-    raw = Dfa(
-        names,
-        0,
-        frozenset(i for i, (_, acc) in enumerate(order) if acc),
-        rows,
-        state_labels=labels,
+    def label(state: int) -> str:
+        return closure.label(order[state]) if state else format_formula(f)
+
+    return _minimized(
+        tuple(names), 0, frozenset(s for s, acc in enumerate(accepting) if acc), rows, label
     )
-    return minimize(raw)
 
 
 def _compute_permanence(
@@ -471,11 +580,29 @@ def minimize(d: Dfa) -> Dfa:
     indistinguishable states merged (partition refinement), states renumbered
     breadth-first from the initial state with symbols in ascending bitmask
     order, permanence recomputed."""
-    width = d.alphabet_size
-    transitions = d.transitions
+    labels = d.state_labels
+    return _minimized(
+        d.props,
+        d.initial,
+        d.accepting,
+        d.transitions,
+        None if labels is None else labels.__getitem__,
+    )
 
-    reachable: list[int] = [d.initial]
-    seen = {d.initial}
+
+def _minimized(
+    props: tuple[str, ...],
+    initial: int,
+    accepting: frozenset[int],
+    transitions: Sequence[Sequence[int]],
+    label: Callable[[int], str] | None,
+) -> Dfa:
+    """:func:`minimize` over raw tables. ``label`` maps a raw state to its
+    label and is called once per class, for the state that represents it."""
+    width = 1 << len(props)
+
+    reachable: list[int] = [initial]
+    seen = {initial}
     at = 0
     while at < len(reachable):
         s = reachable[at]
@@ -486,7 +613,7 @@ def minimize(d: Dfa) -> Dfa:
                 reachable.append(target)
 
     # Moore refinement: split classes until transition signatures stabilize.
-    cls = {s: (1 if s in d.accepting else 0) for s in reachable}
+    cls = {s: (1 if s in accepting else 0) for s in reachable}
     count = len(set(cls.values()))
     while True:
         signatures: dict[tuple, int] = {}
@@ -502,10 +629,10 @@ def minimize(d: Dfa) -> Dfa:
 
     # Renumber classes breadth-first; the first reachable member represents
     # its class (sound: refinement makes class transitions uniform).
-    start = cls[d.initial]
+    start = cls[initial]
     class_order = [start]
     class_index = {start: 0}
-    representative = {start: d.initial}
+    representative = {start: initial}
     rows = []
     at = 0
     while at < len(class_order):
@@ -524,13 +651,16 @@ def minimize(d: Dfa) -> Dfa:
             row.append(j)
         rows.append(row)
 
-    accepting = frozenset(
-        class_index[c] for c in class_order if representative[c] in d.accepting
-    )
     labels = None
-    if d.state_labels is not None:
-        labels = [d.state_labels[representative[c]] for c in class_order]
-    return Dfa(d.props, 0, accepting, rows, state_labels=labels)
+    if label is not None:
+        labels = [label(representative[c]) for c in class_order]
+    return Dfa(
+        props,
+        0,
+        frozenset(class_index[c] for c in class_order if representative[c] in accepting),
+        rows,
+        state_labels=labels,
+    )
 
 
 def equivalent(a: Dfa, b: Dfa) -> bool:

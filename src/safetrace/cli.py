@@ -17,7 +17,6 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from functools import lru_cache
 from pathlib import Path
 
 from . import __version__
@@ -274,19 +273,32 @@ def _cmd_monitor(args) -> int:
     return EXIT_VIOLATIONS if violations else EXIT_OK
 
 
-@lru_cache(maxsize=None)
-def _cached_spec(path: str):
-    return _load(path, load_task_spec)
-
-
-def _evaluate_pair(job: tuple[str, str, bool]):
+def _evaluate_pair(job: tuple[str, str, bool], specs: dict):
+    """Evaluate one manifest pair; ``specs`` caches the task specs loaded so
+    far in this run, by path."""
     rollout_path, spec_path, strict_end = job
     record = _load(rollout_path, load_rollout)
-    spec = _cached_spec(spec_path)
+    spec = specs.get(spec_path)
+    if spec is None:
+        spec = specs[spec_path] = _load(spec_path, load_task_spec)
     try:
         return evaluate_rollout(record, spec, strict_end=strict_end)
     except SafetraceError as exc:
         raise SafetraceError(f"{rollout_path}: {exc}") from exc
+
+
+# The spec cache of a pool worker process. Each ``evaluate`` run starts its
+# own pool, whose initializer gives every worker an empty cache.
+_worker_specs: dict = {}
+
+
+def _start_worker() -> None:
+    global _worker_specs
+    _worker_specs = {}
+
+
+def _evaluate_pair_in_worker(job: tuple[str, str, bool]):
+    return _evaluate_pair(job, _worker_specs)
 
 
 def _cmd_evaluate(args) -> int:
@@ -331,10 +343,11 @@ def _cmd_evaluate(args) -> int:
             except (TypeError, KeyError) as exc:
                 raise SafetraceError(f"bad manifest entry {entry!r}") from exc
         if args.workers and args.workers > 1:
-            with ProcessPoolExecutor(max_workers=args.workers) as pool:
-                evaluations = list(pool.map(_evaluate_pair, jobs, chunksize=16))
+            with ProcessPoolExecutor(max_workers=args.workers, initializer=_start_worker) as pool:
+                evaluations = list(pool.map(_evaluate_pair_in_worker, jobs, chunksize=16))
         else:
-            evaluations = [_evaluate_pair(job) for job in jobs]
+            specs: dict = {}
+            evaluations = [_evaluate_pair(job, specs) for job in jobs]
 
     report = aggregate(evaluations, denominator=args.denominator)
     out = Path(args.out)

@@ -333,9 +333,19 @@ def _parse_document(source: str) -> object:
         except json.JSONDecodeError:
             return yaml.safe_load(source)
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: e.g. a 13th month, a 5000-digit int
-        raise TaskSpecError(f"document is neither valid JSON nor YAML: {exc}") from exc
+        raise TaskSpecError(f"document is neither valid JSON nor YAML: {_one_line(exc)}") from exc
     except RecursionError as exc:
         raise TaskSpecError("document nested too deeply to parse") from exc
+
+
+def _one_line(exc: Exception) -> str:
+    """A parse error as one line: PyYAML's messages quote the offending
+    source line under a caret, over several lines."""
+    if isinstance(exc, yaml.MarkedYAMLError) and exc.problem_mark is not None:
+        mark = exc.problem_mark
+        text = ": ".join(part for part in (exc.context, exc.problem) if part)
+        return f"{text} at line {mark.line + 1}, column {mark.column + 1}"
+    return " ".join(str(exc).split())
 
 
 def load_task_spec(source: str | dict) -> TaskSpec:

@@ -18,7 +18,7 @@ from safetrace.errors import AlphabetMismatchError, AlphabetTooLargeError
 from safetrace.formulas import Prop, Trace, evaluate, parse, to_nnf
 from safetrace.properties import list_templates
 
-from oracles import agree_on_all_traces, all_traces, random_formula
+from oracles import agree_on_all_traces, all_traces, random_formula, random_trace
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +128,25 @@ def test_fuzzed_formulas_agree_with_oracle():
         f = random_formula(rng, max_depth=4, props=("a", "b", "c"))
         d = compile_formula(f)
         assert agree_on_all_traces(f, d, 4), f
+
+
+def test_fuzzed_wide_alphabet_formulas_agree_with_oracle():
+    # Progression is memoized on each node's support, the propositions it
+    # reads now; that only matters when an alphabet is wider than most nodes.
+    rng = random.Random(20261018)
+    checked = 0
+    while checked < 60:
+        props = ("a", "b", "c", "d", "e", "f")[: rng.choice((5, 6))]
+        f = random_formula(rng, max_depth=rng.choice((4, 5)), props=props)
+        d = compile_formula(f)
+        if len(d.props) < 5:
+            continue
+        checked += 1
+        assert minimize(d) == d, f
+        assert agree_on_all_traces(f, d, 2), f
+        for _ in range(20):
+            trace = random_trace(rng, props, rng.randint(1, 30))
+            assert d.accepts(trace) == evaluate(f, trace), (f, trace)
 
 
 # ---------------------------------------------------------------------------

@@ -217,6 +217,45 @@ def test_evaluate_corpus_and_rerun_byte_identical(corpus_dir, tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
+def test_evaluate_rereads_a_spec_rewritten_between_runs(tmp_path):
+    rollout = tmp_path / "r.json"
+    rollout.write_text(
+        json.dumps(
+            {
+                "rollout_id": "r0",
+                "task": "t",
+                "policy": "p",
+                "success": True,
+                "trace": [[], ["collision"], []],
+            }
+        )
+    )
+    spec = tmp_path / "s.json"
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"pairs": [{"rollout": "r.json", "task_spec": "s.json"}]}))
+
+    def evaluate(formula, *flags):
+        spec.write_text(
+            json.dumps(
+                {
+                    "task": "t",
+                    "suite": "atomic_fixture",
+                    "horizon": "atomic",
+                    "properties": [{"id": "c", "template": "custom", "formula": formula}],
+                }
+            )
+        )
+        out = tmp_path / f"out{len(list(tmp_path.iterdir()))}"
+        assert run_cli("evaluate", str(manifest), "--out", str(out), "-q", *flags) == 0
+        return json.loads((out / "report.json").read_text())["overall_violation_rate"]["exact"]
+
+    assert evaluate("G !collision") == "1/1"
+    assert evaluate("G !bad_contact") == "0/1"
+    assert evaluate("G !collision", "--workers", "2") == "1/1"
+    assert evaluate("G !bad_contact", "--workers", "2") == "0/1"
+    assert run_cli("monitor", str(rollout), str(spec), "-q") == 0
+
+
 def test_evaluate_empty_manifest_exits_one(tmp_path, capsys):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"pairs": []}))

@@ -1,11 +1,16 @@
-"""Input fuzz of the three loaders: whatever text, JSON value or mapping
-``parse``, ``load_rollout`` and ``load_task_spec`` get, the only exception
-that escapes is a ``SafetraceError``."""
+"""Input fuzz of the three loaders and the CLI: whatever text, JSON value or
+mapping ``parse``, ``load_rollout`` and ``load_task_spec`` get, the only
+exception that escapes is a ``SafetraceError``; whatever files the CLI reads,
+it exits 0, 1 or 2, and exit 1 prints nothing but ``error:`` lines."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from safetrace.cli import main
 from safetrace.errors import SafetraceError
 from safetrace.formulas import parse
 from safetrace.properties import TEMPLATE_IDS, load_task_spec
@@ -137,3 +142,86 @@ def test_load_rollout_raises_only_safetrace_errors(source):
 @settings(max_examples=500, deadline=None)
 def test_load_task_spec_raises_only_safetrace_errors(source):
     _only_safetrace_errors(load_task_spec, source)
+
+
+# ---------------------------------------------------------------------------
+# CLI exit codes
+# ---------------------------------------------------------------------------
+
+_PAIR = {"rollout": "rollout.json", "task_spec": "spec.json"}
+_MANIFEST_BASE = {"pairs": [_PAIR]}
+_CUSTOM = {"id": "c", "template": "custom", "formula": "G (a -> F b)"}
+_VALID_FILES = {
+    "rollout.json": _ROLLOUT_BASE,
+    "spec.json": dict(_SPEC_BASE, properties=[_PHI1, _CUSTOM]),
+    "manifest.json": _MANIFEST_BASE,
+}
+_MANIFESTS = st.one_of(
+    _near(_MANIFEST_BASE, _ANY),
+    _near(_MANIFEST_BASE, st.lists(st.one_of(st.just(_PAIR), _near(_PAIR, _ANY), _ANY), max_size=3)),
+)
+_DOCUMENTS = {"rollout.json": _ROLLOUTS, "spec.json": _SPECS, "manifest.json": _MANIFESTS}
+# The files each subcommand reads, and its arguments.
+_COMMANDS = {
+    "monitor": (("rollout.json", "spec.json"), ["monitor", "rollout.json", "spec.json"]),
+    "validate": (("rollout.json", "spec.json"), ["validate", "rollout.json", "spec.json"]),
+    "evaluate": (
+        ("rollout.json", "spec.json", "manifest.json"),
+        ["evaluate", "manifest.json", "--out", "out"],
+    ),
+}
+
+
+def _as_file(doc) -> str:
+    # JSON keys are strings; other keys become strings or are skipped.
+    return json.dumps(doc, skipkeys=True)
+
+
+@st.composite
+def _cli_calls(draw):
+    """One CLI call: its argument list and the one input file that is fuzzed
+    (none for ``compile``, whose formula is); the other inputs are valid."""
+    command = draw(st.sampled_from(sorted(_COMMANDS) + ["compile"]))
+    if command == "compile":
+        return ["compile", "--formula=" + draw(_FORMULA_TEXT)], {}
+    reads, argv = _COMMANDS[command]
+    target = draw(st.sampled_from(reads))
+    content = draw(
+        st.one_of(
+            st.text(),
+            st.binary(),
+            _JSON.map(json.dumps),
+            _DOCUMENTS[target].map(_as_file),
+            _YAML_TEXT if target == "spec.json" else st.nothing(),
+        )
+    )
+    return argv, {target: content}
+
+
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli_fuzz")
+
+
+@given(_cli_calls())
+@example((["compile", "--formula=G !á"], {}))
+@example((["monitor", "rollout.json", "spec.json"], {"spec.json": "@"}))  # PyYAML's multi-line message
+@example((["monitor", "rollout.json", "spec.json"], {"rollout.json": b"\xff\xfe"}))
+@example((["evaluate", "manifest.json", "--out", "out"], {"manifest.json": "[" * 100000}))
+@settings(max_examples=300, deadline=None)
+def test_cli_exits_cleanly_on_any_input(cli_dir, call):
+    argv, files = call
+    for name, doc in {**{n: _as_file(d) for n, d in _VALID_FILES.items()}, **files}.items():
+        path = cli_dir / name
+        if isinstance(doc, bytes):
+            path.write_bytes(doc)
+        else:
+            path.write_text(doc, encoding="utf-8")
+    argv = [str(cli_dir / a) if a.endswith(".json") or a == "out" else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert lines and all(line.startswith("error: ") for line in lines), err.getvalue()
