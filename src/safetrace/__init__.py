@@ -111,6 +111,7 @@ from .metrics import (
     export_report_json,
     load_report,
     monitor_report_document,
+    monitor_report_json,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -29,7 +29,7 @@ from .metrics import (
     export_plot_data,
     export_report_csv,
     export_report_json,
-    monitor_report_document,
+    monitor_report_json,
 )
 from .properties import TEMPLATE_IDS, instantiate, load_task_spec
 from .rollouts import (
@@ -80,7 +80,7 @@ def _load(path: str, loader):
 
 def _write_text(path: Path, content: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(content)
+    path.write_text(content, encoding="utf-8")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -158,7 +158,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="worker processes; 0 means sequential (default: 0)",
+        help="worker processes for a manifest; 0 or 1 means sequential, and --jsonl "
+        "input is always evaluated sequentially (default: 0)",
     )
     p_evaluate.add_argument(
         "--denominator",
@@ -251,23 +252,24 @@ def _cmd_monitor(args) -> int:
     record = _load(args.rollout, load_rollout)
     spec = _load(args.task_spec, load_task_spec)
     evaluation = evaluate_rollout(record, spec, strict_end=args.strict_end_of_trace)
-    document = monitor_report_document(evaluation)
-    text = json.dumps(document, sort_keys=True, indent=2) + "\n"
+    text = monitor_report_json(evaluation)
     if args.out:
         _write_text(Path(args.out), text)
     if args.stdout:
         sys.stdout.write(text)
-    violations = [i for i in document["instances"] if i["violated"]]
-    for inst in violations:
+    violations = sorted(i for i, m in evaluation.instance_meta.items() if m.violated)
+    for instance_id in violations:
+        result = evaluation.per_instance[instance_id]
+        category = evaluation.instance_meta[instance_id].category
         _log(
             args,
-            f"violation: {inst['property_id']} ({inst['category']}) "
-            f"kind={inst['violation_kind']} timestep={inst['violation_timestep']} "
-            f"exposure={inst['exposure']:.4f}",
+            f"violation: {instance_id} ({category.value if category is not None else None}) "
+            f"kind={result.violation_kind} timestep={result.violation_timestep} "
+            f"exposure={float(result.exposure):.4f}",
         )
     _log(
         args,
-        f"rollout {record.rollout_id}: {len(violations)} of {len(document['instances'])} "
+        f"rollout {record.rollout_id}: {len(violations)} of {len(evaluation.per_instance)} "
         f"instances violated",
     )
     return EXIT_VIOLATIONS if violations else EXIT_OK
@@ -302,6 +304,8 @@ def _evaluate_pair_in_worker(job: tuple[str, str, bool]):
 
 
 def _cmd_evaluate(args) -> int:
+    if args.workers < 0:
+        raise SafetraceError(f"--workers must be 0 or more, got {args.workers}")
     strict = args.strict_end_of_trace
     if args.jsonl:
         if args.manifest:
@@ -342,7 +346,7 @@ def _cmd_evaluate(args) -> int:
                 )
             except (TypeError, KeyError) as exc:
                 raise SafetraceError(f"bad manifest entry {entry!r}") from exc
-        if args.workers and args.workers > 1:
+        if args.workers > 1:
             with ProcessPoolExecutor(max_workers=args.workers, initializer=_start_worker) as pool:
                 evaluations = list(pool.map(_evaluate_pair_in_worker, jobs, chunksize=16))
         else:

@@ -39,8 +39,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from .automata import CODE_FALSE, CODE_PRESUMABLY_FALSE, CODE_PRESUMABLY_TRUE, CODE_TRUE
 from .errors import SafetraceError
-from .monitor import MonitorResult, run_masks
+from .monitor import MonitorResult, Verdict, run_masks
 from .properties import SafetyCategory, TaskSpec, TEMPLATE_IDS, CUSTOM_TEMPLATE, SUITES, HORIZONS
 from .rollouts import RolloutRecord
 
@@ -53,6 +54,7 @@ __all__ = [
     "EvaluationReport",
     "evaluate_rollout",
     "aggregate",
+    "monitor_report_json",
     "monitor_report_document",
     "export_report",
     "export_report_json",
@@ -183,36 +185,72 @@ def evaluate_rollout(
     )
 
 
-def monitor_report_document(evaluation: RolloutEvaluation) -> dict:
-    """JSON-ready per-instance monitor report for one rollout."""
+# The JSON text of the verdict each ``CODE_*`` byte stands for.
+_VERDICT_JSON = {
+    CODE_TRUE: json.dumps(Verdict.TRUE.value),
+    CODE_FALSE: json.dumps(Verdict.FALSE.value),
+    CODE_PRESUMABLY_TRUE: json.dumps(Verdict.PRESUMABLY_TRUE.value),
+    CODE_PRESUMABLY_FALSE: json.dumps(Verdict.PRESUMABLY_FALSE.value),
+}
+
+
+def _array(items: list[str], indent: str) -> str:
+    """A JSON array of already-encoded ``items``, laid out as
+    ``json.dumps(indent=2)`` lays it out when the array starts on a line
+    indented by ``indent``."""
+    if not items:
+        return "[]"
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+
+
+def monitor_report_json(evaluation: RolloutEvaluation) -> str:
+    """The per-instance monitor report for one rollout, as JSON text.
+
+    The document has a fixed shape: eight top-level keys, and per property
+    instance (in id order) nine keys, among them one verdict per timestep.
+    The text is what ``json.dumps(document, sort_keys=True, indent=2)``
+    writes for it, plus a newline; it is built from the verdict codes
+    directly, and only scalars go through ``json.dumps``.
+    """
+    dumps = json.dumps
     instances = []
     for instance_id in sorted(evaluation.per_instance):
         result = evaluation.per_instance[instance_id]
         m = evaluation.instance_meta[instance_id]
         kind = result.violation_kind
+        verdicts = list(map(_VERDICT_JSON.__getitem__, result.verdict_codes))
         instances.append(
-            {
-                "property_id": instance_id,
-                "category": m.category.value if m.category is not None else None,
-                "violated": m.violated,
-                "violation_kind": kind if (kind == "mid" or m.violated) else None,
-                "violation_timestep": result.violation_timestep,
-                "unsafe_steps": result.unsafe_steps,
-                "exposure": float(result.exposure),
-                "final_satisfied": result.final_satisfied,
-                "verdicts": [v.value for v in result.verdicts],
-            }
+            "{\n"
+            f'      "category": {dumps(m.category.value if m.category is not None else None)},\n'
+            f'      "exposure": {dumps(float(result.exposure))},\n'
+            f'      "final_satisfied": {dumps(result.final_satisfied)},\n'
+            f'      "property_id": {dumps(instance_id)},\n'
+            f'      "unsafe_steps": {dumps(result.unsafe_steps)},\n'
+            f'      "verdicts": {_array(verdicts, "      ")},\n'
+            f'      "violated": {dumps(m.violated)},\n'
+            f'      "violation_kind": {dumps(kind if (kind == "mid" or m.violated) else None)},\n'
+            f'      "violation_timestep": {dumps(result.violation_timestep)}\n'
+            "    }"
         )
-    return {
-        "rollout_id": evaluation.rollout_id,
-        "task": evaluation.task_name,
-        "policy": evaluation.policy,
-        "success": evaluation.success,
-        "unsafe": evaluation.unsafe,
-        "outcome": evaluation.outcome.value,
-        "rollout_exposure": float(evaluation.rollout_exposure),
-        "instances": instances,
-    }
+    return (
+        "{\n"
+        f'  "instances": {_array(instances, "  ")},\n'
+        f'  "outcome": {dumps(evaluation.outcome.value)},\n'
+        f'  "policy": {dumps(evaluation.policy)},\n'
+        f'  "rollout_exposure": {dumps(float(evaluation.rollout_exposure))},\n'
+        f'  "rollout_id": {dumps(evaluation.rollout_id)},\n'
+        f'  "success": {dumps(evaluation.success)},\n'
+        f'  "task": {dumps(evaluation.task_name)},\n'
+        f'  "unsafe": {dumps(evaluation.unsafe)}\n'
+        "}\n"
+    )
+
+
+def monitor_report_document(evaluation: RolloutEvaluation) -> dict:
+    """The monitor report of :func:`monitor_report_json` as a parsed
+    document (keys in sorted order)."""
+    return json.loads(monitor_report_json(evaluation))
 
 
 # ---------------------------------------------------------------------------

@@ -348,6 +348,16 @@ def _one_line(exc: Exception) -> str:
     return " ".join(str(exc).split())
 
 
+def is_utf8_encodable(text: str) -> bool:
+    """Whether ``text`` can be written out as UTF-8, i.e. holds no surrogate
+    code point (JSON's ``\\ud800`` escapes decode to one)."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def load_task_spec(source: str | dict) -> TaskSpec:
     """Parse and fully validate a task spec document (JSON or YAML).
 
@@ -366,6 +376,8 @@ def load_task_spec(source: str | dict) -> TaskSpec:
     task = data["task"]
     if not isinstance(task, str) or not task:
         raise TaskSpecError("'task' must be a nonempty string")
+    if not is_utf8_encodable(task):
+        raise TaskSpecError("'task' contains a surrogate code point, which UTF-8 cannot encode")
     entries = data["properties"]
     if not isinstance(entries, list):
         raise TaskSpecError("'properties' must be a list")
@@ -381,6 +393,10 @@ def load_task_spec(source: str | dict) -> TaskSpec:
         instance_id = entry.get("id")
         if not isinstance(instance_id, str) or not instance_id:
             raise TaskSpecError(f"{where}: 'id' must be a nonempty string")
+        if not is_utf8_encodable(instance_id):
+            raise TaskSpecError(
+                f"{where}: 'id' contains a surrogate code point, which UTF-8 cannot encode"
+            )
         template_id = entry.get("template")
         if not isinstance(template_id, str):
             raise TaskSpecError(f"{where} (id {instance_id!r}): 'template' must be a string")

@@ -36,7 +36,7 @@ from typing import Callable
 
 from .errors import RolloutFormatError, ScenarioError
 from .formulas import Trace, is_valid_proposition
-from .properties import TaskSpec, load_task_spec
+from .properties import TaskSpec, is_utf8_encodable, load_task_spec
 
 __all__ = [
     "RolloutRecord",
@@ -187,6 +187,10 @@ def load_rollout(source: str | dict) -> RolloutRecord:
     for key in ("rollout_id", "task", "policy"):
         if not isinstance(data[key], str) or not data[key]:
             raise RolloutFormatError(f"'{key}' must be a nonempty string")
+        if not is_utf8_encodable(data[key]):
+            raise RolloutFormatError(
+                f"'{key}' contains a surrogate code point, which UTF-8 cannot encode"
+            )
     declared = data.get("declared_props")
     if declared is not None:
         if not isinstance(declared, list) or not all(isinstance(p, str) for p in declared):
@@ -898,13 +902,15 @@ def build_corpus(out_dir: str | Path) -> Path:
         if sid not in written_specs:
             spec_doc = scenario_spec_document(sid)
             (out / "specs" / f"{sid}.json").write_text(
-                json.dumps(spec_doc, sort_keys=True, indent=2) + "\n"
+                json.dumps(spec_doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
             )
             written_specs.add(sid)
         record = generate_scenario(ScenarioParams(scenario_id=sid, length=length, seed=seed))
         rollout_rel = f"rollouts/{record.rollout_id}.json"
-        (out / rollout_rel).write_text(serialize_rollout(record))
+        (out / rollout_rel).write_text(serialize_rollout(record), encoding="utf-8")
         pairs.append({"rollout": rollout_rel, "task_spec": f"specs/{sid}.json"})
     manifest = out / "manifest.json"
-    manifest.write_text(json.dumps({"pairs": pairs}, sort_keys=True, indent=2) + "\n")
+    manifest.write_text(
+        json.dumps({"pairs": pairs}, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+    )
     return manifest

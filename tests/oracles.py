@@ -15,11 +15,17 @@ interned decoder in ``safetrace.rollouts``.
 definitions in the ``safetrace.metrics`` docstring, rollout by rollout, with
 exposures taken from the per-step verdict codes as sets of step indices, to
 anchor the count fold in ``safetrace.metrics``.
+
+`reference_monitor_text` builds the monitor report as a document, with each
+verdict decoded through its ``Verdict`` enum, and dumps it with
+``json.dumps``, to anchor the fixed-shape writer
+``safetrace.metrics.monitor_report_json``.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import re
 from fractions import Fraction
@@ -390,3 +396,37 @@ def reference_report(evaluations, denominator) -> EvaluationReport:
         },
         denominator_mode=denominator,
     )
+
+
+def reference_monitor_text(evaluation) -> str:
+    """The monitor report of one evaluation: a document of dicts and lists,
+    dumped with sorted keys and two-space indents."""
+    instances = []
+    for instance_id in sorted(evaluation.per_instance):
+        result = evaluation.per_instance[instance_id]
+        m = evaluation.instance_meta[instance_id]
+        kind = result.violation_kind
+        instances.append(
+            {
+                "property_id": instance_id,
+                "category": m.category.value if m.category is not None else None,
+                "violated": m.violated,
+                "violation_kind": kind if (kind == "mid" or m.violated) else None,
+                "violation_timestep": result.violation_timestep,
+                "unsafe_steps": result.unsafe_steps,
+                "exposure": float(result.exposure),
+                "final_satisfied": result.final_satisfied,
+                "verdicts": [v.value for v in result.verdicts],
+            }
+        )
+    document = {
+        "rollout_id": evaluation.rollout_id,
+        "task": evaluation.task_name,
+        "policy": evaluation.policy,
+        "success": evaluation.success,
+        "unsafe": evaluation.unsafe,
+        "outcome": evaluation.outcome.value,
+        "rollout_exposure": float(evaluation.rollout_exposure),
+        "instances": instances,
+    }
+    return json.dumps(document, sort_keys=True, indent=2) + "\n"

@@ -1,13 +1,21 @@
 """Exit codes, artifact determinism, and flag surface of the CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import safetrace
 from safetrace.cli import main
 from safetrace.formulas import MAX_FORMULA_DEPTH
-from safetrace.rollouts import build_corpus
+from safetrace.metrics import evaluate_rollout
+from safetrace.properties import load_task_spec
+from safetrace.rollouts import build_corpus, load_rollout
 
+from oracles import reference_monitor_text
 from test_automata import check_dot_well_formed
 
 
@@ -141,6 +149,54 @@ def test_monitor_strict_end_flag(tmp_path):
     )
 
 
+def _reference_monitor_log(text: str) -> str:
+    """The stderr of ``monitor`` for the report ``text``."""
+    document = json.loads(text)
+    violations = [i for i in document["instances"] if i["violated"]]
+    lines = [
+        f"violation: {i['property_id']} ({i['category']}) kind={i['violation_kind']} "
+        f"timestep={i['violation_timestep']} exposure={i['exposure']:.4f}\n"
+        for i in violations
+    ]
+    lines.append(
+        f"rollout {document['rollout_id']}: {len(violations)} of "
+        f"{len(document['instances'])} instances violated\n"
+    )
+    return "".join(lines)
+
+
+@pytest.mark.parametrize(
+    "scenario, strict",
+    [
+        ("clean_pick_place", True),
+        ("grasp_drop", True),
+        ("release_unsettled", True),
+        ("release_unsettled", False),
+        ("random_walk", False),
+    ],
+)
+def test_monitor_output_matches_the_reference(tmp_path, capsys, scenario, strict):
+    rollout = tmp_path / "r.json"
+    spec = tmp_path / "s.json"
+    run_cli("generate", scenario, "--out", str(rollout), "--spec-out", str(spec), "-q")
+    spec_doc = json.loads(spec.read_text())
+    # A custom property has no category, and "F false" fails at the first step.
+    spec_doc["properties"].append({"id": "c", "template": "custom", "formula": "F false"})
+    spec.write_text(json.dumps(spec_doc))
+    evaluation = evaluate_rollout(
+        load_rollout(rollout.read_text()), load_task_spec(spec.read_text()), strict_end=strict
+    )
+    expected = reference_monitor_text(evaluation)
+    out = tmp_path / "monitor.json"
+    flag = "--strict-end-of-trace" if strict else "--no-strict-end-of-trace"
+    code = run_cli("monitor", str(rollout), str(spec), flag, "--out", str(out), "--stdout")
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    assert out.read_text(encoding="utf-8") == expected
+    assert captured.err == _reference_monitor_log(expected)
+    assert code == (2 if evaluation.unsafe else 0)
+
+
 def test_monitor_spec_with_non_ascii_formula_is_one_error_line(scenario_files, tmp_path, capsys):
     rollout, _ = scenario_files
     spec = tmp_path / "unicode_spec.json"
@@ -254,6 +310,52 @@ def test_evaluate_rereads_a_spec_rewritten_between_runs(tmp_path):
     assert evaluate("G !collision", "--workers", "2") == "1/1"
     assert evaluate("G !bad_contact", "--workers", "2") == "0/1"
     assert run_cli("monitor", str(rollout), str(spec), "-q") == 0
+
+
+def test_evaluate_negative_workers_is_one_error_line(corpus_dir, tmp_path, capsys):
+    manifest = str(corpus_dir / "manifest.json")
+    assert run_cli("evaluate", manifest, "--out", str(tmp_path / "out"), "--workers", "-3") == 1
+    assert capsys.readouterr().err == "error: --workers must be 0 or more, got -3\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_evaluate_writes_utf8_under_an_ascii_locale(tmp_path):
+    rollout = {
+        "rollout_id": "r0", "task": "t", "policy": "p\u00f3licy", "success": True, "trace": [[]]
+    }
+    spec = {"task": "t", "suite": "atomic_fixture", "horizon": "atomic", "properties": []}
+    (tmp_path / "r.json").write_text(json.dumps(rollout), encoding="utf-8")
+    (tmp_path / "s.json").write_text(json.dumps(spec), encoding="utf-8")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"pairs": [{"rollout": "r.json", "task_spec": "s.json"}]}))
+    src = str(Path(safetrace.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C")
+    argv = ["evaluate", str(manifest), "--out", str(tmp_path / "out")]
+    completed = subprocess.run(
+        [sys.executable, "-m", "safetrace.cli", *argv],
+        env=env,
+        capture_output=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    rows = (tmp_path / "out" / "per_policy.csv").read_bytes().decode("utf-8").splitlines()
+    assert rows[1].split(",")[0] == "p\u00f3licy"
+
+
+def test_surrogate_identifiers_are_one_error_line(tmp_path, capsys):
+    rollout = tmp_path / "r.json"
+    rollout.write_text(
+        '{"rollout_id": "r0", "task": "t", "policy": "p\\ud800", "success": true, "trace": [[]]}'
+    )
+    spec = tmp_path / "s.json"
+    spec.write_text('{"task": "t", "suite": "atomic_fixture", "horizon": "atomic", "properties": []}')
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"pairs": [{"rollout": "r.json", "task_spec": "s.json"}]}))
+    assert run_cli("evaluate", str(manifest), "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: {rollout}: 'policy' contains a surrogate code point, which UTF-8 cannot encode\n"
+    )
 
 
 def test_evaluate_empty_manifest_exits_one(tmp_path, capsys):

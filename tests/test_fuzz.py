@@ -16,8 +16,11 @@ from safetrace.formulas import parse
 from safetrace.properties import TEMPLATE_IDS, load_task_spec
 from safetrace.rollouts import load_rollout
 
+# Text that may hold lone surrogates, which JSON's \ud800 escapes decode to
+# and UTF-8 cannot encode.
+_TEXT = st.text(st.characters() | st.characters(categories=["Cs"]), max_size=8)
 _KEYS = st.one_of(
-    st.text(max_size=6),
+    _TEXT,
     st.sampled_from(("t", "props", "id", "template", "bindings", "formula")),
     st.integers(),
     st.booleans(),
@@ -30,7 +33,7 @@ _SCALARS = st.one_of(
     st.booleans(),
     st.integers(),
     st.floats(),
-    st.text(max_size=8),
+    _TEXT,
     st.sampled_from(("a", "b", "G", "true", "9bad", "Collision")),
 )
 
@@ -45,7 +48,7 @@ def _values(keys):
     )
 
 
-_JSON = _values(st.text(max_size=6))
+_JSON = _values(_TEXT)
 _ANY = _values(_KEYS)
 _NAMES = st.sampled_from(("a", "b", "c", "G", "9bad", "")) | _SCALARS
 
@@ -208,6 +211,12 @@ def cli_dir(tmp_path_factory):
 @example((["monitor", "rollout.json", "spec.json"], {"spec.json": "@"}))  # PyYAML's multi-line message
 @example((["monitor", "rollout.json", "spec.json"], {"rollout.json": b"\xff\xfe"}))
 @example((["evaluate", "manifest.json", "--out", "out"], {"manifest.json": "[" * 100000}))
+@example(  # the policy goes into the CSVs, and UTF-8 cannot encode a lone surrogate
+    (
+        ["evaluate", "manifest.json", "--out", "out"],
+        {"rollout.json": _as_file(dict(_ROLLOUT_BASE, policy="p\ud800"))},
+    )
+)
 @settings(max_examples=300, deadline=None)
 def test_cli_exits_cleanly_on_any_input(cli_dir, call):
     argv, files = call

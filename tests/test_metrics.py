@@ -9,10 +9,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from safetrace.automata import CODE_FALSE, CODE_PRESUMABLY_FALSE, CODE_PRESUMABLY_TRUE, CODE_TRUE
 from safetrace.errors import SafetraceError
 from safetrace.formulas import Trace
 from safetrace.metrics import (
+    InstanceMeta,
     Outcome,
+    RolloutEvaluation,
     aggregate,
     evaluate_rollout,
     export_plot_data,
@@ -21,8 +24,17 @@ from safetrace.metrics import (
     export_report_json,
     load_report,
     monitor_report_document,
+    monitor_report_json,
 )
-from safetrace.properties import HORIZONS, SUITES, SafetyCategory, load_task_spec
+from safetrace.monitor import MonitorResult
+from safetrace.properties import (
+    CUSTOM_TEMPLATE,
+    HORIZONS,
+    SUITES,
+    TEMPLATE_IDS,
+    SafetyCategory,
+    load_task_spec,
+)
 from safetrace.rollouts import (
     RolloutRecord,
     ScenarioParams,
@@ -30,7 +42,7 @@ from safetrace.rollouts import (
     scenario_task_spec,
 )
 
-from oracles import reference_report
+from oracles import reference_monitor_text, reference_report
 
 SPEC = load_task_spec(
     json.dumps(
@@ -175,6 +187,73 @@ def test_monitor_report_document_shape():
     assert entry["violated"] is True
     assert entry["violation_kind"] == "mid"
     assert entry["verdicts"] == ["pt", "F"]
+
+
+# Texts JSON must escape: quotes, backslashes, control and non-ASCII
+# characters, characters beyond the BMP, and lone surrogates.
+_AWKWARD_TEXT = st.one_of(
+    st.text(st.characters() | st.characters(categories=["Cs"]), max_size=8),
+    st.sampled_from(['"', "\\", "\x00\n\t\x1f\x7f", "p\u00f3licy", "p\ud800", "\u2028\U0001f600"]),
+)
+_CODES = (CODE_TRUE, CODE_FALSE, CODE_PRESUMABLY_TRUE, CODE_PRESUMABLY_FALSE)
+
+
+@st.composite
+def _monitor_evaluations(draw):
+    """An evaluation built field by field, so that any verdict sequence,
+    category and identifier text can occur in it."""
+    length = draw(st.sampled_from((1, 1000)) | st.integers(1, 12))
+    strict_end = draw(st.booleans())
+    per_instance, meta = {}, {}
+    for instance_id in draw(st.lists(_AWKWARD_TEXT, unique=True, max_size=4)):
+        alphabet = sorted(draw(st.sets(st.sampled_from(_CODES), min_size=1)))
+        codes = bytes(random.Random(draw(st.integers())).choices(alphabet, k=length))
+        first_false = codes.find(CODE_FALSE)
+        unsafe_steps = codes.count(CODE_FALSE) + codes.count(CODE_PRESUMABLY_FALSE)
+        result = per_instance[instance_id] = MonitorResult(
+            verdict_codes=codes,
+            final_satisfied=draw(st.booleans()),
+            violated=first_false != -1,
+            violation_timestep=None if first_false == -1 else first_false,
+            unsafe_steps=unsafe_steps,
+            length=length,
+            exposure=Fraction(unsafe_steps, length),
+        )
+        meta[instance_id] = InstanceMeta(
+            template_id=draw(st.sampled_from(TEMPLATE_IDS + (CUSTOM_TEMPLATE,))),
+            category=draw(st.none() | st.sampled_from(SafetyCategory)),
+            violated=result.violates(strict_end),
+            unsafe_flag_bytes=result.unsafe_flags(),
+        )
+    success = draw(st.booleans())
+    unsafe = any(m.violated for m in meta.values())
+    return RolloutEvaluation(
+        rollout_id=draw(_AWKWARD_TEXT),
+        task_name=draw(_AWKWARD_TEXT),
+        suite=SUITES[0],
+        horizon=HORIZONS[0],
+        policy=draw(_AWKWARD_TEXT),
+        success=success,
+        unsafe=unsafe,
+        outcome={
+            (True, False): Outcome.SUCCESS_SAFE,
+            (True, True): Outcome.SUCCESS_UNSAFE,
+            (False, False): Outcome.FAIL_SAFE,
+            (False, True): Outcome.FAIL_UNSAFE,
+        }[success, unsafe],
+        rollout_exposure=Fraction(draw(st.integers(0, length)), length),
+        length=length,
+        strict_end=strict_end,
+        per_instance=per_instance,
+        instance_meta=meta,
+        groups={},
+    )
+
+
+@given(_monitor_evaluations())
+@settings(max_examples=200, deadline=None)
+def test_monitor_report_json_matches_the_reference(evaluation):
+    assert monitor_report_json(evaluation) == reference_monitor_text(evaluation)
 
 
 # ---------------------------------------------------------------------------

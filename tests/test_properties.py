@@ -237,6 +237,17 @@ def test_unknown_keys_are_rejected():
         load_task_spec(dict(MINIMAL_SPEC, properties=[entry]))
 
 
+def test_identifiers_utf8_cannot_encode_are_rejected():
+    # Valid JSON: the escapes decode to lone surrogates.
+    with pytest.raises(TaskSpecError, match="'task' contains a surrogate code point"):
+        load_task_spec(json.dumps(dict(MINIMAL_SPEC, task="t\udfff")))
+    entry = dict(MINIMAL_SPEC["properties"][0], id="\ud800x")
+    with pytest.raises(TaskSpecError, match=r"properties\[0\]: 'id' contains a surrogate"):
+        load_task_spec(json.dumps(dict(MINIMAL_SPEC, properties=[entry])))
+    entry = dict(entry, id="\u00e9\U0001f600")
+    assert load_task_spec(json.dumps(dict(MINIMAL_SPEC, properties=[entry]))).instances
+
+
 @pytest.mark.parametrize(
     "text", ["task: t\nwhen: 2001-13-01\n", '{"task": ' + "1" * 5000 + "}"], ids=["month", "digits"]
 )

@@ -117,6 +117,16 @@ def test_schema_violations():
         load_rollout({**BASE_DOC, "z": 0, 1: 0})
 
 
+@pytest.mark.parametrize("key", ["rollout_id", "task", "policy"])
+def test_identifiers_utf8_cannot_encode_are_rejected(key):
+    # Valid JSON: the escape decodes to a lone surrogate.
+    text = json.dumps(dict(BASE_DOC, **{key: "p\ud800"}))
+    with pytest.raises(RolloutFormatError, match=f"'{key}' contains a surrogate code point"):
+        load_rollout(text)
+    record = load_rollout(dict(BASE_DOC, **{key: "p\u00f3\U0001f600"}))
+    assert getattr(record, {"task": "task_name"}.get(key, key)) == "p\u00f3\U0001f600"
+
+
 # Interned decoding against the step-by-step reference.
 
 _NAMES = ("a", "b", "grasped_mug", "x1")
