@@ -48,7 +48,6 @@ from .formulas import (
     Eventually,
     FalseFormula,
     Formula,
-    Implies,
     Next,
     Not,
     Or,
@@ -60,6 +59,7 @@ from .formulas import (
     WeakNext,
     format_formula,
     is_valid_proposition,
+    operands,
     propositions,
     to_nnf,
 )
@@ -110,7 +110,6 @@ class Dfa:
         initial: int,
         accepting: Iterable[int],
         transitions: Sequence[Sequence[int]],
-        permanence: Sequence[Permanence] | None = None,
         state_labels: Sequence[str] | None = None,
     ):
         props = tuple(props)
@@ -147,13 +146,7 @@ class Dfa:
         self.initial = initial
         self.accepting = accepting
         self.transitions = tuple(rows)
-        if permanence is None:
-            permanence = _compute_permanence(self.transitions, accepting)
-        else:
-            permanence = tuple(permanence)
-            if len(permanence) != n:
-                raise ValueError("permanence labels must cover every state")
-        self.permanence = permanence
+        self.permanence = _compute_permanence(self.transitions, accepting)
         self.state_labels = tuple(state_labels) if state_labels is not None else None
         flat = chain.from_iterable(rows)
         self.successors = bytes(flat) if n <= 256 else array("H" if n <= 1 << 16 else "L", flat)
@@ -162,7 +155,7 @@ class Dfa:
             else CODE_FALSE if label is Permanence.PERM_FALSE
             else CODE_PRESUMABLY_TRUE if s in accepting
             else CODE_PRESUMABLY_FALSE
-            for s, label in enumerate(permanence)
+            for s, label in enumerate(self.permanence)
         )
 
     # Structural identity ignores debug labels and the derived run tables.
@@ -314,14 +307,12 @@ class _Closure:
             support, children = self.bits[f.name], ()
         elif kind == _NOT_PROP:
             support, children = self.bits[f.operand.name], ()
-        elif kind in (_TRUE, _FALSE):
-            support, children = 0, ()
-        elif kind in (_AND, _OR, _UNTIL, _RELEASE):
-            children = (self._intern(f.left), self._intern(f.right))
-            support = self.support[children[0]] | self.support[children[1]]
         else:
-            children = (self._intern(f.operand),)
-            support = 0 if kind in (_NEXT, _WEAK_NEXT) else self.support[children[0]]
+            children = tuple(map(self._intern, operands(f)))
+            support = 0
+            if kind not in (_NEXT, _WEAK_NEXT):
+                for child in children:
+                    support |= self.support[child]
         key = (kind, support, children)
         node = self.ids.get(key)
         if node is None:
@@ -455,27 +446,15 @@ def _dnf_accepts_if_trace_ends(state: _Dnf) -> bool:
 
 
 def _empty_suffix_value(f: Formula) -> bool:
-    """Truth of an arbitrary formula on the empty suffix, used only for the
-    initial state: position-quantified operators with nothing to range over
-    (``F``, ``U``, strong next, bare propositions) are false; their universal
-    duals (``G``, ``R``, weak next) are vacuously true."""
-    if isinstance(f, TrueFormula):
-        return True
-    if isinstance(f, (FalseFormula, Prop)):
-        return False
-    if isinstance(f, Not):
-        return not _empty_suffix_value(f.operand)
-    if isinstance(f, And):
+    """Truth of an NNF formula on the empty suffix, used only for the initial
+    state: position-quantified operators with nothing to range over (``F``,
+    ``U``, strong next, bare propositions) are false; their universal duals
+    (``G``, ``R``, weak next) and negated propositions are vacuously true."""
+    if type(f) is And:
         return _empty_suffix_value(f.left) and _empty_suffix_value(f.right)
-    if isinstance(f, Or):
+    if type(f) is Or:
         return _empty_suffix_value(f.left) or _empty_suffix_value(f.right)
-    if isinstance(f, Implies):
-        return not _empty_suffix_value(f.left) or _empty_suffix_value(f.right)
-    if isinstance(f, (Next, Until, Eventually)):
-        return False
-    if isinstance(f, (WeakNext, Release, Always)):
-        return True
-    raise TypeError(f"not a formula: {f!r}")
+    return type(f) in (TrueFormula, Not, WeakNext, Release, Always)
 
 
 # ---------------------------------------------------------------------------

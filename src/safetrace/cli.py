@@ -158,8 +158,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="worker processes for a manifest; 0 or 1 means sequential, and --jsonl "
-        "input is always evaluated sequentially (default: 0)",
+        help="worker processes for a manifest, at most one per pair; 0 or 1 means "
+        "sequential, and --jsonl input is always evaluated sequentially (default: 0)",
     )
     p_evaluate.add_argument(
         "--denominator",
@@ -346,8 +346,9 @@ def _cmd_evaluate(args) -> int:
                 )
             except (TypeError, KeyError) as exc:
                 raise SafetraceError(f"bad manifest entry {entry!r}") from exc
-        if args.workers > 1:
-            with ProcessPoolExecutor(max_workers=args.workers, initializer=_start_worker) as pool:
+        workers = min(args.workers, len(jobs))
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker) as pool:
                 evaluations = list(pool.map(_evaluate_pair_in_worker, jobs, chunksize=16))
         else:
             specs: dict = {}

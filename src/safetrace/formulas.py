@@ -19,12 +19,22 @@ of valuations (sets of true propositions, closed-world). Strong next is false
 at the final step; weak next is true there. ``evaluate`` implements the
 satisfaction relation by memoized recursion over (subformula, position) and is
 the reference oracle for the automaton pipeline in :mod:`safetrace.automata`.
+
+Each operator is defined once. The parser's operator tables give its token
+and binding strength, which the printer reads too; :func:`operands` is the
+one place that knows a node's children, and ``_DUALS`` pairs each operator
+with the dual that negation normal form pushes a negation through. Printing,
+:func:`to_nnf`, :func:`proposition_order` and the walks in
+:mod:`safetrace.properties` and :mod:`safetrace.automata` go through these.
+In this module only ``evaluate`` spells out every operator, so that it stays
+an independent reference.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .errors import FormulaSyntaxError
@@ -52,7 +62,9 @@ __all__ = [
     "Trace",
     "parse",
     "format_formula",
+    "operands",
     "to_nnf",
+    "proposition_order",
     "propositions",
     "evaluate",
 ]
@@ -159,6 +171,29 @@ class Eventually(Formula):
 TRUE = TrueFormula()
 FALSE = FalseFormula()
 
+# A per-class table rather than an isinstance chain: every walk calls it once
+# per node.
+_OPERANDS = {
+    TrueFormula: lambda f: (),
+    FalseFormula: lambda f: (),
+    Prop: lambda f: (f.name,),
+    **dict.fromkeys((Not, Next, WeakNext, Always, Eventually), lambda f: (f.operand,)),
+    **dict.fromkeys((And, Or, Implies, Until, Release), attrgetter("left", "right")),
+}
+
+
+def operands(f: Formula) -> tuple:
+    """The constructor arguments of ``f``: the child formulas of an operator,
+    the name of a proposition, nothing for a constant, so that
+    ``type(f)(*operands(f)) == f``. Raises :class:`TypeError` on a
+    non-formula."""
+    try:
+        get = _OPERANDS[type(f)]
+    except KeyError:
+        raise TypeError(f"not a formula: {f!r}") from None
+    return get(f)
+
+
 
 class Trace:
     """A nonempty, immutable sequence of valuations.
@@ -199,10 +234,6 @@ class Trace:
     def __repr__(self) -> str:
         rendered = ", ".join("{" + ",".join(sorted(s)) + "}" for s in self.steps)
         return f"Trace([{rendered}])"
-
-    @property
-    def last_index(self) -> int:
-        return len(self.steps) - 1
 
     def suffix(self, start: int) -> "Trace":
         """The trace from ``start`` (inclusive) to the end; must be nonempty."""
@@ -362,7 +393,7 @@ class _Parser:
         expected = ("true", "false", "identifier", "(")
         tok = self._peek()
         if tok is None:
-            raise self._error("unexpected end of formula", ("!", "X", "WX", "G", "F", *expected))
+            raise self._error("unexpected end of formula", (*_PREFIX_OPERATORS, *expected))
         if tok[0] == "(":
             if self.parens == MAX_FORMULA_DEPTH:
                 raise FormulaSyntaxError(
@@ -415,65 +446,38 @@ def parse(text: str) -> Formula:
 # Printing
 # ---------------------------------------------------------------------------
 
-# Binding strength; parenthesization compares child strength against these.
-_PREC_IMPLIES = 2
-_PREC_OR = 3
-_PREC_AND = 4
-_PREC_UNTIL = 5
-_PREC_UNARY = 6
-_PREC_ATOM = 7
+#: Binding strength of every prefix operator: tighter than any binary one.
+_UNARY_STRENGTH = 1 + max(strength for strength, _, _ in _BINARY_OPERATORS.values())
 
-_UNARY_TOKENS = {Next: "X", WeakNext: "WX", Always: "G", Eventually: "F"}
-
-
-def _precedence(f: Formula) -> int:
-    if isinstance(f, (TrueFormula, FalseFormula, Prop)):
-        return _PREC_ATOM
-    if isinstance(f, (Not, Next, WeakNext, Always, Eventually)):
-        return _PREC_UNARY
-    if isinstance(f, (Until, Release)):
-        return _PREC_UNTIL
-    if isinstance(f, And):
-        return _PREC_AND
-    if isinstance(f, Or):
-        return _PREC_OR
-    if isinstance(f, Implies):
-        return _PREC_IMPLIES
-    raise TypeError(f"not a formula: {f!r}")
+_PREFIX_TOKENS = {cls: token for token, cls in _PREFIX_OPERATORS.items()}
+_BINARY_SYNTAX = {
+    cls: (token, strength, right_assoc)
+    for token, (strength, right_assoc, cls) in _BINARY_OPERATORS.items()
+    if cls is not None
+}
 
 
-def _render(f: Formula, min_prec: int) -> str:
-    text = _render_bare(f)
-    if _precedence(f) < min_prec:
-        return "(" + text + ")"
-    return text
-
-
-def _render_bare(f: Formula) -> str:
-    if isinstance(f, TrueFormula):
-        return "true"
-    if isinstance(f, FalseFormula):
-        return "false"
-    if isinstance(f, Prop):
-        return f.name
-    if isinstance(f, Not):
-        return "!" + _render(f.operand, _PREC_UNARY)
-    if isinstance(f, (Next, WeakNext, Always, Eventually)):
-        token = _UNARY_TOKENS[type(f)]
-        child = _render(f.operand, _PREC_UNARY)
-        sep = "" if child.startswith("(") else " "
+def _render(f: Formula, min_strength: int) -> str:
+    """``f`` in concrete syntax, parenthesized when it binds looser than
+    ``min_strength``. Atoms and prefix operators never need parentheses."""
+    args = operands(f)
+    cls = type(f)
+    if cls in _BINARY_SYNTAX:
+        token, strength, right_assoc = _BINARY_SYNTAX[cls]
+        # The operand on the associative side may bind as loosely as the node.
+        text = (
+            _render(args[0], strength + right_assoc) + f" {token} "
+            + _render(args[1], strength + (not right_assoc))
+        )
+        return text if strength >= min_strength else "(" + text + ")"
+    if cls in _PREFIX_TOKENS:
+        token = _PREFIX_TOKENS[cls]
+        child = _render(args[0], _UNARY_STRENGTH)
+        sep = "" if token == "!" or child.startswith("(") else " "
         return token + sep + child
-    if isinstance(f, Until):
-        return _render(f.left, _PREC_UNTIL + 1) + " U " + _render(f.right, _PREC_UNTIL)
-    if isinstance(f, Release):
-        return _render(f.left, _PREC_UNTIL + 1) + " R " + _render(f.right, _PREC_UNTIL)
-    if isinstance(f, And):
-        return _render(f.left, _PREC_AND) + " & " + _render(f.right, _PREC_AND + 1)
-    if isinstance(f, Or):
-        return _render(f.left, _PREC_OR) + " | " + _render(f.right, _PREC_OR + 1)
-    if isinstance(f, Implies):
-        return _render(f.left, _PREC_IMPLIES + 1) + " -> " + _render(f.right, _PREC_IMPLIES)
-    raise TypeError(f"not a formula: {f!r}")
+    if cls is Prop:
+        return f.name
+    return "true" if cls is TrueFormula else "false"
 
 
 def format_formula(f: Formula) -> str:
@@ -482,7 +486,7 @@ def format_formula(f: Formula) -> str:
     ``parse(format_formula(f))`` returns a tree structurally equal to ``f``;
     no operator is rewritten during printing.
     """
-    return _render_bare(f)
+    return _render(f, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -490,81 +494,69 @@ def format_formula(f: Formula) -> str:
 # ---------------------------------------------------------------------------
 
 
+#: The finite-trace dual of each operator: ``!(a op b)`` is equivalent to
+#: ``!a dual !b``, and likewise for the unary ones. Strong next is false at
+#: the final step, so its dual is weak next.
+_DUALS = {
+    And: Or,
+    Or: And,
+    Next: WeakNext,
+    WeakNext: Next,
+    Until: Release,
+    Release: Until,
+    Always: Eventually,
+    Eventually: Always,
+}
+
+
 def to_nnf(f: Formula) -> Formula:
     """Negation normal form: negation only directly above propositions,
     implication eliminated, all dualities applied. Preserves the formula's
     value on every trace and position."""
-    if isinstance(f, (TrueFormula, FalseFormula, Prop)):
-        return f
-    if isinstance(f, Not):
+    cls = type(f)
+    if cls is Not:
         return _nnf_negated(f.operand)
-    if isinstance(f, And):
-        return And(to_nnf(f.left), to_nnf(f.right))
-    if isinstance(f, Or):
-        return Or(to_nnf(f.left), to_nnf(f.right))
-    if isinstance(f, Implies):
+    if cls is Implies:
         return Or(_nnf_negated(f.left), to_nnf(f.right))
-    if isinstance(f, Next):
-        return Next(to_nnf(f.operand))
-    if isinstance(f, WeakNext):
-        return WeakNext(to_nnf(f.operand))
-    if isinstance(f, Until):
-        return Until(to_nnf(f.left), to_nnf(f.right))
-    if isinstance(f, Release):
-        return Release(to_nnf(f.left), to_nnf(f.right))
-    if isinstance(f, Always):
-        return Always(to_nnf(f.operand))
-    if isinstance(f, Eventually):
-        return Eventually(to_nnf(f.operand))
-    raise TypeError(f"not a formula: {f!r}")
+    if cls in (TrueFormula, FalseFormula, Prop):
+        return f
+    return cls(*map(to_nnf, operands(f)))
 
 
 def _nnf_negated(f: Formula) -> Formula:
     """NNF of ``!f``."""
-    if isinstance(f, TrueFormula):
-        return FALSE
-    if isinstance(f, FalseFormula):
-        return TRUE
-    if isinstance(f, Prop):
+    cls = type(f)
+    if cls is Prop:
         return Not(f)
-    if isinstance(f, Not):
+    if cls is Not:
         return to_nnf(f.operand)
-    if isinstance(f, And):
-        return Or(_nnf_negated(f.left), _nnf_negated(f.right))
-    if isinstance(f, Or):
-        return And(_nnf_negated(f.left), _nnf_negated(f.right))
-    if isinstance(f, Implies):
+    if cls is Implies:
         return And(to_nnf(f.left), _nnf_negated(f.right))
-    if isinstance(f, Next):
-        # At the final step strong next is false, so its negation must be weak.
-        return WeakNext(_nnf_negated(f.operand))
-    if isinstance(f, WeakNext):
-        return Next(_nnf_negated(f.operand))
-    if isinstance(f, Until):
-        return Release(_nnf_negated(f.left), _nnf_negated(f.right))
-    if isinstance(f, Release):
-        return Until(_nnf_negated(f.left), _nnf_negated(f.right))
-    if isinstance(f, Always):
-        return Eventually(_nnf_negated(f.operand))
-    if isinstance(f, Eventually):
-        return Always(_nnf_negated(f.operand))
-    raise TypeError(f"not a formula: {f!r}")
+    if cls is TrueFormula:
+        return FALSE
+    if cls is FalseFormula:
+        return TRUE
+    negated = tuple(map(_nnf_negated, operands(f)))  # TypeError on a non-formula
+    return _DUALS[cls](*negated)
+
+
+def proposition_order(f: Formula) -> tuple[str, ...]:
+    """The proposition names occurring in ``f``, each once, in order of first
+    occurrence (preorder, left to right)."""
+    found: dict[str, None] = {}
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        if type(node) is Prop:
+            found[node.name] = None
+        else:
+            stack += operands(node)[::-1]
+    return tuple(found)
 
 
 def propositions(f: Formula) -> frozenset[str]:
     """The set of proposition names occurring in ``f``."""
-    found: set[str] = set()
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Prop):
-            found.add(node.name)
-        elif isinstance(node, (Not, Next, WeakNext, Always, Eventually)):
-            stack.append(node.operand)
-        elif isinstance(node, (And, Or, Implies, Until, Release)):
-            stack.append(node.left)
-            stack.append(node.right)
-    return frozenset(found)
+    return frozenset(proposition_order(f))
 
 
 # ---------------------------------------------------------------------------

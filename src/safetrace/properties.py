@@ -3,8 +3,11 @@
 Ten templates cover eight safety categories, from per-step invariants
 (collision avoidance, onset preconditions) to multi-step obligations over
 ordering, recovery, and eventual settling. Each template is written over
-abstract slot names; binding every slot to a concrete task proposition yields
-a monitorable property instance with a compiled DFA.
+abstract slot names, listed in order of first occurrence; binding every slot
+to a concrete task proposition renames the propositions of the template's
+formula, rebuilding every other node through
+:func:`safetrace.formulas.operands`, and yields a monitorable property
+instance with a compiled DFA.
 
 A task specification document (JSON or YAML) groups the instances monitored
 for one task together with suite and horizon metadata::
@@ -34,24 +37,7 @@ import yaml
 
 from .automata import Dfa, compile_formula
 from .errors import BindingError, TaskSpecError, TemplateError
-from .formulas import (
-    And,
-    Formula,
-    Implies,
-    Not,
-    Or,
-    Prop,
-    Release,
-    Until,
-    Next,
-    WeakNext,
-    Always,
-    Eventually,
-    FalseFormula,
-    TrueFormula,
-    is_valid_proposition,
-    parse,
-)
+from .formulas import Formula, Prop, is_valid_proposition, operands, parse, proposition_order
 
 __all__ = [
     "SafetyCategory",
@@ -109,26 +95,9 @@ class PropertyTemplate:
     description: str
 
 
-def _slots_in_order(f: Formula) -> tuple[str, ...]:
-    """Propositions in first-occurrence (preorder, left-to-right) order."""
-    seen: dict[str, None] = {}
-
-    def walk(node: Formula) -> None:
-        if isinstance(node, Prop):
-            seen.setdefault(node.name, None)
-        elif isinstance(node, (Not, Next, WeakNext, Always, Eventually)):
-            walk(node.operand)
-        elif isinstance(node, (And, Or, Implies, Until, Release)):
-            walk(node.left)
-            walk(node.right)
-
-    walk(f)
-    return tuple(seen)
-
-
 def _template(template_id: str, category: SafetyCategory, text: str, description: str) -> PropertyTemplate:
     formula = parse(text)
-    return PropertyTemplate(template_id, category, formula, _slots_in_order(formula), description)
+    return PropertyTemplate(template_id, category, formula, proposition_order(formula), description)
 
 
 _TEMPLATES: tuple[PropertyTemplate, ...] = (
@@ -224,21 +193,12 @@ class PropertyInstance:
     category: SafetyCategory | None
     dfa: Dfa = field(compare=False, repr=False)
 
-    @property
-    def bindings_map(self) -> dict[str, str]:
-        return dict(self.bindings)
-
 
 def _substitute(f: Formula, mapping: Mapping[str, str]) -> Formula:
-    if isinstance(f, Prop):
+    """``f`` with every proposition renamed through ``mapping``."""
+    if type(f) is Prop:
         return Prop(mapping[f.name])
-    if isinstance(f, (TrueFormula, FalseFormula)):
-        return f
-    if isinstance(f, (Not, Next, WeakNext, Always, Eventually)):
-        return type(f)(_substitute(f.operand, mapping))
-    if isinstance(f, (And, Or, Implies, Until, Release)):
-        return type(f)(_substitute(f.left, mapping), _substitute(f.right, mapping))
-    raise TypeError(f"not a formula: {f!r}")
+    return type(f)(*(_substitute(g, mapping) for g in operands(f)))
 
 
 def instantiate(

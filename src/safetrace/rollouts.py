@@ -153,6 +153,9 @@ def _steps_from_document(raw_trace) -> list[frozenset[str]]:
             raise RolloutFormatError(f"invalid timestep {t!r}")
         if t in by_time:
             raise RolloutFormatError(f"duplicate timestep {t}")
+        extra = entry.keys() - {"t", "props"}
+        if extra:
+            raise RolloutFormatError(f"step {t}: unknown keys {sorted(extra, key=str)}")
         by_time[t] = _normalize_step(entry.get("props", []), t)
     horizon = max(by_time)
     # The first five gaps lie below len(by_time) + 5; never scan up to a huge t.

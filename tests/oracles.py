@@ -282,6 +282,9 @@ def reference_trace(raw_trace, declared=None) -> list[frozenset]:
                 raise ReferenceDecodeError(f"invalid timestep {t!r}")
             if t in by_time:
                 raise ReferenceDecodeError(f"duplicate timestep {t}")
+            unknown = [key for key in entry if key not in ("t", "props")]
+            if unknown:
+                raise ReferenceDecodeError(f"step {t}: unknown keys {sorted(unknown, key=str)}")
             by_time[t] = _reference_valuation(entry.get("props", []), t)
         missing = [t for t in range(max(by_time) + 1) if t not in by_time]
         if missing:

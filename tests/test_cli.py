@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -274,21 +275,26 @@ def test_evaluate_corpus_and_rerun_byte_identical(corpus_dir, tmp_path):
 
 
 def test_evaluate_rereads_a_spec_rewritten_between_runs(tmp_path):
-    rollout = tmp_path / "r.json"
-    rollout.write_text(
-        json.dumps(
-            {
-                "rollout_id": "r0",
-                "task": "t",
-                "policy": "p",
-                "success": True,
-                "trace": [[], ["collision"], []],
-            }
+    # Two pairs, so that the --workers 2 runs start a pool and go through the
+    # per-run worker cache.
+    pairs = []
+    for i in range(2):
+        rollout = tmp_path / f"r{i}.json"
+        rollout.write_text(
+            json.dumps(
+                {
+                    "rollout_id": f"r{i}",
+                    "task": "t",
+                    "policy": "p",
+                    "success": True,
+                    "trace": [[], ["collision"], []],
+                }
+            )
         )
-    )
+        pairs.append({"rollout": rollout.name, "task_spec": "s.json"})
     spec = tmp_path / "s.json"
     manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps({"pairs": [{"rollout": "r.json", "task_spec": "s.json"}]}))
+    manifest.write_text(json.dumps({"pairs": pairs}))
 
     def evaluate(formula, *flags):
         spec.write_text(
@@ -303,13 +309,39 @@ def test_evaluate_rereads_a_spec_rewritten_between_runs(tmp_path):
         )
         out = tmp_path / f"out{len(list(tmp_path.iterdir()))}"
         assert run_cli("evaluate", str(manifest), "--out", str(out), "-q", *flags) == 0
-        return json.loads((out / "report.json").read_text())["overall_violation_rate"]["exact"]
+        report = json.loads((out / "report.json").read_text())
+        return report["n_rollouts"], report["overall_violation_rate"]["exact"]
 
-    assert evaluate("G !collision") == "1/1"
-    assert evaluate("G !bad_contact") == "0/1"
-    assert evaluate("G !collision", "--workers", "2") == "1/1"
-    assert evaluate("G !bad_contact", "--workers", "2") == "0/1"
+    assert evaluate("G !collision") == (2, "1/1")
+    assert evaluate("G !bad_contact") == (2, "0/1")
+    assert evaluate("G !collision", "--workers", "2") == (2, "1/1")
+    assert evaluate("G !bad_contact", "--workers", "2") == (2, "0/1")
     assert run_cli("monitor", str(rollout), str(spec), "-q") == 0
+
+
+def test_evaluate_starts_at_most_one_worker_per_pair(tmp_path, monkeypatch):
+    pool_sizes = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            pool_sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr("safetrace.cli.ProcessPoolExecutor", RecordingPool)
+    spec = {"task": "t", "suite": "atomic_fixture", "horizon": "atomic", "properties": []}
+    (tmp_path / "s.json").write_text(json.dumps(spec))
+    pairs = []
+    for i in range(2):
+        rollout = {"rollout_id": f"r{i}", "task": "t", "policy": "p", "success": True, "trace": [[]]}
+        (tmp_path / f"r{i}.json").write_text(json.dumps(rollout))
+        pairs.append({"rollout": f"r{i}.json", "task_spec": "s.json"})
+    for n in (2, 1):
+        manifest = tmp_path / f"manifest{n}.json"
+        manifest.write_text(json.dumps({"pairs": pairs[:n]}))
+        out = tmp_path / f"out{n}"
+        assert run_cli("evaluate", str(manifest), "--out", str(out), "--workers", "8", "-q") == 0
+        assert json.loads((out / "report.json").read_text())["n_rollouts"] == n
+    assert pool_sizes == [2]
 
 
 def test_evaluate_negative_workers_is_one_error_line(corpus_dir, tmp_path, capsys):
@@ -356,6 +388,25 @@ def test_surrogate_identifiers_are_one_error_line(tmp_path, capsys):
     assert err == (
         f"error: {rollout}: 'policy' contains a surrogate code point, which UTF-8 cannot encode\n"
     )
+
+
+def test_misspelled_step_key_is_one_error_line(tmp_path, capsys):
+    rollout = tmp_path / "r.json"
+    rollout.write_text(
+        json.dumps(
+            {
+                "rollout_id": "r0",
+                "task": "t",
+                "policy": "p",
+                "success": True,
+                "trace": [{"t": 0, "props": []}, {"t": 1, "prop": ["collision"]}],
+            }
+        )
+    )
+    spec = tmp_path / "s.json"
+    spec.write_text('{"task": "t", "suite": "atomic_fixture", "horizon": "atomic", "properties": []}')
+    assert run_cli("monitor", str(rollout), str(spec)) == 1
+    assert capsys.readouterr().err == f"error: {rollout}: step 1: unknown keys ['prop']\n"
 
 
 def test_evaluate_empty_manifest_exits_one(tmp_path, capsys):

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import safetrace.formulas as formula_module
 from safetrace.automata import compile_formula
 from safetrace.errors import FormulaSyntaxError
 from safetrace.formulas import (
@@ -15,6 +16,7 @@ from safetrace.formulas import (
     Always,
     And,
     Eventually,
+    Formula,
     Implies,
     Next,
     Not,
@@ -26,6 +28,7 @@ from safetrace.formulas import (
     WeakNext,
     evaluate,
     format_formula,
+    operands,
     parse,
     propositions,
     to_nnf,
@@ -260,6 +263,27 @@ def test_propositions_examples():
     assert propositions(parse("G(!(collision | badcontact))")) == {"collision", "badcontact"}
     assert propositions(TRUE) == frozenset()
     assert propositions(Until(Prop("a"), Prop("a"))) == {"a"}
+
+
+def test_operands_rebuild_every_node_and_walks_reject_non_formulas():
+    samples = [
+        parse(text)
+        for text in ("true", "false", "a", "!a", "a & b", "a | b", "a -> b", "X a", "WX a",
+                     "a U b", "a R b", "G a", "F a")
+    ]
+    node_classes = {
+        obj for obj in vars(formula_module).values()
+        if isinstance(obj, type) and issubclass(obj, Formula) and obj is not Formula
+    }
+    assert {type(f) for f in samples} == node_classes
+    for f in samples:
+        assert type(f)(*operands(f)) == f
+    with pytest.raises(TypeError):
+        operands("a")
+    for bad in ("a", And(Prop("a"), "b")):
+        for walk in (to_nnf, format_formula, propositions):
+            with pytest.raises(TypeError):
+                walk(bad)
 
 
 def test_nnf_dualities():

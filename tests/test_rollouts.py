@@ -182,6 +182,7 @@ _LATE_UNDECLARED = dict(
 @example(dict(BASE_DOC, trace=[["G"], [["a"]]]))  # invalid before unhashable
 @example(_LATE_UNDECLARED)
 @example(dict(BASE_DOC, trace=[{1: "x", "a": "y"}]))  # mixed key types, non-boolean values
+@example(dict(BASE_DOC, trace=[{"t": 0, "props": []}, {"t": 1, "prop": ["a"], 2: 0}]))  # a typo
 @settings(max_examples=400, deadline=None)
 def test_decode_matches_step_by_step_reference(doc):
     try:
