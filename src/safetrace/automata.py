@@ -21,6 +21,13 @@ agrees on them. Minimization renumbers the states and labels each class by
 the raw state it is first reached through, so the automaton, its labels and
 every export do not depend on the order in which raw states are found.
 
+State labels are rendered on first read, from each class's residual kept as
+sorted int tuples and the formula the automaton was compiled from; the
+compile-time closure is not kept. Node ids depend only on the formula's
+structure and the sorted order of its propositions, so a renaming of the
+formula that keeps that order has the same automaton and the same residuals,
+and :func:`_renamed` derives its automaton without compiling.
+
 Whether a reached state is accepting is decided on its obligation set as if
 the trace ended there: a strong next contributes false, a weak next true. The
 initial state's flag encodes the degenerate empty-suffix case used
@@ -39,7 +46,7 @@ from array import array
 from collections import deque
 from enum import Enum
 from itertools import chain
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import AlphabetMismatchError, AlphabetTooLargeError
 from .formulas import (
@@ -102,6 +109,9 @@ class Dfa:
     transition table flattened row-major (``successors[s * alphabet_size +
     mask]``; ``bytes`` up to 256 states, ``array('H')`` beyond, ``'L'`` past
     65536), and ``verdict_codes``, the ``CODE_*`` byte of every state.
+
+    ``state_labels`` are debug labels, one per state, or ``None``; those of
+    a compiled automaton are rendered when first read.
     """
 
     def __init__(
@@ -147,7 +157,7 @@ class Dfa:
         self.accepting = accepting
         self.transitions = tuple(rows)
         self.permanence = _compute_permanence(self.transitions, accepting)
-        self.state_labels = tuple(state_labels) if state_labels is not None else None
+        self._labels = tuple(state_labels) if state_labels is not None else None
         flat = chain.from_iterable(rows)
         self.successors = bytes(flat) if n <= 256 else array("H" if n <= 1 << 16 else "L", flat)
         self.verdict_codes = bytes(
@@ -178,6 +188,11 @@ class Dfa:
             f"Dfa(states={self.num_states}, props={list(self.props)}, "
             f"accepting={sorted(self.accepting)})"
         )
+
+    @property
+    def state_labels(self) -> tuple[str, ...] | None:
+        labels = self._labels
+        return labels.render() if isinstance(labels, _LazyLabels) else labels
 
     @property
     def num_states(self) -> int:
@@ -282,7 +297,7 @@ class _Closure:
 
     Progression is memoized on (node, valuation restricted to the node's
     support), conjunction and disjunction on the operand pair. An instance
-    lives for one :func:`compile_formula` call.
+    lives for one :func:`compile_formula` call or one rendering of labels.
     """
 
     def __init__(self, root: Formula, names: Sequence[str]):
@@ -419,10 +434,11 @@ class _Closure:
                 read |= support[atom >> 1]
         return read
 
-    def label(self, residual: _Dnf) -> str:
-        if residual == _DNF_TRUE:
+    def label(self, residual: tuple[tuple[int, ...], ...]) -> str:
+        """Text of a residual in the form :func:`_compact` gives it."""
+        if residual == ((),):
             return "true"
-        if residual == _DNF_FALSE:
+        if not residual:
             return "false"
         rendered = []
         for term in residual:
@@ -437,6 +453,36 @@ class _Closure:
             wrapper = WeakNext if atom & 1 else Next
             text = self.atom_texts[atom] = format_formula(wrapper(self.formulas[atom >> 1]))
         return text
+
+
+def _compact(residual: _Dnf) -> tuple[tuple[int, ...], ...]:
+    """A residual as sorted tuples of atoms: what a label needs of a state,
+    holding no reference into the closure it was built in."""
+    return tuple(sorted(tuple(sorted(term)) for term in residual))
+
+
+class _LazyLabels:
+    """The state labels of a compiled automaton, rendered on first read.
+
+    State 0 is labeled with ``formula`` itself and state ``s > 0`` with
+    ``residuals[s - 1]``, the compact residual of the raw state representing
+    it. Rendering interns ``formula``'s closure afresh, which gives the same
+    node ids as at compile time.
+    """
+
+    __slots__ = ("formula", "residuals", "texts")
+
+    def __init__(self, formula: Formula, residuals: tuple[tuple[tuple[int, ...], ...], ...]):
+        self.formula = formula
+        self.residuals = residuals
+        self.texts: tuple[str, ...] | None = None
+
+    def render(self) -> tuple[str, ...]:
+        if self.texts is None:
+            f = self.formula
+            closure = _Closure(to_nnf(f), sorted(propositions(f)))
+            self.texts = (format_formula(f), *map(closure.label, self.residuals))
+        return self.texts
 
 
 def _dnf_accepts_if_trace_ends(state: _Dnf) -> bool:
@@ -513,12 +559,28 @@ def compile_formula(f: Formula) -> Dfa:
             sub = (sub - read) & read
         rows.append([targets[mask & read] for mask in range(width)])
 
-    def label(state: int) -> str:
-        return closure.label(order[state]) if state else format_formula(f)
-
-    return _minimized(
-        tuple(names), 0, frozenset(s for s, acc in enumerate(accepting) if acc), rows, label
+    final, minimal_rows, representatives = _minimized(
+        tuple(names), 0, frozenset(s for s, acc in enumerate(accepting) if acc), rows
     )
+    dfa = Dfa(names, 0, final, minimal_rows)
+    # Raw state 0 represents state 0, which the formula itself labels.
+    dfa._labels = _LazyLabels(f, tuple(_compact(order[r]) for r in representatives[1:]))
+    return dfa
+
+
+def _renamed(shape: Dfa, props: tuple[str, ...], formula: Formula) -> Dfa:
+    """The automaton of ``formula``, given ``shape``, the one
+    :func:`compile_formula` built for a formula that ``formula`` renames name
+    by name while keeping their sorted order; ``props`` are ``formula``'s
+    propositions, sorted. Bit ``i`` of a symbol then reads the renaming of
+    ``shape.props[i]``, so the run tables are shared as they are, unchecked,
+    and only the basis and the labels change.
+    """
+    dfa = object.__new__(Dfa)
+    dfa.__dict__.update(shape.__dict__)
+    dfa.props = props
+    dfa._labels = _LazyLabels(formula, shape._labels.residuals)
+    return dfa
 
 
 def _compute_permanence(
@@ -559,14 +621,11 @@ def minimize(d: Dfa) -> Dfa:
     indistinguishable states merged (partition refinement), states renumbered
     breadth-first from the initial state with symbols in ascending bitmask
     order, permanence recomputed."""
+    accepting, rows, representatives = _minimized(d.props, d.initial, d.accepting, d.transitions)
     labels = d.state_labels
-    return _minimized(
-        d.props,
-        d.initial,
-        d.accepting,
-        d.transitions,
-        None if labels is None else labels.__getitem__,
-    )
+    if labels is not None:
+        labels = [labels[r] for r in representatives]
+    return Dfa(d.props, 0, accepting, rows, state_labels=labels)
 
 
 def _minimized(
@@ -574,10 +633,10 @@ def _minimized(
     initial: int,
     accepting: frozenset[int],
     transitions: Sequence[Sequence[int]],
-    label: Callable[[int], str] | None,
-) -> Dfa:
-    """:func:`minimize` over raw tables. ``label`` maps a raw state to its
-    label and is called once per class, for the state that represents it."""
+) -> tuple[frozenset[int], list[list[int]], list[int]]:
+    """:func:`minimize` over raw tables: the accepting states and the rows of
+    the minimal automaton, whose initial state is 0, and for each of its
+    states the raw state that represents it."""
     width = 1 << len(props)
 
     reachable: list[int] = [initial]
@@ -630,16 +689,9 @@ def _minimized(
             row.append(j)
         rows.append(row)
 
-    labels = None
-    if label is not None:
-        labels = [label(representative[c]) for c in class_order]
-    return Dfa(
-        props,
-        0,
-        frozenset(class_index[c] for c in class_order if representative[c] in accepting),
-        rows,
-        state_labels=labels,
-    )
+    representatives = [representative[c] for c in class_order]
+    final = frozenset(s for s, raw in enumerate(representatives) if raw in accepting)
+    return final, rows, representatives
 
 
 def equivalent(a: Dfa, b: Dfa) -> bool:
@@ -702,11 +754,12 @@ def to_dot(d: Dfa) -> str:
     """Deterministic DOT rendering; accepting states are double-circled and
     parallel edges to one target are merged into a single labeled edge."""
     lines = ["digraph dfa {", "  rankdir=LR;", '  __start [shape=point, label=""];']
+    labels = d.state_labels
     for s in range(d.num_states):
         shape = "doublecircle" if s in d.accepting else "circle"
         label = f"q{s}"
-        if d.state_labels is not None:
-            escaped = d.state_labels[s].replace("\\", "\\\\").replace('"', '\\"')
+        if labels is not None:
+            escaped = labels[s].replace("\\", "\\\\").replace('"', '\\"')
             label += "\\n" + escaped
         label += "\\n" + d.permanence[s].value
         lines.append(f'  q{s} [shape={shape}, label="{label}"];')

@@ -9,6 +9,12 @@ formula, rebuilding every other node through
 :func:`safetrace.formulas.operands`, and yields a monitorable property
 instance with a compiled DFA.
 
+A template is written once and bound to many objects, so a task spec
+compiles each shape once: a template together with the rank of each slot's
+proposition among the sorted bound names. Every other binding of that shape
+renames the propositions of the compiled DFA, whose alphabet bits follow the
+sorted names and so mean the same slots; its tables are shared as they are.
+
 A task specification document (JSON or YAML) groups the instances monitored
 for one task together with suite and horizon metadata::
 
@@ -35,7 +41,7 @@ from typing import Mapping
 
 import yaml
 
-from .automata import Dfa, compile_formula
+from .automata import Dfa, _renamed, compile_formula
 from .errors import BindingError, TaskSpecError, TemplateError
 from .formulas import Formula, Prop, is_valid_proposition, operands, parse, proposition_order
 
@@ -214,6 +220,19 @@ def instantiate(
     the same proposition is rejected unless ``allow_duplicate_bindings`` is
     set; distinct slots mapping to one proposition is usually a typo.
     """
+    return _instantiate(template_id, bindings, instance_id, allow_duplicate_bindings, None)
+
+
+def _instantiate(
+    template_id: str,
+    bindings: Mapping[str, str],
+    instance_id: str | None,
+    allow_duplicate_bindings: bool,
+    shapes: dict[tuple[str, tuple[int, ...]], Dfa] | None,
+) -> PropertyInstance:
+    """:func:`instantiate`, which compiles each shape once when given a
+    ``shapes`` cache, keyed by template id and the rank of each slot's
+    proposition among the sorted bound names, and renames it otherwise."""
     template = get_template(template_id)
     missing = [s for s in template.slots if s not in bindings]
     if missing:
@@ -236,13 +255,23 @@ def instantiate(
             "slot (pass allow_duplicate_bindings to permit)"
         )
     formula = _substitute(template.formula, bindings)
+    if shapes is None:
+        dfa = compile_formula(formula)
+    else:
+        names = sorted(set(values))
+        key = (template_id, tuple(map(names.index, values)))
+        shape = shapes.get(key)
+        if shape is None:
+            dfa = shapes[key] = compile_formula(formula)
+        else:
+            dfa = _renamed(shape, tuple(names), formula)
     return PropertyInstance(
         instance_id=instance_id if instance_id is not None else template_id,
         template_id=template_id,
         bindings=tuple((s, bindings[s]) for s in template.slots),
         formula=formula,
         category=template.category,
-        dfa=compile_formula(formula),
+        dfa=dfa,
     )
 
 
@@ -322,7 +351,9 @@ def load_task_spec(source: str | dict) -> TaskSpec:
     """Parse and fully validate a task spec document (JSON or YAML).
 
     Every property instance is instantiated and compiled eagerly, so binding
-    or formula mistakes surface here rather than mid-evaluation.
+    or formula mistakes surface here rather than mid-evaluation. Instances
+    of one template shape share one compilation (see the module docstring);
+    custom formulas are compiled one by one.
     """
     data = _parse_document(source) if isinstance(source, str) else source
     if not isinstance(data, dict):
@@ -343,6 +374,7 @@ def load_task_spec(source: str | dict) -> TaskSpec:
         raise TaskSpecError("'properties' must be a list")
 
     instances = []
+    shapes: dict[tuple[str, tuple[int, ...]], Dfa] = {}
     for idx, entry in enumerate(entries):
         where = f"properties[{idx}]"
         if not isinstance(entry, dict):
@@ -360,6 +392,11 @@ def load_task_spec(source: str | dict) -> TaskSpec:
         template_id = entry.get("template")
         if not isinstance(template_id, str):
             raise TaskSpecError(f"{where} (id {instance_id!r}): 'template' must be a string")
+        allow_duplicate_bindings = entry.get("allow_duplicate_bindings", False)
+        if not isinstance(allow_duplicate_bindings, bool):
+            raise TaskSpecError(
+                f"{where} (id {instance_id!r}): 'allow_duplicate_bindings' must be true or false"
+            )
         try:
             if template_id == CUSTOM_TEMPLATE:
                 formula_text = entry.get("formula")
@@ -375,14 +412,7 @@ def load_task_spec(source: str | dict) -> TaskSpec:
                         f"{where} (id {instance_id!r}): 'bindings' must be a mapping"
                     )
                 instances.append(
-                    instantiate(
-                        template_id,
-                        bindings,
-                        instance_id=instance_id,
-                        allow_duplicate_bindings=bool(
-                            entry.get("allow_duplicate_bindings", False)
-                        ),
-                    )
+                    _instantiate(template_id, bindings, instance_id, allow_duplicate_bindings, shapes)
                 )
         except (TemplateError, BindingError) as exc:
             raise type(exc)(f"{where} (id {instance_id!r}): {exc}") from exc

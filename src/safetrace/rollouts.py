@@ -281,8 +281,9 @@ class ScenarioParams:
 
     ``event_times`` optionally forces propositions on/off at given steps
     after the script runs; this can invalidate the scenario's documented
-    label and is meant for hand-tuned test fixtures. ``flip_rate`` only
-    affects the ``random_walk`` scenario and the benign noise proposition.
+    label and is meant for hand-tuned test fixtures. ``flip_rate``, a
+    probability in [0, 1], only affects the ``random_walk`` scenario and the
+    benign noise proposition.
     """
 
     scenario_id: str
@@ -813,6 +814,8 @@ def generate_scenario(params: ScenarioParams) -> RolloutRecord:
             f"{params.scenario_id}: length {params.length} too short for the "
             f"scenario's event schedule (minimum {info.min_length})"
         )
+    if not 0 <= params.flip_rate <= 1:  # also rejects NaN
+        raise ScenarioError(f"flip rate {params.flip_rate} outside [0, 1]")
     rng = random.Random(f"{params.scenario_id}:{params.seed}")
     steps, success = info.builder(rng, params.length, params.flip_rate)
 

@@ -1,10 +1,14 @@
 """DFA compilation, minimization, permanence classification, and export."""
 
+import gc
+import pickle
 import random
 import re
+from types import FunctionType, ModuleType
 
 import pytest
 
+from safetrace import automata
 from safetrace.automata import (
     Dfa,
     Permanence,
@@ -16,7 +20,7 @@ from safetrace.automata import (
 )
 from safetrace.errors import AlphabetMismatchError, AlphabetTooLargeError
 from safetrace.formulas import Prop, Trace, evaluate, parse, to_nnf
-from safetrace.properties import list_templates
+from safetrace.properties import list_templates, load_task_spec
 
 from oracles import agree_on_all_traces, all_traces, random_formula, random_trace
 
@@ -326,6 +330,69 @@ def test_dot_export_is_deterministic():
 def test_dot_export_well_formed_for_all_templates():
     for template in list_templates():
         check_dot_well_formed(to_dot(compile_formula(template.formula)))
+
+
+# ---------------------------------------------------------------------------
+# lazy state labels
+# ---------------------------------------------------------------------------
+
+
+def _unrendered(d: Dfa) -> bool:
+    return d._labels.texts is None
+
+
+def test_pickled_dfas_with_unrendered_labels_render_the_same_labels():
+    compiled = compile_formula(parse("G (a -> F (b & X c)) & (d R !a)"))
+    spec = load_task_spec(
+        {
+            "task": "t",
+            "suite": "atomic_fixture",
+            "horizon": "atomic",
+            "properties": [
+                {"id": f"phi6_{obj}", "template": "phi6", "bindings": {
+                    "MechHit": f"hit_{obj}", "Retract": f"retract_{obj}", "Recovered": f"rec_{obj}"
+                }}
+                for obj in ("door", "drawer")
+            ],
+        }
+    )
+    shared = spec.instances[1].dfa
+    assert shared.successors is spec.instances[0].dfa.successors  # renamed, not compiled
+    for d in (compiled, shared):
+        assert _unrendered(d)
+        copy = pickle.loads(pickle.dumps(d))
+        assert _unrendered(copy) and _unrendered(d)
+        assert copy == d and hash(copy) == hash(d)
+        assert copy.successors == d.successors and copy.verdict_codes == d.verdict_codes
+        labels = copy.state_labels
+        assert len(labels) == d.num_states and labels == d.state_labels
+        assert to_dot(copy) == to_dot(d)
+    assert spec.instances[0].dfa.state_labels != shared.state_labels
+    assert shared.state_labels[0] == "G(hit_drawer -> F(retract_drawer & F rec_drawer))"
+
+
+def _reachable(root):
+    """Every object reachable from ``root`` through its referents, not
+    entering classes, modules or functions (which reach every global)."""
+    seen = {id(root): root}
+    stack = [root]
+    while stack:
+        for ref in gc.get_referents(stack.pop()):
+            if id(ref) not in seen and not isinstance(ref, (type, ModuleType, FunctionType)):
+                seen[id(ref)] = ref
+                stack.append(ref)
+    return seen.values()
+
+
+def test_compiled_dfa_holds_no_closure():
+    d = compile_formula(parse("G (a -> (b U c)) & F (d | X e)"))
+    copy = pickle.loads(pickle.dumps(d))
+    d.state_labels  # rendering builds a closure, which must not stay either
+    for state in (d, copy):
+        reached = list(_reachable(state))
+        assert not any(isinstance(obj, automata._Closure) for obj in reached)
+        assert not any(isinstance(obj, frozenset) and obj is not state.accepting for obj in reached)
+        assert any(isinstance(obj, automata._LazyLabels) for obj in reached)
 
 
 def test_json_export_schema():

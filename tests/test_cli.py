@@ -236,6 +236,36 @@ def test_generate_without_scenario_or_corpus_errors(capsys):
     assert run_cli("generate", "-q") == 1
 
 
+@pytest.mark.parametrize("flip_rate", ["2", "-1", "nan"])
+def test_generate_flip_rate_outside_unit_interval_is_one_error_line(tmp_path, capsys, flip_rate):
+    out = tmp_path / "walk.json"
+    assert run_cli("generate", "random_walk", "--flip-rate", flip_rate, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: flip rate ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_allow_duplicate_bindings_must_be_boolean_in_cli(scenario_files, tmp_path, capsys):
+    rollout, _ = scenario_files
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "task": "grasp_drop",
+        "suite": "atomic_fixture",
+        "horizon": "atomic",
+        "properties": [{
+            "id": "inv",
+            "template": "phi1",
+            "bindings": {"Collision": "x", "BadContact": "x"},
+            "allow_duplicate_bindings": "no",
+        }],
+    }))
+    assert run_cli("monitor", str(rollout), str(spec), "--out", str(tmp_path / "m.json")) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: {spec}: properties[0] (id 'inv'): 'allow_duplicate_bindings' must be true or false\n"
+    )
+
+
 def test_validate_consistent_pair(scenario_files, capsys):
     rollout, spec = scenario_files
     assert run_cli("validate", str(rollout), str(spec), "-q") == 0

@@ -2,9 +2,12 @@
 
 import json
 import time
+from itertools import product
 
 import pytest
 
+from safetrace import properties
+from safetrace.automata import compile_formula, dfa_to_json, to_dot
 from safetrace.errors import BindingError, TaskSpecError, TemplateError
 from safetrace.formulas import evaluate, format_formula, parse, propositions
 from safetrace.monitor import run_trace
@@ -216,6 +219,88 @@ def test_binding_errors_are_propagated_with_location():
     ])
     with pytest.raises(BindingError, match=r"properties\[0\]"):
         load_task_spec(json.dumps(document))
+
+
+@pytest.mark.parametrize("flag", ["no", 0, 1, None, [True]])
+def test_allow_duplicate_bindings_must_be_a_boolean(flag):
+    entry = {"id": "x", "template": "phi1", "bindings": {"Collision": "x", "BadContact": "x"}}
+    document = dict(MINIMAL_SPEC, properties=[dict(entry, allow_duplicate_bindings=flag)])
+    with pytest.raises(
+        TaskSpecError, match=r"properties\[0\] \(id 'x'\): 'allow_duplicate_bindings' must be"
+    ):
+        load_task_spec(json.dumps(document))
+    document = dict(MINIMAL_SPEC, properties=[dict(entry, allow_duplicate_bindings=True)])
+    assert load_task_spec(json.dumps(document)).instances[0].dfa.props == ("x",)
+
+
+def _rank_patterns(k: int):
+    """Every way to bind ``k`` slots to names, up to renaming that keeps the
+    names' order: slot ``j`` gets the name of rank ``pattern[j]``."""
+    for pattern in product(range(k), repeat=k):
+        if set(pattern) == set(range(max(pattern) + 1)):
+            yield pattern
+
+
+# Sorted name lists; the first binding of each shape compiles it, the others
+# rename it.
+_NAME_LISTS = (("a", "b", "c"), ("ab_z", "b", "ba"), ("x", "y2", "y_1"), ("g2", "g20", "g3"))
+
+
+@pytest.mark.parametrize("template", list_templates(), ids=lambda t: t.template_id)
+def test_shape_shared_instances_match_a_fresh_compile(template):
+    entries = []
+    for p, pattern in enumerate(_rank_patterns(len(template.slots))):
+        for n, names in enumerate(_NAME_LISTS):
+            entries.append(
+                {
+                    "id": f"{p}_{n}",
+                    "template": template.template_id,
+                    "bindings": {slot: names[r] for slot, r in zip(template.slots, pattern)},
+                    "allow_duplicate_bindings": len(set(pattern)) < len(pattern),
+                }
+            )
+    assert len(entries) == len(_NAME_LISTS) * {1: 1, 2: 3, 3: 13}[len(template.slots)]
+    spec = load_task_spec(dict(MINIMAL_SPEC, properties=entries))
+    for instance in spec.instances:
+        shared = instance.dfa
+        fresh = compile_formula(instance.formula)
+        assert shared == fresh and shared.props == fresh.props
+        assert shared.state_labels == fresh.state_labels
+        assert to_dot(shared) == to_dot(fresh)
+        assert dfa_to_json(shared) == dfa_to_json(fresh)
+        assert shared.verdict_codes == fresh.verdict_codes
+        assert shared.successors == fresh.successors
+
+
+def test_each_template_shape_compiles_once_per_spec(monkeypatch):
+    compiled = []
+
+    def counting_compile(formula):
+        compiled.append(formula)
+        return compile_formula(formula)
+
+    monkeypatch.setattr(properties, "compile_formula", counting_compile)
+    entries = [
+        {
+            "id": f"{template.template_id}_{obj}",
+            "template": template.template_id,
+            "bindings": {slot: f"{slot.lower()}_{obj}" for slot in template.slots},
+        }
+        for obj in ("mug", "bowl", "cup")
+        for template in list_templates()
+    ]
+    document = dict(MINIMAL_SPEC, properties=entries)
+    assert len(load_task_spec(document).instances) == 30
+    assert len(compiled) == 10
+    # The cache lives for one call, and custom formulas always compile.
+    custom = {"template": "custom", "formula": "G (a -> F b)"}
+    document["properties"] = entries + [dict(custom, id="c1"), dict(custom, id="c2")]
+    load_task_spec(document)
+    assert len(compiled) == 10 + 10 + 2
+    # So do direct instantiations.
+    instantiate("phi3", {"ObjReleased": "r", "Settled": "s"})
+    instantiate("phi3", {"ObjReleased": "r2", "Settled": "s2"})
+    assert len(compiled) == 24
 
 
 def test_custom_escape_hatch_in_spec():

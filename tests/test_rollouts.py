@@ -335,6 +335,17 @@ def test_too_short_length():
         generate_scenario(ScenarioParams("clean_pick_place", 3, 0))
 
 
+@pytest.mark.parametrize("flip_rate", [-0.01, 1.5, float("nan"), float("inf")])
+def test_flip_rate_outside_unit_interval(flip_rate):
+    with pytest.raises(ScenarioError, match=r"flip rate .* outside \[0, 1\]"):
+        generate_scenario(ScenarioParams("random_walk", 20, 0, flip_rate=flip_rate))
+
+
+def test_flip_rate_bounds_are_allowed():
+    for flip_rate in (0, 0.0, 1, 1.0):
+        generate_scenario(ScenarioParams("random_walk", 20, 0, flip_rate=flip_rate))
+
+
 def test_generator_determinism_bytes():
     a = generate_scenario(ScenarioParams("grasp_drop", 10, 7))
     b = generate_scenario(ScenarioParams("grasp_drop", 10, 7))
