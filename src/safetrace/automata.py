@@ -42,6 +42,7 @@ bytes below; :meth:`Dfa.run` is the one loop that runs an automaton.
 
 from __future__ import annotations
 
+import copy
 from array import array
 from collections import deque
 from enum import Enum
@@ -576,8 +577,7 @@ def _renamed(shape: Dfa, props: tuple[str, ...], formula: Formula) -> Dfa:
     ``shape.props[i]``, so the run tables are shared as they are, unchecked,
     and only the basis and the labels change.
     """
-    dfa = object.__new__(Dfa)
-    dfa.__dict__.update(shape.__dict__)
+    dfa = copy.copy(shape)
     dfa.props = props
     dfa._labels = _LazyLabels(formula, shape._labels.residuals)
     return dfa

@@ -220,7 +220,7 @@ def instantiate(
     the same proposition is rejected unless ``allow_duplicate_bindings`` is
     set; distinct slots mapping to one proposition is usually a typo.
     """
-    return _instantiate(template_id, bindings, instance_id, allow_duplicate_bindings, None)
+    return _instantiate(template_id, bindings, instance_id, allow_duplicate_bindings, {})
 
 
 def _instantiate(
@@ -228,11 +228,11 @@ def _instantiate(
     bindings: Mapping[str, str],
     instance_id: str | None,
     allow_duplicate_bindings: bool,
-    shapes: dict[tuple[str, tuple[int, ...]], Dfa] | None,
+    shapes: dict[tuple[str, tuple[int, ...]], Dfa],
 ) -> PropertyInstance:
-    """:func:`instantiate`, which compiles each shape once when given a
-    ``shapes`` cache, keyed by template id and the rank of each slot's
-    proposition among the sorted bound names, and renames it otherwise."""
+    """:func:`instantiate`, which compiles each shape once per ``shapes``
+    cache, keyed by template id and the rank of each slot's proposition among
+    the sorted bound names, and renames the cached automaton otherwise."""
     template = get_template(template_id)
     missing = [s for s in template.slots if s not in bindings]
     if missing:
@@ -255,16 +255,13 @@ def _instantiate(
             "slot (pass allow_duplicate_bindings to permit)"
         )
     formula = _substitute(template.formula, bindings)
-    if shapes is None:
-        dfa = compile_formula(formula)
+    names = sorted(set(values))
+    key = (template_id, tuple(map(names.index, values)))
+    shape = shapes.get(key)
+    if shape is None:
+        dfa = shapes[key] = compile_formula(formula)
     else:
-        names = sorted(set(values))
-        key = (template_id, tuple(map(names.index, values)))
-        shape = shapes.get(key)
-        if shape is None:
-            dfa = shapes[key] = compile_formula(formula)
-        else:
-            dfa = _renamed(shape, tuple(names), formula)
+        dfa = _renamed(shape, tuple(names), formula)
     return PropertyInstance(
         instance_id=instance_id if instance_id is not None else template_id,
         template_id=template_id,
