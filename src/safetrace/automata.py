@@ -230,7 +230,22 @@ class Dfa:
         The run stops at the first permanent verdict, which every later step
         repeats; the state returned is then the one reached there, whose
         acceptance every continuation shares.
+
+        Masks are read one maximal run of equal masks at a time. Within a run
+        the state is stepped only until the mask maps it to itself, and the
+        rest of the run repeats that state's verdict. Minimized LTLf automata
+        are counter-free, so under a constant mask this happens within
+        ``num_states`` steps; nothing here relies on it, since a mask without
+        a fixed point is simply stepped through to the end of its run.
         """
+        # bytes() of any other buffer (array('H'), a cast memoryview) would
+        # copy its raw memory, not its elements.
+        data = bytes(masks) if isinstance(masks, (bytes, bytearray)) else bytes(list(masks))
+        n = len(data)
+        x = int.from_bytes(data, "little")
+        # ends[t] == 1 iff masks[t] != masks[t + 1]. The last byte compares
+        # masks[-1] with 0, so a trace ending in mask 0 has no marker there.
+        ends = (x ^ (x >> 8)).to_bytes(n, "little").translate(_NONZERO_TO_ONE)
         successors = self.successors
         verdict_codes = self.verdict_codes
         width = self.alphabet_size
@@ -238,14 +253,27 @@ class Dfa:
         state = self.initial
         codes = bytearray()
         append = codes.append
-        for mask in masks:
-            state = successors[state * width + mask]
-            code = verdict_codes[state]
-            append(code)
-            if code < permanent_below:
-                codes += bytes((code,)) * (len(masks) - len(codes))
-                break
+        start = 0
+        while start < n:
+            stop = ends.find(1, start) + 1 or n
+            mask = data[start]
+            for t in range(start, stop):
+                after = successors[state * width + mask]
+                code = verdict_codes[after]
+                append(code)
+                if code < permanent_below:
+                    codes += _CODE_BYTES[code] * (n - 1 - t)
+                    return bytes(codes), after
+                if after == state:
+                    codes += _CODE_BYTES[code] * (stop - 1 - t)
+                    break
+                state = after
+            start = stop
         return bytes(codes), state
+
+
+_NONZERO_TO_ONE = bytes(1) + bytes((1,)) * 255
+_CODE_BYTES = tuple(bytes((code,)) for code in range(4))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,9 @@ for one task together with suite and horizon metadata::
     }
 
 A ``"template": "custom"`` entry with a ``"formula"`` string escapes the
-template catalog; such instances carry no safety category.
+template catalog; such instances carry no safety category. A key of the
+other kind of entry (``"formula"`` on a template instance, ``"bindings"`` or
+``"allow_duplicate_bindings"`` on a custom one) is an error.
 """
 
 from __future__ import annotations
@@ -309,7 +311,9 @@ class TaskSpec:
 
 
 _SPEC_KEYS = {"task", "suite", "horizon", "properties"}
-_PROPERTY_KEYS = {"id", "template", "bindings", "formula", "allow_duplicate_bindings"}
+_TEMPLATE_KEYS = {"id", "template", "bindings", "allow_duplicate_bindings"}
+_CUSTOM_KEYS = {"id", "template", "formula"}
+_PROPERTY_KEYS = _TEMPLATE_KEYS | _CUSTOM_KEYS
 
 
 def _parse_document(source: str) -> object:
@@ -389,13 +393,20 @@ def load_task_spec(source: str | dict) -> TaskSpec:
         template_id = entry.get("template")
         if not isinstance(template_id, str):
             raise TaskSpecError(f"{where} (id {instance_id!r}): 'template' must be a string")
+        custom = template_id == CUSTOM_TEMPLATE
+        misplaced = entry.keys() - (_CUSTOM_KEYS if custom else _TEMPLATE_KEYS)
+        if misplaced:
+            kind = "a custom formula" if custom else "a template instance"
+            raise TaskSpecError(
+                f"{where} (id {instance_id!r}): keys {sorted(misplaced)} do not apply to {kind}"
+            )
         allow_duplicate_bindings = entry.get("allow_duplicate_bindings", False)
         if not isinstance(allow_duplicate_bindings, bool):
             raise TaskSpecError(
                 f"{where} (id {instance_id!r}): 'allow_duplicate_bindings' must be true or false"
             )
         try:
-            if template_id == CUSTOM_TEMPLATE:
+            if custom:
                 formula_text = entry.get("formula")
                 if not isinstance(formula_text, str):
                     raise TaskSpecError(

@@ -16,6 +16,9 @@ definitions in the ``safetrace.metrics`` docstring, rollout by rollout, with
 exposures taken from the per-step verdict codes as sets of step indices, to
 anchor the count fold in ``safetrace.metrics``.
 
+`reference_run` is the plain per-step DFA loop, one table lookup per mask,
+to anchor the run-wise loop in ``safetrace.automata.Dfa.run``.
+
 `reference_monitor_text` builds the monitor report as a document, with each
 verdict decoded through its ``Verdict`` enum, and dumps it with
 ``json.dumps``, to anchor the fixed-shape writer
@@ -33,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from safetrace.automata import CODE_FALSE, CODE_PRESUMABLY_FALSE
+from safetrace.automata import CODE_FALSE, CODE_PRESUMABLY_FALSE, CODE_PRESUMABLY_TRUE
 
 from safetrace.formulas import (
     FALSE,
@@ -200,6 +203,27 @@ def agree_on_all_traces(formula: Formula, dfa, max_length: int) -> bool:
         if not np.array_equal(bulk_evaluate(formula, props, length), bulk_accept(dfa, length)):
             return False
     return True
+
+
+def reference_run(d, masks) -> tuple[bytes, int]:
+    """What ``d.run(masks)`` returns, stepping every mask: the verdict code
+    after each step, and the state the run ended in (the first permanently
+    decided one, whose code then fills the rest of the trace)."""
+    successors = d.successors
+    verdict_codes = d.verdict_codes
+    width = d.alphabet_size
+    permanent_below = CODE_PRESUMABLY_TRUE
+    state = d.initial
+    codes = bytearray()
+    append = codes.append
+    for mask in masks:
+        state = successors[state * width + mask]
+        code = verdict_codes[state]
+        append(code)
+        if code < permanent_below:
+            codes += bytes((code,)) * (len(masks) - len(codes))
+            break
+    return bytes(codes), state
 
 
 _LEAF_PROPS = ("a", "b", "c", "d")

@@ -266,6 +266,27 @@ def test_allow_duplicate_bindings_must_be_boolean_in_cli(scenario_files, tmp_pat
     )
 
 
+def test_template_entry_with_a_formula_is_one_error_line(scenario_files, tmp_path, capsys):
+    rollout, _ = scenario_files
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "task": "grasp_drop",
+        "suite": "atomic_fixture",
+        "horizon": "atomic",
+        "properties": [{
+            "id": "a",
+            "template": "phi1",
+            "bindings": {"Collision": "x", "BadContact": "y"},
+            "formula": "G !x",
+        }],
+    }))
+    assert run_cli("monitor", str(rollout), str(spec), "--out", str(tmp_path / "m.json")) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: {spec}: properties[0] (id 'a'): keys ['formula'] do not apply to a template instance\n"
+    )
+
+
 def test_validate_consistent_pair(scenario_files, capsys):
     rollout, spec = scenario_files
     assert run_cli("validate", str(rollout), str(spec), "-q") == 0

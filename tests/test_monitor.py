@@ -1,18 +1,22 @@
 """Stepwise monitoring: verdict lattice, exposure accounting, batch parity."""
 
+import copy
 import pickle
 import random
+from array import array
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from safetrace.automata import Dfa, Permanence, compile_formula
 from safetrace.errors import MonitorError
 from safetrace.formulas import Trace, evaluate, parse
 from safetrace.monitor import Monitor, Verdict, run_masks, run_trace
-from safetrace.properties import instantiate
+from safetrace.properties import TEMPLATE_IDS, get_template, instantiate
 
-from oracles import all_traces, random_formula, random_trace
+from oracles import all_traces, random_formula, random_trace, reference_run
 
 
 def _verdicts(dfa, steps):
@@ -276,3 +280,120 @@ def test_verdict_agrees_with_permanence_labels():
             assert verdict is Verdict.PRESUMABLY_TRUE
         else:
             assert verdict is Verdict.PRESUMABLY_FALSE
+
+
+# ---------------------------------------------------------------------------
+# run-wise stepping against the per-step oracle
+# ---------------------------------------------------------------------------
+
+# The formula shapes of the benchmark's gate_custom workload, over a..f.
+_GATE_SHAPES = (
+    "G ((a & b) -> (c U (d | e)))",
+    "G (a -> F (b & X (c | d | !e)))",
+    "G ((a | b) -> X (!c U (d & !e)))",
+    "G (a -> (b R (c | d))) & F (e | f)",
+    "G (a -> F b) & G ((c & d) -> !e)",
+    "(!a U b) | G ((c -> d) & (e -> WX f))",
+    "G (a -> ((b & !c) U (d | e)))",
+    "F (a & b) -> G (c -> F (d | e | f))",
+)
+
+
+# Not from a formula: mask 0 swaps states 0 and 1, so it has no fixed point.
+_SWAP = Dfa(props=["p"], initial=0, accepting={0}, transitions=[[1, 0], [0, 1]])
+# 300 states need the array('H') successor table.
+_CHAIN = Dfa(
+    props=["p"], initial=0, accepting={299}, transitions=[[s, min(s + 1, 299)] for s in range(300)]
+)
+
+
+@lru_cache(maxsize=None)
+def _fixed_dfas() -> tuple[Dfa, ...]:
+    templates = [compile_formula(get_template(t).formula) for t in TEMPLATE_IDS]
+    gates = [compile_formula(parse(text)) for text in _GATE_SHAPES]
+    return (*templates, *gates, _SWAP, _CHAIN)
+
+
+@st.composite
+def _runs(draw) -> tuple[Dfa, list[int]]:
+    """A DFA and masks with run structure: long constant stretches,
+    alternating masks, one step, all zeros, or a trace ending in zeros."""
+    if draw(st.booleans()):
+        dfa = draw(st.sampled_from(_fixed_dfas()))
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        dfa = compile_formula(random_formula(rng, max_depth=4, props=("a", "b", "c")))
+    mask = st.integers(0, dfa.alphabet_size - 1)
+    shape = draw(st.sampled_from(("runs", "alternating", "single", "zeros", "zero_tail")))
+    if shape == "single":
+        return dfa, [draw(mask)]
+    if shape == "zeros":
+        return dfa, [0] * draw(st.integers(1, 400))
+    if shape == "alternating":
+        first, second = draw(mask), draw(mask)
+        return dfa, [first, second] * draw(st.integers(1, 40)) + [first] * draw(st.integers(0, 1))
+    runs = draw(st.lists(st.tuples(mask, st.integers(1, 300)), min_size=1, max_size=8))
+    masks = [m for m, length in runs for _ in range(length)]
+    if shape == "zero_tail":
+        masks += [0] * draw(st.integers(1, 50))
+    return dfa, masks
+
+
+# A trace ending in mask 0 leaves no run-end marker on its last step.
+@example((_SWAP, [0]))
+@example((_SWAP, [1, 1, 0]))
+@example((_SWAP, [0] * 7))
+@given(_runs())
+@settings(max_examples=400, deadline=None)
+def test_run_agrees_with_the_per_step_oracle(case):
+    dfa, masks = case
+    codes, state = reference_run(dfa, masks)
+    assert dfa.run(masks) == (codes, state)
+    assert dfa.run(bytes(masks)) == (codes, state)
+    result = run_masks(dfa, masks)
+    assert result.verdict_codes == codes
+    assert result.final_satisfied == (state in dfa.accepting)
+
+
+class _CountingReads:
+    """A successor table that counts how many entries are read."""
+
+    def __init__(self, table):
+        self.table = table
+        self.reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return self.table[index]
+
+    def __len__(self):
+        return len(self.table)
+
+
+@pytest.mark.parametrize("template_id", TEMPLATE_IDS)
+def test_constant_trace_reads_at_most_num_states_plus_one_entries(template_id):
+    dfa = compile_formula(get_template(template_id).formula)
+    counted = copy.copy(dfa)
+    for mask in range(dfa.alphabet_size):
+        counted.successors = table = _CountingReads(dfa.successors)
+        masks = bytes((mask,)) * 10_000
+        assert counted.run(masks) == reference_run(dfa, masks)
+        assert table.reads <= dfa.num_states + 1
+
+
+def test_mask_sequence_types_give_the_same_result():
+    dfa = compile_formula(get_template("phi2").formula)  # three propositions: masks 0..7
+    masks = [0, 0, 1, 1, 1, 5, 7, 7, 2, 0, 0, 3, 6, 6, 0]
+    expected = run_masks(dfa, bytes(masks))
+    assert expected.verdict_codes == reference_run(dfa, masks)[0]
+    # bytes() of an array('H') would read its raw two-byte items.
+    for given_masks in (
+        bytearray(masks),
+        masks,
+        tuple(masks),
+        memoryview(bytes(masks)),
+        array("B", masks),
+        array("H", masks),
+        memoryview(array("H", masks)),
+    ):
+        assert run_masks(dfa, given_masks) == expected, type(given_masks)

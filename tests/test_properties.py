@@ -233,6 +233,31 @@ def test_allow_duplicate_bindings_must_be_a_boolean(flag):
     assert load_task_spec(json.dumps(document)).instances[0].dfa.props == ("x",)
 
 
+@pytest.mark.parametrize(
+    "entry, kind, keys",
+    [
+        (
+            {"id": "a", "template": "phi1", "bindings": {"Collision": "c", "BadContact": "b"},
+             "formula": "G !x"},
+            "a template instance",
+            "['formula']",
+        ),
+        ({"id": "a", "template": "custom", "formula": "G !x", "bindings": {"Q": "z"}},
+         "a custom formula", "['bindings']"),
+        ({"id": "a", "template": "custom", "formula": "G !x", "allow_duplicate_bindings": False},
+         "a custom formula", "['allow_duplicate_bindings']"),
+        ({"id": "a", "template": "custom", "formula": "G !x", "bindings": {},
+          "allow_duplicate_bindings": True},
+         "a custom formula", "['allow_duplicate_bindings', 'bindings']"),
+    ],
+)
+def test_keys_of_the_other_entry_kind_are_errors(entry, kind, keys):
+    document = dict(MINIMAL_SPEC, properties=[dict(MINIMAL_SPEC["properties"][0]), entry])
+    with pytest.raises(TaskSpecError) as info:
+        load_task_spec(json.dumps(document))
+    assert str(info.value) == f"properties[1] (id 'a'): keys {keys} do not apply to {kind}"
+
+
 def _rank_patterns(k: int):
     """Every way to bind ``k`` slots to names, up to renaming that keeps the
     names' order: slot ``j`` gets the name of rank ``pattern[j]``."""
