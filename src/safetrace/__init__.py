@@ -101,6 +101,7 @@ from .metrics import (
     EvaluationReport,
     Outcome,
     PolicyRow,
+    ReportTally,
     RolloutEvaluation,
     TableRow,
     aggregate,

@@ -13,7 +13,9 @@ go to stderr; data goes to files, or to stdout only with ``--stdout``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -24,9 +26,8 @@ from .automata import compile_formula, dfa_to_json, to_dot
 from .errors import SafetraceError
 from .formulas import parse
 from .metrics import (
-    aggregate,
+    ReportTally,
     evaluate_rollout,
-    export_plot_data,
     export_report_csv,
     export_report_json,
     monitor_report_json,
@@ -83,7 +84,10 @@ def _write_text(path: Path, content: str) -> None:
     path.write_text(content, encoding="utf-8")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``parse_args`` leaves it as it
+    was, and ``--bind`` appends to a copy of its default list."""
     parser = argparse.ArgumentParser(
         prog="safetrace",
         description="Compile, monitor, and score temporal safety properties over rollout traces.",
@@ -158,8 +162,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="worker processes for a manifest, at most one per pair; 0 or 1 means "
-        "sequential, and --jsonl input is always evaluated sequentially (default: 0)",
+        help="worker processes, at most one per manifest pair or --jsonl line, each "
+        "evaluating one contiguous share of the input; 0 or 1 means sequential "
+        "(default: 0)",
     )
     p_evaluate.add_argument(
         "--denominator",
@@ -275,32 +280,93 @@ def _cmd_monitor(args) -> int:
     return EXIT_VIOLATIONS if violations else EXIT_OK
 
 
-def _evaluate_pair(job: tuple[str, str, bool], specs: dict):
-    """Evaluate one manifest pair; ``specs`` caches the task specs loaded so
-    far in this run, by path."""
-    rollout_path, spec_path, strict_end = job
-    record = _load(rollout_path, load_rollout)
-    spec = specs.get(spec_path)
-    if spec is None:
-        spec = specs[spec_path] = _load(spec_path, load_task_spec)
+def _fold_pairs(share: list[tuple[str, str]], strict: bool) -> ReportTally:
+    """Evaluate manifest pairs ``(rollout path, spec path)`` into a tally;
+    each task spec is loaded once per share."""
+    specs: dict = {}
+    tally = ReportTally()
+    for rollout_path, spec_path in share:
+        record = _load(rollout_path, load_rollout)
+        spec = specs.get(spec_path)
+        if spec is None:
+            spec = specs[spec_path] = _load(spec_path, load_task_spec)
+        try:
+            tally.add(evaluate_rollout(record, spec, strict_end=strict))
+        except SafetraceError as exc:
+            raise SafetraceError(f"{rollout_path}: {exc}") from exc
+    return tally
+
+
+def _fold_lines(share: list[tuple[int, str]], path: str, spec, strict: bool) -> ReportTally:
+    """Evaluate numbered rollout lines of the JSONL file ``path`` against
+    ``spec`` into a tally."""
+    tally = ReportTally()
+    for line_no, line in share:
+        try:
+            tally.add(evaluate_rollout(load_rollout(line), spec, strict_end=strict))
+        except SafetraceError as exc:
+            raise SafetraceError(f"{path}, line {line_no}: {exc}") from exc
+    return tally
+
+
+# A pool worker's fold and the arguments that every share of the run has in
+# common, set by the pool's initializer.
+_worker_fold: tuple = ()
+
+
+def _start_worker(fold, *common) -> None:
+    global _worker_fold
+    _worker_fold = (fold, common)
+
+
+def _fold_in_worker(index: int, share: list) -> ReportTally:
+    _move_to_cpu(index)
+    fold, common = _worker_fold
+    return fold(share, *common)
+
+
+def _move_to_cpu(index: int) -> None:
+    """Move this process onto the ``index``-th CPU it may run on, then let
+    it run on all of them again, so the kernel may still move it later.
+
+    The kernel does not always spread a pool's workers by itself: on a
+    2-vCPU VM, both workers of a fresh ``evaluate`` process were seen to
+    stay on one vCPU for a whole run, for minutes at a time. Without CPU
+    affinity calls (outside Linux) or permission to make them, nothing moves.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return
     try:
-        return evaluate_rollout(record, spec, strict_end=strict_end)
-    except SafetraceError as exc:
-        raise SafetraceError(f"{rollout_path}: {exc}") from exc
+        allowed = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {sorted(allowed)[index % len(allowed)]})
+        os.sched_setaffinity(0, allowed)
+    except OSError:
+        pass
 
 
-# The spec cache of a pool worker process. Each ``evaluate`` run starts its
-# own pool, whose initializer gives every worker an empty cache.
-_worker_specs: dict = {}
+def _fold(fold, items: list, common: tuple, workers: int) -> ReportTally:
+    """``fold(share, *common)`` over ``items``: in this process when at most
+    one worker is asked for, else as ``min(workers, len(items))`` contiguous
+    shares, one per worker process, whose tallies are merged in input order.
 
-
-def _start_worker() -> None:
-    global _worker_specs
-    _worker_specs = {}
-
-
-def _evaluate_pair_in_worker(job: tuple[str, str, bool]):
-    return _evaluate_pair(job, _worker_specs)
+    Each worker stops at the first error in its share, and ``pool.map``
+    returns the shares in order, so the error raised is the first one in
+    input order, as in this process. One share per worker, not many small
+    chunks: each worker gets its input once and sends back one tally.
+    """
+    workers = min(workers, len(items))
+    if workers <= 1:
+        return fold(items, *common)
+    bounds = [len(items) * i // workers for i in range(workers + 1)]
+    shares = [items[start:end] for start, end in zip(bounds, bounds[1:])]
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_start_worker, initargs=(fold, *common)
+    ) as pool:
+        tallies = pool.map(_fold_in_worker, range(workers), shares)
+        total = next(tallies)
+        for tally in tallies:
+            total.merge(tally)
+    return total
 
 
 def _cmd_evaluate(args) -> int:
@@ -313,17 +379,9 @@ def _cmd_evaluate(args) -> int:
         if not args.task_spec:
             raise SafetraceError("--jsonl requires --task-spec")
         spec = _load(args.task_spec, load_task_spec)
-        evaluations = []
-        with _reading(args.jsonl), open(args.jsonl, encoding="utf-8") as stream:
-            for line_no, line in enumerate(stream, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = load_rollout(line)
-                    evaluations.append(evaluate_rollout(record, spec, strict_end=strict))
-                except SafetraceError as exc:
-                    raise SafetraceError(f"{args.jsonl}, line {line_no}: {exc}") from exc
+        lines = enumerate(_read_text(args.jsonl).split("\n"), start=1)
+        numbered = [(line_no, line) for line_no, text in lines if (line := text.strip())]
+        tally = _fold(_fold_lines, numbered, (args.jsonl, spec, strict), args.workers)
     else:
         if not args.manifest:
             raise SafetraceError("a manifest path (or --jsonl) is required")
@@ -341,20 +399,12 @@ def _cmd_evaluate(args) -> int:
         jobs = []
         for entry in pairs:
             try:
-                jobs.append(
-                    (str(base / entry["rollout"]), str(base / entry["task_spec"]), strict)
-                )
+                jobs.append((str(base / entry["rollout"]), str(base / entry["task_spec"])))
             except (TypeError, KeyError) as exc:
                 raise SafetraceError(f"bad manifest entry {entry!r}") from exc
-        workers = min(args.workers, len(jobs))
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker) as pool:
-                evaluations = list(pool.map(_evaluate_pair_in_worker, jobs, chunksize=16))
-        else:
-            specs: dict = {}
-            evaluations = [_evaluate_pair(job, specs) for job in jobs]
+        tally = _fold(_fold_pairs, jobs, (strict,), args.workers)
 
-    report = aggregate(evaluations, denominator=args.denominator)
+    report = tally.report(args.denominator)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.format in ("all", "json"):
@@ -362,7 +412,7 @@ def _cmd_evaluate(args) -> int:
     if args.format in ("all", "csv"):
         for name, content in export_report_csv(report).items():
             _write_text(out / name, content)
-        for name, content in export_plot_data(evaluations).items():
+        for name, content in tally.plot_data().items():
             _write_text(out / name, content)
     _log(
         args,

@@ -21,11 +21,12 @@ successes when nothing succeeded) are reported as ``None``/``null``, never
 as zero. All rates are exact fractions; exports carry both the exact form
 and a float approximation.
 
-Every table and plot panel is a projection of one fold, `_cells`: count
-cells keyed by (dimension, key, policy, task) holding rollouts, violated
-rollouts, successes, violated successes and the exact sum of exposures.
-Union exposures are computed only in `evaluate_rollout`. Exact sums make
-every projection independent of the evaluations' order.
+Every table and plot panel is a projection of one fold, `ReportTally`:
+count cells keyed by (dimension, key, policy, task) holding rollouts,
+violated rollouts, successes, violated successes and the exact sum of
+exposures. Union exposures are computed only in `evaluate_rollout`. Exact
+sums make every projection independent of the evaluations' order, and let
+tallies of parts of a batch merge into the tally of the whole.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ __all__ = [
     "TableRow",
     "PolicyRow",
     "EvaluationReport",
+    "ReportTally",
     "evaluate_rollout",
     "aggregate",
     "monitor_report_json",
@@ -291,28 +293,6 @@ class EvaluationReport:
     denominator_mode: str
 
 
-def _cells(evaluations: Sequence[RolloutEvaluation]) -> dict[tuple[str, str, str, str], list]:
-    """Fold evaluations into count cells ``[rollouts, violated, successes,
-    violated successes, exposure sum]``; raises on an empty collection or
-    duplicate rollout ids."""
-    if not evaluations:
-        raise SafetraceError("cannot aggregate an empty evaluation collection")
-    ids = Counter(e.rollout_id for e in evaluations)
-    if len(ids) != len(evaluations):
-        duplicates = sorted(i for i, count in ids.items() if count > 1)
-        raise SafetraceError(f"duplicate rollout_id in evaluation batch: {duplicates}")
-    cells: dict[tuple[str, str, str, str], list] = {}
-    for e in evaluations:
-        for (dimension, key), (violated, unsafe_steps) in e.groups.items():
-            cell = cells.setdefault((dimension, key, e.policy, e.task_name), [0, 0, 0, 0, 0])
-            cell[0] += 1
-            cell[1] += violated
-            cell[2] += e.success
-            cell[3] += violated and e.success
-            cell[4] += Fraction(unsafe_steps, e.length)
-    return cells
-
-
 def _add(cells: Iterable[list]) -> list:
     return [sum(column) for column in zip(*cells)]
 
@@ -372,8 +352,133 @@ def _per_policy(cells) -> dict[str, PolicyRow]:
     return {policy: _pooled(rows[policy]) for policy in sorted(rows)}
 
 
+class ReportTally:
+    """The count cells of a batch of evaluations, built one rollout at a time.
+
+    ``add`` folds one evaluation into the cells and forgets it; ``merge``
+    adds the cells of a tally of another part of the batch. Cells are sums
+    (exposures exactly, as fractions), so a tally of the whole batch equals
+    the merge of tallies of its parts, in any split and any order. The
+    rollout ids are counted as well, and ``report`` and ``plot_data`` raise
+    on an empty batch or a duplicate id, so these checks come after every
+    rollout has been monitored.
+    """
+
+    __slots__ = ("cells", "ids")
+
+    def __init__(self, evaluations: Iterable[RolloutEvaluation] = ()) -> None:
+        # (dimension, key, policy, task) -> [rollouts, violated, successes,
+        # violated successes, exposure sum]
+        self.cells: dict[tuple[str, str, str, str], list] = {}
+        self.ids: Counter[str] = Counter()
+        for evaluation in evaluations:
+            self.add(evaluation)
+
+    def add(self, e: RolloutEvaluation) -> None:
+        self.ids[e.rollout_id] += 1
+        cells = self.cells
+        for (dimension, key), (violated, unsafe_steps) in e.groups.items():
+            cell = cells.setdefault((dimension, key, e.policy, e.task_name), [0, 0, 0, 0, 0])
+            cell[0] += 1
+            cell[1] += violated
+            cell[2] += e.success
+            cell[3] += violated and e.success
+            cell[4] += Fraction(unsafe_steps, e.length)
+
+    def merge(self, other: ReportTally) -> None:
+        self.ids.update(other.ids)
+        cells = self.cells
+        for coordinates, cell in other.cells.items():
+            mine = cells.get(coordinates)
+            cells[coordinates] = list(cell) if mine is None else _add((mine, cell))
+
+    def _checked_cells(self) -> dict[tuple[str, str, str, str], list]:
+        if not self.ids:
+            raise SafetraceError("cannot aggregate an empty evaluation collection")
+        duplicates = sorted(i for i, count in self.ids.items() if count > 1)
+        if duplicates:
+            raise SafetraceError(f"duplicate rollout_id in evaluation batch: {duplicates}")
+        return self.cells
+
+    def report(self, denominator: str = "rollout") -> EvaluationReport:
+        """The full report. ``denominator`` selects per-template/per-category
+        denominators: ``"rollout"`` pools applicable rollouts, ``"task"``
+        macro-averages the per-task rates."""
+        if denominator not in ("rollout", "task"):
+            raise SafetraceError(f"unknown denominator mode {denominator!r}")
+        cells = self._checked_cells()
+        overall = _pooled(_sums(cells, "suite", lambda key, policy, task: None)[None])
+        category_order = [c.value for c in SafetyCategory]
+        return EvaluationReport(
+            n_rollouts=overall.rollouts,
+            task_success_rate=overall.success_rate,
+            overall_violation_rate=overall.violation_rate,
+            mean_rollout_exposure=overall.mean_exposure,
+            outcome_shares=overall.outcome_shares,
+            unsafe_success_share=overall.unsafe_success_share,
+            per_template=_table(
+                cells, "template", denominator, list(TEMPLATE_IDS) + [CUSTOM_TEMPLATE]
+            ),
+            per_category=_table(cells, "category", denominator, category_order),
+            per_suite=_table(cells, "suite", denominator, SUITES),
+            per_horizon=_table(cells, "horizon", denominator, HORIZONS),
+            per_policy=_per_policy(cells),
+            denominator_mode=denominator,
+        )
+
+    def plot_data(self) -> dict[str, str]:
+        """Per-panel CSVs for downstream plotting; see :func:`export_plot_data`."""
+        cells = self._checked_cells()
+        per_policy = _per_policy(cells)
+        files = {}
+        files["plot_success_vs_violation.csv"] = _csv_text(
+            ["policy", "task_success_rate", "violation_rate"],
+            [
+                [policy, repr(float(row.success_rate)), repr(float(row.violation_rate))]
+                for policy, row in per_policy.items()
+            ],
+        )
+        files["plot_outcome_shares.csv"] = _csv_text(
+            ["policy"] + [o.value for o in Outcome],
+            [
+                [policy] + [repr(float(row.outcome_shares[o])) for o in Outcome]
+                for policy, row in per_policy.items()
+            ],
+        )
+
+        def panel(dimension: str, keys: Sequence[str], name: str, header: list[str], last) -> None:
+            sums = _sums(cells, dimension, lambda key, policy, task: (key, policy))
+            rows = [
+                [key, policy, str(c[0]), repr(float(Fraction(c[1], c[0]))), last(c)]
+                for key in keys
+                for policy in per_policy
+                if (c := sums.get((key, policy)))
+            ]
+            files[name] = _csv_text([dimension, "policy", *header], rows)
+
+        panel(
+            "category",
+            [c.value for c in SafetyCategory],
+            "plot_category_heatmap.csv",
+            ["applicable_rollouts", "violation_rate", "mean_exposure"],
+            lambda c: repr(float(c[4] / c[0])),
+        )
+        for dimension, keys, name in (
+            ("horizon", HORIZONS, "plot_horizon_lines.csv"),
+            ("suite", SUITES, "plot_suite_heatmap.csv"),
+        ):
+            panel(
+                dimension,
+                keys,
+                name,
+                ["rollouts", "violation_rate", "unsafe_success_share"],
+                lambda c: repr(float(Fraction(c[3], c[2]))) if c[2] else "",
+            )
+        return files
+
+
 def aggregate(
-    evaluations: Sequence[RolloutEvaluation], *, denominator: str = "rollout"
+    evaluations: Iterable[RolloutEvaluation], *, denominator: str = "rollout"
 ) -> EvaluationReport:
     """Fold per-rollout evaluations into the full report.
 
@@ -382,25 +487,7 @@ def aggregate(
     ``"rollout"`` pools applicable rollouts, ``"task"`` macro-averages the
     per-task rates.
     """
-    if denominator not in ("rollout", "task"):
-        raise SafetraceError(f"unknown denominator mode {denominator!r}")
-    cells = _cells(evaluations)
-    overall = _pooled(_sums(cells, "suite", lambda key, policy, task: None)[None])
-    category_order = [c.value for c in SafetyCategory]
-    return EvaluationReport(
-        n_rollouts=overall.rollouts,
-        task_success_rate=overall.success_rate,
-        overall_violation_rate=overall.violation_rate,
-        mean_rollout_exposure=overall.mean_exposure,
-        outcome_shares=overall.outcome_shares,
-        unsafe_success_share=overall.unsafe_success_share,
-        per_template=_table(cells, "template", denominator, list(TEMPLATE_IDS) + [CUSTOM_TEMPLATE]),
-        per_category=_table(cells, "category", denominator, category_order),
-        per_suite=_table(cells, "suite", denominator, SUITES),
-        per_horizon=_table(cells, "horizon", denominator, HORIZONS),
-        per_policy=_per_policy(cells),
-        denominator_mode=denominator,
-    )
+    return ReportTally(evaluations).report(denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +694,7 @@ def export_report_csv(report: EvaluationReport) -> dict[str, str]:
     return files
 
 
-def export_plot_data(evaluations: Sequence[RolloutEvaluation]) -> dict[str, str]:
+def export_plot_data(evaluations: Iterable[RolloutEvaluation]) -> dict[str, str]:
     """Per-panel CSVs for downstream plotting.
 
     - success-vs-violation scatter, one point per policy;
@@ -619,50 +706,4 @@ def export_plot_data(evaluations: Sequence[RolloutEvaluation]) -> dict[str, str]
     Raises on an empty collection or duplicate rollout ids, like
     :func:`aggregate`.
     """
-    cells = _cells(evaluations)
-    per_policy = _per_policy(cells)
-    files = {}
-    files["plot_success_vs_violation.csv"] = _csv_text(
-        ["policy", "task_success_rate", "violation_rate"],
-        [
-            [policy, repr(float(row.success_rate)), repr(float(row.violation_rate))]
-            for policy, row in per_policy.items()
-        ],
-    )
-    files["plot_outcome_shares.csv"] = _csv_text(
-        ["policy"] + [o.value for o in Outcome],
-        [
-            [policy] + [repr(float(row.outcome_shares[o])) for o in Outcome]
-            for policy, row in per_policy.items()
-        ],
-    )
-
-    def panel(dimension: str, keys: Sequence[str], name: str, header: list[str], last) -> None:
-        sums = _sums(cells, dimension, lambda key, policy, task: (key, policy))
-        rows = [
-            [key, policy, str(c[0]), repr(float(Fraction(c[1], c[0]))), last(c)]
-            for key in keys
-            for policy in per_policy
-            if (c := sums.get((key, policy)))
-        ]
-        files[name] = _csv_text([dimension, "policy", *header], rows)
-
-    panel(
-        "category",
-        [c.value for c in SafetyCategory],
-        "plot_category_heatmap.csv",
-        ["applicable_rollouts", "violation_rate", "mean_exposure"],
-        lambda c: repr(float(c[4] / c[0])),
-    )
-    for dimension, keys, name in (
-        ("horizon", HORIZONS, "plot_horizon_lines.csv"),
-        ("suite", SUITES, "plot_suite_heatmap.csv"),
-    ):
-        panel(
-            dimension,
-            keys,
-            name,
-            ["rollouts", "violation_rate", "unsafe_success_share"],
-            lambda c: repr(float(Fraction(c[3], c[2]))) if c[2] else "",
-        )
-    return files
+    return ReportTally(evaluations).plot_data()

@@ -41,8 +41,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
 
-import yaml
-
 from .automata import Dfa, _renamed, compile_formula
 from .errors import BindingError, TaskSpecError, TemplateError
 from .formulas import Formula, Prop, is_valid_proposition, operands, parse, proposition_order
@@ -317,12 +315,21 @@ _PROPERTY_KEYS = _TEMPLATE_KEYS | _CUSTOM_KEYS
 
 
 def _parse_document(source: str) -> object:
+    # yaml is imported only for a document that is not JSON: the import is
+    # about a sixth of the package's import time.
     try:
         try:
             return json.loads(source)
         except json.JSONDecodeError:
-            return yaml.safe_load(source)
-    except (yaml.YAMLError, ValueError) as exc:  # ValueError: e.g. a 13th month, a 5000-digit int
+            import yaml
+
+            try:
+                return yaml.safe_load(source)
+            except yaml.YAMLError as exc:
+                raise TaskSpecError(
+                    f"document is neither valid JSON nor YAML: {_one_line(exc)}"
+                ) from exc
+    except ValueError as exc:  # e.g. a 13th month, a 5000-digit int
         raise TaskSpecError(f"document is neither valid JSON nor YAML: {_one_line(exc)}") from exc
     except RecursionError as exc:
         raise TaskSpecError("document nested too deeply to parse") from exc
@@ -331,6 +338,8 @@ def _parse_document(source: str) -> object:
 def _one_line(exc: Exception) -> str:
     """A parse error as one line: PyYAML's messages quote the offending
     source line under a caret, over several lines."""
+    import yaml  # loaded already whenever ``exc`` is a YAML error
+
     if isinstance(exc, yaml.MarkedYAMLError) and exc.problem_mark is not None:
         mark = exc.problem_mark
         text = ": ".join(part for part in (exc.context, exc.problem) if part)

@@ -1,6 +1,7 @@
 """Exit codes, artifact determinism, and flag surface of the CLI."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -10,11 +11,19 @@ from pathlib import Path
 import pytest
 
 import safetrace
+from safetrace import cli
 from safetrace.cli import main
 from safetrace.formulas import MAX_FORMULA_DEPTH
 from safetrace.metrics import evaluate_rollout
 from safetrace.properties import load_task_spec
-from safetrace.rollouts import build_corpus, load_rollout
+from safetrace.rollouts import (
+    ScenarioParams,
+    build_corpus,
+    generate_scenario,
+    load_rollout,
+    scenario_spec_document,
+    serialize_rollout,
+)
 
 from oracles import reference_monitor_text
 from test_automata import check_dot_well_formed
@@ -99,6 +108,27 @@ def test_compile_formula_depth_limit(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"more than {MAX_FORMULA_DEPTH} levels" in err
+
+
+def test_back_to_back_calls_leak_no_parser_state(capsys):
+    # main builds its parser once per process; each call must still see only
+    # its own arguments.
+    binds = ["--bind", "Collision=hit", "--bind", "BadContact=touch"]
+    for _ in range(2):
+        assert run_cli("compile", "--template", "phi1", *binds) == 0
+        assert capsys.readouterr().err.endswith("props: hit, touch\n")
+        assert run_cli("compile", "--template", "phi1") == 1
+        assert capsys.readouterr().err == (
+            "error: phi1: missing bindings for slots ['Collision', 'BadContact']\n"
+        )
+        assert run_cli("compile", "--formula", "G !p", "-q") == 0
+        assert capsys.readouterr().err == ""
+        assert run_cli("compile", "--formula", "G !p") == 0
+        assert capsys.readouterr().err.endswith("props: p\n")
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("compile", "--formula", "G !p", "--no-such-flag")
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
 
 
 def test_compile_non_ascii_formula_is_one_error_line(capsys):
@@ -327,7 +357,7 @@ def test_evaluate_corpus_and_rerun_byte_identical(corpus_dir, tmp_path):
 
 def test_evaluate_rereads_a_spec_rewritten_between_runs(tmp_path):
     # Two pairs, so that the --workers 2 runs start a pool and go through the
-    # per-run worker cache.
+    # spec cache of each worker's share.
     pairs = []
     for i in range(2):
         rollout = tmp_path / f"r{i}.json"
@@ -381,18 +411,132 @@ def test_evaluate_starts_at_most_one_worker_per_pair(tmp_path, monkeypatch):
     monkeypatch.setattr("safetrace.cli.ProcessPoolExecutor", RecordingPool)
     spec = {"task": "t", "suite": "atomic_fixture", "horizon": "atomic", "properties": []}
     (tmp_path / "s.json").write_text(json.dumps(spec))
-    pairs = []
+    pairs, lines = [], []
     for i in range(2):
         rollout = {"rollout_id": f"r{i}", "task": "t", "policy": "p", "success": True, "trace": [[]]}
         (tmp_path / f"r{i}.json").write_text(json.dumps(rollout))
         pairs.append({"rollout": f"r{i}.json", "task_spec": "s.json"})
+        lines.append(json.dumps(rollout))
     for n in (2, 1):
         manifest = tmp_path / f"manifest{n}.json"
         manifest.write_text(json.dumps({"pairs": pairs[:n]}))
-        out = tmp_path / f"out{n}"
-        assert run_cli("evaluate", str(manifest), "--out", str(out), "--workers", "8", "-q") == 0
-        assert json.loads((out / "report.json").read_text())["n_rollouts"] == n
-    assert pool_sizes == [2]
+        stream = tmp_path / f"stream{n}.jsonl"
+        stream.write_text("\n\n".join(lines[:n]) + "\n")
+        for source in ([str(manifest)], ["--jsonl", str(stream), "--task-spec", str(tmp_path / "s.json")]):
+            out = tmp_path / f"out{n}{len(source)}"
+            assert run_cli("evaluate", *source, "--out", str(out), "--workers", "8", "-q") == 0
+            assert json.loads((out / "report.json").read_text())["n_rollouts"] == n
+    assert pool_sizes == [2, 2]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls")
+def test_a_worker_moving_to_its_cpu_keeps_every_allowed_cpu():
+    allowed = os.sched_getaffinity(0)
+    for index in range(len(allowed) + 2):
+        cli._move_to_cpu(index)
+        assert os.sched_getaffinity(0) == allowed
+
+
+class SpawnPool(ProcessPoolExecutor):
+    """A pool whose workers start from a fresh interpreter, so that what
+    reaches them (the initializer's task spec) and what comes back (tallies
+    and errors) must survive pickling."""
+
+    def __init__(self, max_workers=None, **kwargs):
+        super().__init__(max_workers, mp_context=multiprocessing.get_context("spawn"), **kwargs)
+
+
+@pytest.fixture(params=["default", "spawn"])
+def pool_start(request, monkeypatch):
+    if request.param == "spawn":
+        monkeypatch.setattr("safetrace.cli.ProcessPoolExecutor", SpawnPool)
+    return request.param
+
+
+def _rollout_lines(count: int) -> tuple[list[str], str]:
+    """``count`` grasp_drop rollouts as JSON lines, and their task spec."""
+    lines = [
+        json.dumps(json.loads(serialize_rollout(generate_scenario(ScenarioParams("grasp_drop", 40, seed)))))
+        for seed in range(count)
+    ]
+    return lines, json.dumps(scenario_spec_document("grasp_drop"))
+
+
+def _evaluate_input(tmp_path, kind: str, lines: list[str], spec_text: str) -> list[str]:
+    """The input arguments of ``evaluate`` for ``lines``: one JSONL file
+    (blank lines kept), or one rollout file per nonblank line and a
+    manifest."""
+    directory = tmp_path / f"input{len(list(tmp_path.iterdir()))}"
+    directory.mkdir()
+    (directory / "spec.json").write_text(spec_text)
+    if kind == "jsonl":
+        (directory / "rollouts.jsonl").write_text("\n".join(lines) + "\n")
+        return ["--jsonl", str(directory / "rollouts.jsonl"), "--task-spec", str(directory / "spec.json")]
+    pairs = []
+    for i, line in enumerate(line for line in lines if line.strip()):
+        (directory / f"r{i}.json").write_text(line)
+        pairs.append({"rollout": f"r{i}.json", "task_spec": "spec.json"})
+    (directory / "manifest.json").write_text(json.dumps({"pairs": pairs}))
+    return [str(directory / "manifest.json")]
+
+
+@pytest.mark.parametrize("kind", ["jsonl", "manifest"])
+def test_evaluate_reports_are_byte_identical_across_worker_counts(tmp_path, kind, pool_start):
+    lines, spec_text = _rollout_lines(5)
+    lines.insert(2, "  ")
+    source = _evaluate_input(tmp_path, kind, lines, spec_text)
+    outputs = {}
+    for workers in ("0", "2", "8"):  # 8 workers for 5 rollouts: 5 shares of one
+        out = tmp_path / f"out{workers}"
+        assert run_cli("evaluate", *source, "--out", str(out), "--workers", workers, "-q") == 0
+        outputs[workers] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(outputs["0"]) == 12
+    assert outputs["0"] == outputs["2"] == outputs["8"]
+    assert json.loads(outputs["0"]["report.json"])["n_rollouts"] == 5
+
+
+def _error_cases(kind: str) -> dict[str, tuple[list[str], int | None]]:
+    """Inputs of four rollouts, so that ``--workers 2`` runs two shares of
+    two, each with its own errors; with each, the number of the rollout
+    (its line) that the first error in input order is about."""
+    lines, _ = _rollout_lines(4)
+    other_task = json.dumps(dict(json.loads(lines[2]), task="other_task"))
+    cases = {
+        "malformed rollout in the second share": (lines[:3] + ['{"rollout_id": "x", "trace": ['], 4),
+        "task mismatch in the second share": (lines[:2] + [other_task, lines[3]], 3),
+        "errors in both shares": ([lines[0], "[1]", other_task, lines[3]], 2),
+        "duplicate ids across shares": (lines[:3] + [lines[0]], None),
+        "empty input": ([], None),
+    }
+    if kind == "manifest":
+        del cases["empty input"]  # a manifest without pairs never reaches the fold
+    return cases
+
+
+@pytest.mark.parametrize("kind", ["jsonl", "manifest"])
+def test_evaluate_errors_are_the_same_with_and_without_workers(tmp_path, capsys, kind, pool_start):
+    _, spec_text = _rollout_lines(0)
+    for name, (lines, first_bad) in _error_cases(kind).items():
+        source = _evaluate_input(tmp_path, kind, lines, spec_text)
+        results = []
+        for workers in ("0", "2"):
+            out = tmp_path / f"out-{name}-{workers}"
+            code = run_cli("evaluate", *source, "--out", str(out), "--workers", workers, "-q")
+            results.append((code, capsys.readouterr().err, out.exists()))
+        assert results[0] == results[1], name
+        code, err, wrote = results[0]
+        assert (code, wrote) == (1, False), name
+        if name == "duplicate ids across shares":
+            assert err == "error: duplicate rollout_id in evaluation batch: ['grasp_drop-0000']\n"
+        elif name == "empty input":
+            assert err == "error: cannot aggregate an empty evaluation collection\n"
+        else:
+            where = (
+                f"{source[1]}, line {first_bad}"
+                if kind == "jsonl"
+                else str(Path(source[0]).parent / f"r{first_bad - 1}.json")
+            )
+            assert err.startswith(f"error: {where}: ") and err.count("\n") == 1, name
 
 
 def test_evaluate_negative_workers_is_one_error_line(corpus_dir, tmp_path, capsys):
@@ -423,6 +567,27 @@ def test_evaluate_writes_utf8_under_an_ascii_locale(tmp_path):
     assert completed.returncode == 0, completed.stderr
     rows = (tmp_path / "out" / "per_policy.csv").read_bytes().decode("utf-8").splitlines()
     assert rows[1].split(",")[0] == "p\u00f3licy"
+
+
+def test_json_specs_never_import_yaml(scenario_files):
+    rollout, spec = scenario_files
+    script = (
+        "import sys\n"
+        "from safetrace import cli, load_task_spec\n"
+        "load_task_spec(open(sys.argv[2], encoding='utf-8').read())\n"
+        "code = cli.main(['monitor', sys.argv[1], sys.argv[2], '-q'])\n"
+        "print(code, 'yaml' in sys.modules)\n"
+    )
+    src = str(Path(safetrace.__file__).resolve().parent.parent)
+    completed = subprocess.run(
+        [sys.executable, "-c", script, str(rollout), str(spec)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout == "2 False\n"
 
 
 def test_surrogate_identifiers_are_one_error_line(tmp_path, capsys):

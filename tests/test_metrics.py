@@ -15,6 +15,7 @@ from safetrace.formulas import Trace
 from safetrace.metrics import (
     InstanceMeta,
     Outcome,
+    ReportTally,
     RolloutEvaluation,
     aggregate,
     evaluate_rollout,
@@ -295,6 +296,11 @@ def test_aggregate_empty_is_an_error():
         aggregate([])
     with pytest.raises(SafetraceError, match="empty"):
         export_plot_data([])
+    merged = ReportTally()
+    merged.merge(ReportTally())
+    for build in (merged.report, merged.plot_data):
+        with pytest.raises(SafetraceError, match="^cannot aggregate an empty evaluation collection$"):
+            build()
 
 
 def test_aggregate_duplicate_ids_rejected():
@@ -611,3 +617,48 @@ def test_aggregate_and_plot_data_match_the_reference(evaluations):
     files = export_plot_data(evaluations)
     for name, rows in _reference_plot_rows(evaluations).items():
         assert list(csv.reader(io.StringIO(files[name])))[1:] == rows, name
+
+
+@st.composite
+def _split_batches(draw):
+    """A batch, and its evaluations dealt into parts (some maybe empty) that
+    are listed in any order."""
+    evaluations = draw(_evaluation_batches())
+    n_parts = draw(st.integers(1, 5))
+    owners = draw(st.lists(st.integers(0, n_parts - 1), min_size=len(evaluations), max_size=len(evaluations)))
+    parts = [[e for e, owner in zip(evaluations, owners) if owner == p] for p in range(n_parts)]
+    return evaluations, draw(st.permutations(parts))
+
+
+def _error(build) -> str:
+    with pytest.raises(SafetraceError) as excinfo:
+        build()
+    return str(excinfo.value)
+
+
+@given(_split_batches(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_merged_tallies_of_any_split_export_the_whole_batch(split, data):
+    evaluations, parts = split
+    tallies = [ReportTally(part) for part in parts]
+    merged = ReportTally()
+    for tally in tallies:
+        merged.merge(tally)
+    for mode in ("rollout", "task"):
+        report = merged.report(mode)
+        whole = aggregate(evaluations, denominator=mode)
+        assert export_report_json(report) == export_report_json(whole)
+        assert export_report_csv(report) == export_report_csv(whole)
+    assert merged.plot_data() == export_plot_data(evaluations)
+    # A rollout in two parts is the duplicate that one batch would be.
+    again = data.draw(st.sampled_from(evaluations))
+    merged.add(again)
+    merged.merge(ReportTally([again]))
+    expected = _error(lambda: aggregate(evaluations + [again, again]))
+    assert expected.startswith("duplicate rollout_id in evaluation batch: ")
+    assert _error(merged.report) == _error(merged.plot_data) == expected
+    # Merging copies cells: after adding to the merged tally, each part
+    # still reports on itself alone.
+    for part, tally in zip(parts, tallies):
+        if part:
+            assert tally.report() == aggregate(part)
