@@ -127,13 +127,7 @@ def evaluate_rollout(
             f"rollout task {record.task_name!r} does not match spec task "
             f"{spec.task_name!r} (pass allow_task_mismatch to override)"
         )
-    n = len(record.trace)
-    # Sparse occurrence lists: proposition -> steps where it is true.
-    occurrences: dict[str, list[int]] = {}
-    for t, valuation in enumerate(record.trace):
-        for p in valuation:
-            occurrences.setdefault(p, []).append(t)
-
+    n = len(record.valuation_ids)
     per_instance: dict[str, MonitorResult] = {}
     meta: dict[str, InstanceMeta] = {}
     # Union of unsafe steps (one bit per step) of all instances and of each
@@ -141,12 +135,7 @@ def evaluate_rollout(
     union_flags = 0
     unions: dict[tuple[str, str], tuple[bool, int]] = {}
     for inst in spec.instances:
-        masks = bytearray(n)
-        for bit, prop in enumerate(inst.dfa.props):
-            flag = 1 << bit
-            for t in occurrences.get(prop, ()):
-                masks[t] |= flag
-        result = run_masks(inst.dfa, masks)
+        result = run_masks(inst.dfa, record.masks(inst.dfa.props))
         per_instance[inst.instance_id] = result
         flags = result.unsafe_flags()
         bits = int.from_bytes(flags, "big")

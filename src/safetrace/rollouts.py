@@ -30,9 +30,12 @@ from __future__ import annotations
 
 import json
 import random
+from collections import defaultdict
+from collections.abc import Callable, Hashable, Iterable, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import count
 from pathlib import Path
-from typing import Callable
 
 from .errors import RolloutFormatError, ScenarioError
 from .formulas import Trace, is_valid_proposition
@@ -56,37 +59,133 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RolloutRecord:
-    """One rollout: symbolic trace plus success flag and labels."""
+    """One rollout: symbolic trace plus success flag and labels.
+
+    The record keeps the trace as its distinct valuations and one id per
+    step; :attr:`trace` is built from them when first read. The constructor
+    takes the trace as a :class:`Trace` or any nonempty sequence of steps.
+    """
 
     rollout_id: str
     task_name: str
     policy: str
     success: bool
-    trace: Trace
+    #: The trace's distinct valuations, in order of first occurrence.
+    valuations: tuple[frozenset[str], ...] = field(repr=False)
+    #: Each step's index into ``valuations``: ``bytes`` while there are at
+    #: most 256 distinct valuations, else a list (which ``hash`` skips).
+    valuation_ids: bytes | list[int] = field(repr=False, hash=False)
     declared_props: tuple[str, ...] | None = None
 
-    def __post_init__(self) -> None:
-        if not self.rollout_id:
+    def __init__(
+        self,
+        rollout_id: str,
+        task_name: str,
+        policy: str,
+        success: bool,
+        trace: Trace | Sequence[Iterable[str]],
+        declared_props: tuple[str, ...] | None = None,
+    ) -> None:
+        if not isinstance(trace, Trace):
+            try:
+                trace = Trace(trace)
+            except (TypeError, ValueError) as exc:
+                raise RolloutFormatError(f"invalid trace: {exc}") from exc
+        index = _valuation_index(trace.steps)
+        self._fill(rollout_id, task_name, policy, success, index, declared_props)
+        self.__dict__["trace"] = trace
+
+    @classmethod
+    def _from_index(
+        cls,
+        rollout_id: str,
+        task_name: str,
+        policy: str,
+        success: bool,
+        index: tuple[tuple[frozenset[str], ...], bytes | list[int]],
+        declared_props: tuple[str, ...] | None,
+    ) -> RolloutRecord:
+        """A record of the trace that ``index``, as :func:`_valuation_index`
+        returns it, describes."""
+        record = cls.__new__(cls)
+        record._fill(rollout_id, task_name, policy, success, index, declared_props)
+        return record
+
+    def _fill(
+        self,
+        rollout_id: str,
+        task_name: str,
+        policy: str,
+        success: bool,
+        index: tuple[tuple[frozenset[str], ...], bytes | list[int]],
+        declared_props: tuple[str, ...] | None,
+    ) -> None:
+        if not rollout_id:
             raise RolloutFormatError("rollout_id must be nonempty")
-        if self.declared_props is not None:
-            declared = set(self.declared_props)
-            # One check over the union of the distinct valuations; the
-            # step-by-step scan runs only to name the first offending step.
-            if declared.issuperset(frozenset().union(*set(self.trace.steps))):
-                return
-            for t, valuation in enumerate(self.trace):
-                undeclared = valuation - declared
-                if undeclared:
+        valuations, ids = index
+        if declared_props is not None:
+            declared = set(declared_props)
+            # Valuations are in order of first occurrence, so the first
+            # offending one names the first offending step.
+            for i, valuation in enumerate(valuations):
+                if not declared.issuperset(valuation):
                     raise RolloutFormatError(
-                        f"step {t} uses undeclared propositions: {sorted(undeclared)}"
+                        f"step {ids.index(i)} uses undeclared propositions: "
+                        f"{sorted(valuation - declared)}"
                     )
+        self.__dict__.update(
+            rollout_id=rollout_id,
+            task_name=task_name,
+            policy=policy,
+            success=success,
+            valuations=valuations,
+            valuation_ids=ids,
+            declared_props=declared_props,
+        )
+
+    @cached_property
+    def trace(self) -> Trace:
+        """The steps, built from the valuation index when first read."""
+        return Trace(map(self.valuations.__getitem__, self.valuation_ids))
+
+    @cached_property
+    def _holds_in(self) -> dict[str, list[int]]:
+        """Proposition -> ids of the distinct valuations it is true in."""
+        holds_in: dict[str, list[int]] = {}
+        for i, valuation in enumerate(self.valuations):
+            for p in valuation:
+                holds_in.setdefault(p, []).append(i)
+        return holds_in
+
+    def masks(self, props: Sequence[str]) -> bytes:
+        """Every step projected onto the bitmask basis ``props`` (bit ``i``
+        set when ``props[i]`` is true), as :func:`monitor.trace_masks`
+        projects it; at most 8 propositions.
+
+        The mask of each distinct valuation goes into a table, and the
+        valuation ids are mapped through it in one pass.
+        """
+        table = bytearray(max(256, len(self.valuations)))
+        holds_in = self._holds_in
+        for bit, p in enumerate(props):
+            flag = 1 << bit
+            for i in holds_in.get(p, ()):
+                table[i] |= flag
+        ids = self.valuation_ids
+        if isinstance(ids, bytes):
+            return ids.translate(table)
+        return bytes(map(table.__getitem__, ids))
 
 
 # ---------------------------------------------------------------------------
 # Wire format
 # ---------------------------------------------------------------------------
+
+
+def _is_name(p) -> bool:
+    return isinstance(p, str) and is_valid_proposition(p)
 
 
 def _normalize_step(step, t: int) -> frozenset[str]:
@@ -100,42 +199,63 @@ def _normalize_step(step, t: int) -> frozenset[str]:
     else:
         raise RolloutFormatError(f"step {t}: expected a list or mapping, got {type(step).__name__}")
     for p in props:
-        if not isinstance(p, str) or not is_valid_proposition(p):
+        if not _is_name(p):
             raise RolloutFormatError(f"step {t}: invalid proposition {p!r}")
     return frozenset(props)
 
 
-def _interned_steps(raw_trace: list) -> list[frozenset[str]]:
-    """Decode a trace of sparse or dense steps, each distinct step once.
+def _valuation_index(
+    keys: Iterable[Hashable], valuation: Callable[[Hashable], frozenset[str]] = frozenset
+) -> tuple[tuple[frozenset[str], ...], bytes | list[int]]:
+    """Index a trace by its distinct valuations.
+
+    ``keys`` holds one hashable key per step, and ``valuation`` decodes a
+    key. Every key is hashed first (an unhashable one raises ``TypeError``),
+    then each distinct key is decoded once, in order of first occurrence.
+    Returns the distinct valuations in order of first occurrence, and each
+    step's id, its index into them: ``bytes`` for at most 256 distinct
+    valuations, else a list. Keys that decode to equal valuations share one
+    id.
+    """
+    key_ids: dict[Hashable, int] = defaultdict(count().__next__)
+    index = list(map(key_ids.__getitem__, keys))
+    ids: dict[frozenset[str], int] = {}
+    id_of_key = [ids.setdefault(valuation(key), len(ids)) for key in key_ids]
+    if len(ids) < len(id_of_key):
+        index = list(map(id_of_key.__getitem__, index))
+    return tuple(ids), bytes(index) if len(ids) <= 256 else index
+
+
+def _interned_steps(raw_trace: list) -> tuple[tuple[frozenset[str], ...], bytes | list[int]]:
+    """Decode a trace of sparse or dense steps into its valuation index (see
+    :func:`_valuation_index`), each distinct step once.
 
     When every step is a sparse list, steps are keyed by their entries. Each
-    distinct key is checked by :func:`_normalize_step` at the step where it
-    first occurs, for the names no earlier key has shown valid, and every
-    repeat shares its frozenset. Keys are checked in order of first
-    occurrence, so the first error is the one a step-by-step decode raises.
-    Dense maps and traces with an unhashable entry are decoded step by step.
+    distinct key is checked, in order of first occurrence, for the names no
+    earlier key has shown valid; the first invalid one is reported by
+    :func:`_normalize_step` at the step where its key first occurs, so the
+    first error is the one a step-by-step decode raises. Dense maps and
+    traces with an unhashable entry are decoded step by step.
     """
     if set(map(type, raw_trace)) == {list}:
-        keys = list(map(tuple, raw_trace))
-        first_step: dict[tuple, int] = {}
+        valid_names: set[str] = set()
+
+        def checked(key: tuple) -> frozenset[str]:
+            if not valid_names.issuperset(key):
+                fresh = [p for p in key if p not in valid_names]
+                if not all(map(_is_name, fresh)):
+                    _normalize_step(fresh, list(map(tuple, raw_trace)).index(key))  # raises
+                valid_names.update(fresh)
+            return frozenset(key)
+
         try:
-            firsts = list(map(first_step.setdefault, keys, range(len(keys))))
+            return _valuation_index(map(tuple, raw_trace), checked)
         except TypeError:  # an unhashable entry; the step-by-step decode names it
             pass
-        else:
-            valuations: list = [None] * len(keys)
-            valid_names: set[str] = set()
-            for key, t in first_step.items():
-                fresh = [p for p in key if p not in valid_names]
-                if fresh:
-                    _normalize_step(fresh, t)
-                    valid_names.update(fresh)
-                valuations[t] = frozenset(key)
-            return list(map(valuations.__getitem__, firsts))
-    return [_normalize_step(step, t) for t, step in enumerate(raw_trace)]
+    return _valuation_index([_normalize_step(step, t) for t, step in enumerate(raw_trace)])
 
 
-def _steps_from_document(raw_trace) -> list[frozenset[str]]:
+def _steps_from_document(raw_trace) -> tuple[tuple[frozenset[str], ...], bytes | list[int]]:
     if not isinstance(raw_trace, list):
         raise RolloutFormatError("'trace' must be a list of steps")
     if not raw_trace:
@@ -162,7 +282,7 @@ def _steps_from_document(raw_trace) -> list[frozenset[str]]:
     missing = [t for t in range(min(horizon, len(by_time) + 4) + 1) if t not in by_time]
     if missing:
         raise RolloutFormatError(f"missing timesteps: {missing[:5]}")
-    return [by_time[t] for t in range(horizon + 1)]
+    return _valuation_index([by_time[t] for t in range(horizon + 1)])
 
 
 def load_rollout(source: str | dict) -> RolloutRecord:
@@ -202,14 +322,13 @@ def load_rollout(source: str | dict) -> RolloutRecord:
             if not is_valid_proposition(p):
                 raise RolloutFormatError(f"invalid declared proposition {p!r}")
         declared = tuple(sorted(set(declared)))
-    steps = _steps_from_document(data["trace"])
-    return RolloutRecord(
-        rollout_id=data["rollout_id"],
-        task_name=data["task"],
-        policy=data["policy"],
-        success=data["success"],
-        trace=Trace(steps),
-        declared_props=declared,
+    return RolloutRecord._from_index(
+        data["rollout_id"],
+        data["task"],
+        data["policy"],
+        data["success"],
+        _steps_from_document(data["trace"]),
+        declared,
     )
 
 
@@ -253,9 +372,7 @@ def validate_rollout(r: RolloutRecord, spec: TaskSpec) -> list[Diagnostic]:
                 f"rollout task {r.task_name!r} does not match spec task {spec.task_name!r}",
             )
         )
-    observed: set[str] = set()
-    for valuation in r.trace:
-        observed |= valuation
+    observed = frozenset().union(*r.valuations)
     monitored: set[str] = set()
     for inst in spec.instances:
         monitored |= propositions(inst.formula)

@@ -10,7 +10,8 @@ from safetrace import rollouts
 from safetrace.errors import RolloutFormatError, ScenarioError
 from safetrace.formulas import Trace
 from safetrace.metrics import evaluate_rollout
-from safetrace.monitor import run_trace
+from safetrace.monitor import run_trace, trace_masks
+from safetrace.properties import load_task_spec
 from safetrace.rollouts import (
     DETERMINISTIC_SCENARIOS,
     SCENARIOS,
@@ -205,8 +206,11 @@ def test_dense_step_with_mixed_key_types_names_its_bad_keys():
 def test_repeated_steps_share_one_valuation():
     record = load_rollout(dict(BASE_DOC, trace=[["a", "b"], [], ["a", "b"], ["b", "a"]]))
     steps = record.trace.steps
-    assert steps[0] is steps[2]
-    assert steps[0] == steps[3] == {"a", "b"}
+    assert steps[0] is steps[2] is steps[3]
+    assert steps[0] == {"a", "b"}
+    # Key-order twins share one valuation id.
+    assert record.valuations == (frozenset({"a", "b"}), frozenset())
+    assert record.valuation_ids == bytes([0, 1, 0, 0])
 
 
 def test_each_distinct_name_is_validated_once(monkeypatch):
@@ -226,6 +230,116 @@ def test_each_distinct_name_is_validated_once(monkeypatch):
     assert record.trace == Trace(trace)
     assert len({frozenset(step) for step in trace}) > len(names)  # many distinct steps
     assert len(checked) <= len(names) + len(declared)
+
+
+# The valuation index and its table projection, against the per-step
+# projection `monitor.trace_masks` over the steps as generated.
+
+_POOL = tuple(f"p{i}" for i in range(10))
+
+_PROJECTION_SPEC = load_task_spec(
+    json.dumps(
+        {
+            "task": "wipe_counter",
+            "suite": "atomic_fixture",
+            "horizon": "atomic",
+            "properties": [
+                {"id": "one", "template": "custom", "formula": "F p9"},
+                {"id": "two", "template": "custom", "formula": "G (p0 -> F p1)"},
+                {"id": "three", "template": "custom", "formula": "G !(p2 & p3 & p4)"},
+                {"id": "four", "template": "custom", "formula": "(p5 U p6) | G (p7 -> X p8)"},
+                {
+                    "id": "eight",
+                    "template": "custom",
+                    "formula": "G ((p0 | p2 | p4 | p6) -> F (p1 & p3 & !p5 & p9))",
+                },
+            ],
+        }
+    )
+)
+
+
+def _encode_all_forms(steps, rng):
+    """One rollout per input form: sparse lists in random entry order (so
+    key-order twins occur), dense maps, shuffled ``{"t", "props"}`` objects,
+    and records built directly from a ``Trace`` and from a list of sets."""
+    sparse = [rng.sample(sorted(step), len(step)) for step in steps]
+    dense = [dict({p: True for p in step}, off=False) for step in steps]
+    timed = [{"t": t, "props": sorted(step)} for t, step in enumerate(steps)]
+    rng.shuffle(timed)
+    loaded = [load_rollout(dict(BASE_DOC, trace=trace)) for trace in (sparse, dense, timed)]
+    fields = (BASE_DOC["rollout_id"], BASE_DOC["task"], BASE_DOC["policy"], BASE_DOC["success"])
+    direct = [RolloutRecord(*fields, Trace(steps)), RolloutRecord(*fields, [set(s) for s in steps])]
+    return loaded + direct
+
+
+@given(
+    distinct=st.sampled_from((1, 2, 255, 256, 257)) | st.integers(1, 400),
+    repeats=st.integers(0, 300),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=40, deadline=None)
+def test_table_projection_matches_per_step_projection(distinct, repeats, seed):
+    rng = random.Random(seed)
+    codes = rng.sample(range(1 << len(_POOL)), distinct)
+    codes += [rng.choice(codes) for _ in range(repeats)]
+    rng.shuffle(codes)
+    steps = [frozenset(p for i, p in enumerate(_POOL) if code >> i & 1) for code in codes]
+    records = _encode_all_forms(steps, rng)
+    reference = evaluate_rollout(records[-2], _PROJECTION_SPEC)
+    for record in records:
+        assert len(record.valuations) == distinct
+        assert isinstance(record.valuation_ids, bytes) == (distinct <= 256)
+        assert record.trace == Trace(steps)
+        for inst in _PROJECTION_SPEC.instances:
+            assert record.masks(inst.dfa.props) == trace_masks(inst.dfa, steps)
+        assert evaluate_rollout(record, _PROJECTION_SPEC) == reference
+
+
+def test_projection_past_65536_distinct_valuations():
+    names = [f"p{i}" for i in range(17)]
+    steps = [
+        frozenset(p for i, p in enumerate(names[:16]) if code >> i & 1) for code in range(1 << 16)
+    ]
+    steps.append(frozenset({"p16"}))
+    random.Random(17).shuffle(steps)
+    spec = load_task_spec(
+        json.dumps(
+            {
+                "task": "wipe_counter",
+                "suite": "atomic_fixture",
+                "horizon": "atomic",
+                "properties": [
+                    {"id": "low", "template": "custom", "formula": "G (p0 -> F p9)"},
+                    {"id": "top", "template": "custom", "formula": "G !(p15 & p16)"},
+                    {
+                        "id": "wide",
+                        "template": "custom",
+                        "formula": "G ((p1 | p3) -> F (p8 & p10 & !p12 & p14 & p16 & p5))",
+                    },
+                ],
+            }
+        )
+    )
+    direct = RolloutRecord("wide", "wipe_counter", "demo", True, Trace(steps))
+    loaded = load_rollout(serialize_rollout(direct))
+    assert len(loaded.valuations) == 65537
+    evaluation = evaluate_rollout(loaded, spec)
+    for inst in spec.instances:
+        assert evaluation.per_instance[inst.instance_id] == run_trace(inst.dfa, Trace(steps))
+    assert evaluate_rollout(direct, spec) == evaluation
+
+
+def test_directly_built_record_coerces_its_trace():
+    record = RolloutRecord("r", "t", "p", True, trace=[{"a"}], declared_props=("a",))
+    assert record.trace == Trace([{"a"}])
+    doc = dict(BASE_DOC, rollout_id="r", task="t", policy="p", trace=[["a"]], declared_props=["a"])
+    assert record == load_rollout(doc)
+    for bad in ([], 7, [5]):
+        with pytest.raises(RolloutFormatError, match="invalid trace"):
+            RolloutRecord("r", "t", "p", True, trace=bad)
+    with pytest.raises(RolloutFormatError, match=r"step 1 uses undeclared propositions: \['b'\]"):
+        RolloutRecord("r", "t", "p", True, trace=[{"a"}, {"a", "b"}], declared_props=("a",))
 
 
 def test_serialize_round_trip_fuzzed():
