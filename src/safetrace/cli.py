@@ -17,7 +17,6 @@ import functools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -352,11 +351,14 @@ def _fold(fold, items: list, common: tuple, workers: int) -> ReportTally:
     Each worker stops at the first error in its share, and ``pool.map``
     returns the shares in order, so the error raised is the first one in
     input order, as in this process. One share per worker, not many small
-    chunks: each worker gets its input once and sends back one tally.
+    chunks: each worker gets its input once and sends back one tally. The
+    pool's module is imported only when a pool starts.
     """
     workers = min(workers, len(items))
     if workers <= 1:
         return fold(items, *common)
+    from concurrent.futures import ProcessPoolExecutor
+
     bounds = [len(items) * i // workers for i in range(workers + 1)]
     shares = [items[start:end] for start, end in zip(bounds, bounds[1:])]
     with ProcessPoolExecutor(

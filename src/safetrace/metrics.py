@@ -23,10 +23,14 @@ and a float approximation.
 
 Every table and plot panel is a projection of one fold, `ReportTally`:
 count cells keyed by (dimension, key, policy, task) holding rollouts,
-violated rollouts, successes, violated successes and the exact sum of
-exposures. Union exposures are computed only in `evaluate_rollout`. Exact
-sums make every projection independent of the evaluations' order, and let
-tallies of parts of a batch merge into the tally of the whole.
+violated rollouts, successes, violated successes and the unsafe-step counts
+per trace length, from which a projection builds the exact sum of
+exposures. Union exposures are computed only in `evaluate_rollout`, which
+keeps per instance only the verdict codes and whether the run ended
+accepting; the per-instance results are built from these when first read.
+Integer counts make every projection independent of the evaluations'
+order, and let tallies of parts of a batch merge into the tally of the
+whole.
 """
 
 from __future__ import annotations
@@ -34,15 +38,16 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .automata import CODE_FALSE, CODE_PRESUMABLY_FALSE, CODE_PRESUMABLY_TRUE, CODE_TRUE
 from .errors import SafetraceError
-from .monitor import MonitorResult, Verdict, run_masks
+from .monitor import _UNSAFE_FLAG_TABLE, MonitorResult, Verdict, _checked_run, _result_from_codes
 from .properties import SafetyCategory, TaskSpec, TEMPLATE_IDS, CUSTOM_TEMPLATE, SUITES, HORIZONS
 from .rollouts import RolloutRecord
 
@@ -102,8 +107,9 @@ class RolloutEvaluation:
     rollout_exposure: Fraction
     length: int
     strict_end: bool
-    per_instance: dict[str, MonitorResult]
-    instance_meta: dict[str, InstanceMeta]
+    # Instance id -> result; each value is built when first read.
+    per_instance: Mapping[str, MonitorResult]
+    instance_meta: Mapping[str, InstanceMeta]
     # (dimension, key) -> (violated, unsafe steps) in each report row the
     # rollout counts in: its suite, its horizon, each template and category.
     groups: dict[tuple[str, str], tuple[bool, int]]
@@ -128,25 +134,21 @@ def evaluate_rollout(
             f"{spec.task_name!r} (pass allow_task_mismatch to override)"
         )
     n = len(record.valuation_ids)
-    per_instance: dict[str, MonitorResult] = {}
-    meta: dict[str, InstanceMeta] = {}
+    # Instance id -> the arguments of `_monitor_result` and `_instance_meta`.
+    runs: dict[str, tuple] = {}
     # Union of unsafe steps (one bit per step) of all instances and of each
     # template and category group, with whether the group is violated.
+    unsafe = False
     union_flags = 0
     unions: dict[tuple[str, str], tuple[bool, int]] = {}
     for inst in spec.instances:
-        result = run_masks(inst.dfa, record.masks(inst.dfa.props))
-        per_instance[inst.instance_id] = result
-        flags = result.unsafe_flags()
-        bits = int.from_bytes(flags, "big")
-        violated = result.violates(strict_end)
+        dfa = inst.dfa
+        codes, accepting = _checked_run(dfa, record.masks(dfa.props))
+        violated = CODE_FALSE in codes or (strict_end and not accepting)
+        runs[inst.instance_id] = (codes, accepting, inst.template_id, inst.category, violated)
+        bits = int.from_bytes(codes.translate(_UNSAFE_FLAG_TABLE), "big")
+        unsafe = unsafe or violated
         union_flags |= bits
-        meta[inst.instance_id] = InstanceMeta(
-            template_id=inst.template_id,
-            category=inst.category,
-            violated=violated,
-            unsafe_flag_bytes=flags,
-        )
         group_keys = [("template", inst.template_id)]
         if inst.category is not None:
             group_keys.append(("category", inst.category.value))
@@ -155,7 +157,6 @@ def evaluate_rollout(
             unions[key] = (group_violated or violated, group_bits | bits)
 
     unsafe_steps = union_flags.bit_count()
-    unsafe = any(m.violated for m in meta.values())
     groups = {key: (v, bits.bit_count()) for key, (v, bits) in unions.items()}
     groups[("suite", spec.suite)] = groups[("horizon", spec.horizon)] = (unsafe, unsafe_steps)
     return RolloutEvaluation(
@@ -170,10 +171,54 @@ def evaluate_rollout(
         rollout_exposure=Fraction(unsafe_steps, n),
         length=n,
         strict_end=strict_end,
-        per_instance=per_instance,
-        instance_meta=meta,
+        per_instance=_BuiltOnRead(_monitor_result, runs),
+        instance_meta=_BuiltOnRead(_instance_meta, runs),
         groups=groups,
     )
+
+
+def _monitor_result(codes: bytes, accepting: bool, *_) -> MonitorResult:
+    return _result_from_codes(codes, accepting)
+
+
+def _instance_meta(
+    codes: bytes, _accepting: bool, template_id: str, category: SafetyCategory | None, violated: bool
+) -> InstanceMeta:
+    return InstanceMeta(template_id, category, violated, codes.translate(_UNSAFE_FLAG_TABLE))
+
+
+class _BuiltOnRead(Mapping):
+    """A read-only mapping whose value for ``key`` is ``build(*args[key])``,
+    built when the key is first read and then kept. It pickles as ``build``
+    and ``args``, without the values built so far."""
+
+    __slots__ = ("_build", "_args", "_values")
+
+    def __init__(self, build: Callable, args: dict[str, tuple]) -> None:
+        self._build = build
+        self._args = args
+        self._values: dict = {}
+
+    def __getitem__(self, key):
+        value = self._values.get(key)
+        if value is None:
+            value = self._values[key] = self._build(*self._args[key])
+        return value
+
+    def __contains__(self, key) -> bool:
+        return key in self._args
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._args)
+
+    def __len__(self) -> int:
+        return len(self._args)
+
+    def __reduce__(self):
+        return type(self), (self._build, self._args)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
 
 
 # The JSON text of the verdict each ``CODE_*`` byte stands for.
@@ -295,6 +340,15 @@ def _sums(cells: dict[tuple[str, str, str, str], list], dimension: str, group_of
     return {group: _add(members) for group, members in groups.items()}
 
 
+def _exposure_sum(unsafe_steps: Mapping[int, int]) -> Fraction:
+    """The sum of ``steps / length`` over trace length -> unsafe steps, as
+    one fraction over the lengths' least common multiple."""
+    common = math.lcm(*unsafe_steps)
+    return Fraction(
+        sum(steps * (common // length) for length, steps in unsafe_steps.items()), common
+    )
+
+
 def _mean(values: Sequence[Fraction]) -> Fraction:
     return sum(values, Fraction(0)) / len(values)
 
@@ -345,19 +399,20 @@ class ReportTally:
     """The count cells of a batch of evaluations, built one rollout at a time.
 
     ``add`` folds one evaluation into the cells and forgets it; ``merge``
-    adds the cells of a tally of another part of the batch. Cells are sums
-    (exposures exactly, as fractions), so a tally of the whole batch equals
-    the merge of tallies of its parts, in any split and any order. The
-    rollout ids are counted as well, and ``report`` and ``plot_data`` raise
-    on an empty batch or a duplicate id, so these checks come after every
-    rollout has been monitored.
+    adds the cells of a tally of another part of the batch. Cells hold
+    integer sums: exposures as unsafe steps per trace length, which
+    ``report`` and ``plot_data`` turn into one exact fraction per cell. So a
+    tally of the whole batch equals the merge of tallies of its parts, in
+    any split and any order. The rollout ids are counted as well, and
+    ``report`` and ``plot_data`` raise on an empty batch or a duplicate id,
+    so these checks come after every rollout has been monitored.
     """
 
     __slots__ = ("cells", "ids")
 
     def __init__(self, evaluations: Iterable[RolloutEvaluation] = ()) -> None:
         # (dimension, key, policy, task) -> [rollouts, violated, successes,
-        # violated successes, exposure sum]
+        # violated successes, trace length -> unsafe steps]
         self.cells: dict[tuple[str, str, str, str], list] = {}
         self.ids: Counter[str] = Counter()
         for evaluation in evaluations:
@@ -366,28 +421,41 @@ class ReportTally:
     def add(self, e: RolloutEvaluation) -> None:
         self.ids[e.rollout_id] += 1
         cells = self.cells
+        policy, task, success, length = e.policy, e.task_name, e.success, e.length
         for (dimension, key), (violated, unsafe_steps) in e.groups.items():
-            cell = cells.setdefault((dimension, key, e.policy, e.task_name), [0, 0, 0, 0, 0])
+            cell = cells.get((dimension, key, policy, task))
+            if cell is None:
+                cell = cells[dimension, key, policy, task] = [0, 0, 0, 0, Counter()]
             cell[0] += 1
             cell[1] += violated
-            cell[2] += e.success
-            cell[3] += violated and e.success
-            cell[4] += Fraction(unsafe_steps, e.length)
+            cell[2] += success
+            cell[3] += violated and success
+            cell[4][length] += unsafe_steps
 
     def merge(self, other: ReportTally) -> None:
         self.ids.update(other.ids)
         cells = self.cells
-        for coordinates, cell in other.cells.items():
+        for coordinates, (*counts, unsafe_steps) in other.cells.items():
             mine = cells.get(coordinates)
-            cells[coordinates] = list(cell) if mine is None else _add((mine, cell))
+            if mine is None:
+                cells[coordinates] = [*counts, Counter(unsafe_steps)]
+            else:
+                for i, count in enumerate(counts):
+                    mine[i] += count
+                mine[4].update(unsafe_steps)
 
     def _checked_cells(self) -> dict[tuple[str, str, str, str], list]:
+        """The cells, each with its exact exposure sum in place of the
+        unsafe-step counts."""
         if not self.ids:
             raise SafetraceError("cannot aggregate an empty evaluation collection")
         duplicates = sorted(i for i, count in self.ids.items() if count > 1)
         if duplicates:
             raise SafetraceError(f"duplicate rollout_id in evaluation batch: {duplicates}")
-        return self.cells
+        return {
+            coordinates: [*counts, _exposure_sum(unsafe_steps)]
+            for coordinates, (*counts, unsafe_steps) in self.cells.items()
+        }
 
     def report(self, denominator: str = "rollout") -> EvaluationReport:
         """The full report. ``denominator`` selects per-template/per-category

@@ -119,6 +119,12 @@ def run_masks(d: Dfa, masks: Sequence[int]) -> MonitorResult:
     """Monitor a nonempty sequence of valuation bitmasks over ``d``'s
     alphabet (see :func:`trace_masks`); a mask outside the alphabet is a
     :class:`MonitorError`."""
+    return _result_from_codes(*_checked_run(d, masks))
+
+
+def _checked_run(d: Dfa, masks: Sequence[int]) -> tuple[bytes, bool]:
+    """The verdict codes of :func:`run_masks` and whether the last state is
+    accepting, without building the :class:`MonitorResult`."""
     if len(masks) == 0:
         raise MonitorError("cannot monitor an empty trace")
     if isinstance(masks, (bytes, bytearray)):
@@ -131,7 +137,7 @@ def run_masks(d: Dfa, masks: Sequence[int]) -> MonitorResult:
             f"for a DFA over {len(d.props)} propositions"
         )
     codes, state = d.run(masks)
-    return _result_from_codes(codes, state in d.accepting)
+    return codes, state in d.accepting
 
 
 def trace_masks(d: Dfa, trace: Trace | Sequence[Iterable[str]]) -> bytes:

@@ -94,6 +94,7 @@ class RolloutRecord:
             except (TypeError, ValueError) as exc:
                 raise RolloutFormatError(f"invalid trace: {exc}") from exc
         index = _valuation_index(trace.steps)
+        _check_names(index)
         self._fill(rollout_id, task_name, policy, success, index, declared_props)
         self.__dict__["trace"] = trace
 
@@ -186,6 +187,19 @@ class RolloutRecord:
 
 def _is_name(p) -> bool:
     return isinstance(p, str) and is_valid_proposition(p)
+
+
+def _check_names(index: tuple[tuple[frozenset[str], ...], bytes | list[int]]) -> None:
+    """Reject the names :func:`load_rollout` rejects, with its message, at
+    the first step that holds one; each distinct name is checked once."""
+    valuations, ids = index
+    bad = {p for p in frozenset().union(*valuations) if not _is_name(p)}
+    if bad:
+        # Valuations are in order of first occurrence, as in `_fill`.
+        i, invalid = next((i, bad & v) for i, v in enumerate(valuations) if not bad.isdisjoint(v))
+        raise RolloutFormatError(
+            f"step {ids.index(i)}: invalid proposition {min(invalid, key=str)!r}"
+        )
 
 
 def _normalize_step(step, t: int) -> frozenset[str]:

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -14,7 +15,8 @@ import safetrace
 from safetrace import cli
 from safetrace.cli import main
 from safetrace.formulas import MAX_FORMULA_DEPTH
-from safetrace.metrics import evaluate_rollout
+from safetrace.metrics import InstanceMeta, evaluate_rollout
+from safetrace.monitor import MonitorResult
 from safetrace.properties import load_task_spec
 from safetrace.rollouts import (
     ScenarioParams,
@@ -408,7 +410,7 @@ def test_evaluate_starts_at_most_one_worker_per_pair(tmp_path, monkeypatch):
             pool_sizes.append(max_workers)
             super().__init__(max_workers, **kwargs)
 
-    monkeypatch.setattr("safetrace.cli.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     spec = {"task": "t", "suite": "atomic_fixture", "horizon": "atomic", "properties": []}
     (tmp_path / "s.json").write_text(json.dumps(spec))
     pairs, lines = [], []
@@ -449,7 +451,7 @@ class SpawnPool(ProcessPoolExecutor):
 @pytest.fixture(params=["default", "spawn"])
 def pool_start(request, monkeypatch):
     if request.param == "spawn":
-        monkeypatch.setattr("safetrace.cli.ProcessPoolExecutor", SpawnPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SpawnPool)
     return request.param
 
 
@@ -588,6 +590,71 @@ def test_json_specs_never_import_yaml(scenario_files):
     )
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout == "2 False\n"
+
+
+def test_sequential_runs_never_import_the_process_pool(scenario_files, tmp_path):
+    rollout, spec = scenario_files
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"pairs": [{"rollout": str(rollout), "task_spec": str(spec)}]}))
+    script = (
+        "import sys\n"
+        "from safetrace import cli\n"
+        "codes = [\n"
+        "    cli.main(['evaluate', sys.argv[3], '--out', sys.argv[4], '--workers', '0', '-q']),\n"
+        "    cli.main(['monitor', sys.argv[1], sys.argv[2], '-q']),\n"
+        "    cli.main(['evaluate', sys.argv[3], '--out', sys.argv[4], '--workers', '8', '-q']),\n"
+        "]\n"
+        "print(*codes, 'concurrent.futures' in sys.modules)\n"
+    )
+    src = str(Path(safetrace.__file__).resolve().parent.parent)
+    completed = subprocess.run(
+        [sys.executable, "-c", script, str(rollout), str(spec), str(manifest), str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    # One pair is one worker at most, so even --workers 8 runs in process.
+    assert completed.stdout == "0 2 0 False\n"
+
+
+def _count_builds(monkeypatch) -> Counter:
+    """Count the `MonitorResult`s and `InstanceMeta`s built from now on."""
+    built = Counter()
+    for cls in (MonitorResult, InstanceMeta):
+        init = cls.__init__
+
+        def counting(self, *args, _init=init, **kwargs):
+            built[type(self).__name__] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    return built
+
+
+def test_evaluate_builds_no_per_instance_result_and_monitor_one_each(tmp_path, monkeypatch):
+    rollout, spec = tmp_path / "rollout.json", tmp_path / "spec.json"
+    generate = ["generate", "clean_pick_place", "--out", str(rollout), "--spec-out", str(spec)]
+    assert run_cli(*generate, "-q") == 0
+    # One more property, violated, so that the monitor logs a violation line.
+    document = json.loads(spec.read_text())
+    held = min(frozenset().union(*load_rollout(rollout.read_text()).valuations))
+    document["properties"].append({"id": "never", "template": "custom", "formula": f"G !{held}"})
+    spec.write_text(json.dumps(document))
+    instances = len(load_task_spec(spec.read_text()).instances)
+    assert instances == 4
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"pairs": [{"rollout": str(rollout), "task_spec": str(spec)}]}))
+    line = json.dumps(json.loads(rollout.read_text()))
+    (tmp_path / "rollouts.jsonl").write_text(f"{line}\n")
+    built = _count_builds(monkeypatch)
+    assert run_cli("evaluate", str(manifest), "--out", str(tmp_path / "a"), "-q") == 0
+    jsonl = ["--jsonl", str(tmp_path / "rollouts.jsonl"), "--task-spec", str(spec)]
+    assert run_cli("evaluate", *jsonl, "--out", str(tmp_path / "b"), "-q") == 0
+    assert built == {}
+    assert run_cli("monitor", str(rollout), str(spec), "--out", str(tmp_path / "m.json")) == 2
+    assert built == {"MonitorResult": instances, "InstanceMeta": instances}
 
 
 def test_surrogate_identifiers_are_one_error_line(tmp_path, capsys):

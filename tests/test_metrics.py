@@ -1,9 +1,12 @@
 """Outcome decomposition, aggregation identities, and report export."""
 
 import csv
+import dataclasses
 import io
 import json
+import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -27,13 +30,14 @@ from safetrace.metrics import (
     monitor_report_document,
     monitor_report_json,
 )
-from safetrace.monitor import MonitorResult
+from safetrace.monitor import MonitorResult, run_masks
 from safetrace.properties import (
     CUSTOM_TEMPLATE,
     HORIZONS,
     SUITES,
     TEMPLATE_IDS,
     SafetyCategory,
+    get_template,
     load_task_spec,
 )
 from safetrace.rollouts import (
@@ -167,6 +171,98 @@ def test_strict_end_flag_changes_outcome():
     lax = evaluate_rollout(_record("re", steps, True), SPEC, strict_end=False)
     assert strict.unsafe and strict.outcome is Outcome.SUCCESS_UNSAFE
     assert not lax.unsafe and lax.outcome is Outcome.SUCCESS_SAFE
+
+
+# Per-instance results are built from the run when first read.
+
+_NAMES = ("a", "b", "c", "d", "e")
+_CUSTOM_FORMULAS = ("G (a -> F b)", "F c", "G !(d & e)", "a U b", "X a | WX b")
+
+
+@st.composite
+def _specs(draw):
+    """A task spec of up to five instances: bound templates (shapes repeat)
+    and custom formulas, over five names."""
+    properties = []
+    for i in range(draw(st.integers(0, 5))):
+        template = draw(st.sampled_from(TEMPLATE_IDS + (CUSTOM_TEMPLATE,)))
+        if template == CUSTOM_TEMPLATE:
+            properties.append(
+                {"id": f"i{i}", "template": template, "formula": draw(st.sampled_from(_CUSTOM_FORMULAS))}
+            )
+        else:
+            slots = get_template(template).slots
+            names = draw(st.permutations(_NAMES))[: len(slots)]
+            properties.append({"id": f"i{i}", "template": template, "bindings": dict(zip(slots, names))})
+    return load_task_spec(
+        {
+            "task": "t",
+            "suite": draw(st.sampled_from(SUITES)),
+            "horizon": draw(st.sampled_from(HORIZONS)),
+            "properties": properties,
+        }
+    )
+
+
+@st.composite
+def _traces(draw, lengths=st.sampled_from((1, 255, 256, 257, 1000)) | st.integers(1, 12)):
+    """A trace over the five names, with runs of repeated steps."""
+    length = draw(lengths)
+    rng = random.Random(draw(st.integers()))
+    steps = [frozenset(p for p in _NAMES if rng.random() < 0.3)]
+    for _ in range(length - 1):
+        repeat = rng.random() < 0.7
+        steps.append(steps[-1] if repeat else frozenset(p for p in _NAMES if rng.random() < 0.3))
+    return Trace(steps)
+
+
+def _eager_meta(inst, result, strict_end):
+    return InstanceMeta(
+        template_id=inst.template_id,
+        category=inst.category,
+        violated=result.violates(strict_end),
+        unsafe_flag_bytes=result.unsafe_flags(),
+    )
+
+
+@given(_specs(), _traces(), st.booleans(), st.lists(st.integers(0, 4)))
+@settings(max_examples=150, deadline=None)
+def test_per_instance_results_built_on_read_equal_the_eager_ones(spec, trace, strict_end, reads):
+    record = RolloutRecord("r", "t", "p", True, trace)
+    evaluation = evaluate_rollout(record, spec, strict_end=strict_end)
+    unread = pickle.dumps(evaluation)
+    ids = [inst.instance_id for inst in spec.instances]
+    assert list(evaluation.per_instance) == list(evaluation.instance_meta) == ids
+    assert len(evaluation.per_instance) == len(evaluation.instance_meta) == len(ids)
+    assert "missing" not in evaluation.per_instance
+    with pytest.raises(KeyError):
+        evaluation.instance_meta["missing"]
+    # Read some keys, in any order and more than once, before the rest.
+    for i in reads:
+        if i < len(ids):
+            assert evaluation.per_instance[ids[i]] is evaluation.per_instance[ids[i]]
+    results = {}
+    for inst in spec.instances:
+        result = results[inst.instance_id] = run_masks(inst.dfa, record.masks(inst.dfa.props))
+        assert inst.instance_id in evaluation.per_instance
+        assert evaluation.per_instance[inst.instance_id] == result
+        assert evaluation.instance_meta[inst.instance_id] == _eager_meta(inst, result, strict_end)
+    eager = dataclasses.replace(
+        evaluation,
+        per_instance=results,
+        instance_meta={
+            inst.instance_id: _eager_meta(inst, results[inst.instance_id], strict_end)
+            for inst in spec.instances
+        },
+    )
+    assert evaluation == eager and eager == evaluation
+    assert evaluation.unsafe == any(m.violated for m in eager.instance_meta.values())
+    read = pickle.dumps(evaluation)
+    for text in (unread, read):
+        again = pickle.loads(text)
+        assert again == evaluation == again
+        assert dict(again.per_instance) == results
+        assert pickle.loads(pickle.dumps(again)) == eager
 
 
 def test_monitor_report_document_shape():
@@ -559,6 +655,26 @@ def _evaluation_batches(draw):
     return evaluations
 
 
+# Pairwise coprime trace lengths: a cell's exposure sum then has the product
+# of its lengths as its denominator.
+_COPRIME_LENGTHS = (1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67)
+
+
+@st.composite
+def _coprime_length_batches(draw):
+    """Up to 30 rollouts of many distinct, pairwise coprime lengths."""
+    evaluations = []
+    lengths = st.sampled_from(_COPRIME_LENGTHS)
+    for i in range(draw(st.integers(1, 30))):
+        spec = draw(st.sampled_from(_REFERENCE_SPECS))
+        trace = Trace([step & set("abcd") for step in draw(_traces(lengths))])
+        record = RolloutRecord(
+            f"r{i}", spec.task_name, draw(st.sampled_from(("p1", "p2"))), draw(st.booleans()), trace
+        )
+        evaluations.append(evaluate_rollout(record, spec, strict_end=draw(st.booleans())))
+    return evaluations
+
+
 def _approx(value):
     return repr(float(value))
 
@@ -623,7 +739,7 @@ def test_aggregate_and_plot_data_match_the_reference(evaluations):
 def _split_batches(draw):
     """A batch, and its evaluations dealt into parts (some maybe empty) that
     are listed in any order."""
-    evaluations = draw(_evaluation_batches())
+    evaluations = draw(_evaluation_batches() | _coprime_length_batches())
     n_parts = draw(st.integers(1, 5))
     owners = draw(st.lists(st.integers(0, n_parts - 1), min_size=len(evaluations), max_size=len(evaluations)))
     parts = [[e for e, owner in zip(evaluations, owners) if owner == p] for p in range(n_parts)]
@@ -647,6 +763,7 @@ def test_merged_tallies_of_any_split_export_the_whole_batch(split, data):
     for mode in ("rollout", "task"):
         report = merged.report(mode)
         whole = aggregate(evaluations, denominator=mode)
+        assert report == reference_report(evaluations, mode)
         assert export_report_json(report) == export_report_json(whole)
         assert export_report_csv(report) == export_report_csv(whole)
     assert merged.plot_data() == export_plot_data(evaluations)
@@ -662,3 +779,43 @@ def test_merged_tallies_of_any_split_export_the_whole_batch(split, data):
     for part, tally in zip(parts, tallies):
         if part:
             assert tally.report() == aggregate(part)
+
+
+def _fixed_batch():
+    """One rollout of each coprime length, over the reference specs."""
+    rng = random.Random(5)
+    evaluations = []
+    for i, length in enumerate(_COPRIME_LENGTHS):
+        spec = _REFERENCE_SPECS[i % len(_REFERENCE_SPECS)]
+        steps = [frozenset(p for p in "abcd" if rng.random() < 0.4) for _ in range(length)]
+        record = RolloutRecord(f"r{i}", spec.task_name, ("p1", "p2")[i % 2], i % 3 == 0, Trace(steps))
+        evaluations.append(evaluate_rollout(record, spec))
+    return evaluations
+
+
+_REFERENCE_BATCH = _fixed_batch()
+
+
+def test_merge_copies_the_other_tallys_counts():
+    batch = _REFERENCE_BATCH
+    part = ReportTally(batch[:3])
+    before = {k: [*cell[:4], Counter(cell[4])] for k, cell in part.cells.items()}
+    merged = ReportTally()
+    merged.merge(part)
+    merged.merge(ReportTally(batch[3:]))
+    merged.merge(part)
+    merged.add(dataclasses.replace(batch[0], rollout_id="again"))
+    assert part.cells == before
+    for coordinates, cell in merged.cells.items():
+        assert cell[4] is not part.cells.get(coordinates, [None] * 5)[4]
+    assert part.report() == aggregate(batch[:3])
+
+
+def test_exposure_sums_are_integer_counts_per_length():
+    tally = ReportTally(_REFERENCE_BATCH)
+    for *_, unsafe_steps in tally.cells.values():
+        assert isinstance(unsafe_steps, Counter)
+        assert set(unsafe_steps) <= set(_COPRIME_LENGTHS)
+        assert all(type(n) is int for n in unsafe_steps.values())
+    for mode in ("rollout", "task"):
+        assert tally.report(mode) == reference_report(_REFERENCE_BATCH, mode)

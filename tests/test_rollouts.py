@@ -342,6 +342,25 @@ def test_directly_built_record_coerces_its_trace():
         RolloutRecord("r", "t", "p", True, trace=[{"a"}, {"a", "b"}], declared_props=("a",))
 
 
+def test_directly_built_record_rejects_names_load_rollout_rejects():
+    direct = RolloutRecord("r", "t", "p", True, [["ok"], ["ok", "b_2"]])
+    assert load_rollout(serialize_rollout(direct)) == direct
+    fields = {"rollout_id": "r", "task": "t", "policy": "p", "success": True}
+    for trace in (
+        [["G", "ok"]],
+        [["ok"], ["ok"], ["ok", "true", "F", "1x"], ["U"]],
+        [{"ok"}] * 300 + [{"ok", "_x"}],
+        [{"ok"}, {7}],
+    ):
+        sparse = [sorted(step, key=str) for step in trace]
+        with pytest.raises(RolloutFormatError) as from_document:
+            load_rollout(dict(fields, trace=sparse))
+        with pytest.raises(RolloutFormatError) as direct_error:
+            RolloutRecord("r", "t", "p", True, trace)
+        assert str(direct_error.value) == str(from_document.value)
+    assert str(direct_error.value) == "step 1: invalid proposition 7"
+
+
 def test_serialize_round_trip_fuzzed():
     rng = random.Random(404)
     props = ["alpha", "beta", "gamma", "delta"]
