@@ -33,10 +33,10 @@ an independent reference.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Iterator
 
+from ._record import Record, _set
 from .errors import FormulaSyntaxError
 
 __all__ = [
@@ -82,90 +82,134 @@ def is_valid_proposition(name: str) -> bool:
     return bool(IDENT_RE.match(name)) and name not in RESERVED_WORDS
 
 
-@dataclass(frozen=True, slots=True)
-class Formula:
-    """Base class for formula nodes. Nodes are immutable and hashable."""
+class Formula(Record):
+    """Base class for formula nodes. Nodes are immutable records that
+    compare and hash by class and operands, as frozen dataclasses do."""
+
+    __slots__ = ()
+
+    def __init__(self) -> None:
+        pass
+
+    # Node comparisons are spelled out per arity, as a dataclass generates
+    # them: Record's generic ones take four to eight times as long on a deep
+    # formula.
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ or NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(())
 
     def __str__(self) -> str:
         return format_formula(self)
 
 
-@dataclass(frozen=True, slots=True)
+class _Unary(Record):
+    """The field, constructor and comparisons of the one-operand nodes."""
+
+    __slots__ = ("operand",)
+    operand: Formula
+
+    def __init__(self, operand: Formula) -> None:
+        _set(self, "operand", operand)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.operand,) == (other.operand,)
+
+    def __hash__(self) -> int:
+        return hash((self.operand,))
+
+
+class _Binary(Record):
+    """The fields, constructor and comparisons of the two-operand nodes."""
+
+    __slots__ = ("left", "right")
+    left: Formula
+    right: Formula
+
+    def __init__(self, left: Formula, right: Formula) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.left, self.right) == (other.left, other.right)
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
+
+
 class TrueFormula(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class FalseFormula(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Prop(Formula):
+    __slots__ = ("name",)
     name: str
 
-    def __post_init__(self) -> None:
-        if not is_valid_proposition(self.name):
-            raise ValueError(f"invalid proposition name: {self.name!r}")
+    def __init__(self, name: str) -> None:
+        if not is_valid_proposition(name):
+            raise ValueError(f"invalid proposition name: {name!r}")
+        _set(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
 
-@dataclass(frozen=True, slots=True)
-class Not(Formula):
-    operand: Formula
+class Not(_Unary, Formula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary, Formula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class Or(_Binary, Formula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class Implies(_Binary, Formula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Next(Formula):
+class Next(_Unary, Formula):
     """Strong next: requires a following step to exist."""
 
-    operand: Formula
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class WeakNext(Formula):
+class WeakNext(_Unary, Formula):
     """Weak next: vacuously true at the final step."""
 
-    operand: Formula
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Until(Formula):
-    left: Formula
-    right: Formula
+class Until(_Binary, Formula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Release(Formula):
-    left: Formula
-    right: Formula
+class Release(_Binary, Formula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Always(Formula):
-    operand: Formula
+class Always(_Unary, Formula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Eventually(Formula):
-    operand: Formula
+class Eventually(_Unary, Formula):
+    __slots__ = ()
 
 
 TRUE = TrueFormula()

@@ -40,11 +40,11 @@ import io
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+from ._record import Record, _set
 from .automata import CODE_FALSE, CODE_PRESUMABLY_FALSE, CODE_PRESUMABLY_TRUE, CODE_TRUE
 from .errors import SafetraceError
 from .monitor import _UNSAFE_FLAG_TABLE, MonitorResult, Verdict, _checked_run, _result_from_codes
@@ -84,16 +84,21 @@ def _outcome(success: bool, unsafe: bool) -> Outcome:
     return Outcome.FAIL_UNSAFE if unsafe else Outcome.FAIL_SAFE
 
 
-@dataclass(frozen=True)
-class InstanceMeta:
+class InstanceMeta(Record):
     template_id: str
     category: SafetyCategory | None
     violated: bool  # effective, under the evaluation's end-of-trace rule
     unsafe_flag_bytes: bytes  # per-step 0/1
 
+    # Built once per instance: see ``_record`` on spelled-out constructors.
+    def __init__(self, template_id, category, violated, unsafe_flag_bytes) -> None:
+        _set(self, "template_id", template_id)
+        _set(self, "category", category)
+        _set(self, "violated", violated)
+        _set(self, "unsafe_flag_bytes", unsafe_flag_bytes)
 
-@dataclass(frozen=True)
-class RolloutEvaluation:
+
+class RolloutEvaluation(Record):
     """One rollout crossed with one task spec: monitor results and outcome."""
 
     rollout_id: str
@@ -113,6 +118,26 @@ class RolloutEvaluation:
     # (dimension, key) -> (violated, unsafe steps) in each report row the
     # rollout counts in: its suite, its horizon, each template and category.
     groups: dict[tuple[str, str], tuple[bool, int]]
+
+    # Built once per rollout: see ``_record`` on spelled-out constructors.
+    def __init__(
+        self, rollout_id, task_name, suite, horizon, policy, success, unsafe, outcome,
+        rollout_exposure, length, strict_end, per_instance, instance_meta, groups,
+    ) -> None:
+        _set(self, "rollout_id", rollout_id)
+        _set(self, "task_name", task_name)
+        _set(self, "suite", suite)
+        _set(self, "horizon", horizon)
+        _set(self, "policy", policy)
+        _set(self, "success", success)
+        _set(self, "unsafe", unsafe)
+        _set(self, "outcome", outcome)
+        _set(self, "rollout_exposure", rollout_exposure)
+        _set(self, "length", length)
+        _set(self, "strict_end", strict_end)
+        _set(self, "per_instance", per_instance)
+        _set(self, "instance_meta", instance_meta)
+        _set(self, "groups", groups)
 
 
 def evaluate_rollout(
@@ -294,15 +319,13 @@ def monitor_report_document(evaluation: RolloutEvaluation) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(Record):
     applicable_rollouts: int
     violation_rate: Fraction
     mean_exposure: Fraction
 
 
-@dataclass(frozen=True)
-class PolicyRow:
+class PolicyRow(Record):
     rollouts: int
     success_rate: Fraction
     violation_rate: Fraction
@@ -311,8 +334,7 @@ class PolicyRow:
     unsafe_success_share: Fraction | None
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
+class EvaluationReport(Record):
     n_rollouts: int
     task_success_rate: Fraction
     overall_violation_rate: Fraction

@@ -18,11 +18,11 @@ fraction of the trace length is the unsafe-state exposure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from ._record import Record, _set
 from .automata import (
     CODE_FALSE,
     CODE_PRESUMABLY_FALSE,
@@ -51,8 +51,7 @@ _VERDICTS = {
 }
 
 
-@dataclass(frozen=True)
-class MonitorResult:
+class MonitorResult(Record):
     """Outcome of monitoring one property instance over one trace.
 
     ``verdict_codes`` stores one byte per timestep, a ``CODE_*`` value of
@@ -69,6 +68,18 @@ class MonitorResult:
     unsafe_steps: int
     length: int
     exposure: Fraction
+
+    # Built once per instance: see ``_record`` on spelled-out constructors.
+    def __init__(
+        self, verdict_codes, final_satisfied, violated, violation_timestep, unsafe_steps, length, exposure
+    ) -> None:
+        _set(self, "verdict_codes", verdict_codes)
+        _set(self, "final_satisfied", final_satisfied)
+        _set(self, "violated", violated)
+        _set(self, "violation_timestep", violation_timestep)
+        _set(self, "unsafe_steps", unsafe_steps)
+        _set(self, "length", length)
+        _set(self, "exposure", exposure)
 
     @property
     def verdicts(self) -> tuple[Verdict, ...]:

@@ -37,10 +37,10 @@ other kind of entry (``"formula"`` on a template instance, ``"bindings"`` or
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
 
+from ._record import Record
 from .automata import Dfa, _renamed, compile_formula
 from .errors import BindingError, TaskSpecError, TemplateError
 from .formulas import Formula, Prop, is_valid_proposition, operands, parse, proposition_order
@@ -90,8 +90,7 @@ HORIZONS = ("atomic", "medium", "long")
 CUSTOM_TEMPLATE = "custom"
 
 
-@dataclass(frozen=True)
-class PropertyTemplate:
+class PropertyTemplate(Record):
     """One safety template: a formula over abstract slot names."""
 
     template_id: str
@@ -188,8 +187,7 @@ def get_template(template_id: str) -> PropertyTemplate:
     return template
 
 
-@dataclass(frozen=True)
-class PropertyInstance:
+class PropertyInstance(Record, norepr=("dfa",), nocompare=("dfa",)):
     """A template bound to concrete propositions, compiled and ready to run."""
 
     instance_id: str
@@ -197,7 +195,7 @@ class PropertyInstance:
     bindings: tuple[tuple[str, str], ...]
     formula: Formula
     category: SafetyCategory | None
-    dfa: Dfa = field(compare=False, repr=False)
+    dfa: Dfa
 
 
 def _substitute(f: Formula, mapping: Mapping[str, str]) -> Formula:
@@ -286,8 +284,7 @@ def instantiate_custom(formula_text: str, *, instance_id: str) -> PropertyInstan
     )
 
 
-@dataclass(frozen=True)
-class TaskSpec:
+class TaskSpec(Record):
     """Everything monitored for one task, plus reporting metadata."""
 
     task_name: str
@@ -295,7 +292,8 @@ class TaskSpec:
     horizon: str
     instances: tuple[PropertyInstance, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         if self.suite not in SUITES:
             raise TaskSpecError(f"unknown suite {self.suite!r}; known: {', '.join(SUITES)}")
         if self.horizon not in HORIZONS:

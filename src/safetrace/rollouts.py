@@ -32,11 +32,11 @@ import json
 import random
 from collections import defaultdict
 from collections.abc import Callable, Hashable, Iterable, Sequence
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count
 from pathlib import Path
 
+from ._record import Record
 from .errors import RolloutFormatError, ScenarioError
 from .formulas import Trace, is_valid_proposition
 from .properties import TaskSpec, is_utf8_encodable, load_task_spec
@@ -59,8 +59,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, init=False)
-class RolloutRecord:
+class RolloutRecord(Record, norepr=("valuations", "valuation_ids"), nohash=("valuation_ids",)):
     """One rollout: symbolic trace plus success flag and labels.
 
     The record keeps the trace as its distinct valuations and one id per
@@ -73,10 +72,10 @@ class RolloutRecord:
     policy: str
     success: bool
     #: The trace's distinct valuations, in order of first occurrence.
-    valuations: tuple[frozenset[str], ...] = field(repr=False)
+    valuations: tuple[frozenset[str], ...]
     #: Each step's index into ``valuations``: ``bytes`` while there are at
     #: most 256 distinct valuations, else a list (which ``hash`` skips).
-    valuation_ids: bytes | list[int] = field(repr=False, hash=False)
+    valuation_ids: bytes | list[int]
     declared_props: tuple[str, ...] | None = None
 
     def __init__(
@@ -361,8 +360,7 @@ def serialize_rollout(r: RolloutRecord) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record):
     """A non-fatal finding from cross-checking a rollout against a spec."""
 
     code: str
@@ -406,8 +404,7 @@ def validate_rollout(r: RolloutRecord, spec: TaskSpec) -> list[Diagnostic]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScenarioParams:
+class ScenarioParams(Record):
     """Parameters for :func:`generate_scenario`.
 
     ``event_times`` optionally forces propositions on/off at given steps
@@ -424,8 +421,7 @@ class ScenarioParams:
     flip_rate: float = 0.05
 
 
-@dataclass(frozen=True)
-class ScenarioInfo:
+class ScenarioInfo(Record, norepr=("builder",), nocompare=("builder",)):
     """Catalog entry: script, monitored templates, and the documented label."""
 
     scenario_id: str
@@ -440,7 +436,7 @@ class ScenarioInfo:
     target_template: str | None
     properties: tuple[tuple[str, tuple[tuple[str, str], ...]], ...]
     description: str
-    builder: Callable = field(compare=False, repr=False)
+    builder: Callable
 
     @property
     def categories(self) -> tuple[str, ...]:

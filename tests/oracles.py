@@ -23,10 +23,15 @@ to anchor the run-wise loop in ``safetrace.automata.Dfa.run``.
 verdict decoded through its ``Verdict`` enum, and dumps it with
 ``json.dumps``, to anchor the fixed-shape writer
 ``safetrace.metrics.monitor_report_json``.
+
+`RECORD_MIRRORS` holds, for each record class of the package, a frozen
+dataclass with the same name, fields, field order, defaults and field
+options, to anchor the generic record base in ``safetrace._record``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import random
@@ -457,3 +462,66 @@ def reference_monitor_text(evaluation) -> str:
         "instances": instances,
     }
     return json.dumps(document, sort_keys=True, indent=2) + "\n"
+
+
+def _mirror(name: str, *fields, **options) -> type:
+    """A frozen dataclass ``name`` with ``fields``: each a name, or a
+    ``(name, default)`` or ``(name, dataclasses.field(...))`` pair."""
+    specs = [(f, object) if isinstance(f, str) else (f[0], object, f[1]) for f in fields]
+    return dataclasses.make_dataclass(name, specs, frozen=True, **options)
+
+
+_UNARY = ("Not", "Next", "WeakNext", "Always", "Eventually")
+_BINARY = ("And", "Or", "Implies", "Until", "Release")
+
+#: Record class name -> its dataclass mirror.
+RECORD_MIRRORS = {
+    mirror.__name__: mirror
+    for mirror in (
+        *(_mirror(name, slots=True) for name in ("Formula", "TrueFormula", "FalseFormula")),
+        _mirror("Prop", "name", slots=True),
+        *(_mirror(name, "operand", slots=True) for name in _UNARY),
+        *(_mirror(name, "left", "right", slots=True) for name in _BINARY),
+        _mirror("InstanceMeta", "template_id", "category", "violated", "unsafe_flag_bytes"),
+        _mirror(
+            "RolloutEvaluation", "rollout_id", "task_name", "suite", "horizon", "policy",
+            "success", "unsafe", "outcome", "rollout_exposure", "length", "strict_end",
+            "per_instance", "instance_meta", "groups",
+        ),
+        _mirror("TableRow", "applicable_rollouts", "violation_rate", "mean_exposure"),
+        _mirror(
+            "PolicyRow", "rollouts", "success_rate", "violation_rate", "mean_exposure",
+            "outcome_shares", "unsafe_success_share",
+        ),
+        _mirror(
+            "EvaluationReport", "n_rollouts", "task_success_rate", "overall_violation_rate",
+            "mean_rollout_exposure", "outcome_shares", "unsafe_success_share", "per_template",
+            "per_category", "per_suite", "per_horizon", "per_policy", "denominator_mode",
+        ),
+        _mirror(
+            "MonitorResult", "verdict_codes", "final_satisfied", "violated",
+            "violation_timestep", "unsafe_steps", "length", "exposure",
+        ),
+        _mirror("PropertyTemplate", "template_id", "category", "formula", "slots", "description"),
+        _mirror(
+            "PropertyInstance", "instance_id", "template_id", "bindings", "formula", "category",
+            ("dfa", dataclasses.field(compare=False, repr=False)),
+        ),
+        _mirror("TaskSpec", "task_name", "suite", "horizon", "instances"),
+        _mirror(
+            "RolloutRecord", "rollout_id", "task_name", "policy", "success",
+            ("valuations", dataclasses.field(repr=False)),
+            ("valuation_ids", dataclasses.field(repr=False, hash=False)),
+            ("declared_props", None),
+        ),
+        _mirror("Diagnostic", "code", "message"),
+        _mirror(
+            "ScenarioParams", "scenario_id", "length", "seed", ("event_times", None), ("flip_rate", 0.05)
+        ),
+        _mirror(
+            "ScenarioInfo", "scenario_id", "task_name", "suite", "horizon", "min_length",
+            "default_length", "success", "violates", "violation_kind", "target_template",
+            "properties", "description", ("builder", dataclasses.field(compare=False, repr=False)),
+        ),
+    )
+}

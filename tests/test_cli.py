@@ -619,6 +619,33 @@ def test_sequential_runs_never_import_the_process_pool(scenario_files, tmp_path)
     assert completed.stdout == "0 2 0 False\n"
 
 
+def test_package_never_imports_dataclasses_or_inspect(scenario_files, tmp_path):
+    rollout, spec = scenario_files
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"pairs": [{"rollout": str(rollout), "task_spec": str(spec)}]}))
+    script = (
+        "import sys\n"
+        "import safetrace\n"
+        "from safetrace import cli\n"
+        "codes = [\n"
+        "    cli.main(['monitor', sys.argv[1], sys.argv[2], '-q']),\n"
+        "    cli.main(['evaluate', sys.argv[3], '--out', sys.argv[4], '--workers', '0', '-q']),\n"
+        "    cli.main(['compile', '--formula', 'G (a -> F b)', '-q']),\n"
+        "]\n"
+        "print(*codes, sorted({'dataclasses', 'inspect'} & set(sys.modules)), file=sys.stderr)\n"
+    )
+    src = str(Path(safetrace.__file__).resolve().parent.parent)
+    completed = subprocess.run(
+        [sys.executable, "-c", script, str(rollout), str(spec), str(manifest), str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stderr == "2 0 0 []\n"
+
+
 def _count_builds(monkeypatch) -> Counter:
     """Count the `MonitorResult`s and `InstanceMeta`s built from now on."""
     built = Counter()

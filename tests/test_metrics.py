@@ -1,7 +1,6 @@
 """Outcome decomposition, aggregation identities, and report export."""
 
 import csv
-import dataclasses
 import io
 import json
 import pickle
@@ -225,6 +224,13 @@ def _eager_meta(inst, result, strict_end):
     )
 
 
+def _rebuilt(evaluation: RolloutEvaluation, **changes) -> RolloutEvaluation:
+    """``evaluation`` built again through the public constructor, with the
+    fields named in ``changes`` replaced."""
+    fields = {name: getattr(evaluation, name) for name in RolloutEvaluation.__match_args__}
+    return RolloutEvaluation(**{**fields, **changes})
+
+
 @given(_specs(), _traces(), st.booleans(), st.lists(st.integers(0, 4)))
 @settings(max_examples=150, deadline=None)
 def test_per_instance_results_built_on_read_equal_the_eager_ones(spec, trace, strict_end, reads):
@@ -247,7 +253,7 @@ def test_per_instance_results_built_on_read_equal_the_eager_ones(spec, trace, st
         assert inst.instance_id in evaluation.per_instance
         assert evaluation.per_instance[inst.instance_id] == result
         assert evaluation.instance_meta[inst.instance_id] == _eager_meta(inst, result, strict_end)
-    eager = dataclasses.replace(
+    eager = _rebuilt(
         evaluation,
         per_instance=results,
         instance_meta={
@@ -804,7 +810,7 @@ def test_merge_copies_the_other_tallys_counts():
     merged.merge(part)
     merged.merge(ReportTally(batch[3:]))
     merged.merge(part)
-    merged.add(dataclasses.replace(batch[0], rollout_id="again"))
+    merged.add(_rebuilt(batch[0], rollout_id="again"))
     assert part.cells == before
     for coordinates, cell in merged.cells.items():
         assert cell[4] is not part.cells.get(coordinates, [None] * 5)[4]

@@ -1,0 +1,171 @@
+"""Every record class of the package behaves as the frozen dataclass it
+replaced: each is checked against its mirror in ``oracles.RECORD_MIRRORS``
+for repr, equality, hash, pickling, copying, immutability and construction."""
+
+import copy
+import dataclasses
+import itertools
+import pickle
+
+import pytest
+
+from safetrace import formulas, metrics, monitor, properties, rollouts
+from safetrace._record import Record
+from safetrace.formulas import And, Prop
+from safetrace.metrics import aggregate, evaluate_rollout
+from safetrace.properties import get_template
+from safetrace.rollouts import (
+    SCENARIOS,
+    RolloutRecord,
+    ScenarioParams,
+    generate_scenario,
+    scenario_task_spec,
+)
+
+from oracles import RECORD_MIRRORS
+
+RECORD_CLASSES = sorted(
+    (
+        obj
+        for module in (formulas, metrics, monitor, properties, rollouts)
+        for obj in vars(module).values()
+        if isinstance(obj, type) and issubclass(obj, Record) and obj.__module__ == module.__name__
+        and not obj.__name__.startswith("_")
+    ),
+    key=lambda cls: cls.__name__,
+)
+
+
+def _field_names(name: str) -> list[str]:
+    return [f.name for f in dataclasses.fields(RECORD_MIRRORS[name])]
+
+
+def _arguments(record) -> dict:
+    """The constructor arguments that build ``record`` again."""
+    return {name: getattr(record, name) for name in _field_names(type(record).__name__)}
+
+
+def _samples() -> dict[str, list[dict]]:
+    """Record class name -> constructor arguments of a few distinct records."""
+    a, b = Prop("a"), Prop("b")
+    spec = scenario_task_spec("clean_pick_place")
+    evaluations = [
+        evaluate_rollout(generate_scenario(ScenarioParams("clean_pick_place", 40, seed)), spec)
+        for seed in (0, 1)
+    ]
+    report = aggregate(evaluations)
+    first, second = spec.instances[:2]
+    info, other_info = list(SCENARIOS.values())[:2]
+    unary = [{"operand": a}, {"operand": And(a, b)}]
+    binary = [{"left": a, "right": b}, {"left": b, "right": a}]
+    rollout = {"rollout_id": "r", "task_name": "t", "policy": "p", "success": True}
+    samples = {
+        **{name: [{}] for name in ("Formula", "TrueFormula", "FalseFormula")},
+        "Prop": [{"name": "a"}, {"name": "b"}],
+        **dict.fromkeys(("Not", "Next", "WeakNext", "Always", "Eventually"), unary),
+        **dict.fromkeys(("And", "Or", "Implies", "Until", "Release"), binary),
+        "InstanceMeta": list(evaluations[0].instance_meta.values()),
+        "RolloutEvaluation": evaluations,
+        "TableRow": list(report.per_template.values()),
+        "PolicyRow": list(report.per_policy.values()),
+        "EvaluationReport": [report, aggregate(evaluations[:1])],
+        "MonitorResult": list(evaluations[0].per_instance.values()),
+        "PropertyTemplate": [get_template("phi1"), get_template("phi2")],
+        # The last instance differs from the first only in its DFA.
+        "PropertyInstance": [first, second, {**_arguments(first), "dfa": second.dfa}],
+        "TaskSpec": [spec, scenario_task_spec("grasp_drop")],
+        "RolloutRecord": [
+            {**rollout, "trace": [["a"], [], ["a", "b"]]},
+            {**rollout, "trace": [["a"], [], ["a", "b"]], "declared_props": ("a", "b")},
+            # More than 256 distinct valuations: the ids are a list, which hash skips.
+            {**rollout, "success": False, "trace": [[f"p{i}"] for i in range(300)]},
+        ],
+        "Diagnostic": [{"code": "c", "message": "m"}, {"code": "d", "message": "m"}],
+        "ScenarioParams": [
+            {"scenario_id": "grasp_drop", "length": 40, "seed": 0},
+            {"scenario_id": "grasp_drop", "length": 40, "seed": 0,
+             "event_times": ((3, "x", True),), "flip_rate": 0.5},
+        ],
+        # The last entry differs from the first only in its builder.
+        "ScenarioInfo": [info, other_info, {**_arguments(info), "builder": other_info.builder}],
+    }
+    return {
+        name: [s if isinstance(s, dict) else _arguments(s) for s in entries]
+        for name, entries in samples.items()
+    }
+
+
+SAMPLES = _samples()
+
+
+def _result(operation, value):
+    try:
+        return "value", operation(value)
+    except TypeError:
+        return "TypeError", None
+
+
+def test_every_record_class_has_a_mirror_and_samples():
+    assert len(RECORD_CLASSES) == 27
+    assert {cls.__name__ for cls in RECORD_CLASSES} == set(RECORD_MIRRORS) == set(SAMPLES)
+
+
+@pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda cls: cls.__name__)
+def test_records_behave_as_their_dataclass_mirrors(cls):
+    mirror = RECORD_MIRRORS[cls.__name__]
+    names = _field_names(cls.__name__)
+    assert cls.__match_args__ == mirror.__match_args__
+    records = [cls(**arguments) for arguments in SAMPLES[cls.__name__]]
+    mirrors = [mirror(**{name: getattr(r, name) for name in names}) for r in records]
+    for r, m in zip(records, mirrors):
+        assert repr(r) == repr(m)
+        assert _result(hash, r) == _result(hash, m)
+        assert r.__eq__(object()) is NotImplemented and m.__eq__(object()) is NotImplemented
+        assert r != object()
+        for again in (pickle.loads(pickle.dumps(r)), copy.copy(r)):
+            assert type(again) is cls
+            assert again == r and repr(again) == repr(r)
+            assert _result(hash, again) == _result(hash, r)
+        assert all(getattr(copy.copy(r), name) is getattr(r, name) for name in names)
+        for name in [*names, "unknown"]:
+            with pytest.raises(AttributeError):
+                setattr(r, name, None)
+            with pytest.raises(AttributeError):
+                delattr(r, name)
+    for (r1, m1), (r2, m2) in itertools.product(zip(records, mirrors), repeat=2):
+        assert (r1 == r2) == (m1 == m2)
+        assert (r1 != r2) == (m1 != m2)
+
+
+@pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda cls: cls.__name__)
+def test_records_construct_as_their_dataclass_mirrors(cls):
+    names = _field_names(cls.__name__)
+    defaults = {
+        f.name: f.default
+        for f in dataclasses.fields(RECORD_MIRRORS[cls.__name__])
+        if f.default is not dataclasses.MISSING
+    }
+    for arguments in SAMPLES[cls.__name__]:
+        by_keyword = cls(**arguments)
+        by_position = cls(*arguments.values())
+        assert all(getattr(by_position, name) == getattr(by_keyword, name) for name in names)
+        for name in defaults.keys() & arguments.keys():
+            omitted = cls(**{k: v for k, v in arguments.items() if k != name})
+            assert getattr(omitted, name) == defaults[name]
+        with pytest.raises(TypeError):
+            cls(**arguments, unknown=None)
+        with pytest.raises(TypeError):
+            cls(*range(len(names) + 2))
+        if arguments:
+            first, *rest = arguments
+            with pytest.raises(TypeError):
+                cls(**{k: arguments[k] for k in rest})
+            with pytest.raises(TypeError):
+                cls(arguments[first], **arguments)
+
+
+def test_rollout_records_read_their_cached_trace_after_pickling_and_copying():
+    record = RolloutRecord("r", "t", "p", True, [["a"], [], ["a", "b"], ["b"]])
+    expected = (record.trace, record.masks(("a", "b")))
+    for again in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert (again.trace, again.masks(("a", "b"))) == expected
