@@ -3,8 +3,9 @@ with no method generated at import: a :class:`Record` subclass's fields are
 its annotations after its bases' fields, a default is a class attribute, and
 the class keywords ``norepr``, ``nocompare`` and ``nohash`` name the fields
 left out of ``repr``, of ``==`` and ``hash``, and of ``hash`` alone. A
-record built in an inner loop spells out its ``__init__``, one ``_set`` per
-field, since the generic one takes about twice as long.
+record built once per rollout spells out its ``__init__``, one ``_set`` per
+field, since the generic one takes about twice as long; records built once
+per instance or per report row use the generic one.
 """
 
 from itertools import repeat

@@ -260,6 +260,11 @@ class Trace:
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("Trace is immutable")
 
+    def __reduce__(self):
+        # Pickling and copying rebuild through the constructor, since the
+        # default slot restore would go through ``__setattr__``.
+        return Trace, (self.steps,)
+
     def __len__(self) -> int:
         return len(self.steps)
 

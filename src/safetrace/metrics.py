@@ -18,8 +18,16 @@ and mean exposure pool its rollouts, or, with ``denominator="task"``, are
 the mean of the per-task rates (overall and per-policy rates always pool).
 Conditional metrics with an empty denominator (the unsafe share among
 successes when nothing succeeded) are reported as ``None``/``null``, never
-as zero. All rates are exact fractions; exports carry both the exact form
-and a float approximation.
+as zero. All rates are exact fractions.
+
+The record classes ``EvaluationReport``, ``TableRow`` and ``PolicyRow`` are
+the report's schema: the exporters and ``load_report`` read their fields,
+so the keys of ``report.json`` and the columns of the table CSVs are the
+field names. A count is written as it is; a rate as its exact form and a
+float approximation (``{"exact": "n/d", "approx": x}`` in JSON, the columns
+``<field>_exact`` and ``<field>`` in CSV, both empty when undefined); a
+nested row as an object of its fields. Only ``overall.csv`` names its rows
+one by one.
 
 Every table and plot panel is a projection of one fold, `ReportTally`:
 count cells keyed by (dimension, key, policy, task) holding rollouts,
@@ -89,13 +97,6 @@ class InstanceMeta(Record):
     category: SafetyCategory | None
     violated: bool  # effective, under the evaluation's end-of-trace rule
     unsafe_flag_bytes: bytes  # per-step 0/1
-
-    # Built once per instance: see ``_record`` on spelled-out constructors.
-    def __init__(self, template_id, category, violated, unsafe_flag_bytes) -> None:
-        _set(self, "template_id", template_id)
-        _set(self, "category", category)
-        _set(self, "violated", violated)
-        _set(self, "unsafe_flag_bytes", unsafe_flag_bytes)
 
 
 class RolloutEvaluation(Record):
@@ -574,107 +575,51 @@ def aggregate(
 # ---------------------------------------------------------------------------
 
 
-def _rate_json(value: Fraction | None):
-    if value is None:
-        return None
-    return {
-        "exact": f"{value.numerator}/{value.denominator}",
-        "approx": float(value),
-    }
+def _to_json(value):
+    """The JSON form of a report value: a record is an object of its fields,
+    a rate its exact and float forms, an ``Outcome`` key its value; counts,
+    strings and ``None`` pass through."""
+    if isinstance(value, Record):
+        return {field: _to_json(getattr(value, field)) for field in value._fields}
+    if isinstance(value, dict):
+        return {
+            key.value if isinstance(key, Outcome) else key: _to_json(item)
+            for key, item in value.items()
+        }
+    if isinstance(value, Fraction):
+        return {"exact": f"{value.numerator}/{value.denominator}", "approx": float(value)}
+    return value
 
 
-def _rate_from_json(value) -> Fraction | None:
-    if value is None:
-        return None
-    numerator, denominator = value["exact"].split("/")
-    return Fraction(int(numerator), int(denominator))
+def _row_class(field: str) -> type:
+    """The record class of the rows of the report table ``field``."""
+    return PolicyRow if field == "per_policy" else TableRow
+
+
+def _from_json(cls: type, data: dict):
+    """The ``cls`` record whose :func:`_to_json` form is ``data``."""
+    values = []
+    for field in cls._fields:
+        value = data[field]
+        if field == "outcome_shares":
+            value = {o: Fraction(value[o.value]["exact"]) for o in Outcome}
+        elif field.startswith("per_"):
+            value = {key: _from_json(_row_class(field), row) for key, row in value.items()}
+        elif isinstance(value, dict):
+            value = Fraction(value["exact"])
+        values.append(value)
+    return cls(*values)
 
 
 def export_report_json(report: EvaluationReport) -> str:
     """Canonical JSON: sorted keys, exact fractions alongside floats,
     byte-identical across repeated exports of equal reports."""
-
-    def table_json(table: Mapping[str, TableRow]) -> dict:
-        return {
-            key: {
-                "applicable_rollouts": row.applicable_rollouts,
-                "violation_rate": _rate_json(row.violation_rate),
-                "mean_exposure": _rate_json(row.mean_exposure),
-            }
-            for key, row in table.items()
-        }
-
-    doc = {
-        "n_rollouts": report.n_rollouts,
-        "task_success_rate": _rate_json(report.task_success_rate),
-        "overall_violation_rate": _rate_json(report.overall_violation_rate),
-        "mean_rollout_exposure": _rate_json(report.mean_rollout_exposure),
-        "outcome_shares": {
-            o.value: _rate_json(report.outcome_shares[o]) for o in Outcome
-        },
-        "unsafe_success_share": _rate_json(report.unsafe_success_share),
-        "per_template": table_json(report.per_template),
-        "per_category": table_json(report.per_category),
-        "per_suite": table_json(report.per_suite),
-        "per_horizon": table_json(report.per_horizon),
-        "per_policy": {
-            policy: {
-                "rollouts": row.rollouts,
-                "success_rate": _rate_json(row.success_rate),
-                "violation_rate": _rate_json(row.violation_rate),
-                "mean_exposure": _rate_json(row.mean_exposure),
-                "outcome_shares": {
-                    o.value: _rate_json(row.outcome_shares[o]) for o in Outcome
-                },
-                "unsafe_success_share": _rate_json(row.unsafe_success_share),
-            }
-            for policy, row in report.per_policy.items()
-        },
-        "denominator_mode": report.denominator_mode,
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(_to_json(report), sort_keys=True, indent=2) + "\n"
 
 
 def load_report(text: str) -> EvaluationReport:
     """Rebuild a report from its JSON export (exact rates included)."""
-    doc = json.loads(text)
-
-    def table_rows(data: dict) -> dict[str, TableRow]:
-        return {
-            key: TableRow(
-                applicable_rollouts=row["applicable_rollouts"],
-                violation_rate=_rate_from_json(row["violation_rate"]),
-                mean_exposure=_rate_from_json(row["mean_exposure"]),
-            )
-            for key, row in data.items()
-        }
-
-    return EvaluationReport(
-        n_rollouts=doc["n_rollouts"],
-        task_success_rate=_rate_from_json(doc["task_success_rate"]),
-        overall_violation_rate=_rate_from_json(doc["overall_violation_rate"]),
-        mean_rollout_exposure=_rate_from_json(doc["mean_rollout_exposure"]),
-        outcome_shares={o: _rate_from_json(doc["outcome_shares"][o.value]) for o in Outcome},
-        unsafe_success_share=_rate_from_json(doc["unsafe_success_share"]),
-        per_template=table_rows(doc["per_template"]),
-        per_category=table_rows(doc["per_category"]),
-        per_suite=table_rows(doc["per_suite"]),
-        per_horizon=table_rows(doc["per_horizon"]),
-        per_policy={
-            policy: PolicyRow(
-                rollouts=row["rollouts"],
-                success_rate=_rate_from_json(row["success_rate"]),
-                violation_rate=_rate_from_json(row["violation_rate"]),
-                mean_exposure=_rate_from_json(row["mean_exposure"]),
-                outcome_shares={
-                    o: _rate_from_json(row["outcome_shares"][o.value]) for o in Outcome
-                },
-                unsafe_success_share=_rate_from_json(row["unsafe_success_share"]),
-            )
-            for policy, row in doc["per_policy"].items()
-        },
-        denominator_mode=doc["denominator_mode"],
-    )
+    return _from_json(EvaluationReport, json.loads(text))
 
 
 def export_report(report: EvaluationReport, format: str) -> dict[str, str]:
@@ -716,61 +661,29 @@ def export_report_csv(report: EvaluationReport) -> dict[str, str]:
         ["unsafe_success_share", *_rate_cells(report.unsafe_success_share)],
     ]
     files["overall.csv"] = _csv_text(["metric", "exact", "approx"], overall_rows)
-
-    def table_csv(name: str, key_header: str, table: Mapping[str, TableRow]) -> None:
-        rows = [
-            [
-                key,
-                str(row.applicable_rollouts),
-                *_rate_cells(row.violation_rate),
-                *_rate_cells(row.mean_exposure),
-            ]
-            for key, row in table.items()
-        ]
-        files[name] = _csv_text(
-            [
-                key_header,
-                "applicable_rollouts",
-                "violation_rate_exact",
-                "violation_rate",
-                "mean_exposure_exact",
-                "mean_exposure",
-            ],
-            rows,
-        )
-
-    table_csv("per_template.csv", "template", report.per_template)
-    table_csv("per_category.csv", "category", report.per_category)
-    table_csv("per_suite.csv", "suite", report.per_suite)
-    table_csv("per_horizon.csv", "horizon", report.per_horizon)
-
-    policy_rows = [
-        [
-            policy,
-            str(row.rollouts),
-            *_rate_cells(row.success_rate),
-            *_rate_cells(row.violation_rate),
-            *_rate_cells(row.mean_exposure),
-            *_rate_cells(row.unsafe_success_share),
-        ]
-        for policy, row in report.per_policy.items()
-    ]
-    files["per_policy.csv"] = _csv_text(
-        [
-            "policy",
-            "rollouts",
-            "success_rate_exact",
-            "success_rate",
-            "violation_rate_exact",
-            "violation_rate",
-            "mean_exposure_exact",
-            "mean_exposure",
-            "unsafe_success_share_exact",
-            "unsafe_success_share",
-        ],
-        policy_rows,
-    )
+    for field in EvaluationReport._fields:
+        if field.startswith("per_"):
+            files[f"{field}.csv"] = _table_csv(field[4:], _row_class(field), getattr(report, field))
     return files
+
+
+def _table_csv(key_header: str, cls: type, table: Mapping[str, Record]) -> str:
+    """One row per key of ``table``, one column per count field of ``cls``
+    and two per rate (exact, then float; both empty when undefined).
+    Outcome shares are left to the JSON export."""
+    fields = [f for f in cls._fields if f != "outcome_shares"]
+    counts = {f for f in fields if cls.__annotations__[f] == "int"}
+    header = [key_header]
+    for f in fields:
+        header += [f] if f in counts else [f"{f}_exact", f]
+    rows = []
+    for key, row in table.items():
+        cells = [key]
+        for f in fields:
+            value = getattr(row, f)
+            cells += [str(value)] if f in counts else _rate_cells(value)
+        rows.append(cells)
+    return _csv_text(header, rows)
 
 
 def export_plot_data(evaluations: Iterable[RolloutEvaluation]) -> dict[str, str]:

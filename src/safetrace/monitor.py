@@ -22,7 +22,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from ._record import Record, _set
+from ._record import Record
 from .automata import (
     CODE_FALSE,
     CODE_PRESUMABLY_FALSE,
@@ -68,18 +68,6 @@ class MonitorResult(Record):
     unsafe_steps: int
     length: int
     exposure: Fraction
-
-    # Built once per instance: see ``_record`` on spelled-out constructors.
-    def __init__(
-        self, verdict_codes, final_satisfied, violated, violation_timestep, unsafe_steps, length, exposure
-    ) -> None:
-        _set(self, "verdict_codes", verdict_codes)
-        _set(self, "final_satisfied", final_satisfied)
-        _set(self, "violated", violated)
-        _set(self, "violation_timestep", violation_timestep)
-        _set(self, "unsafe_steps", unsafe_steps)
-        _set(self, "length", length)
-        _set(self, "exposure", exposure)
 
     @property
     def verdicts(self) -> tuple[Verdict, ...]:
@@ -153,15 +141,7 @@ def _checked_run(d: Dfa, masks: Sequence[int]) -> tuple[bytes, bool]:
 
 def trace_masks(d: Dfa, trace: Trace | Sequence[Iterable[str]]) -> bytes:
     """Project every valuation of a trace onto the DFA's bitmask alphabet."""
-    bits = [(p, 1 << i) for i, p in enumerate(d.props)]
-    out = bytearray(len(trace))
-    for t, valuation in enumerate(trace):
-        mask = 0
-        for p, bit in bits:
-            if p in valuation:
-                mask |= bit
-        out[t] = mask
-    return bytes(out)
+    return bytes(map(d.mask_of, trace))
 
 
 class Monitor:

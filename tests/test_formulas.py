@@ -1,5 +1,6 @@
 """Formula syntax, printing, normal form, and reference semantics."""
 
+import copy
 import pickle
 import random
 
@@ -405,3 +406,12 @@ def test_trace_is_immutable_and_closed_world():
         t.steps = ()
     assert "q" not in t[0]
     assert t == Trace([{"p"}, set()])
+
+
+def test_trace_pickles_and_copies():
+    t = Trace([["p"], [], ["p", "q"]])
+    for again in (pickle.loads(pickle.dumps(t)), copy.copy(t), copy.deepcopy(t)):
+        assert type(again) is Trace
+        assert again == t and again.steps == t.steps
+        with pytest.raises(AttributeError):
+            again.steps = ()

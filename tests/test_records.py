@@ -5,13 +5,14 @@ for repr, equality, hash, pickling, copying, immutability and construction."""
 import copy
 import dataclasses
 import itertools
+import json
 import pickle
 
 import pytest
 
 from safetrace import formulas, metrics, monitor, properties, rollouts
 from safetrace._record import Record
-from safetrace.formulas import And, Prop
+from safetrace.formulas import And, Prop, Trace
 from safetrace.metrics import aggregate, evaluate_rollout
 from safetrace.properties import get_template
 from safetrace.rollouts import (
@@ -19,6 +20,7 @@ from safetrace.rollouts import (
     RolloutRecord,
     ScenarioParams,
     generate_scenario,
+    load_rollout,
     scenario_task_spec,
 )
 
@@ -169,3 +171,14 @@ def test_rollout_records_read_their_cached_trace_after_pickling_and_copying():
     expected = (record.trace, record.masks(("a", "b")))
     for again in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
         assert (again.trace, again.masks(("a", "b"))) == expected
+
+
+def test_decoded_rollout_records_copy_after_their_trace_is_read():
+    # A decoded record builds its `Trace` when first read and keeps it.
+    document = {"rollout_id": "r", "task": "t", "policy": "p", "success": True}
+    record = load_rollout(json.dumps({**document, "trace": [["a"], [], ["a", "b"], ["b"]]}))
+    pair = (record, record.trace)
+    shallow = (copy.copy(record), copy.copy(record.trace))
+    for again_record, again_trace in (pickle.loads(pickle.dumps(pair)), shallow, copy.deepcopy(pair)):
+        assert again_record == record and type(again_trace) is Trace
+        assert again_record.trace == again_trace == record.trace
