@@ -204,8 +204,13 @@ class Dfa:
         return 1 << len(self.props)
 
     def mask_of(self, valuation: Iterable[str]) -> int:
-        """Bitmask of a valuation projected onto this automaton's basis."""
+        """Bitmask of a valuation (a collection of propositions, not a
+        string) projected onto this automaton's basis."""
         if not isinstance(valuation, (set, frozenset)):
+            if isinstance(valuation, str):
+                raise TypeError(
+                    f"a valuation is a collection of propositions, not the string {valuation!r}"
+                )
             valuation = set(valuation)
         mask = 0
         for bit, p in enumerate(self.props):

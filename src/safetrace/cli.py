@@ -111,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="append",
         default=[],
         metavar="SLOT=PROP",
-        help="slot binding for --template; repeatable (default: none)",
+        help="slot binding for --template; repeatable, once per slot (default: none)",
     )
     p_compile.add_argument("--out", help="output file path (default: stdout summary only)")
     p_compile.add_argument(
@@ -228,6 +228,8 @@ def _cmd_compile(args) -> int:
             slot, sep, prop = item.partition("=")
             if not sep or not slot or not prop:
                 raise SafetraceError(f"--bind expects SLOT=PROP, got {item!r}")
+            if slot in bindings:
+                raise SafetraceError(f"--bind names slot {slot!r} twice")
             bindings[slot] = prop
         instance = instantiate(args.template, bindings)
         dfa = instance.dfa

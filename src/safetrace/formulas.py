@@ -242,8 +242,9 @@ def operands(f: Formula) -> tuple:
 class Trace:
     """A nonempty, immutable sequence of valuations.
 
-    Each step is the set of propositions that hold there; anything absent is
-    false (closed world). Step ``0`` is the first observation, step ``H`` the
+    Each step is the set of propositions that hold there, given as any
+    collection of names but a string; anything absent is false (closed
+    world). Step ``0`` is the first observation, step ``H`` the
     last, so the length is ``H + 1``.
     """
 
@@ -252,6 +253,9 @@ class Trace:
     def __init__(self, steps: Iterable[Iterable[str]]):
         normalized = tuple(steps)
         if set(map(type, normalized)) != {frozenset}:
+            for t, s in enumerate(normalized):
+                if isinstance(s, str):
+                    raise TypeError(f"step {t} is the string {s!r}, not a collection of propositions")
             normalized = tuple(s if isinstance(s, frozenset) else frozenset(s) for s in normalized)
         if not normalized:
             raise ValueError("trace must contain at least one step")

@@ -376,15 +376,31 @@ def _mean(values: Sequence[Fraction]) -> Fraction:
     return sum(values, Fraction(0)) / len(values)
 
 
-def _table(cells, dimension: str, mode: str, preferred: Sequence[str]) -> dict[str, TableRow]:
-    """Rows keyed by group, preferred keys first; ``mode`` selects the
+#: The preferred key order of each report table; ``per_policy`` is sorted.
+_KEY_ORDERS = {
+    "template": (*TEMPLATE_IDS, CUSTOM_TEMPLATE),
+    "category": tuple(c.value for c in SafetyCategory),
+    "suite": tuple(SUITES),
+    "horizon": tuple(HORIZONS),
+}
+
+
+def _ordered(keys: Iterable[str], dimension: str) -> list[str]:
+    """The keys of ``dimension``'s table in report order: its preferred
+    keys first, the rest sorted."""
+    keys, preferred = set(keys), _KEY_ORDERS.get(dimension, ())
+    return [k for k in preferred if k in keys] + sorted(keys.difference(preferred))
+
+
+def _table(cells, dimension: str, mode: str) -> dict[str, TableRow]:
+    """Rows keyed by group, in report order; ``mode`` selects the
     denominator: ``rollout`` pools rollouts, ``task`` macro-averages
     per-task rates."""
     by_key: dict[str, list[list]] = {}
     for (key, _task), cell in _sums(cells, dimension, lambda key, policy, task: (key, task)).items():
         by_key.setdefault(key, []).append(cell)
     table = {}
-    for key in [k for k in preferred if k in by_key] + sorted(by_key.keys() - set(preferred)):
+    for key in _ordered(by_key, dimension):
         tasks = by_key[key] if mode == "task" else [_add(by_key[key])]
         table[key] = TableRow(
             applicable_rollouts=sum(c[0] for c in tasks),
@@ -488,7 +504,6 @@ class ReportTally:
             raise SafetraceError(f"unknown denominator mode {denominator!r}")
         cells = self._checked_cells()
         overall = _pooled(_sums(cells, "suite", lambda key, policy, task: None)[None])
-        category_order = [c.value for c in SafetyCategory]
         return EvaluationReport(
             n_rollouts=overall.rollouts,
             task_success_rate=overall.success_rate,
@@ -496,12 +511,10 @@ class ReportTally:
             mean_rollout_exposure=overall.mean_exposure,
             outcome_shares=overall.outcome_shares,
             unsafe_success_share=overall.unsafe_success_share,
-            per_template=_table(
-                cells, "template", denominator, list(TEMPLATE_IDS) + [CUSTOM_TEMPLATE]
-            ),
-            per_category=_table(cells, "category", denominator, category_order),
-            per_suite=_table(cells, "suite", denominator, SUITES),
-            per_horizon=_table(cells, "horizon", denominator, HORIZONS),
+            per_template=_table(cells, "template", denominator),
+            per_category=_table(cells, "category", denominator),
+            per_suite=_table(cells, "suite", denominator),
+            per_horizon=_table(cells, "horizon", denominator),
             per_policy=_per_policy(cells),
             denominator_mode=denominator,
         )
@@ -526,11 +539,11 @@ class ReportTally:
             ],
         )
 
-        def panel(dimension: str, keys: Sequence[str], name: str, header: list[str], last) -> None:
+        def panel(dimension: str, name: str, header: list[str], last) -> None:
             sums = _sums(cells, dimension, lambda key, policy, task: (key, policy))
             rows = [
                 [key, policy, str(c[0]), repr(float(Fraction(c[1], c[0]))), last(c)]
-                for key in keys
+                for key in _KEY_ORDERS[dimension]
                 for policy in per_policy
                 if (c := sums.get((key, policy)))
             ]
@@ -538,18 +551,16 @@ class ReportTally:
 
         panel(
             "category",
-            [c.value for c in SafetyCategory],
             "plot_category_heatmap.csv",
             ["applicable_rollouts", "violation_rate", "mean_exposure"],
             lambda c: repr(float(c[4] / c[0])),
         )
-        for dimension, keys, name in (
-            ("horizon", HORIZONS, "plot_horizon_lines.csv"),
-            ("suite", SUITES, "plot_suite_heatmap.csv"),
+        for dimension, name in (
+            ("horizon", "plot_horizon_lines.csv"),
+            ("suite", "plot_suite_heatmap.csv"),
         ):
             panel(
                 dimension,
-                keys,
                 name,
                 ["rollouts", "violation_rate", "unsafe_success_share"],
                 lambda c: repr(float(Fraction(c[3], c[2]))) if c[2] else "",
@@ -604,7 +615,8 @@ def _from_json(cls: type, data: dict):
         if field == "outcome_shares":
             value = {o: Fraction(value[o.value]["exact"]) for o in Outcome}
         elif field.startswith("per_"):
-            value = {key: _from_json(_row_class(field), row) for key, row in value.items()}
+            rows = value
+            value = {key: _from_json(_row_class(field), rows[key]) for key in _ordered(rows, field[4:])}
         elif isinstance(value, dict):
             value = Fraction(value["exact"])
         values.append(value)

@@ -35,8 +35,9 @@ from collections.abc import Callable, Hashable, Iterable, Sequence
 from functools import cached_property
 from itertools import count
 from pathlib import Path
+from typing import NoReturn
 
-from ._record import Record
+from ._record import Record, _restore
 from .errors import RolloutFormatError, ScenarioError
 from .formulas import Trace, is_valid_proposition
 from .properties import TaskSpec, is_utf8_encodable, load_task_spec
@@ -64,7 +65,9 @@ class RolloutRecord(Record, norepr=("valuations", "valuation_ids"), nohash=("val
 
     The record keeps the trace as its distinct valuations and one id per
     step; :attr:`trace` is built from them when first read. The constructor
-    takes the trace as a :class:`Trace` or any nonempty sequence of steps.
+    takes the trace as a :class:`Trace` or any nonempty sequence of steps,
+    and keeps ``declared_props`` sorted and without repeats, as
+    :func:`load_rollout` does.
     """
 
     rollout_id: str
@@ -85,65 +88,21 @@ class RolloutRecord(Record, norepr=("valuations", "valuation_ids"), nohash=("val
         policy: str,
         success: bool,
         trace: Trace | Sequence[Iterable[str]],
-        declared_props: tuple[str, ...] | None = None,
+        declared_props: Iterable[str] | None = None,
     ) -> None:
+        if not rollout_id:
+            raise RolloutFormatError("rollout_id must be nonempty")
+        declared = _declared_names(declared_props)
         if not isinstance(trace, Trace):
             try:
                 trace = Trace(trace)
             except (TypeError, ValueError) as exc:
                 raise RolloutFormatError(f"invalid trace: {exc}") from exc
-        index = _valuation_index(trace.steps)
-        _check_names(index)
-        self._fill(rollout_id, task_name, policy, success, index, declared_props)
+        steps = trace.steps
+        # Sorted steps word an invalid name as the smallest one of its step.
+        index = _valuation_index(steps, declared, lambda: [sorted(s, key=str) for s in steps])
+        Record.__init__(self, rollout_id, task_name, policy, success, *index, declared)
         self.__dict__["trace"] = trace
-
-    @classmethod
-    def _from_index(
-        cls,
-        rollout_id: str,
-        task_name: str,
-        policy: str,
-        success: bool,
-        index: tuple[tuple[frozenset[str], ...], bytes | list[int]],
-        declared_props: tuple[str, ...] | None,
-    ) -> RolloutRecord:
-        """A record of the trace that ``index``, as :func:`_valuation_index`
-        returns it, describes."""
-        record = cls.__new__(cls)
-        record._fill(rollout_id, task_name, policy, success, index, declared_props)
-        return record
-
-    def _fill(
-        self,
-        rollout_id: str,
-        task_name: str,
-        policy: str,
-        success: bool,
-        index: tuple[tuple[frozenset[str], ...], bytes | list[int]],
-        declared_props: tuple[str, ...] | None,
-    ) -> None:
-        if not rollout_id:
-            raise RolloutFormatError("rollout_id must be nonempty")
-        valuations, ids = index
-        if declared_props is not None:
-            declared = set(declared_props)
-            # Valuations are in order of first occurrence, so the first
-            # offending one names the first offending step.
-            for i, valuation in enumerate(valuations):
-                if not declared.issuperset(valuation):
-                    raise RolloutFormatError(
-                        f"step {ids.index(i)} uses undeclared propositions: "
-                        f"{sorted(valuation - declared)}"
-                    )
-        self.__dict__.update(
-            rollout_id=rollout_id,
-            task_name=task_name,
-            policy=policy,
-            success=success,
-            valuations=valuations,
-            valuation_ids=ids,
-            declared_props=declared_props,
-        )
 
     @cached_property
     def trace(self) -> Trace:
@@ -188,17 +147,18 @@ def _is_name(p) -> bool:
     return isinstance(p, str) and is_valid_proposition(p)
 
 
-def _check_names(index: tuple[tuple[frozenset[str], ...], bytes | list[int]]) -> None:
-    """Reject the names :func:`load_rollout` rejects, with its message, at
-    the first step that holds one; each distinct name is checked once."""
-    valuations, ids = index
-    bad = {p for p in frozenset().union(*valuations) if not _is_name(p)}
-    if bad:
-        # Valuations are in order of first occurrence, as in `_fill`.
-        i, invalid = next((i, bad & v) for i, v in enumerate(valuations) if not bad.isdisjoint(v))
-        raise RolloutFormatError(
-            f"step {ids.index(i)}: invalid proposition {min(invalid, key=str)!r}"
-        )
+def _declared_names(declared: Iterable[str] | None) -> tuple[str, ...] | None:
+    """The declared propositions as a record keeps them: sorted and without
+    repeats, after each is checked in the order given."""
+    if declared is None:
+        return None
+    if isinstance(declared, str):
+        raise RolloutFormatError("'declared_props' must be a list of strings")
+    declared = list(declared)
+    for p in declared:
+        if not _is_name(p):
+            raise RolloutFormatError(f"invalid declared proposition {p!r}")
+    return tuple(sorted(set(declared)))
 
 
 def _normalize_step(step, t: int) -> frozenset[str]:
@@ -217,65 +177,64 @@ def _normalize_step(step, t: int) -> frozenset[str]:
     return frozenset(props)
 
 
-def _valuation_index(
-    keys: Iterable[Hashable], valuation: Callable[[Hashable], frozenset[str]] = frozenset
-) -> tuple[tuple[frozenset[str], ...], bytes | list[int]]:
-    """Index a trace by its distinct valuations.
+def _raise_first_error(steps: Iterable, declared: tuple[str, ...] | None) -> NoReturn:
+    """Raise the first error of a step-by-step decode of ``steps``: an
+    invalid step or name (:func:`_normalize_step`), else the first step
+    with an undeclared name."""
+    valuations = [_normalize_step(step, t) for t, step in enumerate(steps)]
+    for t, valuation in enumerate(valuations):
+        undeclared = valuation.difference(declared or ())
+        if undeclared:
+            raise RolloutFormatError(f"step {t} uses undeclared propositions: {sorted(undeclared)}")
+    raise AssertionError("the trace has no invalid or undeclared proposition")
 
-    ``keys`` holds one hashable key per step, and ``valuation`` decodes a
-    key. Every key is hashed first (an unhashable one raises ``TypeError``),
-    then each distinct key is decoded once, in order of first occurrence.
+
+def _valuation_index(
+    keys: Iterable[Hashable], declared: tuple[str, ...] | None, steps: Callable[[], Iterable]
+) -> tuple[tuple[frozenset[str], ...], bytes | list[int]]:
+    """Index a trace by its distinct valuations, checking their names.
+
+    ``keys`` holds one key per step: a collection of its names (a tuple or
+    a frozenset). The distinct keys are numbered in one pass, in order of
+    first occurrence, and keys with the same names share one valuation id.
+    The union of the names is then checked once: each must be a valid
+    proposition and, when ``declared`` is given, one of them. Problems are
+    found over the distinct values, and worded by
+    :func:`_raise_first_error` over ``steps()``, the trace's steps in a form
+    :func:`_normalize_step` decodes; an unhashable key is one such problem.
+
     Returns the distinct valuations in order of first occurrence, and each
     step's id, its index into them: ``bytes`` for at most 256 distinct
-    valuations, else a list. Keys that decode to equal valuations share one
-    id.
+    valuations, else a list.
     """
     key_ids: dict[Hashable, int] = defaultdict(count().__next__)
-    index = list(map(key_ids.__getitem__, keys))
+    try:
+        index = list(map(key_ids.__getitem__, keys))
+    except TypeError:  # an unhashable key
+        _raise_first_error(steps(), declared)
     ids: dict[frozenset[str], int] = {}
-    id_of_key = [ids.setdefault(valuation(key), len(ids)) for key in key_ids]
+    id_of_key = [ids.setdefault(frozenset(key), len(ids)) for key in key_ids]
+    names = frozenset().union(*ids)
+    if not all(map(_is_name, names)) or (declared is not None and not names.issubset(declared)):
+        _raise_first_error(steps(), declared)
     if len(ids) < len(id_of_key):
         index = list(map(id_of_key.__getitem__, index))
     return tuple(ids), bytes(index) if len(ids) <= 256 else index
 
 
-def _interned_steps(raw_trace: list) -> tuple[tuple[frozenset[str], ...], bytes | list[int]]:
-    """Decode a trace of sparse or dense steps into its valuation index (see
-    :func:`_valuation_index`), each distinct step once.
-
-    When every step is a sparse list, steps are keyed by their entries. Each
-    distinct key is checked, in order of first occurrence, for the names no
-    earlier key has shown valid; the first invalid one is reported by
-    :func:`_normalize_step` at the step where its key first occurs, so the
-    first error is the one a step-by-step decode raises. Dense maps and
-    traces with an unhashable entry are decoded step by step.
-    """
-    if set(map(type, raw_trace)) == {list}:
-        valid_names: set[str] = set()
-
-        def checked(key: tuple) -> frozenset[str]:
-            if not valid_names.issuperset(key):
-                fresh = [p for p in key if p not in valid_names]
-                if not all(map(_is_name, fresh)):
-                    _normalize_step(fresh, list(map(tuple, raw_trace)).index(key))  # raises
-                valid_names.update(fresh)
-            return frozenset(key)
-
-        try:
-            return _valuation_index(map(tuple, raw_trace), checked)
-        except TypeError:  # an unhashable entry; the step-by-step decode names it
-            pass
-    return _valuation_index([_normalize_step(step, t) for t, step in enumerate(raw_trace)])
-
-
-def _steps_from_document(raw_trace) -> tuple[tuple[frozenset[str], ...], bytes | list[int]]:
+def _steps_from_document(
+    raw_trace, declared: tuple[str, ...] | None
+) -> tuple[tuple[frozenset[str], ...], bytes | list[int]]:
     if not isinstance(raw_trace, list):
         raise RolloutFormatError("'trace' must be a list of steps")
     if not raw_trace:
         raise RolloutFormatError("'trace' must contain at least one step")
-    timestep_form = isinstance(raw_trace[0], dict) and "t" in raw_trace[0]
-    if not timestep_form:
-        return _interned_steps(raw_trace)
+    if not (isinstance(raw_trace[0], dict) and "t" in raw_trace[0]):
+        if set(map(type, raw_trace)) == {list}:
+            keys = map(tuple, raw_trace)
+        else:
+            keys = [_normalize_step(step, t) for t, step in enumerate(raw_trace)]
+        return _valuation_index(keys, declared, lambda: raw_trace)
 
     by_time: dict[int, frozenset[str]] = {}
     for entry in raw_trace:
@@ -295,7 +254,8 @@ def _steps_from_document(raw_trace) -> tuple[tuple[frozenset[str], ...], bytes |
     missing = [t for t in range(min(horizon, len(by_time) + 4) + 1) if t not in by_time]
     if missing:
         raise RolloutFormatError(f"missing timesteps: {missing[:5]}")
-    return _valuation_index([by_time[t] for t in range(horizon + 1)])
+    steps = [by_time[t] for t in range(horizon + 1)]
+    return _valuation_index(steps, declared, lambda: list(map(list, steps)))
 
 
 def load_rollout(source: str | dict) -> RolloutRecord:
@@ -331,18 +291,10 @@ def load_rollout(source: str | dict) -> RolloutRecord:
     if declared is not None:
         if not isinstance(declared, list) or not all(isinstance(p, str) for p in declared):
             raise RolloutFormatError("'declared_props' must be a list of strings")
-        for p in declared:
-            if not is_valid_proposition(p):
-                raise RolloutFormatError(f"invalid declared proposition {p!r}")
-        declared = tuple(sorted(set(declared)))
-    return RolloutRecord._from_index(
-        data["rollout_id"],
-        data["task"],
-        data["policy"],
-        data["success"],
-        _steps_from_document(data["trace"]),
-        declared,
-    )
+        declared = _declared_names(declared)
+    index = _steps_from_document(data["trace"], declared)
+    fields = (data["rollout_id"], data["task"], data["policy"], data["success"])
+    return _restore(RolloutRecord, (*fields, *index, declared))
 
 
 def serialize_rollout(r: RolloutRecord) -> str:

@@ -91,6 +91,12 @@ def test_compile_template_to_dot(tmp_path):
     check_dot_well_formed(out.read_text())
 
 
+def test_compile_bind_naming_a_slot_twice_exits_one(capsys):
+    binds = ["--bind", "Collision=a", "--bind", "BadContact=c", "--bind", "Collision=b"]
+    assert run_cli("compile", "--template", "phi1", *binds) == 1
+    assert capsys.readouterr().err == "error: --bind names slot 'Collision' twice\n"
+
+
 def test_compile_alphabet_too_large_exits_one(capsys):
     wide = " & ".join(f"F p{i}" for i in range(9))
     assert run_cli("compile", "--formula", wide) == 1

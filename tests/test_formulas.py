@@ -400,6 +400,14 @@ def test_trace_rejects_empty():
         Trace([])
 
 
+def test_trace_rejects_a_string_step():
+    # A string is iterable, but its characters are not the step's names.
+    with pytest.raises(TypeError, match="step 1 is the string 'grasped'"):
+        Trace([{"p"}, "grasped"])
+    with pytest.raises(TypeError, match="step 0 is the string ''"):
+        Trace([""])
+
+
 def test_trace_is_immutable_and_closed_world():
     t = Trace([["p"], []])
     with pytest.raises(AttributeError):

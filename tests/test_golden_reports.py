@@ -121,6 +121,14 @@ def test_load_report_inverts_the_json_export(name):
     assert load_report(export_report_json(report)) == report
 
 
+@pytest.mark.parametrize("name", sorted(_CASES))
+def test_loaded_golden_report_writes_the_golden_csvs(golden, name):
+    # Equal reports can differ in table order, which only the CSVs show.
+    files = golden[name]
+    csvs = export_report_csv(load_report(files["report.json"]))
+    assert csvs == {csv_name: files[csv_name] for csv_name in csvs}
+
+
 if __name__ == "__main__":
     golden = {name: _files(*case) for name, case in sorted(_CASES.items())}
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -86,6 +86,20 @@ def test_finalize_without_steps_is_an_error():
         Monitor(compile_formula(parse("F p"))).finalize()
 
 
+def test_a_string_valuation_is_an_error_not_its_characters():
+    dfa = compile_formula(parse("G !a"))
+    match = "not the string 'ab'"
+    with pytest.raises(TypeError, match=match):
+        Monitor(dfa).step("ab")
+    with pytest.raises(TypeError, match=match):
+        run_trace(dfa, [set(), "ab"])
+    with pytest.raises(TypeError, match=match):
+        dfa.accepts([set(), "ab"])
+    # The same names as a collection are read as names.
+    assert Monitor(dfa).step(["ab"]) is Verdict.PRESUMABLY_TRUE
+    assert Monitor(dfa).step(("a", "b")) is Verdict.FALSE
+
+
 # ---------------------------------------------------------------------------
 # finalize
 # ---------------------------------------------------------------------------

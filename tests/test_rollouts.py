@@ -361,6 +361,66 @@ def test_directly_built_record_rejects_names_load_rollout_rejects():
     assert str(direct_error.value) == "step 1: invalid proposition 7"
 
 
+_DIRECT_ENTRIES = ("G", "true", "9bad", "", "late_name", 1, True, None, 2.5, ("a",))
+
+
+@given(
+    steps=st.lists(
+        st.sets(st.sampled_from(_NAMES) | st.sampled_from(_DIRECT_ENTRIES), max_size=4),
+        min_size=1,
+        max_size=60,
+    ),
+    declared=st.none() | st.lists(st.sampled_from(_NAMES)),
+)
+@example(steps=[{"a"}, {"b", "late_name"}, {"G"}], declared=["a", "b"])  # invalid beats undeclared
+@example(steps=[{"a", 1, "9bad", None}], declared=None)  # the smallest bad name by str
+@settings(max_examples=300, deadline=None)
+def test_direct_errors_match_step_by_step_reference_over_sorted_steps(steps, declared):
+    try:
+        expected = reference_trace([sorted(step, key=str) for step in steps], declared)
+    except ReferenceDecodeError as exc:
+        with pytest.raises(RolloutFormatError) as info:
+            RolloutRecord("r", "t", "p", True, steps, declared)
+        assert str(info.value) == str(exc)
+    else:
+        record = RolloutRecord("r", "t", "p", True, steps, declared)
+        assert record.trace == Trace(expected)
+        assert record.declared_props == (None if declared is None else tuple(sorted(set(declared))))
+
+
+def test_direct_record_checks_rollout_id_before_the_trace():
+    for trace in ([["G"]], [{"a"}, {7}], 7, []):
+        with pytest.raises(RolloutFormatError, match="^rollout_id must be nonempty$"):
+            RolloutRecord("", "t", "p", True, trace)
+    with pytest.raises(RolloutFormatError, match="^rollout_id must be nonempty$"):
+        RolloutRecord("", "t", "p", True, [["a"]], declared_props=("a",))
+
+
+def test_direct_record_keeps_declared_props_as_load_rollout_does():
+    record = RolloutRecord("r", "t", "p", True, [["a"], ["b"]], declared_props=("b", "a", "a"))
+    assert record.declared_props == ("a", "b")
+    assert load_rollout(serialize_rollout(record)) == record
+    from_list = RolloutRecord("r", "t", "p", True, [["a"], ["b"]], declared_props=["a", "b"])
+    assert from_list == record and hash(from_list) == hash(record)
+    fields = {"rollout_id": "r", "task": "t", "policy": "p", "success": True, "trace": [["a"]]}
+    for declared in (["a", "G", "9x"], ["a", "a b"]):
+        with pytest.raises(RolloutFormatError) as from_document:
+            load_rollout(dict(fields, declared_props=declared))
+        with pytest.raises(RolloutFormatError) as direct_error:
+            RolloutRecord("r", "t", "p", True, [["a"]], declared_props=declared)
+        assert str(direct_error.value) == str(from_document.value)
+    assert str(direct_error.value) == "invalid declared proposition 'a b'"
+    with pytest.raises(RolloutFormatError, match="'declared_props' must be a list of strings"):
+        RolloutRecord("r", "t", "p", True, [["a"]], declared_props="ab")
+
+
+def test_a_string_step_is_an_invalid_trace_not_its_characters():
+    with pytest.raises(RolloutFormatError, match="^invalid trace: step 0 is the string 'grasped'"):
+        RolloutRecord("r", "t", "p", True, ["grasped"])
+    with pytest.raises(RolloutFormatError, match="step 0: expected a list or mapping, got str"):
+        load_rollout(dict(BASE_DOC, trace=["grasped"]))
+
+
 def test_serialize_round_trip_fuzzed():
     rng = random.Random(404)
     props = ["alpha", "beta", "gamma", "delta"]
