@@ -31,7 +31,7 @@ from .metrics import (
     export_report_json,
     monitor_report_json,
 )
-from .properties import TEMPLATE_IDS, instantiate, load_task_spec
+from .properties import TEMPLATE_IDS, _read_json, instantiate, load_task_spec
 from .rollouts import (
     SCENARIOS,
     ScenarioParams,
@@ -389,17 +389,11 @@ def _cmd_evaluate(args) -> int:
     else:
         if not args.manifest:
             raise SafetraceError("a manifest path (or --jsonl) is required")
-        manifest_path = Path(args.manifest)
-        try:
-            manifest = json.loads(_read_text(args.manifest))
-        except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
-            raise SafetraceError(f"{args.manifest}: invalid JSON: {exc}") from exc
-        except RecursionError as exc:
-            raise SafetraceError(f"{args.manifest}: JSON nested too deeply to parse") from exc
+        manifest = _load(args.manifest, _read_json)
         pairs = manifest.get("pairs") if isinstance(manifest, dict) else None
         if not isinstance(pairs, list) or not pairs:
             raise SafetraceError("manifest must contain a nonempty 'pairs' list")
-        base = manifest_path.parent
+        base = Path(args.manifest).parent
         jobs = []
         for entry in pairs:
             try:
@@ -484,14 +478,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except SafetraceError as exc:
+    except (SafetraceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON input: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

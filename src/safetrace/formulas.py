@@ -76,10 +76,10 @@ IDENT_RE = re.compile(_WORD_RE.pattern + r"\Z")
 RESERVED_WORDS = frozenset({"true", "false", "U", "R", "X", "WX", "G", "F"})
 
 
-def is_valid_proposition(name: str) -> bool:
-    """A proposition is a letter followed by letters/digits/underscores and
-    not one of the reserved syntax words."""
-    return bool(IDENT_RE.match(name)) and name not in RESERVED_WORDS
+def is_valid_proposition(name: object) -> bool:
+    """A proposition is a string, a letter followed by
+    letters/digits/underscores, and not one of the reserved syntax words."""
+    return isinstance(name, str) and bool(IDENT_RE.match(name)) and name not in RESERVED_WORDS
 
 
 class Formula(Record):

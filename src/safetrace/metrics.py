@@ -56,7 +56,7 @@ from ._record import Record, _set
 from .automata import CODE_FALSE, CODE_PRESUMABLY_FALSE, CODE_PRESUMABLY_TRUE, CODE_TRUE
 from .errors import SafetraceError
 from .monitor import _UNSAFE_FLAG_TABLE, MonitorResult, Verdict, _checked_run, _result_from_codes
-from .properties import SafetyCategory, TaskSpec, TEMPLATE_IDS, CUSTOM_TEMPLATE, SUITES, HORIZONS
+from .properties import SafetyCategory, TaskSpec, TEMPLATE_IDS, CUSTOM_TEMPLATE, SUITES, HORIZONS, _read_json
 from .rollouts import RolloutRecord
 
 __all__ = [
@@ -630,8 +630,13 @@ def export_report_json(report: EvaluationReport) -> str:
 
 
 def load_report(text: str) -> EvaluationReport:
-    """Rebuild a report from its JSON export (exact rates included)."""
-    return _from_json(EvaluationReport, json.loads(text))
+    """Rebuild a report from its JSON export (exact rates included); text
+    that is not such an export raises one :class:`SafetraceError`."""
+    data = _read_json(text)
+    try:
+        return _from_json(EvaluationReport, data)
+    except (LookupError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise SafetraceError(f"not a report export: {type(exc).__name__}: {exc}") from exc
 
 
 def export_report(report: EvaluationReport, format: str) -> dict[str, str]:

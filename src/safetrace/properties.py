@@ -42,7 +42,7 @@ from typing import Mapping
 
 from ._record import Record
 from .automata import Dfa, _renamed, compile_formula
-from .errors import BindingError, TaskSpecError, TemplateError
+from .errors import BindingError, SafetraceError, TaskSpecError, TemplateError
 from .formulas import Formula, Prop, is_valid_proposition, operands, parse, proposition_order
 
 __all__ = [
@@ -241,7 +241,7 @@ def _instantiate(
             f"{template_id}: unknown slots {unknown}; expected {list(template.slots)}"
         )
     for slot, name in bindings.items():
-        if not isinstance(name, str) or not is_valid_proposition(name):
+        if not is_valid_proposition(name):
             raise BindingError(
                 f"{template_id}: slot {slot!r} bound to invalid proposition {name!r}"
             )
@@ -345,14 +345,29 @@ def _one_line(exc: Exception) -> str:
     return " ".join(str(exc).split())
 
 
-def is_utf8_encodable(text: str) -> bool:
-    """Whether ``text`` can be written out as UTF-8, i.e. holds no surrogate
-    code point (JSON's ``\\ud800`` escapes decode to one)."""
+def _read_json(text: str, error: type[SafetraceError] = SafetraceError) -> object:
+    """``text`` parsed as JSON; text that does not parse raises ``error``."""
     try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
+        return json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+        raise error(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise error("JSON nested too deeply to parse") from exc
+
+
+def _check_identifier(value: object, key: str, error: type[SafetraceError], where: str = "") -> None:
+    """Raise ``error`` unless ``value``, the field ``key`` of a document
+    (at ``where``, when given), is a nonempty string that UTF-8 can encode:
+    one without a lone surrogate, which JSON's ``\\ud800`` escapes decode to."""
+    if not isinstance(value, str) or not value:
+        problem = "must be a nonempty string"
+    else:
+        try:
+            value.encode("utf-8")
+            return
+        except UnicodeEncodeError:
+            problem = "contains a surrogate code point, which UTF-8 cannot encode"
+    raise error(f"{where}: '{key}' {problem}" if where else f"'{key}' {problem}")
 
 
 def load_task_spec(source: str | dict) -> TaskSpec:
@@ -373,10 +388,7 @@ def load_task_spec(source: str | dict) -> TaskSpec:
     if extra:
         raise TaskSpecError(f"task spec has unknown keys: {sorted(extra, key=str)}")
     task = data["task"]
-    if not isinstance(task, str) or not task:
-        raise TaskSpecError("'task' must be a nonempty string")
-    if not is_utf8_encodable(task):
-        raise TaskSpecError("'task' contains a surrogate code point, which UTF-8 cannot encode")
+    _check_identifier(task, "task", TaskSpecError)
     entries = data["properties"]
     if not isinstance(entries, list):
         raise TaskSpecError("'properties' must be a list")
@@ -391,12 +403,7 @@ def load_task_spec(source: str | dict) -> TaskSpec:
         if extra:
             raise TaskSpecError(f"{where}: unknown keys {sorted(extra, key=str)}")
         instance_id = entry.get("id")
-        if not isinstance(instance_id, str) or not instance_id:
-            raise TaskSpecError(f"{where}: 'id' must be a nonempty string")
-        if not is_utf8_encodable(instance_id):
-            raise TaskSpecError(
-                f"{where}: 'id' contains a surrogate code point, which UTF-8 cannot encode"
-            )
+        _check_identifier(instance_id, "id", TaskSpecError, where)
         template_id = entry.get("template")
         if not isinstance(template_id, str):
             raise TaskSpecError(f"{where} (id {instance_id!r}): 'template' must be a string")

@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import random
 from collections import defaultdict
-from collections.abc import Callable, Hashable, Iterable, Sequence
+from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 from functools import cached_property
 from itertools import count
 from pathlib import Path
@@ -39,8 +39,8 @@ from typing import NoReturn
 
 from ._record import Record, _restore
 from .errors import RolloutFormatError, ScenarioError
-from .formulas import Trace, is_valid_proposition
-from .properties import TaskSpec, is_utf8_encodable, load_task_spec
+from .formulas import Trace, is_valid_proposition, propositions
+from .properties import TaskSpec, _check_identifier, _read_json, get_template, load_task_spec
 
 __all__ = [
     "RolloutRecord",
@@ -65,9 +65,10 @@ class RolloutRecord(Record, norepr=("valuations", "valuation_ids"), nohash=("val
 
     The record keeps the trace as its distinct valuations and one id per
     step; :attr:`trace` is built from them when first read. The constructor
-    takes the trace as a :class:`Trace` or any nonempty sequence of steps,
-    and keeps ``declared_props`` sorted and without repeats, as
-    :func:`load_rollout` does.
+    takes the trace as a :class:`Trace` or any nonempty sequence of steps.
+    It checks the labels and ``declared_props`` with :func:`load_rollout`'s
+    rules and messages, and keeps ``declared_props`` sorted and without
+    repeats, as :func:`load_rollout` does.
     """
 
     rollout_id: str
@@ -90,8 +91,7 @@ class RolloutRecord(Record, norepr=("valuations", "valuation_ids"), nohash=("val
         trace: Trace | Sequence[Iterable[str]],
         declared_props: Iterable[str] | None = None,
     ) -> None:
-        if not rollout_id:
-            raise RolloutFormatError("rollout_id must be nonempty")
+        _check_labels(rollout_id, task_name, policy, success)
         declared = _declared_names(declared_props)
         if not isinstance(trace, Trace):
             try:
@@ -143,22 +143,30 @@ class RolloutRecord(Record, norepr=("valuations", "valuation_ids"), nohash=("val
 # ---------------------------------------------------------------------------
 
 
-def _is_name(p) -> bool:
-    return isinstance(p, str) and is_valid_proposition(p)
+def _check_labels(rollout_id, task, policy, success) -> None:
+    """The rules for a rollout's labels, checked in this order: ``success``
+    is a boolean, and each other label a nonempty string UTF-8 can encode."""
+    if not isinstance(success, bool):
+        raise RolloutFormatError("'success' must be a boolean")
+    _check_identifier(rollout_id, "rollout_id", RolloutFormatError)
+    _check_identifier(task, "task", RolloutFormatError)
+    _check_identifier(policy, "policy", RolloutFormatError)
 
 
-def _declared_names(declared: Iterable[str] | None) -> tuple[str, ...] | None:
-    """The declared propositions as a record keeps them: sorted and without
-    repeats, after each is checked in the order given."""
+def _declared_names(declared) -> tuple[str, ...] | None:
+    """The declared propositions as a record keeps them, sorted and without
+    repeats. They must be a collection of strings (neither a string nor a
+    mapping), and each is then checked in the order given."""
     if declared is None:
         return None
-    if isinstance(declared, str):
+    listed = isinstance(declared, Iterable) and not isinstance(declared, (str, Mapping))
+    names = list(declared) if listed else []
+    if not listed or not all(isinstance(p, str) for p in names):
         raise RolloutFormatError("'declared_props' must be a list of strings")
-    declared = list(declared)
-    for p in declared:
-        if not _is_name(p):
+    for p in names:
+        if not is_valid_proposition(p):
             raise RolloutFormatError(f"invalid declared proposition {p!r}")
-    return tuple(sorted(set(declared)))
+    return tuple(sorted(set(names)))
 
 
 def _normalize_step(step, t: int) -> frozenset[str]:
@@ -172,7 +180,7 @@ def _normalize_step(step, t: int) -> frozenset[str]:
     else:
         raise RolloutFormatError(f"step {t}: expected a list or mapping, got {type(step).__name__}")
     for p in props:
-        if not _is_name(p):
+        if not is_valid_proposition(p):
             raise RolloutFormatError(f"step {t}: invalid proposition {p!r}")
     return frozenset(props)
 
@@ -215,7 +223,7 @@ def _valuation_index(
     ids: dict[frozenset[str], int] = {}
     id_of_key = [ids.setdefault(frozenset(key), len(ids)) for key in key_ids]
     names = frozenset().union(*ids)
-    if not all(map(_is_name, names)) or (declared is not None and not names.issubset(declared)):
+    if not all(map(is_valid_proposition, names)) or (declared is not None and not names.issubset(declared)):
         _raise_first_error(steps(), declared)
     if len(ids) < len(id_of_key):
         index = list(map(id_of_key.__getitem__, index))
@@ -260,15 +268,7 @@ def _steps_from_document(
 
 def load_rollout(source: str | dict) -> RolloutRecord:
     """Parse and validate a rollout document (JSON text or parsed mapping)."""
-    if isinstance(source, str):
-        try:
-            data = json.loads(source)
-        except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
-            raise RolloutFormatError(f"invalid JSON: {exc}") from exc
-        except RecursionError as exc:
-            raise RolloutFormatError("JSON nested too deeply to parse") from exc
-    else:
-        data = source
+    data = _read_json(source, RolloutFormatError) if isinstance(source, str) else source
     if not isinstance(data, dict):
         raise RolloutFormatError("rollout document must be a mapping")
     required = {"rollout_id", "task", "policy", "success", "trace"}
@@ -278,23 +278,11 @@ def load_rollout(source: str | dict) -> RolloutRecord:
     extra = data.keys() - required - {"declared_props"}
     if extra:
         raise RolloutFormatError(f"rollout has unknown keys: {sorted(extra, key=str)}")
-    if not isinstance(data["success"], bool):
-        raise RolloutFormatError("'success' must be a boolean")
-    for key in ("rollout_id", "task", "policy"):
-        if not isinstance(data[key], str) or not data[key]:
-            raise RolloutFormatError(f"'{key}' must be a nonempty string")
-        if not is_utf8_encodable(data[key]):
-            raise RolloutFormatError(
-                f"'{key}' contains a surrogate code point, which UTF-8 cannot encode"
-            )
-    declared = data.get("declared_props")
-    if declared is not None:
-        if not isinstance(declared, list) or not all(isinstance(p, str) for p in declared):
-            raise RolloutFormatError("'declared_props' must be a list of strings")
-        declared = _declared_names(declared)
+    labels = (data["rollout_id"], data["task"], data["policy"], data["success"])
+    _check_labels(*labels)
+    declared = _declared_names(data.get("declared_props"))
     index = _steps_from_document(data["trace"], declared)
-    fields = (data["rollout_id"], data["task"], data["policy"], data["success"])
-    return _restore(RolloutRecord, (*fields, *index, declared))
+    return _restore(RolloutRecord, (*labels, *index, declared))
 
 
 def serialize_rollout(r: RolloutRecord) -> str:
@@ -326,8 +314,6 @@ def validate_rollout(r: RolloutRecord, spec: TaskSpec) -> list[Diagnostic]:
     never observed true (possible grounding gap), and trace propositions no
     monitored instance looks at.
     """
-    from .formulas import propositions
-
     diagnostics = []
     if r.task_name != spec.task_name:
         diagnostics.append(
@@ -392,8 +378,6 @@ class ScenarioInfo(Record, norepr=("builder",), nocompare=("builder",)):
 
     @property
     def categories(self) -> tuple[str, ...]:
-        from .properties import get_template
-
         return tuple(get_template(t).category.value for t, _ in self.properties)
 
 

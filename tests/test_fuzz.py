@@ -1,7 +1,9 @@
 """Input fuzz of the three loaders and the CLI: whatever text, JSON value or
 mapping ``parse``, ``load_rollout`` and ``load_task_spec`` get, the only
-exception that escapes is a ``SafetraceError``; whatever files the CLI reads,
-it exits 0, 1 or 2, and exit 1 prints nothing but ``error:`` lines."""
+exception that escapes is a ``SafetraceError``; a ``RolloutRecord`` built
+directly from the same fields fails as ``load_rollout`` does, or equals the
+record it loads; whatever files the CLI reads, it exits 0, 1 or 2, and exit
+1 prints nothing but ``error:`` lines."""
 
 import io
 import json
@@ -14,7 +16,7 @@ from safetrace.cli import main
 from safetrace.errors import SafetraceError
 from safetrace.formulas import parse
 from safetrace.properties import TEMPLATE_IDS, load_task_spec
-from safetrace.rollouts import load_rollout
+from safetrace.rollouts import RolloutRecord, load_rollout, serialize_rollout
 
 # Text that may hold lone surrogates, which JSON's \ud800 escapes decode to
 # and UTF-8 cannot encode.
@@ -136,6 +138,51 @@ def test_load_rollout_raises_only_safetrace_errors(source):
     _only_safetrace_errors(load_rollout, source)
 
 
+# The fields of a record, drawn as the rollout documents above draw them. A
+# record's step is a set, so a document step lists its names once, in the
+# order the record words an error in: sorted by their text.
+_SORTED_STEPS = st.lists(_NAMES, max_size=3, unique_by=str).map(lambda step: sorted(step, key=str))
+_RECORD_FIELDS = {
+    "rollout_id": _NAMES | _ANY,
+    "task": _NAMES | _ANY,
+    "policy": _NAMES | _ANY,
+    "success": st.booleans() | _ANY,
+    "trace": st.lists(_SORTED_STEPS, min_size=1, max_size=4),
+    "declared_props": st.none() | st.lists(_NAMES, max_size=4) | _ANY,
+}
+
+
+@st.composite
+def _record_documents(draw):
+    """``_ROLLOUT_BASE`` with one to three of its fields replaced."""
+    doc = dict(_ROLLOUT_BASE)
+    for key in draw(st.lists(st.sampled_from(list(_RECORD_FIELDS)), min_size=1, max_size=3)):
+        doc[key] = draw(_RECORD_FIELDS[key])
+    return doc
+
+
+@given(_record_documents())
+@example(dict(_ROLLOUT_BASE, success="yes"))
+@example(dict(_ROLLOUT_BASE, rollout_id=5, success="yes"))  # success is checked first
+@example(dict(_ROLLOUT_BASE, policy="p\ud800"))
+@example(dict(_ROLLOUT_BASE, declared_props=7))
+@example(dict(_ROLLOUT_BASE, declared_props={"a": True, "b": True}))
+@example(dict(_ROLLOUT_BASE, trace=[["a", 5]]))
+@settings(max_examples=500, deadline=None)
+def test_a_record_accepts_exactly_what_its_loader_accepts(document):
+    fields = [document[key] for key in ("rollout_id", "task", "policy", "success", "trace")]
+    try:
+        loaded = load_rollout(document)
+    except SafetraceError as exc:
+        with pytest.raises(SafetraceError) as direct_error:
+            RolloutRecord(*fields, document["declared_props"])
+        assert str(direct_error.value) == str(exc)
+    else:
+        record = RolloutRecord(*fields, document["declared_props"])
+        assert record == loaded
+        assert load_rollout(serialize_rollout(record)) == record
+
+
 @given(st.one_of(st.text(), _YAML_TEXT, _SPECS))
 @example(dict(_SPEC_BASE, properties=[{"id": "c", "template": "custom", "formula": "G !é"}]))
 @example({**_SPEC_BASE, 1: 0, "z": 0})  # mixed unknown keys
@@ -208,6 +255,7 @@ def cli_dir(tmp_path_factory):
 
 @given(_cli_calls())
 @example((["compile", "--formula=G !á"], {}))
+@example((["compile", "--formula=.json"], {}))  # a formula, not a file name
 @example((["monitor", "rollout.json", "spec.json"], {"spec.json": "@"}))  # PyYAML's multi-line message
 @example((["monitor", "rollout.json", "spec.json"], {"rollout.json": b"\xff\xfe"}))
 @example((["evaluate", "manifest.json", "--out", "out"], {"manifest.json": "[" * 100000}))
@@ -226,7 +274,7 @@ def test_cli_exits_cleanly_on_any_input(cli_dir, call):
             path.write_bytes(doc)
         else:
             path.write_text(doc, encoding="utf-8")
-    argv = [str(cli_dir / a) if a.endswith(".json") or a == "out" else a for a in argv]
+    argv = [str(cli_dir / a) if a in _VALID_FILES or a == "out" else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)

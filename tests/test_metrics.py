@@ -534,6 +534,19 @@ def test_export_json_deterministic_and_round_trips():
     assert abs(doc["task_success_rate"]["approx"] - float(report.task_success_rate)) < 1e-12
 
 
+def test_load_report_raises_one_error_on_text_that_is_not_a_report():
+    report, _ = _sample_report()
+    doc = json.loads(export_report_json(report))
+    missing_key = {k: v for k, v in doc.items() if k != "n_rollouts"}
+    zero_denominator = dict(doc, task_success_rate=dict(doc["task_success_rate"], exact="1/0"))
+    for text in ("x", "[]", "{}", json.dumps(missing_key), json.dumps(zero_denominator)):
+        with pytest.raises(SafetraceError) as info:
+            load_report(text)
+        assert type(info.value) is SafetraceError
+    with pytest.raises(SafetraceError, match="^invalid JSON: "):
+        load_report("x")
+
+
 def test_export_csv_tables_and_headers():
     report, _ = _sample_report()
     files = export_report_csv(report)

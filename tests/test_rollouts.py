@@ -7,11 +7,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from safetrace import rollouts
-from safetrace.errors import RolloutFormatError, ScenarioError
-from safetrace.formulas import Trace
+from safetrace.automata import Dfa
+from safetrace.errors import BindingError, RolloutFormatError, ScenarioError
+from safetrace.formulas import Prop, Trace, is_valid_proposition
 from safetrace.metrics import evaluate_rollout
 from safetrace.monitor import run_trace, trace_masks
-from safetrace.properties import load_task_spec
+from safetrace.properties import instantiate, load_task_spec
 from safetrace.rollouts import (
     DETERMINISTIC_SCENARIOS,
     SCENARIOS,
@@ -390,9 +391,9 @@ def test_direct_errors_match_step_by_step_reference_over_sorted_steps(steps, dec
 
 def test_direct_record_checks_rollout_id_before_the_trace():
     for trace in ([["G"]], [{"a"}, {7}], 7, []):
-        with pytest.raises(RolloutFormatError, match="^rollout_id must be nonempty$"):
+        with pytest.raises(RolloutFormatError, match="^'rollout_id' must be a nonempty string$"):
             RolloutRecord("", "t", "p", True, trace)
-    with pytest.raises(RolloutFormatError, match="^rollout_id must be nonempty$"):
+    with pytest.raises(RolloutFormatError, match="^'rollout_id' must be a nonempty string$"):
         RolloutRecord("", "t", "p", True, [["a"]], declared_props=("a",))
 
 
@@ -412,6 +413,40 @@ def test_direct_record_keeps_declared_props_as_load_rollout_does():
     assert str(direct_error.value) == "invalid declared proposition 'a b'"
     with pytest.raises(RolloutFormatError, match="'declared_props' must be a list of strings"):
         RolloutRecord("r", "t", "p", True, [["a"]], declared_props="ab")
+
+
+def test_direct_record_checks_its_labels_as_load_rollout_does():
+    fields = {"rollout_id": "r", "task": "t", "policy": "p", "success": True, "trace": [["a"]]}
+    for key, value in [
+        ("success", "yes"), ("success", 1), ("rollout_id", 5), ("task", ""),
+        ("policy", None), ("policy", "p\ud800"),
+    ]:
+        document = dict(fields, **{key: value})
+        with pytest.raises(RolloutFormatError) as from_document:
+            load_rollout(document)
+        with pytest.raises(RolloutFormatError) as direct_error:
+            RolloutRecord(*(document[k] for k in ("rollout_id", "task", "policy", "success", "trace")))
+        assert str(direct_error.value) == str(from_document.value)
+    assert str(direct_error.value) == (
+        "'policy' contains a surrogate code point, which UTF-8 cannot encode"
+    )
+    for declared in (7, {"a": True}, ["a", 5]):
+        with pytest.raises(RolloutFormatError, match="^'declared_props' must be a list of strings$"):
+            RolloutRecord("r", "t", "p", True, [["a"]], declared_props=declared)
+
+
+def test_a_non_string_name_raises_each_entry_points_own_error():
+    assert not is_valid_proposition(5)
+    with pytest.raises(ValueError, match="^invalid proposition name: 5$"):
+        Prop(5)
+    with pytest.raises(ValueError, match="^invalid proposition name: 5$"):
+        Dfa((5,), 0, [0], [[0, 0]])
+    with pytest.raises(BindingError, match="slot 'Collision' bound to invalid proposition 5$"):
+        instantiate("phi1", {"Collision": 5, "BadContact": "b"})
+    with pytest.raises(ScenarioError, match="^invalid event proposition 5$"):
+        generate_scenario(ScenarioParams("grasp_drop", 40, 0, event_times=((3, 5, True),)))
+    with pytest.raises(RolloutFormatError, match="^step 1: invalid proposition 5$"):
+        RolloutRecord("r", "t", "p", True, [["a"], ["a", 5]])
 
 
 def test_a_string_step_is_an_invalid_trace_not_its_characters():
