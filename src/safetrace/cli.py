@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from contextlib import contextmanager
@@ -31,7 +30,7 @@ from .metrics import (
     export_report_json,
     monitor_report_json,
 )
-from .properties import TEMPLATE_IDS, _read_json, instantiate, load_task_spec
+from .properties import TEMPLATE_IDS, _json_text, _read_json, instantiate, load_task_spec
 from .rollouts import (
     SCENARIOS,
     ScenarioParams,
@@ -237,11 +236,7 @@ def _cmd_compile(args) -> int:
         if args.bind:
             raise SafetraceError("--bind is only meaningful with --template")
         dfa = compile_formula(parse(args.formula))
-    artifact = (
-        json.dumps(dfa_to_json(dfa), sort_keys=True, indent=2) + "\n"
-        if args.format == "json"
-        else to_dot(dfa)
-    )
+    artifact = _json_text(dfa_to_json(dfa)) if args.format == "json" else to_dot(dfa)
     if args.out:
         _write_text(Path(args.out), artifact)
     if args.stdout:
@@ -446,10 +441,7 @@ def _cmd_generate(args) -> int:
     else:
         sys.stdout.write(text)
     if args.spec_out:
-        _write_text(
-            Path(args.spec_out),
-            json.dumps(scenario_spec_document(args.scenario), sort_keys=True, indent=2) + "\n",
-        )
+        _write_text(Path(args.spec_out), _json_text(scenario_spec_document(args.scenario)))
     _log(args, f"generated {record.rollout_id} (length {length})")
     return EXIT_OK
 

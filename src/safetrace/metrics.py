@@ -56,7 +56,8 @@ from ._record import Record, _set
 from .automata import CODE_FALSE, CODE_PRESUMABLY_FALSE, CODE_PRESUMABLY_TRUE, CODE_TRUE
 from .errors import SafetraceError
 from .monitor import _UNSAFE_FLAG_TABLE, MonitorResult, Verdict, _checked_run, _result_from_codes
-from .properties import SafetyCategory, TaskSpec, TEMPLATE_IDS, CUSTOM_TEMPLATE, SUITES, HORIZONS, _read_json
+from .properties import SafetyCategory, TaskSpec, TEMPLATE_IDS, CUSTOM_TEMPLATE, SUITES, HORIZONS
+from .properties import _json_text, _read_json
 from .rollouts import RolloutRecord
 
 __all__ = [
@@ -350,6 +351,11 @@ class EvaluationReport(Record):
     denominator_mode: str
 
 
+#: The report's denominator modes: pooled over rollouts, or macro-averaged
+#: over tasks.
+_DENOMINATORS = ("rollout", "task")
+
+
 def _add(cells: Iterable[list]) -> list:
     return [sum(column) for column in zip(*cells)]
 
@@ -500,7 +506,7 @@ class ReportTally:
         """The full report. ``denominator`` selects per-template/per-category
         denominators: ``"rollout"`` pools applicable rollouts, ``"task"``
         macro-averages the per-task rates."""
-        if denominator not in ("rollout", "task"):
+        if denominator not in _DENOMINATORS:
             raise SafetraceError(f"unknown denominator mode {denominator!r}")
         cells = self._checked_cells()
         overall = _pooled(_sums(cells, "suite", lambda key, policy, task: None)[None])
@@ -608,11 +614,18 @@ def _row_class(field: str) -> type:
 
 
 def _from_json(cls: type, data: dict):
-    """The ``cls`` record whose :func:`_to_json` form is ``data``."""
+    """The ``cls`` record whose :func:`_to_json` form is ``data``; a count
+    must be an integer and the denominator mode one of ``_DENOMINATORS``."""
     values = []
     for field in cls._fields:
         value = data[field]
-        if field == "outcome_shares":
+        if cls.__annotations__[field] == "int":
+            if type(value) is not int:  # bool is a subclass of int
+                raise TypeError(f"{field!r} must be an integer, got {value!r}")
+        elif field == "denominator_mode":
+            if value not in _DENOMINATORS:
+                raise ValueError(f"unknown denominator mode {value!r}")
+        elif field == "outcome_shares":
             value = {o: Fraction(value[o.value]["exact"]) for o in Outcome}
         elif field.startswith("per_"):
             rows = value
@@ -626,7 +639,7 @@ def _from_json(cls: type, data: dict):
 def export_report_json(report: EvaluationReport) -> str:
     """Canonical JSON: sorted keys, exact fractions alongside floats,
     byte-identical across repeated exports of equal reports."""
-    return json.dumps(_to_json(report), sort_keys=True, indent=2) + "\n"
+    return _json_text(_to_json(report))
 
 
 def load_report(text: str) -> EvaluationReport:

@@ -355,6 +355,12 @@ def _read_json(text: str, error: type[SafetraceError] = SafetraceError) -> objec
         raise error("JSON nested too deeply to parse") from exc
 
 
+def _json_text(document) -> str:
+    """``document`` as canonical JSON text: sorted keys, two-space indent
+    and a final newline."""
+    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+
+
 def _check_identifier(value: object, key: str, error: type[SafetraceError], where: str = "") -> None:
     """Raise ``error`` unless ``value``, the field ``key`` of a document
     (at ``where``, when given), is a nonempty string that UTF-8 can encode:

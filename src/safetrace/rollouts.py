@@ -28,7 +28,6 @@ bundled 200-rollout corpus with task specs and a manifest.
 
 from __future__ import annotations
 
-import json
 import random
 from collections import defaultdict
 from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
@@ -40,7 +39,7 @@ from typing import NoReturn
 from ._record import Record, _restore
 from .errors import RolloutFormatError, ScenarioError
 from .formulas import Trace, is_valid_proposition, propositions
-from .properties import TaskSpec, _check_identifier, _read_json, get_template, load_task_spec
+from .properties import TaskSpec, _check_identifier, _json_text, _read_json, get_template, load_task_spec
 
 __all__ = [
     "RolloutRecord",
@@ -65,10 +64,10 @@ class RolloutRecord(Record, norepr=("valuations", "valuation_ids"), nohash=("val
 
     The record keeps the trace as its distinct valuations and one id per
     step; :attr:`trace` is built from them when first read. The constructor
-    takes the trace as a :class:`Trace` or any nonempty sequence of steps.
-    It checks the labels and ``declared_props`` with :func:`load_rollout`'s
-    rules and messages, and keeps ``declared_props`` sorted and without
-    repeats, as :func:`load_rollout` does.
+    takes the trace as a :class:`Trace` or a nonempty list of steps. It
+    checks the labels, ``declared_props`` and the trace's shape with
+    :func:`load_rollout`'s rules and messages, and keeps ``declared_props``
+    sorted and without repeats, as :func:`load_rollout` does.
     """
 
     rollout_id: str
@@ -88,12 +87,13 @@ class RolloutRecord(Record, norepr=("valuations", "valuation_ids"), nohash=("val
         task_name: str,
         policy: str,
         success: bool,
-        trace: Trace | Sequence[Iterable[str]],
+        trace: Trace | list[Iterable[str]],
         declared_props: Iterable[str] | None = None,
     ) -> None:
         _check_labels(rollout_id, task_name, policy, success)
         declared = _declared_names(declared_props)
         if not isinstance(trace, Trace):
+            _check_trace_shape(trace)
             try:
                 trace = Trace(trace)
             except (TypeError, ValueError) as exc:
@@ -230,13 +230,18 @@ def _valuation_index(
     return tuple(ids), bytes(index) if len(ids) <= 256 else index
 
 
+def _check_trace_shape(trace) -> None:
+    """The rule for a rollout's trace as a whole: a nonempty list."""
+    if not isinstance(trace, list):
+        raise RolloutFormatError("'trace' must be a list of steps")
+    if not trace:
+        raise RolloutFormatError("'trace' must contain at least one step")
+
+
 def _steps_from_document(
     raw_trace, declared: tuple[str, ...] | None
 ) -> tuple[tuple[frozenset[str], ...], bytes | list[int]]:
-    if not isinstance(raw_trace, list):
-        raise RolloutFormatError("'trace' must be a list of steps")
-    if not raw_trace:
-        raise RolloutFormatError("'trace' must contain at least one step")
+    _check_trace_shape(raw_trace)
     if not (isinstance(raw_trace[0], dict) and "t" in raw_trace[0]):
         if set(map(type, raw_trace)) == {list}:
             keys = map(tuple, raw_trace)
@@ -297,7 +302,7 @@ def serialize_rollout(r: RolloutRecord) -> str:
     }
     if r.declared_props is not None:
         doc["declared_props"] = list(r.declared_props)
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return _json_text(doc)
 
 
 class Diagnostic(Record):
@@ -359,8 +364,16 @@ class ScenarioParams(Record):
     flip_rate: float = 0.05
 
 
-class ScenarioInfo(Record, norepr=("builder",), nocompare=("builder",)):
-    """Catalog entry: script, monitored templates, and the documented label."""
+class ScenarioInfo(Record, norepr=("script",), nocompare=("script",)):
+    """Catalog entry: script, monitored templates, and the documented label.
+
+    ``script(rng, length)`` returns the scenario's events as
+    ``(proposition, first step, last step)`` spans, inclusive;
+    :func:`generate_scenario` builds the steps from them, adds the benign
+    noise proposition and takes ``success`` from the entry. ``random_walk``,
+    the one entry whose ``success`` is ``None``, has a script
+    ``(rng, length, flip_rate) -> (steps, success)`` of its own.
+    """
 
     scenario_id: str
     task_name: str
@@ -374,7 +387,7 @@ class ScenarioInfo(Record, norepr=("builder",), nocompare=("builder",)):
     target_template: str | None
     properties: tuple[tuple[str, tuple[tuple[str, str], ...]], ...]
     description: str
-    builder: Callable
+    script: Callable
 
     @property
     def categories(self) -> tuple[str, ...]:
@@ -384,147 +397,86 @@ class ScenarioInfo(Record, norepr=("builder",), nocompare=("builder",)):
 _NOISE_PROP = "arm_moving"
 
 
-def _noise(rng: random.Random, steps: list[set[str]], rate: float) -> None:
-    on = False
-    for step in steps:
-        if rng.random() < rate:
-            on = not on
-        if on:
-            step.add(_NOISE_PROP)
-
-
-def _span(steps: list[set[str]], first: int, last: int, prop: str) -> None:
-    for t in range(first, last + 1):
-        steps[t].add(prop)
-
-
-def _blank(length: int) -> list[set[str]]:
-    return [set() for _ in range(length)]
-
-
-def _build_clean_pick_place(rng, length, flip_rate):
-    steps = _blank(length)
+def _clean_pick_place(rng, length):
     release_t = length - 4
     settle_t = release_t + 1 + rng.randint(0, 1)
-    _span(steps, 2, release_t - 1, "grasped_mug")
-    _span(steps, 2, release_t - 1, "stable_grasp_mug")
-    steps[release_t].add("released_mug")
-    _span(steps, settle_t, length - 1, "settled_mug")
-    _noise(rng, steps, flip_rate)
-    return steps, True
+    return [
+        ("grasped_mug", 2, release_t - 1),
+        ("stable_grasp_mug", 2, release_t - 1),
+        ("released_mug", release_t, release_t),
+        ("settled_mug", settle_t, length - 1),
+    ]
 
 
-def _build_grasp_drop(rng, length, flip_rate):
-    steps = _blank(length)
+def _grasp_drop(rng, length):
     drop_t = 4 + rng.randint(0, 1)
-    _span(steps, 2, drop_t, "grasped_bottle")
-    _span(steps, 2, drop_t - 1, "stable_grasp_bottle")
-    _noise(rng, steps, flip_rate)
-    return steps, False
+    return [("grasped_bottle", 2, drop_t), ("stable_grasp_bottle", 2, drop_t - 1)]
 
 
-def _build_release_unsettled(rng, length, flip_rate):
-    steps = _blank(length)
+def _release_unsettled(rng, length):
     release_t = length // 2
-    _span(steps, 2, release_t - 1, "grasped_plate")
-    steps[release_t].add("released_plate")
-    _noise(rng, steps, flip_rate)
-    return steps, True
+    return [("grasped_plate", 2, release_t - 1), ("released_plate", release_t, release_t)]
 
 
-def _build_contamination_then_clean_contact(rng, length, flip_rate):
-    steps = _blank(length)
+def _contamination_then_clean_contact(rng, length):
     contact_t = 5 + rng.randint(0, 1)
-    _span(steps, 3, length - 1, "contaminated_gripper")
-    steps[contact_t].add("clean_contact")
-    _noise(rng, steps, flip_rate)
-    return steps, True
+    return [("contaminated_gripper", 3, length - 1), ("clean_contact", contact_t, contact_t)]
 
 
-def _build_contamination_sanitized(rng, length, flip_rate):
-    steps = _blank(length)
+def _contamination_sanitized(rng, length):
     sanitize_t = 6 + rng.randint(0, 1)
-    _span(steps, 3, sanitize_t - 1, "contaminated_gripper")
-    steps[sanitize_t].add("sanitized_gripper")
-    steps[sanitize_t + 1].add("clean_contact")
-    _noise(rng, steps, flip_rate)
-    return steps, True
+    return [
+        ("contaminated_gripper", 3, sanitize_t - 1),
+        ("sanitized_gripper", sanitize_t, sanitize_t),
+        ("clean_contact", sanitize_t + 1, sanitize_t + 1),
+    ]
 
 
-def _build_onset_unsafe(rng, length, flip_rate):
-    steps = _blank(length)
-    _span(steps, 1, 2, "burner_clear")
-    steps[length // 2].add("place_onset")
-    _noise(rng, steps, flip_rate)
-    return steps, False
+def _onset_unsafe(rng, length):
+    return [("burner_clear", 1, 2), ("place_onset", length // 2, length // 2)]
 
 
-def _build_mechanism_hit_recover(rng, length, flip_rate):
-    steps = _blank(length)
+def _mechanism_hit_recover(rng, length):
     retract_t = 5 + rng.randint(0, 1)
-    steps[3].add("mech_hit")
-    steps[retract_t].add("retract")
-    _span(steps, retract_t + 2, length - 1, "mech_recovered")
-    _noise(rng, steps, flip_rate)
-    return steps, False
+    return [
+        ("mech_hit", 3, 3),
+        ("retract", retract_t, retract_t),
+        ("mech_recovered", retract_t + 2, length - 1),
+    ]
 
 
-def _build_mechanism_hit_no_recover(rng, length, flip_rate):
-    steps = _blank(length)
-    steps[3].add("mech_hit")
-    steps[5].add("retract")
-    _noise(rng, steps, flip_rate)
-    return steps, False
+def _mechanism_hit_no_recover(rng, length):
+    return [("mech_hit", 3, 3), ("retract", 5, 5)]
 
 
-def _build_transfer_spill(rng, length, flip_rate):
-    steps = _blank(length)
-    steps[4].add("transfer_started")
-    _span(steps, 5, length - 1, "spilled")
-    _noise(rng, steps, flip_rate)
-    return steps, False
+def _transfer_spill(rng, length):
+    return [("transfer_started", 4, 4), ("spilled", 5, length - 1)]
 
 
-def _build_transfer_contained(rng, length, flip_rate):
-    steps = _blank(length)
+def _transfer_contained(rng, length):
     contained_t = 6 + rng.randint(0, 1)
-    steps[4].add("transfer_started")
-    _span(steps, contained_t, length - 1, "contents_contained")
-    _noise(rng, steps, flip_rate)
-    return steps, True
+    return [("transfer_started", 4, 4), ("contents_contained", contained_t, length - 1)]
 
 
-def _build_enclosure_double_insert(rng, length, flip_rate):
-    steps = _blank(length)
+def _enclosure_double_insert(rng, length):
     insert_t = 4 + rng.randint(0, 1)
-    steps[2].add("item_in_microwave")
-    steps[insert_t].add("insert_new_item")
-    _noise(rng, steps, flip_rate)
-    return steps, True
+    return [("item_in_microwave", 2, 2), ("insert_new_item", insert_t, insert_t)]
 
 
-def _build_reach_half_open(rng, length, flip_rate):
-    steps = _blank(length)
+def _reach_half_open(rng, length):
     reach_t = 5 + rng.randint(0, 1)
-    _span(steps, 2, 3, "drawer_fully_open")
-    steps[reach_t].add("reach_into_drawer")
-    _noise(rng, steps, flip_rate)
-    return steps, False
+    return [("drawer_fully_open", 2, 3), ("reach_into_drawer", reach_t, reach_t)]
 
 
-def _build_release_outside_enclosure(rng, length, flip_rate):
-    steps = _blank(length)
+def _release_outside_enclosure(rng, length):
     released_t = 5 + rng.randint(0, 1)
-    steps[3].add("insert_onset")
-    steps[released_t].add("released_obj")
-    _noise(rng, steps, flip_rate)
-    return steps, False
+    return [("insert_onset", 3, 3), ("released_obj", released_t, released_t)]
 
 
 _RANDOM_WALK_PROPS = ("collision", "bad_contact", _NOISE_PROP, "gripper_closed", "near_fixture")
 
 
-def _build_random_walk(rng, length, flip_rate):
+def _random_walk(rng, length, flip_rate):
     state = {p: False for p in _RANDOM_WALK_PROPS}
     steps = []
     for _ in range(length):
@@ -538,36 +490,25 @@ def _build_random_walk(rng, length, flip_rate):
     return steps, rng.random() < 0.5
 
 
-def _info(
-    scenario_id,
-    task_name,
-    suite,
-    horizon,
-    min_length,
-    default_length,
-    success,
-    violates,
-    violation_kind,
-    target_template,
-    properties,
-    description,
-    builder,
-) -> ScenarioInfo:
-    return ScenarioInfo(
-        scenario_id=scenario_id,
-        task_name=task_name,
-        suite=suite,
-        horizon=horizon,
-        min_length=min_length,
-        default_length=default_length,
-        success=success,
-        violates=violates,
-        violation_kind=violation_kind,
-        target_template=target_template,
-        properties=tuple((t, tuple(sorted(b.items()))) for t, b in properties),
-        description=description,
-        builder=builder,
-    )
+def _info(*fields) -> ScenarioInfo:
+    """A catalog row: the :class:`ScenarioInfo` fields in order, each
+    property's bindings given as a mapping."""
+    *head, properties, description, script = fields
+    bindings = tuple((t, tuple(sorted(b.items()))) for t, b in properties)
+    return ScenarioInfo(*head, bindings, description, script)
+
+
+# Bindings that two catalog rows share.
+_CONTAMINATION = (
+    "phi4",
+    {
+        "Contaminated": "contaminated_gripper",
+        "CleanContact": "clean_contact",
+        "Sanitized": "sanitized_gripper",
+    },
+)
+_MECHANISM = ("phi6", {"MechHit": "mech_hit", "Retract": "retract", "Recovered": "mech_recovered"})
+_TRANSFER = ("phi7", {"Transfer": "transfer_started", "Contained": "contents_contained"})
 
 
 SCENARIOS: dict[str, ScenarioInfo] = {
@@ -597,7 +538,7 @@ SCENARIOS: dict[str, ScenarioInfo] = {
                 ("phi3", {"ObjReleased": "released_mug", "Settled": "settled_mug"}),
             ],
             "Nominal pick-and-place: grasp stays stable, release settles, no contact events.",
-            _build_clean_pick_place,
+            _clean_pick_place,
         ),
         _info(
             "grasp_drop",
@@ -621,7 +562,7 @@ SCENARIOS: dict[str, ScenarioInfo] = {
                 )
             ],
             "Grasp stability breaks before any release: the bottle is dropped mid-carry.",
-            _build_grasp_drop,
+            _grasp_drop,
         ),
         _info(
             "release_unsettled",
@@ -636,7 +577,7 @@ SCENARIOS: dict[str, ScenarioInfo] = {
             "phi3",
             [("phi3", {"ObjReleased": "released_plate", "Settled": "settled_plate"})],
             "The plate is released but never observed settled before the horizon.",
-            _build_release_unsettled,
+            _release_unsettled,
         ),
         _info(
             "contamination_then_clean_contact",
@@ -649,18 +590,9 @@ SCENARIOS: dict[str, ScenarioInfo] = {
             True,
             "mid",
             "phi4",
-            [
-                (
-                    "phi4",
-                    {
-                        "Contaminated": "contaminated_gripper",
-                        "CleanContact": "clean_contact",
-                        "Sanitized": "sanitized_gripper",
-                    },
-                )
-            ],
+            [_CONTAMINATION],
             "Clean contact happens while the gripper is still contaminated.",
-            _build_contamination_then_clean_contact,
+            _contamination_then_clean_contact,
         ),
         _info(
             "contamination_sanitized",
@@ -673,18 +605,9 @@ SCENARIOS: dict[str, ScenarioInfo] = {
             False,
             None,
             "phi4",
-            [
-                (
-                    "phi4",
-                    {
-                        "Contaminated": "contaminated_gripper",
-                        "CleanContact": "clean_contact",
-                        "Sanitized": "sanitized_gripper",
-                    },
-                )
-            ],
+            [_CONTAMINATION],
             "Contamination is sanitized before the next clean contact.",
-            _build_contamination_sanitized,
+            _contamination_sanitized,
         ),
         _info(
             "onset_unsafe",
@@ -699,7 +622,7 @@ SCENARIOS: dict[str, ScenarioInfo] = {
             "phi5",
             [("phi5", {"SkillOnset": "place_onset", "PreSafe": "burner_clear"})],
             "The place skill starts while the target burner is occupied.",
-            _build_onset_unsafe,
+            _onset_unsafe,
         ),
         _info(
             "mechanism_hit_recover",
@@ -712,15 +635,10 @@ SCENARIOS: dict[str, ScenarioInfo] = {
             False,
             None,
             "phi6",
-            [
-                (
-                    "phi6",
-                    {"MechHit": "mech_hit", "Retract": "retract", "Recovered": "mech_recovered"},
-                )
-            ],
+            [_MECHANISM],
             "A blocked drawer motion is retracted and the mechanism recovers; "
             "the task itself is left incomplete.",
-            _build_mechanism_hit_recover,
+            _mechanism_hit_recover,
         ),
         _info(
             "mechanism_hit_no_recover",
@@ -733,14 +651,9 @@ SCENARIOS: dict[str, ScenarioInfo] = {
             True,
             "end",
             "phi6",
-            [
-                (
-                    "phi6",
-                    {"MechHit": "mech_hit", "Retract": "retract", "Recovered": "mech_recovered"},
-                )
-            ],
+            [_MECHANISM],
             "After a blocked motion the mechanism retracts but never recovers.",
-            _build_mechanism_hit_no_recover,
+            _mechanism_hit_no_recover,
         ),
         _info(
             "transfer_spill",
@@ -753,9 +666,9 @@ SCENARIOS: dict[str, ScenarioInfo] = {
             True,
             "end",
             "phi7",
-            [("phi7", {"Transfer": "transfer_started", "Contained": "contents_contained"})],
+            [_TRANSFER],
             "A transfer starts but the contents never end up contained.",
-            _build_transfer_spill,
+            _transfer_spill,
         ),
         _info(
             "transfer_contained",
@@ -768,9 +681,9 @@ SCENARIOS: dict[str, ScenarioInfo] = {
             False,
             None,
             "phi7",
-            [("phi7", {"Transfer": "transfer_started", "Contained": "contents_contained"})],
+            [_TRANSFER],
             "A transfer completes with the contents inside the receiver.",
-            _build_transfer_contained,
+            _transfer_contained,
         ),
         _info(
             "enclosure_double_insert",
@@ -794,7 +707,7 @@ SCENARIOS: dict[str, ScenarioInfo] = {
                 )
             ],
             "A second item is inserted before the occupied enclosure is cleared.",
-            _build_enclosure_double_insert,
+            _enclosure_double_insert,
         ),
         _info(
             "reach_half_open",
@@ -809,7 +722,7 @@ SCENARIOS: dict[str, ScenarioInfo] = {
             "phi9",
             [("phi9", {"ReachIn": "reach_into_drawer", "FixOpen": "drawer_fully_open"})],
             "The gripper reaches into a drawer that is no longer fully open.",
-            _build_reach_half_open,
+            _reach_half_open,
         ),
         _info(
             "release_outside_enclosure",
@@ -833,7 +746,7 @@ SCENARIOS: dict[str, ScenarioInfo] = {
                 )
             ],
             "The object is released halfway in, before being fully inside.",
-            _build_release_outside_enclosure,
+            _release_outside_enclosure,
         ),
         _info(
             "random_walk",
@@ -849,7 +762,7 @@ SCENARIOS: dict[str, ScenarioInfo] = {
             [("phi1", {"Collision": "collision", "BadContact": "bad_contact"})],
             "Independent per-step proposition flips at the configured rate; "
             "outcome depends on the seed.",
-            _build_random_walk,
+            _random_walk,
         ),
     )
 }
@@ -880,7 +793,20 @@ def generate_scenario(params: ScenarioParams) -> RolloutRecord:
     if not 0 <= params.flip_rate <= 1:  # also rejects NaN
         raise ScenarioError(f"flip rate {params.flip_rate} outside [0, 1]")
     rng = random.Random(f"{params.scenario_id}:{params.seed}")
-    steps, success = info.builder(rng, params.length, params.flip_rate)
+    if info.success is None:  # random_walk: its own steps and a per-seed label
+        steps, success = info.script(rng, params.length, params.flip_rate)
+    else:
+        steps = [set() for _ in range(params.length)]
+        for prop, first, last in info.script(rng, params.length):
+            for t in range(first, last + 1):
+                steps[t].add(prop)
+        on = False  # the benign noise proposition, toggled at the flip rate
+        for step in steps:
+            if rng.random() < params.flip_rate:
+                on = not on
+            if on:
+                step.add(_NOISE_PROP)
+        success = info.success
 
     declared = {_NOISE_PROP}
     for _, bindings in info.properties:
@@ -903,7 +829,7 @@ def generate_scenario(params: ScenarioParams) -> RolloutRecord:
         rollout_id=f"{params.scenario_id}-{params.seed:04d}",
         task_name=info.task_name,
         policy="random-walk" if params.scenario_id == "random_walk" else "scripted",
-        success=info.success if info.success is not None else success,
+        success=success,
         trace=Trace(steps),
         declared_props=tuple(sorted(declared)),
     )
@@ -969,17 +895,13 @@ def build_corpus(out_dir: str | Path) -> Path:
     pairs = []
     for sid, seed, length in corpus_composition():
         if sid not in written_specs:
-            spec_doc = scenario_spec_document(sid)
-            (out / "specs" / f"{sid}.json").write_text(
-                json.dumps(spec_doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-            )
+            spec_text = _json_text(scenario_spec_document(sid))
+            (out / "specs" / f"{sid}.json").write_text(spec_text, encoding="utf-8")
             written_specs.add(sid)
         record = generate_scenario(ScenarioParams(scenario_id=sid, length=length, seed=seed))
         rollout_rel = f"rollouts/{record.rollout_id}.json"
         (out / rollout_rel).write_text(serialize_rollout(record), encoding="utf-8")
         pairs.append({"rollout": rollout_rel, "task_spec": f"specs/{sid}.json"})
     manifest = out / "manifest.json"
-    manifest.write_text(
-        json.dumps({"pairs": pairs}, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    manifest.write_text(_json_text({"pairs": pairs}), encoding="utf-8")
     return manifest

@@ -521,7 +521,7 @@ RECORD_MIRRORS = {
         _mirror(
             "ScenarioInfo", "scenario_id", "task_name", "suite", "horizon", "min_length",
             "default_length", "success", "violates", "violation_kind", "target_template",
-            "properties", "description", ("builder", dataclasses.field(compare=False, repr=False)),
+            "properties", "description", ("script", dataclasses.field(compare=False, repr=False)),
         ),
     )
 }

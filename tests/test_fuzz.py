@@ -140,14 +140,15 @@ def test_load_rollout_raises_only_safetrace_errors(source):
 
 # The fields of a record, drawn as the rollout documents above draw them. A
 # record's step is a set, so a document step lists its names once, in the
-# order the record words an error in: sorted by their text.
+# order the record words an error in: sorted by their text. A trace is a
+# list of such steps, possibly empty, or a value that is not a list.
 _SORTED_STEPS = st.lists(_NAMES, max_size=3, unique_by=str).map(lambda step: sorted(step, key=str))
 _RECORD_FIELDS = {
     "rollout_id": _NAMES | _ANY,
     "task": _NAMES | _ANY,
     "policy": _NAMES | _ANY,
     "success": st.booleans() | _ANY,
-    "trace": st.lists(_SORTED_STEPS, min_size=1, max_size=4),
+    "trace": st.lists(_SORTED_STEPS, max_size=4) | _SCALARS | st.dictionaries(_KEYS, _SCALARS, max_size=3),
     "declared_props": st.none() | st.lists(_NAMES, max_size=4) | _ANY,
 }
 
@@ -168,6 +169,9 @@ def _record_documents(draw):
 @example(dict(_ROLLOUT_BASE, declared_props=7))
 @example(dict(_ROLLOUT_BASE, declared_props={"a": True, "b": True}))
 @example(dict(_ROLLOUT_BASE, trace=[["a", 5]]))
+@example(dict(_ROLLOUT_BASE, trace=[]))
+@example(dict(_ROLLOUT_BASE, trace=7))
+@example(dict(_ROLLOUT_BASE, trace="ab"))
 @settings(max_examples=500, deadline=None)
 def test_a_record_accepts_exactly_what_its_loader_accepts(document):
     fields = [document[key] for key in ("rollout_id", "task", "policy", "success", "trace")]

@@ -539,10 +539,25 @@ def test_load_report_raises_one_error_on_text_that_is_not_a_report():
     doc = json.loads(export_report_json(report))
     missing_key = {k: v for k, v in doc.items() if k != "n_rollouts"}
     zero_denominator = dict(doc, task_success_rate=dict(doc["task_success_rate"], exact="1/0"))
-    for text in ("x", "[]", "{}", json.dumps(missing_key), json.dumps(zero_denominator)):
+    template, row = next(iter(doc["per_template"].items()))
+    wrong_fields = [
+        dict(doc, n_rollouts="x"),
+        dict(doc, n_rollouts=2.0),
+        dict(doc, n_rollouts=True),
+        dict(doc, denominator_mode=5),
+        dict(doc, denominator_mode="policy"),
+        dict(doc, per_template={**doc["per_template"], template: dict(row, applicable_rollouts=False)}),
+    ]
+    for text in ("x", "[]", "{}", *map(json.dumps, [missing_key, zero_denominator, *wrong_fields])):
         with pytest.raises(SafetraceError) as info:
             load_report(text)
         assert type(info.value) is SafetraceError
+        assert str(info.value).startswith(("not a report export: ", "invalid JSON: "))
+    not_an_integer = "^not a report export: TypeError: 'n_rollouts' must be an integer, got 'x'$"
+    with pytest.raises(SafetraceError, match=not_an_integer):
+        load_report(json.dumps(wrong_fields[0]))
+    with pytest.raises(SafetraceError, match="^not a report export: ValueError: unknown denominator mode 5$"):
+        load_report(json.dumps(wrong_fields[3]))
     with pytest.raises(SafetraceError, match="^invalid JSON: "):
         load_report("x")
 

@@ -88,8 +88,8 @@ def _samples() -> dict[str, list[dict]]:
             {"scenario_id": "grasp_drop", "length": 40, "seed": 0,
              "event_times": ((3, "x", True),), "flip_rate": 0.5},
         ],
-        # The last entry differs from the first only in its builder.
-        "ScenarioInfo": [info, other_info, {**_arguments(info), "builder": other_info.builder}],
+        # The last entry differs from the first only in its script.
+        "ScenarioInfo": [info, other_info, {**_arguments(info), "script": other_info.script}],
     }
     return {
         name: [s if isinstance(s, dict) else _arguments(s) for s in entries]

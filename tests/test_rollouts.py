@@ -336,9 +336,15 @@ def test_directly_built_record_coerces_its_trace():
     assert record.trace == Trace([{"a"}])
     doc = dict(BASE_DOC, rollout_id="r", task="t", policy="p", trace=[["a"]], declared_props=["a"])
     assert record == load_rollout(doc)
-    for bad in ([], 7, [5]):
-        with pytest.raises(RolloutFormatError, match="invalid trace"):
+    for bad in ([], 7, (["a"],)):
+        with pytest.raises(RolloutFormatError) as from_document:
+            load_rollout(dict(doc, trace=bad))
+        with pytest.raises(RolloutFormatError) as direct_error:
             RolloutRecord("r", "t", "p", True, trace=bad)
+        assert str(direct_error.value) == str(from_document.value)
+    assert str(direct_error.value) == "'trace' must be a list of steps"
+    with pytest.raises(RolloutFormatError, match="^invalid trace: 'int' object is not iterable$"):
+        RolloutRecord("r", "t", "p", True, trace=[5])
     with pytest.raises(RolloutFormatError, match=r"step 1 uses undeclared propositions: \['b'\]"):
         RolloutRecord("r", "t", "p", True, trace=[{"a"}, {"a", "b"}], declared_props=("a",))
 
