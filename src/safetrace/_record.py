@@ -1,11 +1,11 @@
 """Immutable records that behave as ``@dataclass(frozen=True)`` classes,
 with no method generated at import: a :class:`Record` subclass's fields are
 its annotations after its bases' fields, a default is a class attribute, and
-the class keywords ``norepr``, ``nocompare`` and ``nohash`` name the fields
-left out of ``repr``, of ``==`` and ``hash``, and of ``hash`` alone. A
-record built once per rollout spells out its ``__init__``, one ``_set`` per
-field, since the generic one takes about twice as long; records built once
-per instance or per report row use the generic one.
+the class keywords ``norepr`` and ``nocompare`` name the fields left out of
+``repr`` and of ``==`` and ``hash``. A record built once per rollout spells
+out its ``__init__``, one ``_set`` per field, since the generic one takes
+about twice as long; records built once per instance or per report row use
+the generic one.
 """
 
 from itertools import repeat
@@ -25,14 +25,13 @@ class Record:
     _fields: tuple[str, ...] = ()
     _defaults: dict = {}
 
-    def __init_subclass__(cls, norepr=(), nocompare=(), nohash=(), **kwargs) -> None:
+    def __init_subclass__(cls, norepr=(), nocompare=(), **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         own = tuple(cls.__dict__.get("__annotations__", ()))
         cls._fields = cls.__match_args__ = fields = cls._fields + own
         slots = cls.__dict__.get("__slots__", ())
         cls._defaults = {**cls._defaults, **{f: vars(cls)[f] for f in own if f in vars(cls) and f not in slots}}
         cls._compared = tuple(f for f in fields if f not in nocompare)
-        cls._hashed = tuple(f for f in cls._compared if f not in nohash)
         cls._shown = tuple(f for f in fields if f not in norepr)
 
     def __init__(self, *args, **kwargs) -> None:
@@ -65,7 +64,7 @@ class Record:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values(self._hashed))
+        return hash(self._values(self._compared))
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown)

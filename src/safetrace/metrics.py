@@ -26,15 +26,16 @@ so the keys of ``report.json`` and the columns of the table CSVs are the
 field names. A count is written as it is; a rate as its exact form and a
 float approximation (``{"exact": "n/d", "approx": x}`` in JSON, the columns
 ``<field>_exact`` and ``<field>`` in CSV, both empty when undefined); a
-nested row as an object of its fields. Only ``overall.csv`` names its rows
-one by one.
+nested row as an object of its fields, and ``overall.csv`` has a row per
+count and rate field (``share_<outcome>`` for each outcome share).
 
 Every table and plot panel is a projection of one fold, `ReportTally`:
 count cells keyed by (dimension, key, policy, task) holding rollouts,
 violated rollouts, successes, violated successes and the unsafe-step counts
 per trace length, from which a projection builds the exact sum of
-exposures. Union exposures are computed only in `evaluate_rollout`, which
-keeps per instance only the verdict codes and whether the run ended
+exposures. Projections add cells up, and `_pooled` alone turns a summed
+cell into rates. Union exposures are computed only in `evaluate_rollout`,
+which keeps per instance only the verdict codes and whether the run ended
 accepting; the per-instance results are built from these when first read.
 Integer counts make every projection independent of the evaluations'
 order, and let tallies of parts of a batch merge into the tally of the
@@ -356,17 +357,14 @@ class EvaluationReport(Record):
 _DENOMINATORS = ("rollout", "task")
 
 
-def _add(cells: Iterable[list]) -> list:
-    return [sum(column) for column in zip(*cells)]
-
-
-def _sums(cells: dict[tuple[str, str, str, str], list], dimension: str, group_of) -> dict:
-    """The cells of ``dimension`` added up per ``group_of(key, policy, task)``."""
+def _rows(cells: dict[tuple[str, str, str, str], list], dimension: str, group_of) -> dict:
+    """The :func:`_pooled` row of the cells of ``dimension`` added up per
+    ``group_of(key, policy, task)``."""
     groups: dict = {}
     for (cell_dimension, *coordinates), cell in cells.items():
         if cell_dimension == dimension:
             groups.setdefault(group_of(*coordinates), []).append(cell)
-    return {group: _add(members) for group, members in groups.items()}
+    return {group: _pooled([sum(c) for c in zip(*members)]) for group, members in groups.items()}
 
 
 def _exposure_sum(unsafe_steps: Mapping[int, int]) -> Fraction:
@@ -382,7 +380,7 @@ def _mean(values: Sequence[Fraction]) -> Fraction:
     return sum(values, Fraction(0)) / len(values)
 
 
-#: The preferred key order of each report table; ``per_policy`` is sorted.
+#: The keys of each report table, in report order; ``per_policy`` is sorted.
 _KEY_ORDERS = {
     "template": (*TEMPLATE_IDS, CUSTOM_TEMPLATE),
     "category": tuple(c.value for c in SafetyCategory),
@@ -402,22 +400,22 @@ def _table(cells, dimension: str, mode: str) -> dict[str, TableRow]:
     """Rows keyed by group, in report order; ``mode`` selects the
     denominator: ``rollout`` pools rollouts, ``task`` macro-averages
     per-task rates."""
-    by_key: dict[str, list[list]] = {}
-    for (key, _task), cell in _sums(cells, dimension, lambda key, policy, task: (key, task)).items():
-        by_key.setdefault(key, []).append(cell)
-    table = {}
-    for key in _ordered(by_key, dimension):
-        tasks = by_key[key] if mode == "task" else [_add(by_key[key])]
-        table[key] = TableRow(
-            applicable_rollouts=sum(c[0] for c in tasks),
-            violation_rate=_mean([Fraction(c[1], c[0]) for c in tasks]),
-            mean_exposure=_mean([c[4] / c[0] for c in tasks]),
+    tasks = _rows(cells, dimension, lambda key, policy, task: (key, task if mode == "task" else None))
+    rows: dict[str, list[PolicyRow]] = {}
+    for (key, _task), row in tasks.items():
+        rows.setdefault(key, []).append(row)
+    return {
+        key: TableRow(
+            applicable_rollouts=sum(row.rollouts for row in rows[key]),
+            violation_rate=_mean([row.violation_rate for row in rows[key]]),
+            mean_exposure=_mean([row.mean_exposure for row in rows[key]]),
         )
-    return table
+        for key in _ordered(rows, dimension)
+    }
 
 
 def _pooled(cell: list) -> PolicyRow:
-    """The rates of a summed cell, for the overall and the per-policy rows."""
+    """The rates of a summed cell: the one reader of a cell's counts."""
     rollouts, violated, successes, violated_successes, exposure = cell
     outcome_counts = {
         Outcome.SUCCESS_SAFE: successes - violated_successes,
@@ -436,8 +434,7 @@ def _pooled(cell: list) -> PolicyRow:
 
 
 def _per_policy(cells) -> dict[str, PolicyRow]:
-    rows = _sums(cells, "suite", lambda key, policy, task: policy)
-    return {policy: _pooled(rows[policy]) for policy in sorted(rows)}
+    return dict(sorted(_rows(cells, "suite", lambda key, policy, task: policy).items()))
 
 
 class ReportTally:
@@ -509,18 +506,11 @@ class ReportTally:
         if denominator not in _DENOMINATORS:
             raise SafetraceError(f"unknown denominator mode {denominator!r}")
         cells = self._checked_cells()
-        overall = _pooled(_sums(cells, "suite", lambda key, policy, task: None)[None])
+        overall = _rows(cells, "suite", lambda key, policy, task: None)[None]
+        # The overall row's fields are the report's first six, in order.
         return EvaluationReport(
-            n_rollouts=overall.rollouts,
-            task_success_rate=overall.success_rate,
-            overall_violation_rate=overall.violation_rate,
-            mean_rollout_exposure=overall.mean_exposure,
-            outcome_shares=overall.outcome_shares,
-            unsafe_success_share=overall.unsafe_success_share,
-            per_template=_table(cells, "template", denominator),
-            per_category=_table(cells, "category", denominator),
-            per_suite=_table(cells, "suite", denominator),
-            per_horizon=_table(cells, "horizon", denominator),
+            *(getattr(overall, field) for field in PolicyRow._fields),
+            **{f"per_{dimension}": _table(cells, dimension, denominator) for dimension in _KEY_ORDERS},
             per_policy=_per_policy(cells),
             denominator_mode=denominator,
         )
@@ -529,47 +519,36 @@ class ReportTally:
         """Per-panel CSVs for downstream plotting; see :func:`export_plot_data`."""
         cells = self._checked_cells()
         per_policy = _per_policy(cells)
-        files = {}
-        files["plot_success_vs_violation.csv"] = _csv_text(
-            ["policy", "task_success_rate", "violation_rate"],
-            [
-                [policy, repr(float(row.success_rate)), repr(float(row.violation_rate))]
-                for policy, row in per_policy.items()
-            ],
-        )
-        files["plot_outcome_shares.csv"] = _csv_text(
-            ["policy"] + [o.value for o in Outcome],
-            [
-                [policy] + [repr(float(row.outcome_shares[o])) for o in Outcome]
-                for policy, row in per_policy.items()
-            ],
-        )
-
-        def panel(dimension: str, name: str, header: list[str], last) -> None:
-            sums = _sums(cells, dimension, lambda key, policy, task: (key, policy))
-            rows = [
-                [key, policy, str(c[0]), repr(float(Fraction(c[1], c[0]))), last(c)]
-                for key in _KEY_ORDERS[dimension]
-                for policy in per_policy
-                if (c := sums.get((key, policy)))
-            ]
-            files[name] = _csv_text([dimension, "policy", *header], rows)
-
-        panel(
-            "category",
-            "plot_category_heatmap.csv",
-            ["applicable_rollouts", "violation_rate", "mean_exposure"],
-            lambda c: repr(float(c[4] / c[0])),
-        )
-        for dimension, name in (
-            ("horizon", "plot_horizon_lines.csv"),
-            ("suite", "plot_suite_heatmap.csv"),
+        files = {
+            "plot_success_vs_violation.csv": _csv_text(
+                ["policy", "task_success_rate", "violation_rate"],
+                [
+                    [policy, _float_cell(row.success_rate), _float_cell(row.violation_rate)]
+                    for policy, row in per_policy.items()
+                ],
+            ),
+            "plot_outcome_shares.csv": _csv_text(
+                ["policy", *(o.value for o in Outcome)],
+                [
+                    [policy, *(_float_cell(row.outcome_shares[o]) for o in Outcome)]
+                    for policy, row in per_policy.items()
+                ],
+            ),
+        }
+        for dimension, name, count, last in (
+            ("category", "plot_category_heatmap.csv", "applicable_rollouts", "mean_exposure"),
+            ("horizon", "plot_horizon_lines.csv", "rollouts", "unsafe_success_share"),
+            ("suite", "plot_suite_heatmap.csv", "rollouts", "unsafe_success_share"),
         ):
-            panel(
-                dimension,
-                name,
-                ["rollouts", "violation_rate", "unsafe_success_share"],
-                lambda c: repr(float(Fraction(c[3], c[2]))) if c[2] else "",
+            rows = _rows(cells, dimension, lambda key, policy, task: (key, policy))
+            files[name] = _csv_text(
+                [dimension, "policy", count, "violation_rate", last],
+                [
+                    [key, policy, str(r.rollouts), *map(_float_cell, (r.violation_rate, getattr(r, last)))]
+                    for key in _KEY_ORDERS[dimension]
+                    for policy in per_policy
+                    if (r := rows.get((key, policy)))
+                ],
             )
         return files
 
@@ -614,26 +593,49 @@ def _row_class(field: str) -> type:
 
 
 def _from_json(cls: type, data: dict):
-    """The ``cls`` record whose :func:`_to_json` form is ``data``; a count
-    must be an integer and the denominator mode one of ``_DENOMINATORS``."""
+    """The ``cls`` record whose :func:`_to_json` form is ``data``, checked by
+    the field annotations, the table vocabularies of ``_KEY_ORDERS`` and the
+    ``_DENOMINATORS``; an object may hold no key the export does not write."""
     values = []
-    for field in cls._fields:
-        value = data[field]
-        if cls.__annotations__[field] == "int":
+    for field, value in zip(cls._fields, _known(data, cls._fields)):
+        annotation = cls.__annotations__[field]
+        if annotation == "int":
             if type(value) is not int:  # bool is a subclass of int
                 raise TypeError(f"{field!r} must be an integer, got {value!r}")
         elif field == "denominator_mode":
             if value not in _DENOMINATORS:
                 raise ValueError(f"unknown denominator mode {value!r}")
         elif field == "outcome_shares":
-            value = {o: Fraction(value[o.value]["exact"]) for o in Outcome}
+            shares = _known(value, [o.value for o in Outcome])
+            value = {o: _rate_from_json(field, share) for o, share in zip(Outcome, shares)}
         elif field.startswith("per_"):
-            rows = value
-            value = {key: _from_json(_row_class(field), rows[key]) for key in _ordered(rows, field[4:])}
-        elif isinstance(value, dict):
-            value = Fraction(value["exact"])
+            rows, dimension = value, field[4:]
+            unknown = set(rows).difference(_KEY_ORDERS[dimension]) if dimension in _KEY_ORDERS else ()
+            if unknown:  # a policy may have any name
+                raise ValueError(f"unknown {dimension} {min(unknown)!r} in {field!r}")
+            value = {k: _from_json(_row_class(field), rows[k]) for k in _ordered(rows, dimension)}
+        elif value is not None or not annotation.endswith("| None"):
+            value = _rate_from_json(field, value)
         values.append(value)
     return cls(*values)
+
+
+def _known(data: dict, keys: Sequence[str]) -> list:
+    """The values of ``keys`` in the JSON object ``data``, which holds no other key."""
+    values = [data[key] for key in keys]
+    if len(data) > len(keys):  # every one of ``keys`` is in ``data``
+        raise ValueError(f"unknown key {min(set(data).difference(keys))!r}")
+    return values
+
+
+def _rate_from_json(field: str, value) -> Fraction:
+    """The rate whose :func:`_to_json` form is ``value``; an ``approx`` of 1
+    or true equals 1.0, so its type is checked as well."""
+    exact = value.get("exact") if isinstance(value, dict) else None
+    rate = Fraction(exact) if isinstance(exact, str) else None
+    if rate is None or value != _to_json(rate) or type(value["approx"]) is not float:
+        raise ValueError(f'{field!r} must be {{"exact": "n/d", "approx": n/d}} in lowest terms, got {value!r}')
+    return rate
 
 
 def export_report_json(report: EvaluationReport) -> str:
@@ -670,31 +672,29 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buffer.getvalue()
 
 
+def _float_cell(value: Fraction | None) -> str:
+    """The CSV cell of a rate's float, empty when the rate is undefined."""
+    return "" if value is None else repr(float(value))
+
+
 def _rate_cells(value: Fraction | None) -> list[str]:
-    if value is None:
-        return ["", ""]
-    return [f"{value.numerator}/{value.denominator}", repr(float(value))]
+    return ["" if value is None else f"{value.numerator}/{value.denominator}", _float_cell(value)]
 
 
 def export_report_csv(report: EvaluationReport) -> dict[str, str]:
     """One CSV per table, keyed by file name, with stable headers."""
-    files = {}
-    overall_rows = [
-        ["n_rollouts", str(report.n_rollouts), str(report.n_rollouts)],
-        ["task_success_rate", *_rate_cells(report.task_success_rate)],
-        ["overall_violation_rate", *_rate_cells(report.overall_violation_rate)],
-        ["mean_rollout_exposure", *_rate_cells(report.mean_rollout_exposure)],
-        *[
-            [f"share_{o.value}", *_rate_cells(report.outcome_shares[o])]
-            for o in Outcome
-        ],
-        ["unsafe_success_share", *_rate_cells(report.unsafe_success_share)],
-    ]
-    files["overall.csv"] = _csv_text(["metric", "exact", "approx"], overall_rows)
+    overall, tables = [], {}
     for field in EvaluationReport._fields:
+        value, annotation = getattr(report, field), EvaluationReport.__annotations__[field]
         if field.startswith("per_"):
-            files[f"{field}.csv"] = _table_csv(field[4:], _row_class(field), getattr(report, field))
-    return files
+            tables[f"{field}.csv"] = _table_csv(field[4:], _row_class(field), value)
+        elif field == "outcome_shares":
+            overall += [[f"share_{o.value}", *_rate_cells(value[o])] for o in Outcome]
+        elif annotation == "int":
+            overall.append([field, str(value), str(value)])
+        elif annotation.startswith("Fraction"):
+            overall.append([field, *_rate_cells(value)])
+    return {"overall.csv": _csv_text(["metric", "exact", "approx"], overall), **tables}
 
 
 def _table_csv(key_header: str, cls: type, table: Mapping[str, Record]) -> str:

@@ -59,7 +59,7 @@ __all__ = [
 ]
 
 
-class RolloutRecord(Record, norepr=("valuations", "valuation_ids"), nohash=("valuation_ids",)):
+class RolloutRecord(Record, norepr=("valuations", "valuation_ids")):
     """One rollout: symbolic trace plus success flag and labels.
 
     The record keeps the trace as its distinct valuations and one id per
@@ -77,8 +77,8 @@ class RolloutRecord(Record, norepr=("valuations", "valuation_ids"), nohash=("val
     #: The trace's distinct valuations, in order of first occurrence.
     valuations: tuple[frozenset[str], ...]
     #: Each step's index into ``valuations``: ``bytes`` while there are at
-    #: most 256 distinct valuations, else a list (which ``hash`` skips).
-    valuation_ids: bytes | list[int]
+    #: most 256 distinct valuations, else a tuple.
+    valuation_ids: bytes | tuple[int, ...]
     declared_props: tuple[str, ...] | None = None
 
     def __init__(
@@ -199,7 +199,7 @@ def _raise_first_error(steps: Iterable, declared: tuple[str, ...] | None) -> NoR
 
 def _valuation_index(
     keys: Iterable[Hashable], declared: tuple[str, ...] | None, steps: Callable[[], Iterable]
-) -> tuple[tuple[frozenset[str], ...], bytes | list[int]]:
+) -> tuple[tuple[frozenset[str], ...], bytes | tuple[int, ...]]:
     """Index a trace by its distinct valuations, checking their names.
 
     ``keys`` holds one key per step: a collection of its names (a tuple or
@@ -213,7 +213,7 @@ def _valuation_index(
 
     Returns the distinct valuations in order of first occurrence, and each
     step's id, its index into them: ``bytes`` for at most 256 distinct
-    valuations, else a list.
+    valuations, else a tuple.
     """
     key_ids: dict[Hashable, int] = defaultdict(count().__next__)
     try:
@@ -227,7 +227,7 @@ def _valuation_index(
         _raise_first_error(steps(), declared)
     if len(ids) < len(id_of_key):
         index = list(map(id_of_key.__getitem__, index))
-    return tuple(ids), bytes(index) if len(ids) <= 256 else index
+    return tuple(ids), (bytes if len(ids) <= 256 else tuple)(index)
 
 
 def _check_trace_shape(trace) -> None:
@@ -240,7 +240,7 @@ def _check_trace_shape(trace) -> None:
 
 def _steps_from_document(
     raw_trace, declared: tuple[str, ...] | None
-) -> tuple[tuple[frozenset[str], ...], bytes | list[int]]:
+) -> tuple[tuple[frozenset[str], ...], bytes | tuple[int, ...]]:
     _check_trace_shape(raw_trace)
     if not (isinstance(raw_trace[0], dict) and "t" in raw_trace[0]):
         if set(map(type, raw_trace)) == {list}:

@@ -1,8 +1,10 @@
 """Golden report bytes: every file that ``export_report_json``,
 ``export_report_csv`` and ``export_plot_data`` write for the bundled corpus
-(both denominators, with and without strict end-of-trace) and for an edge
-batch, recorded once and compared exactly, so any change to the report
-exporters shows up here. The edge batch has a custom-only spec (so
+(both denominators, with and without strict end-of-trace), for the corpus
+relabeled over three policies, and for an edge batch, recorded once and
+compared exactly, so any change to the report exporters shows up here. The
+relabeled corpus fills every table and plot panel with several keys and
+several policies. The edge batch has a custom-only spec (so
 ``per_category.csv`` is empty), policy names with a comma, a quote and a
 non-ASCII letter, and a policy without successes (an undefined share).
 
@@ -60,7 +62,8 @@ _EDGE_ROLLOUTS = [
 
 @cache
 def _evaluations(batch: str, strict_end: bool) -> list:
-    """The evaluations of the bundled corpus or of the edge batch."""
+    """The evaluations of the bundled corpus, of the corpus relabeled so that
+    its rollouts of seed ``s`` are policy ``p{s % 3}``, or of the edge batch."""
     if batch == "edge":
         spec = load_task_spec(json.dumps(_EDGE_SPEC))
         return [
@@ -77,6 +80,10 @@ def _evaluations(batch: str, strict_end: bool) -> list:
         if scenario_id not in specs:
             specs[scenario_id] = scenario_task_spec(scenario_id)
         record = generate_scenario(ScenarioParams(scenario_id, length, seed))
+        if batch == "policies":
+            record = RolloutRecord(
+                record.rollout_id, record.task_name, f"p{seed % 3}", record.success, record.trace
+            )
         evaluations.append(evaluate_rollout(record, specs[scenario_id], strict_end=strict_end))
     return evaluations
 
@@ -84,7 +91,7 @@ def _evaluations(batch: str, strict_end: bool) -> list:
 # Case name -> (batch, strict_end, denominator).
 _CASES = {
     f"{batch}_{denominator}_{'strict' if strict_end else 'lenient'}_end": (batch, strict_end, denominator)
-    for batch in ("corpus", "edge")
+    for batch in ("corpus", "policies", "edge")
     for strict_end in (True, False)
     for denominator in ("rollout", "task")
 }

@@ -540,6 +540,8 @@ def test_load_report_raises_one_error_on_text_that_is_not_a_report():
     missing_key = {k: v for k, v in doc.items() if k != "n_rollouts"}
     zero_denominator = dict(doc, task_success_rate=dict(doc["task_success_rate"], exact="1/0"))
     template, row = next(iter(doc["per_template"].items()))
+    rate = doc["task_success_rate"]
+    category, category_row = next(iter(doc["per_category"].items()))
     wrong_fields = [
         dict(doc, n_rollouts="x"),
         dict(doc, n_rollouts=2.0),
@@ -548,7 +550,20 @@ def test_load_report_raises_one_error_on_text_that_is_not_a_report():
         dict(doc, denominator_mode="policy"),
         dict(doc, per_template={**doc["per_template"], template: dict(row, applicable_rollouts=False)}),
     ]
-    for text in ("x", "[]", "{}", *map(json.dumps, [missing_key, zero_denominator, *wrong_fields])):
+    # Each of these loaded before, though a re-export would differ from it.
+    unwritten = [
+        dict(doc, task_success_rate=dict(rate, approx=rate["approx"] + 0.25)),
+        dict(doc, task_success_rate="x"),
+        dict(doc, task_success_rate=None),
+        dict(doc, task_success_rate={"exact": "1/1", "approx": 1}),
+        dict(doc, task_success_rate={"exact": "2/4", "approx": 0.5}),
+        dict(doc, outcome_shares=dict(doc["outcome_shares"], unknown=rate)),
+        dict(doc, per_category={**doc["per_category"], "no_such_category": category_row}),
+        dict(doc, per_category={**doc["per_category"], category: dict(category_row, note="x")}),
+        dict(doc, note="x"),
+    ]
+    texts = map(json.dumps, [missing_key, zero_denominator, *wrong_fields, *unwritten])
+    for text in ("x", "[]", "{}", *texts):
         with pytest.raises(SafetraceError) as info:
             load_report(text)
         assert type(info.value) is SafetraceError
@@ -560,6 +575,13 @@ def test_load_report_raises_one_error_on_text_that_is_not_a_report():
         load_report(json.dumps(wrong_fields[3]))
     with pytest.raises(SafetraceError, match="^invalid JSON: "):
         load_report("x")
+    with pytest.raises(SafetraceError, match="^not a report export: ValueError: 'task_success_rate' must be "):
+        load_report(json.dumps(unwritten[0]))
+    no_such_category = "^not a report export: ValueError: unknown category 'no_such_category' in 'per_category'$"
+    with pytest.raises(SafetraceError, match=no_such_category):
+        load_report(json.dumps(unwritten[6]))
+    with pytest.raises(SafetraceError, match="^not a report export: ValueError: unknown key 'note'$"):
+        load_report(json.dumps(unwritten[-1]))
 
 
 def test_export_csv_tables_and_headers():

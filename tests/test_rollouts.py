@@ -291,6 +291,7 @@ def test_table_projection_matches_per_step_projection(distinct, repeats, seed):
     for record in records:
         assert len(record.valuations) == distinct
         assert isinstance(record.valuation_ids, bytes) == (distinct <= 256)
+        assert record == records[0] and hash(record) == hash(records[0])
         assert record.trace == Trace(steps)
         for inst in _PROJECTION_SPEC.instances:
             assert record.masks(inst.dfa.props) == trace_masks(inst.dfa, steps)
