@@ -16,12 +16,11 @@ import argparse
 import functools
 import os
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
 from .automata import compile_formula, dfa_to_json, to_dot
-from .errors import SafetraceError
+from .errors import SafetraceError, located
 from .formulas import parse
 from .metrics import (
     ReportTally,
@@ -52,29 +51,16 @@ def _log(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-@contextmanager
-def _reading(path: str):
-    """Turn a failure to read ``path`` as UTF-8 text into an error naming it."""
-    try:
-        yield
-    except UnicodeDecodeError as exc:
-        raise SafetraceError(f"{path}: not valid UTF-8 text ({exc.reason})") from exc
-    except OSError as exc:
-        raise SafetraceError(f"{path}: {exc.strerror or exc}") from exc
-
-
-def _read_text(path: str) -> str:
-    with _reading(path):
-        return Path(path).read_text(encoding="utf-8")
-
-
 def _load(path: str, loader):
-    """``loader`` applied to the text of ``path``; its errors name the path."""
-    text = _read_text(path)
-    try:
+    """``loader`` applied to the UTF-8 text of the file ``path``; errors name it."""
+    with located(path):
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise SafetraceError(f"not valid UTF-8 text ({exc.reason})") from exc
+        except OSError as exc:
+            raise SafetraceError(exc.strerror or str(exc)) from exc
         return loader(text)
-    except SafetraceError as exc:
-        raise SafetraceError(f"{path}: {exc}") from exc
 
 
 def _write_text(path: Path, content: str) -> None:
@@ -286,10 +272,8 @@ def _fold_pairs(share: list[tuple[str, str]], strict: bool) -> ReportTally:
         spec = specs.get(spec_path)
         if spec is None:
             spec = specs[spec_path] = _load(spec_path, load_task_spec)
-        try:
+        with located(rollout_path):
             tally.add(evaluate_rollout(record, spec, strict_end=strict))
-        except SafetraceError as exc:
-            raise SafetraceError(f"{rollout_path}: {exc}") from exc
     return tally
 
 
@@ -298,10 +282,8 @@ def _fold_lines(share: list[tuple[int, str]], path: str, spec, strict: bool) -> 
     ``spec`` into a tally."""
     tally = ReportTally()
     for line_no, line in share:
-        try:
+        with located(f"{path}, line {line_no}"):
             tally.add(evaluate_rollout(load_rollout(line), spec, strict_end=strict))
-        except SafetraceError as exc:
-            raise SafetraceError(f"{path}, line {line_no}: {exc}") from exc
     return tally
 
 
@@ -378,23 +360,24 @@ def _cmd_evaluate(args) -> int:
         if not args.task_spec:
             raise SafetraceError("--jsonl requires --task-spec")
         spec = _load(args.task_spec, load_task_spec)
-        lines = enumerate(_read_text(args.jsonl).split("\n"), start=1)
+        lines = enumerate(_load(args.jsonl, str).split("\n"), start=1)
         numbered = [(line_no, line) for line_no, text in lines if (line := text.strip())]
         tally = _fold(_fold_lines, numbered, (args.jsonl, spec, strict), args.workers)
     else:
         if not args.manifest:
             raise SafetraceError("a manifest path (or --jsonl) is required")
         manifest = _load(args.manifest, _read_json)
-        pairs = manifest.get("pairs") if isinstance(manifest, dict) else None
-        if not isinstance(pairs, list) or not pairs:
-            raise SafetraceError("manifest must contain a nonempty 'pairs' list")
         base = Path(args.manifest).parent
         jobs = []
-        for entry in pairs:
-            try:
-                jobs.append((str(base / entry["rollout"]), str(base / entry["task_spec"])))
-            except (TypeError, KeyError) as exc:
-                raise SafetraceError(f"bad manifest entry {entry!r}") from exc
+        with located(args.manifest):
+            pairs = manifest.get("pairs") if isinstance(manifest, dict) else None
+            if not isinstance(pairs, list) or not pairs:
+                raise SafetraceError("manifest must contain a nonempty 'pairs' list")
+            for entry in pairs:
+                try:
+                    jobs.append((str(base / entry["rollout"]), str(base / entry["task_spec"])))
+                except (TypeError, KeyError) as exc:
+                    raise SafetraceError(f"bad manifest entry {entry!r}") from exc
         tally = _fold(_fold_pairs, jobs, (strict,), args.workers)
 
     report = tally.report(args.denominator)

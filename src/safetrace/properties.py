@@ -42,7 +42,7 @@ from typing import Mapping
 
 from ._record import Record
 from .automata import Dfa, _renamed, compile_formula
-from .errors import BindingError, SafetraceError, TaskSpecError, TemplateError
+from .errors import BindingError, SafetraceError, TaskSpecError, TemplateError, located
 from .formulas import Formula, Prop, is_valid_proposition, operands, parse, proposition_order
 
 __all__ = [
@@ -197,6 +197,11 @@ class PropertyInstance(Record, norepr=("dfa",), nocompare=("dfa",)):
     category: SafetyCategory | None
     dfa: Dfa
 
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        if self.template_id != CUSTOM_TEMPLATE:
+            get_template(self.template_id)
+
 
 def _substitute(f: Formula, mapping: Mapping[str, str]) -> Formula:
     """``f`` with every proposition renamed through ``mapping``."""
@@ -232,26 +237,23 @@ def _instantiate(
     cache, keyed by template id and the rank of each slot's proposition among
     the sorted bound names, and renames the cached automaton otherwise."""
     template = get_template(template_id)
-    missing = [s for s in template.slots if s not in bindings]
-    if missing:
-        raise BindingError(f"{template_id}: missing bindings for slots {missing}")
-    unknown = [s for s in bindings if s not in template.slots]
-    if unknown:
-        raise BindingError(
-            f"{template_id}: unknown slots {unknown}; expected {list(template.slots)}"
-        )
-    for slot, name in bindings.items():
-        if not is_valid_proposition(name):
+    with located(template_id):
+        missing = [s for s in template.slots if s not in bindings]
+        if missing:
+            raise BindingError(f"missing bindings for slots {missing}")
+        unknown = [s for s in bindings if s not in template.slots]
+        if unknown:
+            raise BindingError(f"unknown slots {unknown}; expected {list(template.slots)}")
+        for slot, name in bindings.items():
+            if not is_valid_proposition(name):
+                raise BindingError(f"slot {slot!r} bound to invalid proposition {name!r}")
+        values = [bindings[s] for s in template.slots]
+        if len(set(values)) != len(values) and not allow_duplicate_bindings:
+            duplicates = sorted({v for v in values if values.count(v) > 1})
             raise BindingError(
-                f"{template_id}: slot {slot!r} bound to invalid proposition {name!r}"
+                f"propositions {duplicates} bound to more than one "
+                "slot (pass allow_duplicate_bindings to permit)"
             )
-    values = [bindings[s] for s in template.slots]
-    if len(set(values)) != len(values) and not allow_duplicate_bindings:
-        duplicates = sorted({v for v in values if values.count(v) > 1})
-        raise BindingError(
-            f"{template_id}: propositions {duplicates} bound to more than one "
-            "slot (pass allow_duplicate_bindings to permit)"
-        )
     formula = _substitute(template.formula, bindings)
     names = sorted(set(values))
     key = (template_id, tuple(map(names.index, values)))
@@ -361,10 +363,10 @@ def _json_text(document) -> str:
     return json.dumps(document, sort_keys=True, indent=2) + "\n"
 
 
-def _check_identifier(value: object, key: str, error: type[SafetraceError], where: str = "") -> None:
-    """Raise ``error`` unless ``value``, the field ``key`` of a document
-    (at ``where``, when given), is a nonempty string that UTF-8 can encode:
-    one without a lone surrogate, which JSON's ``\\ud800`` escapes decode to."""
+def _check_identifier(value: object, key: str, error: type[SafetraceError]) -> None:
+    """Raise ``error`` unless ``value``, the field ``key`` of a document, is
+    a nonempty string that UTF-8 can encode: one without a lone surrogate,
+    which JSON's ``\\ud800`` escapes decode to."""
     if not isinstance(value, str) or not value:
         problem = "must be a nonempty string"
     else:
@@ -373,7 +375,7 @@ def _check_identifier(value: object, key: str, error: type[SafetraceError], wher
             return
         except UnicodeEncodeError:
             problem = "contains a surrogate code point, which UTF-8 cannot encode"
-    raise error(f"{where}: '{key}' {problem}" if where else f"'{key}' {problem}")
+    raise error(f"'{key}' {problem}")
 
 
 def load_task_spec(source: str | dict) -> TaskSpec:
@@ -402,48 +404,38 @@ def load_task_spec(source: str | dict) -> TaskSpec:
     instances = []
     shapes: dict[tuple[str, tuple[int, ...]], Dfa] = {}
     for idx, entry in enumerate(entries):
-        where = f"properties[{idx}]"
-        if not isinstance(entry, dict):
-            raise TaskSpecError(f"{where}: must be a mapping")
-        extra = entry.keys() - _PROPERTY_KEYS
-        if extra:
-            raise TaskSpecError(f"{where}: unknown keys {sorted(extra, key=str)}")
-        instance_id = entry.get("id")
-        _check_identifier(instance_id, "id", TaskSpecError, where)
-        template_id = entry.get("template")
-        if not isinstance(template_id, str):
-            raise TaskSpecError(f"{where} (id {instance_id!r}): 'template' must be a string")
-        custom = template_id == CUSTOM_TEMPLATE
-        misplaced = entry.keys() - (_CUSTOM_KEYS if custom else _TEMPLATE_KEYS)
-        if misplaced:
-            kind = "a custom formula" if custom else "a template instance"
-            raise TaskSpecError(
-                f"{where} (id {instance_id!r}): keys {sorted(misplaced)} do not apply to {kind}"
-            )
-        allow_duplicate_bindings = entry.get("allow_duplicate_bindings", False)
-        if not isinstance(allow_duplicate_bindings, bool):
-            raise TaskSpecError(
-                f"{where} (id {instance_id!r}): 'allow_duplicate_bindings' must be true or false"
-            )
-        try:
+        with located(f"properties[{idx}]"):
+            if not isinstance(entry, dict):
+                raise TaskSpecError("must be a mapping")
+            extra = entry.keys() - _PROPERTY_KEYS
+            if extra:
+                raise TaskSpecError(f"unknown keys {sorted(extra, key=str)}")
+            instance_id = entry.get("id")
+            _check_identifier(instance_id, "id", TaskSpecError)
+        with located(f"properties[{idx}] (id {instance_id!r})"):
+            template_id = entry.get("template")
+            if not isinstance(template_id, str):
+                raise TaskSpecError("'template' must be a string")
+            custom = template_id == CUSTOM_TEMPLATE
+            misplaced = entry.keys() - (_CUSTOM_KEYS if custom else _TEMPLATE_KEYS)
+            if misplaced:
+                kind = "a custom formula" if custom else "a template instance"
+                raise TaskSpecError(f"keys {sorted(misplaced)} do not apply to {kind}")
+            allow_duplicate_bindings = entry.get("allow_duplicate_bindings", False)
+            if not isinstance(allow_duplicate_bindings, bool):
+                raise TaskSpecError("'allow_duplicate_bindings' must be true or false")
             if custom:
                 formula_text = entry.get("formula")
                 if not isinstance(formula_text, str):
-                    raise TaskSpecError(
-                        f"{where} (id {instance_id!r}): custom template requires a 'formula' string"
-                    )
+                    raise TaskSpecError("custom template requires a 'formula' string")
                 instances.append(instantiate_custom(formula_text, instance_id=instance_id))
             else:
                 bindings = entry.get("bindings")
                 if not isinstance(bindings, dict):
-                    raise TaskSpecError(
-                        f"{where} (id {instance_id!r}): 'bindings' must be a mapping"
-                    )
+                    raise TaskSpecError("'bindings' must be a mapping")
                 instances.append(
                     _instantiate(template_id, bindings, instance_id, allow_duplicate_bindings, shapes)
                 )
-        except (TemplateError, BindingError) as exc:
-            raise type(exc)(f"{where} (id {instance_id!r}): {exc}") from exc
 
     return TaskSpec(
         task_name=task,

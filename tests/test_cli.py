@@ -503,18 +503,27 @@ def test_evaluate_reports_are_byte_identical_across_worker_counts(tmp_path, kind
     assert json.loads(outputs["0"]["report.json"])["n_rollouts"] == 5
 
 
-def _error_cases(kind: str) -> dict[str, tuple[list[str], int | None]]:
-    """Inputs of four rollouts, so that ``--workers 2`` runs two shares of
-    two, each with its own errors; with each, the number of the rollout
-    (its line) that the first error in input order is about."""
-    lines, _ = _rollout_lines(4)
+def _error_cases(kind: str) -> dict[str, tuple[list[str], str, int | str | None]]:
+    """Inputs of four rollouts and a task spec, so that ``--workers 2`` runs
+    two shares of two, each with its own errors; with each, what the first
+    error in input order is about: the number of a rollout (its line), or
+    ``"spec"``."""
+    lines, spec_text = _rollout_lines(4)
     other_task = json.dumps(dict(json.loads(lines[2]), task="other_task"))
+    spec = json.loads(spec_text)
+    bad_specs = [
+        json.dumps(dict(spec, properties=[{"id": "bad", "template": "custom", "formula": f}, *spec["properties"]]))
+        for f in ("G (a &", " | ".join(f"p{i}" for i in range(9)))
+    ]
     cases = {
-        "malformed rollout in the second share": (lines[:3] + ['{"rollout_id": "x", "trace": ['], 4),
-        "task mismatch in the second share": (lines[:2] + [other_task, lines[3]], 3),
-        "errors in both shares": ([lines[0], "[1]", other_task, lines[3]], 2),
-        "duplicate ids across shares": (lines[:3] + [lines[0]], None),
-        "empty input": ([], None),
+        "malformed rollout in the second share": (lines[:3] + ['{"rollout_id": "x", "trace": ['], spec_text, 4),
+        "task mismatch in the second share": (lines[:2] + [other_task, lines[3]], spec_text, 3),
+        "errors in both shares": ([lines[0], "[1]", other_task, lines[3]], spec_text, 2),
+        "duplicate ids across shares": (lines[:3] + [lines[0]], spec_text, None),
+        "empty input": ([], spec_text, None),
+        # A manifest's spec is loaded in each worker, so its error crosses the pool.
+        "spec whose custom formula fails": (lines, bad_specs[0], "spec"),
+        "spec whose custom formula has 9 propositions": (lines, bad_specs[1], "spec"),
     }
     if kind == "manifest":
         del cases["empty input"]  # a manifest without pairs never reaches the fold
@@ -523,8 +532,7 @@ def _error_cases(kind: str) -> dict[str, tuple[list[str], int | None]]:
 
 @pytest.mark.parametrize("kind", ["jsonl", "manifest"])
 def test_evaluate_errors_are_the_same_with_and_without_workers(tmp_path, capsys, kind, pool_start):
-    _, spec_text = _rollout_lines(0)
-    for name, (lines, first_bad) in _error_cases(kind).items():
+    for name, (lines, spec_text, first_bad) in _error_cases(kind).items():
         source = _evaluate_input(tmp_path, kind, lines, spec_text)
         results = []
         for workers in ("0", "2"):
@@ -539,12 +547,31 @@ def test_evaluate_errors_are_the_same_with_and_without_workers(tmp_path, capsys,
         elif name == "empty input":
             assert err == "error: cannot aggregate an empty evaluation collection\n"
         else:
-            where = (
-                f"{source[1]}, line {first_bad}"
-                if kind == "jsonl"
-                else str(Path(source[0]).parent / f"r{first_bad - 1}.json")
-            )
+            if first_bad == "spec":
+                where = f"{Path(source[-1]).parent / 'spec.json'}: properties[0] (id 'bad')"
+            elif kind == "jsonl":
+                where = f"{source[1]}, line {first_bad}"
+            else:
+                where = str(Path(source[0]).parent / f"r{first_bad - 1}.json")
             assert err.startswith(f"error: {where}: ") and err.count("\n") == 1, name
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ({"pairs": []}, "manifest must contain a nonempty 'pairs' list"),
+        ([{"rollout": "r.json", "task_spec": "s.json"}], "manifest must contain a nonempty 'pairs' list"),
+        ({"pairs": [{"rollout": "r.json", "task_spec": "s.json"}, 5]}, "bad manifest entry 5"),
+        ({"pairs": [{"rollout": "r.json"}]}, "bad manifest entry {'rollout': 'r.json'}"),
+    ],
+    ids=["empty pairs", "a list", "an entry that is a number", "an entry without a task_spec"],
+)
+def test_manifest_errors_name_the_manifest(tmp_path, capsys, document, message):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(document))
+    assert run_cli("evaluate", str(manifest), "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == f"error: {manifest}: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_evaluate_negative_workers_is_one_error_line(corpus_dir, tmp_path, capsys):

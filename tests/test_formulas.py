@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import safetrace.formulas as formula_module
 from safetrace.automata import compile_formula
-from safetrace.errors import FormulaSyntaxError
+from safetrace import errors
+from safetrace.errors import FormulaSyntaxError, SafetraceError, located
 from safetrace.formulas import (
     FALSE,
     MAX_FORMULA_DEPTH,
@@ -148,6 +149,20 @@ def test_parse_error_survives_pickling():
     assert type(copy) is FormulaSyntaxError
     assert str(copy) == str(error)
     assert (copy.line, copy.column, copy.expected) == (error.line, error.column, error.expected)
+    # Every error class keeps the location that two ``located`` blocks gave
+    # it, as a pool worker's error must.
+    classes = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, SafetraceError)]
+    assert len(classes) == 10
+    for error in [error, *(cls("boom") for cls in classes if cls is not FormulaSyntaxError)]:
+        message = str(error)
+        with pytest.raises(type(error)) as raised, located("outer"), located("inner"):
+            raise error
+        assert raised.value is error and error.where == ("outer", "inner")
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is type(error) and copy.where == error.where
+        assert str(copy) == str(error) == f"outer: inner: {message}"
+        if type(error) is FormulaSyntaxError:
+            assert (copy.line, copy.column, copy.expected) == (error.line, error.column, error.expected)
 
 
 def _nested(depth: int) -> dict[str, str]:

@@ -5,6 +5,7 @@ import io
 import json
 import pickle
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from safetrace.automata import CODE_FALSE, CODE_PRESUMABLY_FALSE, CODE_PRESUMABLY_TRUE, CODE_TRUE
-from safetrace.errors import SafetraceError
+from safetrace.errors import SafetraceError, TemplateError
 from safetrace.formulas import Trace
 from safetrace.metrics import (
     InstanceMeta,
@@ -35,7 +36,9 @@ from safetrace.properties import (
     HORIZONS,
     SUITES,
     TEMPLATE_IDS,
+    PropertyInstance,
     SafetyCategory,
+    TaskSpec,
     get_template,
     load_task_spec,
 )
@@ -532,6 +535,23 @@ def test_export_json_deterministic_and_round_trips():
     # Float approximations land within 1e-12 of the exact rates.
     doc = json.loads(text_a)
     assert abs(doc["task_success_rate"]["approx"] - float(report.task_success_rate)) < 1e-12
+
+
+@pytest.mark.parametrize("template_id", [*TEMPLATE_IDS, CUSTOM_TEMPLATE, "made_up", "PHI1", ""])
+def test_every_instance_the_constructor_accepts_round_trips_its_report(template_id):
+    """An instance built directly, not through a spec, is checked as a
+    loaded one: its report loads back, or its template id is an error."""
+    base = SPEC.instances[0]
+    fields = (base.instance_id, template_id, base.bindings, base.formula, base.category, base.dfa)
+    if template_id not in (*TEMPLATE_IDS, CUSTOM_TEMPLATE):
+        with pytest.raises(TemplateError) as expected:
+            get_template(template_id)
+        with pytest.raises(TemplateError, match=re.escape(str(expected.value))):
+            PropertyInstance(*fields)
+        return
+    spec = TaskSpec(SPEC.task_name, SPEC.suite, SPEC.horizon, (PropertyInstance(*fields),))
+    report = aggregate([evaluate_rollout(_record("r", [["collision"], []], False), spec)])
+    assert load_report(export_report_json(report)) == report
 
 
 def test_load_report_raises_one_error_on_text_that_is_not_a_report():

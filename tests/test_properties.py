@@ -8,7 +8,13 @@ import pytest
 
 from safetrace import properties
 from safetrace.automata import compile_formula, dfa_to_json, to_dot
-from safetrace.errors import BindingError, TaskSpecError, TemplateError
+from safetrace.errors import (
+    AlphabetTooLargeError,
+    BindingError,
+    FormulaSyntaxError,
+    TaskSpecError,
+    TemplateError,
+)
 from safetrace.formulas import evaluate, format_formula, parse, propositions
 from safetrace.monitor import run_trace
 from safetrace.properties import (
@@ -334,6 +340,24 @@ def test_custom_escape_hatch_in_spec():
     ])
     spec = load_task_spec(json.dumps(document))
     assert spec.instances[0].category is None
+
+
+@pytest.mark.parametrize(
+    "formula, error",
+    [("G (a &", FormulaSyntaxError), (" | ".join(f"p{i}" for i in range(9)), AlphabetTooLargeError)],
+    ids=["syntax", "alphabet"],
+)
+def test_custom_formula_errors_name_their_entry(formula, error):
+    with pytest.raises(error) as bare:
+        instantiate_custom(formula, instance_id="bad")
+    entries = [MINIMAL_SPEC["properties"][0], {"id": "bad", "template": "custom", "formula": formula}]
+    with pytest.raises(error) as located:
+        load_task_spec(json.dumps(dict(MINIMAL_SPEC, properties=entries)))
+    assert str(located.value) == f"properties[1] (id 'bad'): {bare.value}"
+    assert located.value.where == ("properties[1] (id 'bad')",)
+    if error is FormulaSyntaxError:
+        # The line and column stay those of the formula, not of the document.
+        assert (located.value.line, located.value.column) == (bare.value.line, bare.value.column) == (1, 7)
 
 
 def test_unknown_keys_are_rejected():
