@@ -380,7 +380,8 @@ def _cmd_evaluate(args) -> int:
                     raise SafetraceError(f"bad manifest entry {entry!r}") from exc
         tally = _fold(_fold_pairs, jobs, (strict,), args.workers)
 
-    report = tally.report(args.denominator)
+    with located(args.jsonl or args.manifest):
+        report = tally.report(args.denominator)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.format in ("all", "json"):

@@ -1,5 +1,11 @@
 """Exception hierarchy shared across the package."""
 
+__all__ = [
+    "SafetraceError", "located", "FormulaSyntaxError", "AlphabetTooLargeError",
+    "AlphabetMismatchError", "MonitorError", "TemplateError", "BindingError", "TaskSpecError",
+    "RolloutFormatError", "ScenarioError",
+]
+
 
 class SafetraceError(Exception):
     """Base class for all errors raised by this package. ``where`` names

@@ -51,7 +51,7 @@ import math
 from collections import Counter
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ._record import Record, _set
 from .automata import CODE_FALSE, CODE_PRESUMABLY_FALSE, CODE_PRESUMABLY_TRUE, CODE_TRUE
@@ -59,7 +59,9 @@ from .errors import SafetraceError
 from .monitor import _UNSAFE_FLAG_TABLE, MonitorResult, Verdict, _checked_run, _result_from_codes
 from .properties import SafetyCategory, TaskSpec, TEMPLATE_IDS, CUSTOM_TEMPLATE, SUITES, HORIZONS
 from .properties import _json_text, _read_json
-from .rollouts import RolloutRecord
+
+if TYPE_CHECKING:  # an annotation only: importing rollouts compiles the scenario catalog
+    from .rollouts import RolloutRecord
 
 __all__ = [
     "Outcome",

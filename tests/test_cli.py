@@ -542,10 +542,12 @@ def test_evaluate_errors_are_the_same_with_and_without_workers(tmp_path, capsys,
         assert results[0] == results[1], name
         code, err, wrote = results[0]
         assert (code, wrote) == (1, False), name
+        # A batch-level error names the batch's input: the JSONL file or the manifest.
+        batch = source[1] if kind == "jsonl" else source[0]
         if name == "duplicate ids across shares":
-            assert err == "error: duplicate rollout_id in evaluation batch: ['grasp_drop-0000']\n"
+            assert err == f"error: {batch}: duplicate rollout_id in evaluation batch: ['grasp_drop-0000']\n"
         elif name == "empty input":
-            assert err == "error: cannot aggregate an empty evaluation collection\n"
+            assert err == f"error: {batch}: cannot aggregate an empty evaluation collection\n"
         else:
             if first_bad == "spec":
                 where = f"{Path(source[-1]).parent / 'spec.json'}: properties[0] (id 'bad')"
