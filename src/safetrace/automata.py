@@ -23,10 +23,10 @@ every export do not depend on the order in which raw states are found.
 
 State labels are rendered on first read, from each class's residual kept as
 sorted int tuples and the formula the automaton was compiled from; the
-compile-time closure is not kept. Node ids depend only on the formula's
-structure and the sorted order of its propositions, so a renaming of the
-formula that keeps that order has the same automaton and the same residuals,
-and :func:`_renamed` derives its automaton without compiling.
+compile-time closure is not kept. Node ids depend only on the formula's tree,
+so formulas of one shape (names replaced by slots in order of first occurrence)
+share one raw automaton up to bit order: a bounded process-wide cache builds it
+once, and each formula renumbers it in its own letter order, as a compile would.
 
 Whether a reached state is accepting is decided on its obligation set as if
 the trace ended there: a strong next contributes false, a weak next true. The
@@ -46,6 +46,7 @@ import copy
 from array import array
 from collections import deque
 from enum import Enum
+from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -331,7 +332,7 @@ class _Closure:
 
     Progression is memoized on (node, valuation restricted to the node's
     support), conjunction and disjunction on the operand pair. An instance
-    lives for one :func:`compile_formula` call or one rendering of labels.
+    lives for one shape's progression or one rendering of labels.
     """
 
     def __init__(self, root: Formula, names: Sequence[str]):
@@ -501,7 +502,7 @@ class _LazyLabels:
     State 0 is labeled with ``formula`` itself and state ``s > 0`` with
     ``residuals[s - 1]``, the compact residual of the raw state representing
     it. Rendering interns ``formula``'s closure afresh, which gives the same
-    node ids as at compile time.
+    node ids as its shape's closure had at compile time.
     """
 
     __slots__ = ("formula", "residuals", "texts")
@@ -550,16 +551,63 @@ def compile_formula(f: Formula) -> Dfa:
     position 0. Raises :class:`AlphabetTooLargeError` beyond
     :data:`MAX_PROPOSITIONS` propositions.
     """
-    names = sorted(propositions(f))
+    slots: dict[str, int] = {}
+    shape = _shape_key(f, slots)
+    names = sorted(slots)
     if len(names) > MAX_PROPOSITIONS:
         raise AlphabetTooLargeError(
             f"formula uses {len(names)} propositions (cap {MAX_PROPOSITIONS}): "
             + format_formula(f)
         )
-    width = 1 << len(names)
+    # The run tables are shared as they are; the basis and the labels are f's.
+    dfa = copy.copy(_shape_dfa(shape, tuple(map(names.index, slots))))
+    dfa.props = tuple(names)
+    dfa._labels = _LazyLabels(f, dfa._labels.residuals)
+    return dfa
 
-    root = to_nnf(f)
-    closure = _Closure(root, names)
+
+def _shape_key(f: Formula, slots: dict[str, int]) -> tuple | int:
+    """``f`` as nested ``(class, *operands)`` tuples, each proposition
+    replaced by its slot: its index in ``slots``, in order of first occurrence."""
+    if type(f) is Prop:
+        return slots.setdefault(f.name, len(slots))
+    return (type(f), *[_shape_key(g, slots) for g in operands(f)])
+
+
+def _shape_formula(shape: tuple | int, names: Sequence[str]) -> Formula:
+    """The formula a :func:`_shape_key` encodes, with ``names[i]`` in slot ``i``."""
+    if type(shape) is int:
+        return Prop(names[shape])
+    return shape[0](*[_shape_formula(operand, names) for operand in shape[1:]])
+
+
+@lru_cache(maxsize=512)
+def _shape_dfa(shape: tuple, ranks: tuple[int, ...]) -> Dfa:
+    """The automaton of every formula of this shape whose name in slot ``i``
+    has rank ``ranks[i]`` among its sorted names: bit ``ranks[i]`` of a
+    symbol reads slot ``i``."""
+    formula, rows, accepting, residuals, classes = _shape_tables(shape)
+    props, symbols = [], [0]  # symbols[mask]: the shape's symbol for mask
+    for bit in range(len(ranks)):
+        slot = ranks.index(bit)
+        props.append(f"p{slot}")
+        symbols += [symbol | 1 << slot for symbol in symbols]
+    final, minimal_rows, representatives = _renumbered(0, accepting, rows, classes, symbols)
+    dfa = Dfa(props, 0, final, minimal_rows)
+    # Raw state 0 represents state 0, which the formula itself labels.
+    dfa._labels = _LazyLabels(formula, tuple(_compact(residuals[r]) for r in representatives[1:]))
+    return dfa
+
+
+@lru_cache(maxsize=128)
+def _shape_tables(shape: tuple) -> tuple:
+    """The raw automaton of a shape: its formula, its rows, its accepting
+    states, the residual of each state and its Moore partition, shared by
+    every caller and so never modified."""
+    formula = _shape_formula(shape, [f"p{slot}" for slot in range(MAX_PROPOSITIONS)])
+    root = to_nnf(formula)
+    closure = _Closure(root, sorted(propositions(formula)))
+    width = 1 << len(closure.bits)
     # The initial residual wraps the whole formula; its acceptance flag is
     # the formula's value on the empty suffix, queried only internally. Every
     # other state's flag follows from its residual, which is therefore the
@@ -592,28 +640,8 @@ def compile_formula(f: Formula) -> Dfa:
                 break
             sub = (sub - read) & read
         rows.append([targets[mask & read] for mask in range(width)])
-
-    final, minimal_rows, representatives = _minimized(
-        tuple(names), 0, frozenset(s for s, acc in enumerate(accepting) if acc), rows
-    )
-    dfa = Dfa(names, 0, final, minimal_rows)
-    # Raw state 0 represents state 0, which the formula itself labels.
-    dfa._labels = _LazyLabels(f, tuple(_compact(order[r]) for r in representatives[1:]))
-    return dfa
-
-
-def _renamed(shape: Dfa, props: tuple[str, ...], formula: Formula) -> Dfa:
-    """The automaton of ``formula``, given ``shape``, the one
-    :func:`compile_formula` built for a formula that ``formula`` renames name
-    by name while keeping their sorted order; ``props`` are ``formula``'s
-    propositions, sorted. Bit ``i`` of a symbol then reads the renaming of
-    ``shape.props[i]``, so the run tables are shared as they are, unchecked,
-    and only the basis and the labels change.
-    """
-    dfa = copy.copy(shape)
-    dfa.props = props
-    dfa._labels = _LazyLabels(formula, shape._labels.residuals)
-    return dfa
+    final = frozenset(s for s, acc in enumerate(accepting) if acc)
+    return formula, rows, final, order, _classes(0, final, rows)
 
 
 def _compute_permanence(
@@ -622,7 +650,7 @@ def _compute_permanence(
     n = len(transitions)
     reverse: list[list[int]] = [[] for _ in range(n)]
     for s, row in enumerate(transitions):
-        for target in row:
+        for target in set(row):
             reverse[target].append(s)
 
     def backward_closure(seeds: Iterable[int]) -> set[int]:
@@ -654,24 +682,20 @@ def minimize(d: Dfa) -> Dfa:
     indistinguishable states merged (partition refinement), states renumbered
     breadth-first from the initial state with symbols in ascending bitmask
     order, permanence recomputed."""
-    accepting, rows, representatives = _minimized(d.props, d.initial, d.accepting, d.transitions)
+    classes = _classes(d.initial, d.accepting, d.transitions)
+    accepting, rows, representatives = _renumbered(
+        d.initial, d.accepting, d.transitions, classes, range(d.alphabet_size)
+    )
     labels = d.state_labels
     if labels is not None:
         labels = [labels[r] for r in representatives]
     return Dfa(d.props, 0, accepting, rows, state_labels=labels)
 
 
-def _minimized(
-    props: tuple[str, ...],
-    initial: int,
-    accepting: frozenset[int],
-    transitions: Sequence[Sequence[int]],
-) -> tuple[frozenset[int], list[list[int]], list[int]]:
-    """:func:`minimize` over raw tables: the accepting states and the rows of
-    the minimal automaton, whose initial state is 0, and for each of its
-    states the raw state that represents it."""
-    width = 1 << len(props)
-
+def _classes(initial: int, accepting: frozenset[int], transitions: Sequence) -> dict:
+    """The class of each state reachable from ``initial`` under Moore
+    refinement, which splits classes until transition signatures stabilize.
+    The partition does not depend on the order of the symbols."""
     reachable: list[int] = [initial]
     seen = {initial}
     at = 0
@@ -683,7 +707,7 @@ def _minimized(
                 seen.add(target)
                 reachable.append(target)
 
-    # Moore refinement: split classes until transition signatures stabilize.
+    width = len(transitions[initial])
     cls = {s: (1 if s in accepting else 0) for s in reachable}
     count = len(set(cls.values()))
     while True:
@@ -695,32 +719,37 @@ def _minimized(
             new_cls[s] = group
         cls = new_cls
         if len(signatures) == count:
-            break
+            return cls
         count = len(signatures)
 
+
+def _renumbered(
+    initial: int, accepting: frozenset[int], transitions: Sequence, classes: dict, symbols: Sequence
+) -> tuple[frozenset[int], list[list[int]], list[int]]:
+    """The minimal automaton over ``classes``: its accepting states, its rows,
+    whose initial state is 0 and whose symbol ``m`` is ``symbols[m]`` of
+    ``transitions``, and for each of its states the raw state that
+    represents it."""
     # Renumber classes breadth-first; the first reachable member represents
     # its class (sound: refinement makes class transitions uniform).
-    start = cls[initial]
+    start = classes[initial]
     class_order = [start]
     class_index = {start: 0}
     representative = {start: initial}
     rows = []
     at = 0
     while at < len(class_order):
-        c = class_order[at]
+        successors = transitions[representative[class_order[at]]]
         at += 1
-        rep = representative[c]
-        row = []
-        for m in range(width):
-            target_class = cls[transitions[rep][m]]
-            j = class_index.get(target_class)
-            if j is None:
-                j = len(class_order)
-                class_index[target_class] = j
-                representative[target_class] = transitions[rep][m]
+        targets = [successors[symbol] for symbol in symbols]
+        # Each distinct target once, in order of first occurrence.
+        for target in dict.fromkeys(targets):
+            target_class = classes[target]
+            if target_class not in class_index:
+                class_index[target_class] = len(class_order)
+                representative[target_class] = target
                 class_order.append(target_class)
-            row.append(j)
-        rows.append(row)
+        rows.append([class_index[classes[target]] for target in targets])
 
     representatives = [representative[c] for c in class_order]
     final = frozenset(s for s, raw in enumerate(representatives) if raw in accepting)

@@ -24,6 +24,7 @@ from .errors import SafetraceError, located
 from .formulas import parse
 from .metrics import (
     ReportTally,
+    _category_and_violated,
     evaluate_rollout,
     export_report_csv,
     export_report_json,
@@ -244,10 +245,11 @@ def _cmd_monitor(args) -> int:
         _write_text(Path(args.out), text)
     if args.stdout:
         sys.stdout.write(text)
-    violations = sorted(i for i, m in evaluation.instance_meta.items() if m.violated)
+    meta = {i: _category_and_violated(evaluation, i) for i in evaluation.per_instance}
+    violations = sorted(i for i, (_, violated) in meta.items() if violated)
     for instance_id in violations:
         result = evaluation.per_instance[instance_id]
-        category = evaluation.instance_meta[instance_id].category
+        category = meta[instance_id][0]
         _log(
             args,
             f"violation: {instance_id} ({category.value if category is not None else None}) "

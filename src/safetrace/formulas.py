@@ -25,7 +25,7 @@ and binding strength, which the printer reads too; :func:`operands` is the
 one place that knows a node's children, and ``_DUALS`` pairs each operator
 with the dual that negation normal form pushes a negation through. Printing,
 :func:`to_nnf`, :func:`proposition_order` and the walks in
-:mod:`safetrace.properties` and :mod:`safetrace.automata` go through these.
+:mod:`safetrace.automata` go through these.
 In this module only ``evaluate`` spells out every operator, so that it stays
 an independent reference.
 """

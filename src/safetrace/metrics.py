@@ -217,6 +217,18 @@ def _instance_meta(
     return InstanceMeta(template_id, category, violated, codes.translate(_UNSAFE_FLAG_TABLE))
 
 
+def _category_and_violated(
+    evaluation: RolloutEvaluation, instance_id: str
+) -> tuple[SafetyCategory | None, bool]:
+    """An instance's category and effective violation, read from what
+    :func:`evaluate_rollout` keeps without building its :class:`InstanceMeta`,
+    which copies the unsafe flags."""
+    meta = evaluation.instance_meta
+    if isinstance(meta, _BuiltOnRead):
+        return meta._args[instance_id][3:]
+    return meta[instance_id].category, meta[instance_id].violated
+
+
 class _BuiltOnRead(Mapping):
     """A read-only mapping whose value for ``key`` is ``build(*args[key])``,
     built when the key is first read and then kept. It pickles as ``build``
@@ -283,19 +295,19 @@ def monitor_report_json(evaluation: RolloutEvaluation) -> str:
     instances = []
     for instance_id in sorted(evaluation.per_instance):
         result = evaluation.per_instance[instance_id]
-        m = evaluation.instance_meta[instance_id]
+        category, violated = _category_and_violated(evaluation, instance_id)
         kind = result.violation_kind
         verdicts = list(map(_VERDICT_JSON.__getitem__, result.verdict_codes))
         instances.append(
             "{\n"
-            f'      "category": {dumps(m.category.value if m.category is not None else None)},\n'
+            f'      "category": {dumps(category.value if category is not None else None)},\n'
             f'      "exposure": {dumps(float(result.exposure))},\n'
             f'      "final_satisfied": {dumps(result.final_satisfied)},\n'
             f'      "property_id": {dumps(instance_id)},\n'
             f'      "unsafe_steps": {dumps(result.unsafe_steps)},\n'
             f'      "verdicts": {_array(verdicts, "      ")},\n'
-            f'      "violated": {dumps(m.violated)},\n'
-            f'      "violation_kind": {dumps(kind if (kind == "mid" or m.violated) else None)},\n'
+            f'      "violated": {dumps(violated)},\n'
+            f'      "violation_kind": {dumps(kind if (kind == "mid" or violated) else None)},\n'
             f'      "violation_timestep": {dumps(result.violation_timestep)}\n'
             "    }"
         )

@@ -4,16 +4,15 @@ Ten templates cover eight safety categories, from per-step invariants
 (collision avoidance, onset preconditions) to multi-step obligations over
 ordering, recovery, and eventual settling. Each template is written over
 abstract slot names, listed in order of first occurrence; binding every slot
-to a concrete task proposition renames the propositions of the template's
-formula, rebuilding every other node through
-:func:`safetrace.formulas.operands`, and yields a monitorable property
-instance with a compiled DFA.
+to a concrete task proposition puts that proposition in the slot's places
+in the template's formula and yields a monitorable property instance with a
+compiled DFA.
 
-A template is written once and bound to many objects, so a task spec
-compiles each shape once: a template together with the rank of each slot's
-proposition among the sorted bound names. Every other binding of that shape
-renames the propositions of the compiled DFA, whose alphabet bits follow the
-sorted names and so mean the same slots; its tables are shared as they are.
+A template is written once and bound to many objects, and every binding of
+it, like every custom formula that differs from another only in proposition
+names, has one shape: :func:`safetrace.automata.compile_formula` runs
+progression once per shape in a process, and bindings whose names sort the
+same way share one automaton's run tables.
 
 A task specification document (JSON or YAML) groups the instances monitored
 for one task together with suite and horizon metadata::
@@ -41,9 +40,9 @@ from enum import Enum
 from typing import Mapping
 
 from ._record import Record
-from .automata import Dfa, _renamed, compile_formula
+from .automata import Dfa, _shape_formula, _shape_key, compile_formula
 from .errors import BindingError, SafetraceError, TaskSpecError, TemplateError, located
-from .formulas import Formula, Prop, is_valid_proposition, operands, parse, proposition_order
+from .formulas import Formula, is_valid_proposition, parse, proposition_order
 
 __all__ = [
     "SafetyCategory",
@@ -203,13 +202,6 @@ class PropertyInstance(Record, norepr=("dfa",), nocompare=("dfa",)):
             get_template(self.template_id)
 
 
-def _substitute(f: Formula, mapping: Mapping[str, str]) -> Formula:
-    """``f`` with every proposition renamed through ``mapping``."""
-    if type(f) is Prop:
-        return Prop(mapping[f.name])
-    return type(f)(*(_substitute(g, mapping) for g in operands(f)))
-
-
 def instantiate(
     template_id: str,
     bindings: Mapping[str, str],
@@ -223,19 +215,6 @@ def instantiate(
     the same proposition is rejected unless ``allow_duplicate_bindings`` is
     set; distinct slots mapping to one proposition is usually a typo.
     """
-    return _instantiate(template_id, bindings, instance_id, allow_duplicate_bindings, {})
-
-
-def _instantiate(
-    template_id: str,
-    bindings: Mapping[str, str],
-    instance_id: str | None,
-    allow_duplicate_bindings: bool,
-    shapes: dict[tuple[str, tuple[int, ...]], Dfa],
-) -> PropertyInstance:
-    """:func:`instantiate`, which compiles each shape once per ``shapes``
-    cache, keyed by template id and the rank of each slot's proposition among
-    the sorted bound names, and renames the cached automaton otherwise."""
     template = get_template(template_id)
     with located(template_id):
         missing = [s for s in template.slots if s not in bindings]
@@ -254,21 +233,15 @@ def _instantiate(
                 f"propositions {duplicates} bound to more than one "
                 "slot (pass allow_duplicate_bindings to permit)"
             )
-    formula = _substitute(template.formula, bindings)
-    names = sorted(set(values))
-    key = (template_id, tuple(map(names.index, values)))
-    shape = shapes.get(key)
-    if shape is None:
-        dfa = shapes[key] = compile_formula(formula)
-    else:
-        dfa = _renamed(shape, tuple(names), formula)
+    # ``template.slots`` lists the slots in order of first occurrence.
+    formula = _shape_formula(_shape_key(template.formula, {}), values)
     return PropertyInstance(
         instance_id=instance_id if instance_id is not None else template_id,
         template_id=template_id,
         bindings=tuple((s, bindings[s]) for s in template.slots),
         formula=formula,
         category=template.category,
-        dfa=dfa,
+        dfa=compile_formula(formula),
     )
 
 
@@ -383,8 +356,8 @@ def load_task_spec(source: str | dict) -> TaskSpec:
 
     Every property instance is instantiated and compiled eagerly, so binding
     or formula mistakes surface here rather than mid-evaluation. Instances
-    of one template shape share one compilation (see the module docstring);
-    custom formulas are compiled one by one.
+    and custom formulas of one shape share one compilation (see the module
+    docstring).
     """
     data = _parse_document(source) if isinstance(source, str) else source
     if not isinstance(data, dict):
@@ -402,7 +375,6 @@ def load_task_spec(source: str | dict) -> TaskSpec:
         raise TaskSpecError("'properties' must be a list")
 
     instances = []
-    shapes: dict[tuple[str, tuple[int, ...]], Dfa] = {}
     for idx, entry in enumerate(entries):
         with located(f"properties[{idx}]"):
             if not isinstance(entry, dict):
@@ -421,8 +393,8 @@ def load_task_spec(source: str | dict) -> TaskSpec:
             if misplaced:
                 kind = "a custom formula" if custom else "a template instance"
                 raise TaskSpecError(f"keys {sorted(misplaced)} do not apply to {kind}")
-            allow_duplicate_bindings = entry.get("allow_duplicate_bindings", False)
-            if not isinstance(allow_duplicate_bindings, bool):
+            allow_duplicates = entry.get("allow_duplicate_bindings", False)
+            if not isinstance(allow_duplicates, bool):
                 raise TaskSpecError("'allow_duplicate_bindings' must be true or false")
             if custom:
                 formula_text = entry.get("formula")
@@ -433,9 +405,8 @@ def load_task_spec(source: str | dict) -> TaskSpec:
                 bindings = entry.get("bindings")
                 if not isinstance(bindings, dict):
                     raise TaskSpecError("'bindings' must be a mapping")
-                instances.append(
-                    _instantiate(template_id, bindings, instance_id, allow_duplicate_bindings, shapes)
-                )
+                options = {"instance_id": instance_id, "allow_duplicate_bindings": allow_duplicates}
+                instances.append(instantiate(template_id, bindings, **options))
 
     return TaskSpec(
         task_name=task,

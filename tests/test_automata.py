@@ -7,6 +7,7 @@ import re
 from types import FunctionType, ModuleType
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from safetrace import automata
 from safetrace.automata import (
@@ -19,7 +20,17 @@ from safetrace.automata import (
     to_dot,
 )
 from safetrace.errors import AlphabetMismatchError, AlphabetTooLargeError
-from safetrace.formulas import Prop, Trace, evaluate, parse, to_nnf
+from safetrace.formulas import (
+    Always,
+    Eventually,
+    Prop,
+    Trace,
+    evaluate,
+    operands,
+    parse,
+    proposition_order,
+    to_nnf,
+)
 from safetrace.properties import list_templates, load_task_spec
 
 from oracles import agree_on_all_traces, all_traces, random_formula, random_trace
@@ -393,6 +404,77 @@ def test_compiled_dfa_holds_no_closure():
         assert not any(isinstance(obj, automata._Closure) for obj in reached)
         assert not any(isinstance(obj, frozenset) and obj is not state.accepting for obj in reached)
         assert any(isinstance(obj, automata._LazyLabels) for obj in reached)
+
+
+# ---------------------------------------------------------------------------
+# The process-wide shape cache
+# ---------------------------------------------------------------------------
+
+_SHAPE_CACHES = (automata._shape_tables, automata._shape_dfa)
+
+
+def clear_shape_caches() -> None:
+    for cache in _SHAPE_CACHES:
+        cache.cache_clear()
+
+
+def _exports(d: Dfa) -> tuple:
+    return (d, d.props, dfa_to_json(d), d.state_labels, to_dot(d), d.successors, d.verdict_codes)
+
+
+_EIGHT_NAMES = ("a", "b", "c2", "k", "m_1", "q", "y", "zz")
+
+
+def _renamed(f, mapping):
+    if type(f) is Prop:
+        return Prop(mapping[f.name])
+    return type(f)(*(_renamed(g, mapping) for g in operands(f)))
+
+
+@given(st.integers(0, 2**32 - 1), st.permutations(_EIGHT_NAMES), st.permutations(_EIGHT_NAMES))
+@settings(max_examples=300, deadline=None)
+def test_a_compile_through_a_warm_shape_cache_equals_one_from_scratch(seed, first, second):
+    rng = random.Random(seed)
+    f = random_formula(rng, max_depth=rng.randint(1, 4), props=tuple("abcde"[: rng.randint(1, 5)]))
+    order = proposition_order(f)
+    sibling = _renamed(f, dict(zip(order, first)))
+    renamed = _renamed(f, dict(zip(order, second)))
+    clear_shape_caches()
+    fresh = _exports(compile_formula(renamed))
+    clear_shape_caches()
+    compile_formula(sibling)
+    assert _exports(compile_formula(renamed)) == fresh
+    assert automata._shape_tables.cache_info().misses == 1
+
+
+def test_the_shape_caches_hold_no_more_entries_than_their_bounds():
+    bounds = [cache.cache_info().maxsize for cache in _SHAPE_CACHES]
+    assert None not in bounds and max(bounds) < 1 << 10
+    clear_shape_caches()
+    # Ten nested F or G over one proposition: 1024 shapes, each compiled in
+    # well under a millisecond.
+    for i in range(max(bounds) + 1):
+        f = Prop("a")
+        for bit in range(10):
+            f = (Eventually if i >> bit & 1 else Always)(f)
+        compile_formula(f)
+        for cache, bound in zip(_SHAPE_CACHES, bounds):
+            assert cache.cache_info().currsize <= bound
+    assert [cache.cache_info().currsize for cache in _SHAPE_CACHES] == bounds
+
+
+def test_a_dfa_from_the_shape_cache_pickles_with_its_labels_unrendered():
+    clear_shape_caches()
+    first = compile_formula(parse("G (a -> F b)"))
+    hit = compile_formula(parse("G (x -> F y)"))
+    assert automata._shape_tables.cache_info().misses == 1
+    assert hit.successors is first.successors
+    copy = pickle.loads(pickle.dumps(hit))
+    assert _unrendered(copy) and _unrendered(hit) and _unrendered(first)
+    assert copy == hit and copy.props == ("x", "y")
+    assert copy.state_labels == hit.state_labels
+    assert hit.state_labels[0] == "G(x -> F y)"
+    assert _unrendered(first) and first.state_labels[0] == "G(a -> F b)"
 
 
 def test_json_export_schema():

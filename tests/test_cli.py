@@ -1,5 +1,6 @@
 """Exit codes, artifact determinism, and flag surface of the CLI."""
 
+import itertools
 import json
 import multiprocessing
 import os
@@ -503,6 +504,32 @@ def test_evaluate_reports_are_byte_identical_across_worker_counts(tmp_path, kind
     assert json.loads(outputs["0"]["report.json"])["n_rollouts"] == 5
 
 
+def test_evaluate_bytes_match_across_workers_when_specs_share_a_custom_shape(tmp_path, pool_start):
+    lines, spec_text = _rollout_lines(4)
+    spec = json.loads(spec_text)
+    names = sorted({name for entry in spec["properties"] for name in entry["bindings"].values()})
+    orders = list(itertools.permutations(names[:3]))
+    pairs = []
+    for i, line in enumerate(lines):
+        # One shape under three of its six name orders per spec; each share
+        # of --workers 2 compiles it in its own process.
+        custom = [
+            {"id": f"c{j}", "template": "custom", "formula": "G ({} -> F ({} | X !{}))".format(*orders[i + j])}
+            for j in range(3)
+        ]
+        (tmp_path / f"r{i}.json").write_text(line)
+        (tmp_path / f"s{i}.json").write_text(json.dumps(dict(spec, properties=spec["properties"] + custom)))
+        pairs.append({"rollout": f"r{i}.json", "task_spec": f"s{i}.json"})
+    (tmp_path / "manifest.json").write_text(json.dumps({"pairs": pairs}))
+    outputs = {}
+    for workers in ("0", "2"):
+        out = tmp_path / f"out{workers}"
+        assert run_cli("evaluate", str(tmp_path / "manifest.json"), "--out", str(out), "--workers", workers, "-q") == 0
+        outputs[workers] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert outputs["0"] == outputs["2"]
+    assert json.loads(outputs["0"]["report.json"])["n_rollouts"] == 4
+
+
 def _error_cases(kind: str) -> dict[str, tuple[list[str], str, int | str | None]]:
     """Inputs of four rollouts and a task spec, so that ``--workers 2`` runs
     two shares of two, each with its own errors; with each, what the first
@@ -716,7 +743,7 @@ def test_evaluate_builds_no_per_instance_result_and_monitor_one_each(tmp_path, m
     assert run_cli("evaluate", *jsonl, "--out", str(tmp_path / "b"), "-q") == 0
     assert built == {}
     assert run_cli("monitor", str(rollout), str(spec), "--out", str(tmp_path / "m.json")) == 2
-    assert built == {"MonitorResult": instances, "InstanceMeta": instances}
+    assert built == {"MonitorResult": instances}
 
 
 def test_surrogate_identifiers_are_one_error_line(tmp_path, capsys):

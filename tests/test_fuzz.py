@@ -286,3 +286,6 @@ def test_cli_exits_cleanly_on_any_input(cli_dir, call):
     if code == 1:
         lines = err.getvalue().splitlines()
         assert lines and all(line.startswith("error: ") for line in lines), err.getvalue()
+        # Each error says where it happened: in the file that was fuzzed.
+        for name in files:
+            assert all(str(cli_dir / name) in line for line in lines), err.getvalue()

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from safetrace import properties
+from safetrace import automata
 from safetrace.automata import compile_formula, dfa_to_json, to_dot
 from safetrace.errors import (
     AlphabetTooLargeError,
@@ -29,6 +29,7 @@ from safetrace.properties import (
 )
 
 from oracles import all_traces
+from test_automata import clear_shape_caches
 
 # The catalog, as it must read after parsing (template id, category, text).
 EXPECTED_TEMPLATES = [
@@ -272,8 +273,8 @@ def _rank_patterns(k: int):
             yield pattern
 
 
-# Sorted name lists; the first binding of each shape compiles it, the others
-# rename it.
+# Sorted name lists; the first binding of each rank pattern builds its
+# automaton, the others share its run tables.
 _NAME_LISTS = (("a", "b", "c"), ("ab_z", "b", "ba"), ("x", "y2", "y_1"), ("g2", "g20", "g3"))
 
 
@@ -294,6 +295,7 @@ def test_shape_shared_instances_match_a_fresh_compile(template):
     spec = load_task_spec(dict(MINIMAL_SPEC, properties=entries))
     for instance in spec.instances:
         shared = instance.dfa
+        clear_shape_caches()
         fresh = compile_formula(instance.formula)
         assert shared == fresh and shared.props == fresh.props
         assert shared.state_labels == fresh.state_labels
@@ -303,35 +305,37 @@ def test_shape_shared_instances_match_a_fresh_compile(template):
         assert shared.successors == fresh.successors
 
 
-def test_each_template_shape_compiles_once_per_spec(monkeypatch):
-    compiled = []
+def test_each_formula_shape_runs_progression_once_per_process():
+    clear_shape_caches()
 
-    def counting_compile(formula):
-        compiled.append(formula)
-        return compile_formula(formula)
+    def progressions() -> int:
+        return automata._shape_tables.cache_info().misses
 
-    monkeypatch.setattr(properties, "compile_formula", counting_compile)
-    entries = [
-        {
-            "id": f"{template.template_id}_{obj}",
-            "template": template.template_id,
-            "bindings": {slot: f"{slot.lower()}_{obj}" for slot in template.slots},
-        }
-        for obj in ("mug", "bowl", "cup")
-        for template in list_templates()
-    ]
-    document = dict(MINIMAL_SPEC, properties=entries)
+    def spec(obj: str) -> dict:
+        return dict(MINIMAL_SPEC, properties=[
+            {
+                "id": f"{template.template_id}_{obj}",
+                "template": template.template_id,
+                "bindings": {slot: f"{slot.lower()}_{obj}" for slot in template.slots},
+            }
+            for template in list_templates()
+        ])
+
+    document = spec("mug")
+    document["properties"] += spec("bowl")["properties"] + spec("cup")["properties"]
     assert len(load_task_spec(document).instances) == 30
-    assert len(compiled) == 10
-    # The cache lives for one call, and custom formulas always compile.
+    # Ten templates, seven shapes: phi3 and phi7 are both G (p0 -> F p1),
+    # phi4 and phi10 both G (p0 -> (!p1 U p2)), phi5 and phi9 G (p0 -> p1).
+    assert progressions() == 7
+    load_task_spec(spec("plate"))
+    assert progressions() == 7
+    # A custom formula of a template's shape reuses its progression, and so
+    # do direct instantiations.
     custom = {"template": "custom", "formula": "G (a -> F b)"}
-    document["properties"] = entries + [dict(custom, id="c1"), dict(custom, id="c2")]
-    load_task_spec(document)
-    assert len(compiled) == 10 + 10 + 2
-    # So do direct instantiations.
+    load_task_spec(dict(MINIMAL_SPEC, properties=[dict(custom, id="c1"), dict(custom, id="c2")]))
+    instantiate_custom("G (zz -> F a)", instance_id="c3")
     instantiate("phi3", {"ObjReleased": "r", "Settled": "s"})
-    instantiate("phi3", {"ObjReleased": "r2", "Settled": "s2"})
-    assert len(compiled) == 24
+    assert progressions() == 7
 
 
 def test_custom_escape_hatch_in_spec():
