@@ -24,7 +24,6 @@ from .errors import SafetraceError, located
 from .formulas import parse
 from .metrics import (
     ReportTally,
-    _category_and_violated,
     evaluate_rollout,
     export_report_csv,
     export_report_json,
@@ -245,11 +244,11 @@ def _cmd_monitor(args) -> int:
         _write_text(Path(args.out), text)
     if args.stdout:
         sys.stdout.write(text)
-    meta = {i: _category_and_violated(evaluation, i) for i in evaluation.per_instance}
-    violations = sorted(i for i, (_, violated) in meta.items() if violated)
+    runs = evaluation.runs
+    violations = sorted(i for i, (*_, violated) in runs.items() if violated)
     for instance_id in violations:
         result = evaluation.per_instance[instance_id]
-        category = meta[instance_id][0]
+        *_, category, _ = runs[instance_id]
         _log(
             args,
             f"violation: {instance_id} ({category.value if category is not None else None}) "
@@ -258,7 +257,7 @@ def _cmd_monitor(args) -> int:
         )
     _log(
         args,
-        f"rollout {record.rollout_id}: {len(violations)} of {len(evaluation.per_instance)} "
+        f"rollout {record.rollout_id}: {len(violations)} of {len(runs)} "
         f"instances violated",
     )
     return EXIT_VIOLATIONS if violations else EXIT_OK

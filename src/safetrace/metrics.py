@@ -35,8 +35,9 @@ violated rollouts, successes, violated successes and the unsafe-step counts
 per trace length, from which a projection builds the exact sum of
 exposures. Projections add cells up, and `_pooled` alone turns a summed
 cell into rates. Union exposures are computed only in `evaluate_rollout`,
-which keeps per instance only the verdict codes and whether the run ended
-accepting; the per-instance results are built from these when first read.
+which keeps per instance only the verdict codes, whether the run ended
+accepting, and the instance's template, category and violation (``runs``);
+the per-instance views are built from these when first read.
 Integer counts make every projection independent of the evaluations'
 order, and let tallies of parts of a batch merge into the tally of the
 whole.
@@ -51,7 +52,9 @@ import math
 from collections import Counter
 from enum import Enum
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
+from functools import cached_property
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from ._record import Record, _set
 from .automata import CODE_FALSE, CODE_PRESUMABLY_FALSE, CODE_PRESUMABLY_TRUE, CODE_TRUE
@@ -117,9 +120,9 @@ class RolloutEvaluation(Record):
     rollout_exposure: Fraction
     length: int
     strict_end: bool
-    # Instance id -> result; each value is built when first read.
-    per_instance: Mapping[str, MonitorResult]
-    instance_meta: Mapping[str, InstanceMeta]
+    # Instance id -> (verdict codes, ended accepting, template id, category,
+    # violated under ``strict_end``), in spec order.
+    runs: dict[str, tuple[bytes, bool, str, SafetyCategory | None, bool]]
     # (dimension, key) -> (violated, unsafe steps) in each report row the
     # rollout counts in: its suite, its horizon, each template and category.
     groups: dict[tuple[str, str], tuple[bool, int]]
@@ -127,7 +130,7 @@ class RolloutEvaluation(Record):
     # Built once per rollout: see ``_record`` on spelled-out constructors.
     def __init__(
         self, rollout_id, task_name, suite, horizon, policy, success, unsafe, outcome,
-        rollout_exposure, length, strict_end, per_instance, instance_meta, groups,
+        rollout_exposure, length, strict_end, runs, groups,
     ) -> None:
         _set(self, "rollout_id", rollout_id)
         _set(self, "task_name", task_name)
@@ -140,9 +143,27 @@ class RolloutEvaluation(Record):
         _set(self, "rollout_exposure", rollout_exposure)
         _set(self, "length", length)
         _set(self, "strict_end", strict_end)
-        _set(self, "per_instance", per_instance)
-        _set(self, "instance_meta", instance_meta)
+        _set(self, "runs", runs)
         _set(self, "groups", groups)
+
+    # The views below are built from ``runs`` when first read and kept; they
+    # are not fields, so they are neither compared nor pickled.
+    @cached_property
+    def per_instance(self) -> Mapping[str, MonitorResult]:
+        """Instance id -> its monitor result, read-only."""
+        results = {
+            i: _result_from_codes(codes, accepting) for i, (codes, accepting, *_) in self.runs.items()
+        }
+        return MappingProxyType(results)
+
+    @cached_property
+    def instance_meta(self) -> Mapping[str, InstanceMeta]:
+        """Instance id -> its template, category, violation and unsafe flags, read-only."""
+        meta = {
+            i: InstanceMeta(template_id, category, violated, codes.translate(_UNSAFE_FLAG_TABLE))
+            for i, (codes, _, template_id, category, violated) in self.runs.items()
+        }
+        return MappingProxyType(meta)
 
 
 def evaluate_rollout(
@@ -164,7 +185,6 @@ def evaluate_rollout(
             f"{spec.task_name!r} (pass allow_task_mismatch to override)"
         )
     n = len(record.valuation_ids)
-    # Instance id -> the arguments of `_monitor_result` and `_instance_meta`.
     runs: dict[str, tuple] = {}
     # Union of unsafe steps (one bit per step) of all instances and of each
     # template and category group, with whether the group is violated.
@@ -201,66 +221,9 @@ def evaluate_rollout(
         rollout_exposure=Fraction(unsafe_steps, n),
         length=n,
         strict_end=strict_end,
-        per_instance=_BuiltOnRead(_monitor_result, runs),
-        instance_meta=_BuiltOnRead(_instance_meta, runs),
+        runs=runs,
         groups=groups,
     )
-
-
-def _monitor_result(codes: bytes, accepting: bool, *_) -> MonitorResult:
-    return _result_from_codes(codes, accepting)
-
-
-def _instance_meta(
-    codes: bytes, _accepting: bool, template_id: str, category: SafetyCategory | None, violated: bool
-) -> InstanceMeta:
-    return InstanceMeta(template_id, category, violated, codes.translate(_UNSAFE_FLAG_TABLE))
-
-
-def _category_and_violated(
-    evaluation: RolloutEvaluation, instance_id: str
-) -> tuple[SafetyCategory | None, bool]:
-    """An instance's category and effective violation, read from what
-    :func:`evaluate_rollout` keeps without building its :class:`InstanceMeta`,
-    which copies the unsafe flags."""
-    meta = evaluation.instance_meta
-    if isinstance(meta, _BuiltOnRead):
-        return meta._args[instance_id][3:]
-    return meta[instance_id].category, meta[instance_id].violated
-
-
-class _BuiltOnRead(Mapping):
-    """A read-only mapping whose value for ``key`` is ``build(*args[key])``,
-    built when the key is first read and then kept. It pickles as ``build``
-    and ``args``, without the values built so far."""
-
-    __slots__ = ("_build", "_args", "_values")
-
-    def __init__(self, build: Callable, args: dict[str, tuple]) -> None:
-        self._build = build
-        self._args = args
-        self._values: dict = {}
-
-    def __getitem__(self, key):
-        value = self._values.get(key)
-        if value is None:
-            value = self._values[key] = self._build(*self._args[key])
-        return value
-
-    def __contains__(self, key) -> bool:
-        return key in self._args
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._args)
-
-    def __len__(self) -> int:
-        return len(self._args)
-
-    def __reduce__(self):
-        return type(self), (self._build, self._args)
-
-    def __repr__(self) -> str:
-        return repr(dict(self))
 
 
 # The JSON text of the verdict each ``CODE_*`` byte stands for.
@@ -293,9 +256,9 @@ def monitor_report_json(evaluation: RolloutEvaluation) -> str:
     """
     dumps = json.dumps
     instances = []
-    for instance_id in sorted(evaluation.per_instance):
+    for instance_id in sorted(evaluation.runs):
         result = evaluation.per_instance[instance_id]
-        category, violated = _category_and_violated(evaluation, instance_id)
+        *_, category, violated = evaluation.runs[instance_id]
         kind = result.violation_kind
         verdicts = list(map(_VERDICT_JSON.__getitem__, result.verdict_codes))
         instances.append(

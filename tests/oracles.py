@@ -486,7 +486,7 @@ RECORD_MIRRORS = {
         _mirror(
             "RolloutEvaluation", "rollout_id", "task_name", "suite", "horizon", "policy",
             "success", "unsafe", "outcome", "rollout_exposure", "length", "strict_end",
-            "per_instance", "instance_meta", "groups",
+            "runs", "groups",
         ),
         _mirror("TableRow", "applicable_rollouts", "violation_rate", "mean_exposure"),
         _mirror(

@@ -30,7 +30,7 @@ from safetrace.metrics import (
     monitor_report_document,
     monitor_report_json,
 )
-from safetrace.monitor import MonitorResult, run_masks
+from safetrace.monitor import run_masks
 from safetrace.properties import (
     CUSTOM_TEMPLATE,
     HORIZONS,
@@ -234,44 +234,35 @@ def _rebuilt(evaluation: RolloutEvaluation, **changes) -> RolloutEvaluation:
     return RolloutEvaluation(**{**fields, **changes})
 
 
-@given(_specs(), _traces(), st.booleans(), st.lists(st.integers(0, 4)))
+@given(_specs(), _traces(), st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_per_instance_results_built_on_read_equal_the_eager_ones(spec, trace, strict_end, reads):
+def test_per_instance_results_built_on_read_equal_the_eager_ones(spec, trace, strict_end):
     record = RolloutRecord("r", "t", "p", True, trace)
     evaluation = evaluate_rollout(record, spec, strict_end=strict_end)
     unread = pickle.dumps(evaluation)
-    ids = [inst.instance_id for inst in spec.instances]
-    assert list(evaluation.per_instance) == list(evaluation.instance_meta) == ids
-    assert len(evaluation.per_instance) == len(evaluation.instance_meta) == len(ids)
-    assert "missing" not in evaluation.per_instance
-    with pytest.raises(KeyError):
-        evaluation.instance_meta["missing"]
-    # Read some keys, in any order and more than once, before the rest.
-    for i in reads:
-        if i < len(ids):
-            assert evaluation.per_instance[ids[i]] is evaluation.per_instance[ids[i]]
-    results = {}
-    for inst in spec.instances:
-        result = results[inst.instance_id] = run_masks(inst.dfa, record.masks(inst.dfa.props))
-        assert inst.instance_id in evaluation.per_instance
-        assert evaluation.per_instance[inst.instance_id] == result
-        assert evaluation.instance_meta[inst.instance_id] == _eager_meta(inst, result, strict_end)
-    eager = _rebuilt(
-        evaluation,
-        per_instance=results,
-        instance_meta={
-            inst.instance_id: _eager_meta(inst, results[inst.instance_id], strict_end)
-            for inst in spec.instances
-        },
-    )
-    assert evaluation == eager and eager == evaluation
-    assert evaluation.unsafe == any(m.violated for m in eager.instance_meta.values())
-    read = pickle.dumps(evaluation)
-    for text in (unread, read):
-        again = pickle.loads(text)
-        assert again == evaluation == again
-        assert dict(again.per_instance) == results
-        assert pickle.loads(pickle.dumps(again)) == eager
+    results = {inst.instance_id: run_masks(inst.dfa, record.masks(inst.dfa.props)) for inst in spec.instances}
+    meta = {inst.instance_id: _eager_meta(inst, results[inst.instance_id], strict_end) for inst in spec.instances}
+    runs = {
+        i: (result.verdict_codes, result.final_satisfied, m.template_id, m.category, m.violated)
+        for (i, result), m in zip(results.items(), meta.values())
+    }
+    assert evaluation == _rebuilt(evaluation, runs=runs) == evaluation
+    assert evaluation.unsafe == any(m.violated for m in meta.values())
+    # Each view holds the instances in spec order and equals the eager values.
+    views = (evaluation.per_instance, evaluation.instance_meta)
+    assert dict(views[0]) == results and dict(views[1]) == meta
+    assert list(views[0]) == list(views[1]) == list(results)
+    # A view is built once, is read-only and is left out of the pickle.
+    assert evaluation.per_instance is views[0] and evaluation.instance_meta is views[1]
+    assert pickle.dumps(evaluation) == unread
+    for view in views:
+        for key in [*view, "missing"]:
+            with pytest.raises(TypeError):
+                view[key] = None
+        with pytest.raises(KeyError):
+            view["missing"]
+    again = pickle.loads(unread)
+    assert again == evaluation and dict(again.per_instance) == results and dict(again.instance_meta) == meta
 
 
 def test_monitor_report_document_shape():
@@ -307,32 +298,21 @@ _CODES = (CODE_TRUE, CODE_FALSE, CODE_PRESUMABLY_TRUE, CODE_PRESUMABLY_FALSE)
 @st.composite
 def _monitor_evaluations(draw):
     """An evaluation built field by field, so that any verdict sequence,
-    category and identifier text can occur in it."""
+    template, category, violation and identifier text can occur in it."""
     length = draw(st.sampled_from((1, 1000)) | st.integers(1, 12))
     strict_end = draw(st.booleans())
-    per_instance, meta = {}, {}
+    runs = {}
     for instance_id in draw(st.lists(_AWKWARD_TEXT, unique=True, max_size=4)):
         alphabet = sorted(draw(st.sets(st.sampled_from(_CODES), min_size=1)))
-        codes = bytes(random.Random(draw(st.integers())).choices(alphabet, k=length))
-        first_false = codes.find(CODE_FALSE)
-        unsafe_steps = codes.count(CODE_FALSE) + codes.count(CODE_PRESUMABLY_FALSE)
-        result = per_instance[instance_id] = MonitorResult(
-            verdict_codes=codes,
-            final_satisfied=draw(st.booleans()),
-            violated=first_false != -1,
-            violation_timestep=None if first_false == -1 else first_false,
-            unsafe_steps=unsafe_steps,
-            length=length,
-            exposure=Fraction(unsafe_steps, length),
-        )
-        meta[instance_id] = InstanceMeta(
-            template_id=draw(st.sampled_from(TEMPLATE_IDS + (CUSTOM_TEMPLATE,))),
-            category=draw(st.none() | st.sampled_from(SafetyCategory)),
-            violated=result.violates(strict_end),
-            unsafe_flag_bytes=result.unsafe_flags(),
+        runs[instance_id] = (
+            bytes(random.Random(draw(st.integers())).choices(alphabet, k=length)),
+            draw(st.booleans()),
+            draw(st.sampled_from(TEMPLATE_IDS + (CUSTOM_TEMPLATE,))),
+            draw(st.none() | st.sampled_from(SafetyCategory)),
+            draw(st.booleans()),
         )
     success = draw(st.booleans())
-    unsafe = any(m.violated for m in meta.values())
+    unsafe = any(violated for *_, violated in runs.values())
     return RolloutEvaluation(
         rollout_id=draw(_AWKWARD_TEXT),
         task_name=draw(_AWKWARD_TEXT),
@@ -350,8 +330,7 @@ def _monitor_evaluations(draw):
         rollout_exposure=Fraction(draw(st.integers(0, length)), length),
         length=length,
         strict_end=strict_end,
-        per_instance=per_instance,
-        instance_meta=meta,
+        runs=runs,
         groups={},
     )
 

@@ -79,7 +79,7 @@ def _samples() -> dict[str, list[dict]]:
         "RolloutRecord": [
             {**rollout, "trace": [["a"], [], ["a", "b"]]},
             {**rollout, "trace": [["a"], [], ["a", "b"]], "declared_props": ("a", "b")},
-            # More than 256 distinct valuations: the ids are a list, which hash skips.
+            # More than 256 distinct valuations: the ids are a tuple, which hash covers.
             {**rollout, "success": False, "trace": [[f"p{i}"] for i in range(300)]},
         ],
         "Diagnostic": [{"code": "c", "message": "m"}, {"code": "d", "message": "m"}],
@@ -164,6 +164,12 @@ def test_records_construct_as_their_dataclass_mirrors(cls):
                 cls(**{k: arguments[k] for k in rest})
             with pytest.raises(TypeError):
                 cls(arguments[first], **arguments)
+
+
+def test_rollout_records_past_256_distinct_valuations_hash():
+    record = RolloutRecord(**SAMPLES["RolloutRecord"][-1])
+    assert len(record.valuations) == 300 and type(record.valuation_ids) is tuple
+    assert _result(hash, record)[0] == "value"
 
 
 def test_rollout_records_read_their_cached_trace_after_pickling_and_copying():
