@@ -2,10 +2,12 @@
 with no method generated at import: a :class:`Record` subclass's fields are
 its annotations after its bases' fields, a default is a class attribute, and
 the class keywords ``norepr`` and ``nocompare`` name the fields left out of
-``repr`` and of ``==`` and ``hash``. A record built once per rollout spells
-out its ``__init__``, one ``_set`` per field, since the generic one takes
-about twice as long; records built once per instance or per report row use
-the generic one.
+``repr`` and of ``==`` and ``hash``. Every record compares, hashes, prints
+and pickles through the methods here. Only the formula nodes spell out their
+``__init__``, one ``_set`` per field, because parsing builds one node per
+operator; a record that checks its arguments sets its fields through the
+generic constructor, and any other record uses it as it is (a keyword call
+in field order takes its fast path).
 """
 
 from itertools import repeat

@@ -45,6 +45,7 @@ from __future__ import annotations
 import copy
 from array import array
 from collections import deque
+from collections.abc import Mapping
 from enum import Enum
 from functools import lru_cache
 from itertools import chain
@@ -66,6 +67,7 @@ from .formulas import (
     TrueFormula,
     Until,
     WeakNext,
+    _not_a_valuation,
     format_formula,
     is_valid_proposition,
     operands,
@@ -205,13 +207,12 @@ class Dfa:
         return 1 << len(self.props)
 
     def mask_of(self, valuation: Iterable[str]) -> int:
-        """Bitmask of a valuation (a collection of propositions, not a
-        string) projected onto this automaton's basis."""
+        """Bitmask of a valuation (a collection of propositions, neither a
+        string nor a mapping) projected onto this automaton's basis."""
         if not isinstance(valuation, (set, frozenset)):
-            if isinstance(valuation, str):
-                raise TypeError(
-                    f"a valuation is a collection of propositions, not the string {valuation!r}"
-                )
+            if isinstance(valuation, (str, Mapping)):
+                what = _not_a_valuation(valuation)
+                raise TypeError(f"a valuation is a collection of propositions, not {what}")
             valuation = set(valuation)
         mask = 0
         for bit, p in enumerate(self.props):

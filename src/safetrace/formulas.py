@@ -33,6 +33,7 @@ an independent reference.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from operator import attrgetter
 from typing import Iterable, Iterator
 
@@ -84,28 +85,21 @@ def is_valid_proposition(name: object) -> bool:
 
 class Formula(Record):
     """Base class for formula nodes. Nodes are immutable records that
-    compare and hash by class and operands, as frozen dataclasses do."""
+    compare and hash by class and operands, as frozen dataclasses do; the
+    constructors are spelled out per arity, since parsing builds one node
+    per operator."""
 
     __slots__ = ()
 
     def __init__(self) -> None:
         pass
 
-    # Node comparisons are spelled out per arity, as a dataclass generates
-    # them: Record's generic ones take four to eight times as long on a deep
-    # formula.
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ or NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(())
-
     def __str__(self) -> str:
         return format_formula(self)
 
 
 class _Unary(Record):
-    """The field, constructor and comparisons of the one-operand nodes."""
+    """The field and constructor of the one-operand nodes."""
 
     __slots__ = ("operand",)
     operand: Formula
@@ -113,17 +107,9 @@ class _Unary(Record):
     def __init__(self, operand: Formula) -> None:
         _set(self, "operand", operand)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.operand,) == (other.operand,)
-
-    def __hash__(self) -> int:
-        return hash((self.operand,))
-
 
 class _Binary(Record):
-    """The fields, constructor and comparisons of the two-operand nodes."""
+    """The fields and constructor of the two-operand nodes."""
 
     __slots__ = ("left", "right")
     left: Formula
@@ -132,14 +118,6 @@ class _Binary(Record):
     def __init__(self, left: Formula, right: Formula) -> None:
         _set(self, "left", left)
         _set(self, "right", right)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.left, self.right) == (other.left, other.right)
-
-    def __hash__(self) -> int:
-        return hash((self.left, self.right))
 
 
 class TrueFormula(Formula):
@@ -158,14 +136,6 @@ class Prop(Formula):
         if not is_valid_proposition(name):
             raise ValueError(f"invalid proposition name: {name!r}")
         _set(self, "name", name)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.name == other.name
-
-    def __hash__(self) -> int:
-        return hash((self.name,))
 
 
 class Not(_Unary, Formula):
@@ -238,13 +208,18 @@ def operands(f: Formula) -> tuple:
     return get(f)
 
 
+def _not_a_valuation(step: str | Mapping) -> str:
+    """How an error names a step that is not a collection of propositions:
+    a string would be read as its characters, a mapping as its keys."""
+    return f"the {'string' if isinstance(step, str) else 'mapping'} {step!r}"
+
 
 class Trace:
     """A nonempty, immutable sequence of valuations.
 
     Each step is the set of propositions that hold there, given as any
-    collection of names but a string; anything absent is false (closed
-    world). Step ``0`` is the first observation, step ``H`` the
+    collection of names but a string or a mapping; anything absent is false
+    (closed world). Step ``0`` is the first observation, step ``H`` the
     last, so the length is ``H + 1``.
     """
 
@@ -254,8 +229,8 @@ class Trace:
         normalized = tuple(steps)
         if set(map(type, normalized)) != {frozenset}:
             for t, s in enumerate(normalized):
-                if isinstance(s, str):
-                    raise TypeError(f"step {t} is the string {s!r}, not a collection of propositions")
+                if isinstance(s, (str, Mapping)):
+                    raise TypeError(f"step {t} is {_not_a_valuation(s)}, not a collection of propositions")
             normalized = tuple(s if isinstance(s, frozenset) else frozenset(s) for s in normalized)
         if not normalized:
             raise ValueError("trace must contain at least one step")

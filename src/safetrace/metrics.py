@@ -56,10 +56,10 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from ._record import Record, _set
-from .automata import CODE_FALSE, CODE_PRESUMABLY_FALSE, CODE_PRESUMABLY_TRUE, CODE_TRUE
+from ._record import Record
+from .automata import CODE_FALSE
 from .errors import SafetraceError
-from .monitor import _UNSAFE_FLAG_TABLE, MonitorResult, Verdict, _checked_run, _result_from_codes
+from .monitor import _UNSAFE_FLAG_TABLE, MonitorResult, Verdict, _checked_run
 from .properties import SafetyCategory, TaskSpec, TEMPLATE_IDS, CUSTOM_TEMPLATE, SUITES, HORIZONS
 from .properties import _json_text, _read_json
 
@@ -93,12 +93,6 @@ class Outcome(Enum):
     FAIL_UNSAFE = "fail_unsafe"
 
 
-def _outcome(success: bool, unsafe: bool) -> Outcome:
-    if success:
-        return Outcome.SUCCESS_UNSAFE if unsafe else Outcome.SUCCESS_SAFE
-    return Outcome.FAIL_UNSAFE if unsafe else Outcome.FAIL_SAFE
-
-
 class InstanceMeta(Record):
     template_id: str
     category: SafetyCategory | None
@@ -116,7 +110,6 @@ class RolloutEvaluation(Record):
     policy: str
     success: bool
     unsafe: bool
-    outcome: Outcome
     rollout_exposure: Fraction
     length: int
     strict_end: bool
@@ -127,33 +120,18 @@ class RolloutEvaluation(Record):
     # rollout counts in: its suite, its horizon, each template and category.
     groups: dict[tuple[str, str], tuple[bool, int]]
 
-    # Built once per rollout: see ``_record`` on spelled-out constructors.
-    def __init__(
-        self, rollout_id, task_name, suite, horizon, policy, success, unsafe, outcome,
-        rollout_exposure, length, strict_end, runs, groups,
-    ) -> None:
-        _set(self, "rollout_id", rollout_id)
-        _set(self, "task_name", task_name)
-        _set(self, "suite", suite)
-        _set(self, "horizon", horizon)
-        _set(self, "policy", policy)
-        _set(self, "success", success)
-        _set(self, "unsafe", unsafe)
-        _set(self, "outcome", outcome)
-        _set(self, "rollout_exposure", rollout_exposure)
-        _set(self, "length", length)
-        _set(self, "strict_end", strict_end)
-        _set(self, "runs", runs)
-        _set(self, "groups", groups)
+    @property
+    def outcome(self) -> Outcome:
+        if self.success:
+            return Outcome.SUCCESS_UNSAFE if self.unsafe else Outcome.SUCCESS_SAFE
+        return Outcome.FAIL_UNSAFE if self.unsafe else Outcome.FAIL_SAFE
 
     # The views below are built from ``runs`` when first read and kept; they
     # are not fields, so they are neither compared nor pickled.
     @cached_property
     def per_instance(self) -> Mapping[str, MonitorResult]:
         """Instance id -> its monitor result, read-only."""
-        results = {
-            i: _result_from_codes(codes, accepting) for i, (codes, accepting, *_) in self.runs.items()
-        }
+        results = {i: MonitorResult(codes, accepting) for i, (codes, accepting, *_) in self.runs.items()}
         return MappingProxyType(results)
 
     @cached_property
@@ -217,7 +195,6 @@ def evaluate_rollout(
         policy=record.policy,
         success=record.success,
         unsafe=unsafe,
-        outcome=_outcome(record.success, unsafe),
         rollout_exposure=Fraction(unsafe_steps, n),
         length=n,
         strict_end=strict_end,
@@ -226,13 +203,11 @@ def evaluate_rollout(
     )
 
 
-# The JSON text of the verdict each ``CODE_*`` byte stands for.
-_VERDICT_JSON = {
-    CODE_TRUE: json.dumps(Verdict.TRUE.value),
-    CODE_FALSE: json.dumps(Verdict.FALSE.value),
-    CODE_PRESUMABLY_TRUE: json.dumps(Verdict.PRESUMABLY_TRUE.value),
-    CODE_PRESUMABLY_FALSE: json.dumps(Verdict.PRESUMABLY_FALSE.value),
-}
+# The JSON text of the verdict each ``CODE_*`` byte stands for. A list: the
+# report maps every code through its ``__getitem__``, a direct method on a
+# list but a slot wrapper on a tuple, which ``map`` calls about four times
+# slower.
+_VERDICT_JSON = [json.dumps(v.value) for v in Verdict]
 
 
 def _array(items: list[str], indent: str) -> str:

@@ -23,13 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ._record import Record
-from .automata import (
-    CODE_FALSE,
-    CODE_PRESUMABLY_FALSE,
-    CODE_PRESUMABLY_TRUE,
-    CODE_TRUE,
-    Dfa,
-)
+from .automata import CODE_FALSE, CODE_PRESUMABLY_FALSE, Dfa
 from .errors import MonitorError
 from .formulas import Trace
 
@@ -37,41 +31,57 @@ __all__ = ["Verdict", "MonitorResult", "Monitor", "run_masks", "run_trace", "tra
 
 
 class Verdict(Enum):
+    """The four verdicts, declared in ``CODE_*`` order: the verdict of code
+    ``c`` is ``tuple(Verdict)[c]``."""
+
     TRUE = "T"
     FALSE = "F"
     PRESUMABLY_TRUE = "pt"
     PRESUMABLY_FALSE = "pf"
 
 
-_VERDICTS = {
-    CODE_TRUE: Verdict.TRUE,
-    CODE_FALSE: Verdict.FALSE,
-    CODE_PRESUMABLY_TRUE: Verdict.PRESUMABLY_TRUE,
-    CODE_PRESUMABLY_FALSE: Verdict.PRESUMABLY_FALSE,
-}
+_VERDICTS = tuple(Verdict)
 
 
 class MonitorResult(Record):
     """Outcome of monitoring one property instance over one trace.
 
     ``verdict_codes`` stores one byte per timestep, a ``CODE_*`` value of
-    :mod:`safetrace.automata`; ``verdicts`` decodes it.
-    ``violated`` records whether a ``FALSE`` verdict occurred mid-trace;
-    ``final_satisfied`` whether the last state was accepting. ``exposure`` is
+    :mod:`safetrace.automata`; ``final_satisfied`` whether the last state
+    was accepting. Everything else is read from these two: ``verdicts``
+    decodes the codes, ``violated`` is whether a ``FALSE`` verdict occurred
+    (first at ``violation_timestep``), and ``exposure`` is
     ``unsafe_steps / length`` as an exact fraction.
     """
 
     verdict_codes: bytes
     final_satisfied: bool
-    violated: bool
-    violation_timestep: int | None
-    unsafe_steps: int
-    length: int
-    exposure: Fraction
 
     @property
     def verdicts(self) -> tuple[Verdict, ...]:
         return tuple(_VERDICTS[c] for c in self.verdict_codes)
+
+    @property
+    def violated(self) -> bool:
+        return CODE_FALSE in self.verdict_codes
+
+    @property
+    def violation_timestep(self) -> int | None:
+        first_false = self.verdict_codes.find(CODE_FALSE)
+        return None if first_false == -1 else first_false
+
+    @property
+    def unsafe_steps(self) -> int:
+        codes = self.verdict_codes
+        return codes.count(CODE_FALSE) + codes.count(CODE_PRESUMABLY_FALSE)
+
+    @property
+    def length(self) -> int:
+        return len(self.verdict_codes)
+
+    @property
+    def exposure(self) -> Fraction:
+        return Fraction(self.unsafe_steps, self.length)
 
     @property
     def violation_kind(self) -> str | None:
@@ -99,26 +109,11 @@ _ALL_BYTES = bytes(range(256))
 _UNSAFE_FLAG_TABLE = bytes(code in (CODE_FALSE, CODE_PRESUMABLY_FALSE) for code in range(256))
 
 
-def _result_from_codes(codes: bytes, final_accepting: bool) -> MonitorResult:
-    n = len(codes)
-    first_false = codes.find(CODE_FALSE)
-    unsafe = codes.count(CODE_FALSE) + codes.count(CODE_PRESUMABLY_FALSE)
-    return MonitorResult(
-        verdict_codes=codes,
-        final_satisfied=final_accepting,
-        violated=first_false != -1,
-        violation_timestep=None if first_false == -1 else first_false,
-        unsafe_steps=unsafe,
-        length=n,
-        exposure=Fraction(unsafe, n),
-    )
-
-
 def run_masks(d: Dfa, masks: Sequence[int]) -> MonitorResult:
     """Monitor a nonempty sequence of valuation bitmasks over ``d``'s
     alphabet (see :func:`trace_masks`); a mask outside the alphabet is a
     :class:`MonitorError`."""
-    return _result_from_codes(*_checked_run(d, masks))
+    return MonitorResult(*_checked_run(d, masks))
 
 
 def _checked_run(d: Dfa, masks: Sequence[int]) -> tuple[bytes, bool]:
@@ -176,7 +171,7 @@ class Monitor:
         if not self._codes:
             raise MonitorError("finalize before any step was consumed")
         self._finalized = True
-        return _result_from_codes(bytes(self._codes), self._state in self._dfa.accepting)
+        return MonitorResult(bytes(self._codes), self._state in self._dfa.accepting)
 
 
 def run_trace(d: Dfa, trace: Trace | Sequence[Iterable[str]]) -> MonitorResult:

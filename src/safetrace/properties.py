@@ -36,7 +36,9 @@ other kind of entry (``"formula"`` on a template instance, ``"bindings"`` or
 from __future__ import annotations
 
 import json
+from collections.abc import Hashable
 from enum import Enum
+from functools import cache
 from typing import Mapping
 
 from ._record import Record
@@ -287,17 +289,64 @@ _CUSTOM_KEYS = {"id", "template", "formula"}
 _PROPERTY_KEYS = _TEMPLATE_KEYS | _CUSTOM_KEYS
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """The JSON object of ``pairs``; a repeated key is an error, not last-wins."""
+    document = dict(pairs)
+    if len(document) < len(pairs):
+        seen: set[str] = set()
+        repeated = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise ValueError(f"duplicate key {repeated!r}")
+    return document
+
+
+_JSON = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
+def _loads(text: str) -> object:
+    """``json.loads(text)``, except that a repeated key is an error."""
+    if text.startswith("\ufeff"):  # worded as ``json.loads`` words it
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    return _JSON.decode(text)
+
+
+@cache
+def _yaml_loader() -> type:
+    """PyYAML's safe loader, except that a repeated key is an error."""
+    import yaml
+
+    class UniqueKeyLoader(yaml.SafeLoader):
+        def flatten_mapping(self, node) -> None:
+            # Runs on each mapping before its keys are built. Once the ``<<``
+            # merges are spliced in, the mapping's own keys come last, and
+            # only they must be distinct: an own key overrides a merged one.
+            own = sum(key.tag != "tag:yaml.org,2002:merge" for key, _ in node.value)
+            super().flatten_mapping(node)
+            seen = set()
+            for key_node, _ in node.value[len(node.value) - own :]:
+                key = self.construct_object(key_node)
+                if not isinstance(key, Hashable):
+                    break  # the base class words an unhashable key
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        f"found duplicate key {key!r}", key_node.start_mark,
+                    )
+                seen.add(key)
+
+    return UniqueKeyLoader
+
+
 def _parse_document(source: str) -> object:
     # yaml is imported only for a document that is not JSON: the import is
     # about a sixth of the package's import time.
     try:
         try:
-            return json.loads(source)
+            return _loads(source)
         except json.JSONDecodeError:
             import yaml
 
             try:
-                return yaml.safe_load(source)
+                return yaml.load(source, Loader=_yaml_loader())
             except yaml.YAMLError as exc:
                 raise TaskSpecError(
                     f"document is neither valid JSON nor YAML: {_one_line(exc)}"
@@ -323,8 +372,8 @@ def _one_line(exc: Exception) -> str:
 def _read_json(text: str, error: type[SafetraceError] = SafetraceError) -> object:
     """``text`` parsed as JSON; text that does not parse raises ``error``."""
     try:
-        return json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+        return _loads(text)
+    except ValueError as exc:  # JSONDecodeError, a repeated key, or an integer too long to convert
         raise error(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise error("JSON nested too deeply to parse") from exc

@@ -19,6 +19,10 @@ anchor the count fold in ``safetrace.metrics``.
 `reference_run` is the plain per-step DFA loop, one table lookup per mask,
 to anchor the run-wise loop in ``safetrace.automata.Dfa.run``.
 
+`reference_monitor_result` reads every derived value of a monitor result
+off its verdict codes one step at a time, to anchor the properties of
+``safetrace.monitor.MonitorResult``.
+
 `reference_monitor_text` builds the monitor report as a document, with each
 verdict decoded through its ``Verdict`` enum, and dumps it with
 ``json.dumps``, to anchor the fixed-shape writer
@@ -41,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from safetrace.automata import CODE_FALSE, CODE_PRESUMABLY_FALSE, CODE_PRESUMABLY_TRUE
+from safetrace.automata import CODE_FALSE, CODE_PRESUMABLY_FALSE, CODE_PRESUMABLY_TRUE, CODE_TRUE
 
 from safetrace.formulas import (
     FALSE,
@@ -229,6 +233,32 @@ def reference_run(d, masks) -> tuple[bytes, int]:
             codes += bytes((code,)) * (len(masks) - len(codes))
             break
     return bytes(codes), state
+
+
+#: The verdict each ``CODE_*`` byte stands for, as the monitor report writes it.
+_VERDICT_TEXTS = {CODE_TRUE: "T", CODE_FALSE: "F", CODE_PRESUMABLY_TRUE: "pt", CODE_PRESUMABLY_FALSE: "pf"}
+
+
+def reference_monitor_result(codes: bytes, final_satisfied: bool) -> dict:
+    """Every value a monitor result derives from its verdict ``codes`` and
+    ``final_satisfied``, by name, read from the definitions in the
+    ``safetrace.monitor`` docstring one step at a time."""
+    verdicts = [_VERDICT_TEXTS[code] for code in codes]
+    false_steps = [t for t, v in enumerate(verdicts) if v == "F"]
+    unsafe = [v in ("F", "pf") for v in verdicts]
+    violated = bool(false_steps)
+    return {
+        "verdicts": verdicts,
+        "violated": violated,
+        "violation_timestep": false_steps[0] if false_steps else None,
+        "unsafe_steps": sum(unsafe),
+        "length": len(verdicts),
+        "exposure": Fraction(sum(unsafe), len(verdicts)),
+        "violation_kind": "mid" if violated else None if final_satisfied else "end",
+        "violates(True)": violated or not final_satisfied,
+        "violates(False)": violated,
+        "unsafe_flags()": bytes(unsafe),
+    }
 
 
 _LEAF_PROPS = ("a", "b", "c", "d")
@@ -451,13 +481,14 @@ def reference_monitor_text(evaluation) -> str:
                 "verdicts": [v.value for v in result.verdicts],
             }
         )
+    outcome = ("success_" if evaluation.success else "fail_") + ("unsafe" if evaluation.unsafe else "safe")
     document = {
         "rollout_id": evaluation.rollout_id,
         "task": evaluation.task_name,
         "policy": evaluation.policy,
         "success": evaluation.success,
         "unsafe": evaluation.unsafe,
-        "outcome": evaluation.outcome.value,
+        "outcome": outcome,
         "rollout_exposure": float(evaluation.rollout_exposure),
         "instances": instances,
     }
@@ -485,8 +516,7 @@ RECORD_MIRRORS = {
         _mirror("InstanceMeta", "template_id", "category", "violated", "unsafe_flag_bytes"),
         _mirror(
             "RolloutEvaluation", "rollout_id", "task_name", "suite", "horizon", "policy",
-            "success", "unsafe", "outcome", "rollout_exposure", "length", "strict_end",
-            "runs", "groups",
+            "success", "unsafe", "rollout_exposure", "length", "strict_end", "runs", "groups",
         ),
         _mirror("TableRow", "applicable_rollouts", "violation_rate", "mean_exposure"),
         _mirror(
@@ -498,10 +528,7 @@ RECORD_MIRRORS = {
             "mean_rollout_exposure", "outcome_shares", "unsafe_success_share", "per_template",
             "per_category", "per_suite", "per_horizon", "per_policy", "denominator_mode",
         ),
-        _mirror(
-            "MonitorResult", "verdict_codes", "final_satisfied", "violated",
-            "violation_timestep", "unsafe_steps", "length", "exposure",
-        ),
+        _mirror("MonitorResult", "verdict_codes", "final_satisfied"),
         _mirror("PropertyTemplate", "template_id", "category", "formula", "slots", "description"),
         _mirror(
             "PropertyInstance", "instance_id", "template_id", "bindings", "formula", "category",

@@ -781,6 +781,46 @@ def test_misspelled_step_key_is_one_error_line(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {rollout}: step 1: unknown keys ['prop']\n"
 
 
+def test_a_repeated_key_is_one_error_line_in_every_input_file(tmp_path, capsys, monkeypatch):
+    document = {"rollout_id": "r0", "task": "t", "policy": "p", "success": True, "trace": [[]]}
+    line = json.dumps(document)
+    rollout, spec = tmp_path / "r.json", tmp_path / "s.json"
+    rollout.write_text(line)
+    spec_text = '{"task": "t", "suite": "atomic_fixture", "horizon": "atomic", "properties": []}'
+    spec.write_text(spec_text)
+    files = {
+        "r2.json": line.replace('"success": true', '"success": true, "success": false'),
+        "s2.json": spec_text[:-1] + ', "properties": []}',
+        "s2.yaml": "task: t\nsuite: atomic_fixture\nhorizon: atomic\nproperties: []\nproperties: []\n",
+        "m.json": json.dumps({"pairs": [{"rollout": "r.json", "task_spec": "s.json"}]})[:-1] + ', "pairs": []}',
+        "r.jsonl": line + "\n" + line.replace('"policy": "p"', '"policy": "p", "policy": "q"') + "\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    runs = {
+        "r2.json": (["monitor", "r2.json", str(spec)], "invalid JSON: duplicate key 'success'"),
+        "s2.json": (
+            ["monitor", str(rollout), "s2.json"],
+            "document is neither valid JSON nor YAML: duplicate key 'properties'",
+        ),
+        "s2.yaml": (
+            ["monitor", str(rollout), "s2.yaml"],
+            "document is neither valid JSON nor YAML: while constructing a mapping: "
+            "found duplicate key 'properties' at line 5, column 1",
+        ),
+        "m.json": (["evaluate", "m.json"], "invalid JSON: duplicate key 'pairs'"),
+        "r.jsonl, line 2": (
+            ["evaluate", "--jsonl", "r.jsonl", "--task-spec", str(spec)],
+            "invalid JSON: duplicate key 'policy'",
+        ),
+    }
+    monkeypatch.chdir(tmp_path)
+    for where, (argv, message) in runs.items():
+        assert run_cli(*argv, "--out", "out") == 1
+        assert capsys.readouterr().err == f"error: {where}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_evaluate_empty_manifest_exits_one(tmp_path, capsys):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"pairs": []}))

@@ -423,6 +423,12 @@ def test_trace_rejects_a_string_step():
         Trace([""])
 
 
+def test_trace_rejects_a_mapping_step():
+    # Read as its keys, {"a": False} would make `a` true.
+    with pytest.raises(TypeError, match=r"step 1 is the mapping \{'a': False\}, not a collection"):
+        Trace([{"p"}, {"a": False}])
+
+
 def test_trace_is_immutable_and_closed_world():
     t = Trace([["p"], []])
     with pytest.raises(AttributeError):

@@ -321,12 +321,6 @@ def _monitor_evaluations(draw):
         policy=draw(_AWKWARD_TEXT),
         success=success,
         unsafe=unsafe,
-        outcome={
-            (True, False): Outcome.SUCCESS_SAFE,
-            (True, True): Outcome.SUCCESS_UNSAFE,
-            (False, False): Outcome.FAIL_SAFE,
-            (False, True): Outcome.FAIL_UNSAFE,
-        }[success, unsafe],
         rollout_exposure=Fraction(draw(st.integers(0, length)), length),
         length=length,
         strict_end=strict_end,
@@ -581,6 +575,10 @@ def test_load_report_raises_one_error_on_text_that_is_not_a_report():
         load_report(json.dumps(unwritten[6]))
     with pytest.raises(SafetraceError, match="^not a report export: ValueError: unknown key 'note'$"):
         load_report(json.dumps(unwritten[-1]))
+    # A repeated key is an error, not last-wins.
+    text = export_report_json(report)
+    with pytest.raises(SafetraceError, match="^invalid JSON: duplicate key 'n_rollouts'$"):
+        load_report(text.replace('"n_rollouts": ', '"n_rollouts": 0, "n_rollouts": '))
 
 
 def test_export_csv_tables_and_headers():

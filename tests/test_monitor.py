@@ -10,13 +10,21 @@ from functools import lru_cache
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from safetrace.automata import Dfa, Permanence, compile_formula
+from safetrace.automata import (
+    CODE_FALSE,
+    CODE_PRESUMABLY_FALSE,
+    CODE_PRESUMABLY_TRUE,
+    CODE_TRUE,
+    Dfa,
+    Permanence,
+    compile_formula,
+)
 from safetrace.errors import MonitorError
 from safetrace.formulas import Trace, evaluate, parse
-from safetrace.monitor import Monitor, Verdict, run_masks, run_trace
+from safetrace.monitor import Monitor, MonitorResult, Verdict, run_masks, run_trace
 from safetrace.properties import TEMPLATE_IDS, get_template, instantiate
 
-from oracles import all_traces, random_formula, random_trace, reference_run
+from oracles import all_traces, random_formula, random_trace, reference_monitor_result, reference_run
 
 
 def _verdicts(dfa, steps):
@@ -98,6 +106,58 @@ def test_a_string_valuation_is_an_error_not_its_characters():
     # The same names as a collection are read as names.
     assert Monitor(dfa).step(["ab"]) is Verdict.PRESUMABLY_TRUE
     assert Monitor(dfa).step(("a", "b")) is Verdict.FALSE
+
+
+def test_a_mapping_valuation_is_an_error_not_its_keys():
+    # Read as its keys, {"a": False} would make `a` true.
+    dfa = compile_formula(parse("G !a"))
+    match = "not the mapping {'a': False}"
+    with pytest.raises(TypeError, match=match):
+        dfa.mask_of({"a": False})
+    with pytest.raises(TypeError, match=match):
+        Monitor(dfa).step({"a": False})
+    with pytest.raises(TypeError, match=match):
+        run_trace(dfa, [set(), {"a": False}])
+    with pytest.raises(TypeError, match=match):
+        dfa.accepts([set(), {"a": False}])
+    assert dfa.mask_of({"a"}) == dfa.mask_of(["a"]) == 1
+
+
+# ---------------------------------------------------------------------------
+# MonitorResult: two fields, the rest read from them
+# ---------------------------------------------------------------------------
+
+
+def test_verdicts_are_declared_in_code_order():
+    expected = {
+        CODE_TRUE: Verdict.TRUE,
+        CODE_FALSE: Verdict.FALSE,
+        CODE_PRESUMABLY_TRUE: Verdict.PRESUMABLY_TRUE,
+        CODE_PRESUMABLY_FALSE: Verdict.PRESUMABLY_FALSE,
+    }
+    assert {code: tuple(Verdict)[code] for code in expected} == expected
+
+
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=300).map(bytes), st.booleans())
+@example(bytes([CODE_PRESUMABLY_TRUE]), True)
+@example(bytes([CODE_PRESUMABLY_FALSE, CODE_FALSE, CODE_FALSE]), False)
+@settings(max_examples=300, deadline=None)
+def test_monitor_result_reads_everything_from_its_codes(codes, final_satisfied):
+    result = MonitorResult(codes, final_satisfied)
+    got = {
+        "verdicts": [v.value for v in result.verdicts],
+        "violated": result.violated,
+        "violation_timestep": result.violation_timestep,
+        "unsafe_steps": result.unsafe_steps,
+        "length": result.length,
+        "exposure": result.exposure,
+        "violation_kind": result.violation_kind,
+        "violates(True)": result.violates(True),
+        "violates(False)": result.violates(False),
+        "unsafe_flags()": result.unsafe_flags(),
+    }
+    assert got == reference_monitor_result(codes, final_satisfied)
+    assert type(result.exposure) is Fraction and type(result.verdicts) is tuple
 
 
 # ---------------------------------------------------------------------------

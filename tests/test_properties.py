@@ -195,6 +195,32 @@ properties:
     assert spec.instances[0].instance_id == "no_contact"
 
 
+def test_a_repeated_key_in_a_spec_is_an_error_not_last_wins():
+    # Last-wins would read a second "properties": [] as a spec that monitors nothing.
+    text = json.dumps(MINIMAL_SPEC)
+    repeated = text[:-1] + ', "properties": []}'
+    with pytest.raises(TaskSpecError, match="^document is neither valid JSON nor YAML: duplicate key 'properties'$"):
+        load_task_spec(repeated)
+    nested = text.replace('"Collision": "collision"', '"Collision": "collision", "Collision": "bump"')
+    with pytest.raises(TaskSpecError, match="duplicate key 'Collision'$"):
+        load_task_spec(nested)
+    yaml_text = "task: wipe_counter\nsuite: cleaning_washing_sanitation\nhorizon: medium\n"
+    entry = "  - id: a\n    template: phi1\n    bindings: {Collision: c, BadContact: b}\n"
+    with pytest.raises(TaskSpecError, match="found duplicate key 'properties' at line 8, column 1$"):
+        load_task_spec(yaml_text + "properties:\n" + entry + "properties: []\n")
+    with pytest.raises(TaskSpecError, match="found duplicate key 'id' at line 8, column 5$"):
+        load_task_spec(yaml_text + "properties:\n" + entry + "    id: b\n")
+    # A key merged in with `<<` may be overridden: it is not the mapping's own.
+    merged = yaml_text + "properties:\n" + entry.replace("{", "&b {") + (
+        "  - id: d\n    template: phi1\n    bindings:\n      <<: *b\n      Collision: bump\n"
+    )
+    spec = load_task_spec(merged)
+    assert [dict(i.bindings) for i in spec.instances] == [
+        {"Collision": "c", "BadContact": "b"},
+        {"Collision": "bump", "BadContact": "b"},
+    ]
+
+
 def test_unknown_template_error_names_entry():
     document = dict(MINIMAL_SPEC, properties=[
         {"id": "x", "template": "phi11", "bindings": {}}

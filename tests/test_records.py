@@ -166,6 +166,18 @@ def test_records_construct_as_their_dataclass_mirrors(cls):
                 cls(arguments[first], **arguments)
 
 
+def test_records_store_only_what_their_producers_measure():
+    # Formula nodes compare and hash through Record; a monitor result keeps
+    # its verdict codes and end state; an evaluation's outcome is read from
+    # its `success` and `unsafe`, and its constructor is the generic one.
+    nodes = [cls for cls in RECORD_CLASSES if cls.__module__ == formulas.__name__]
+    assert len(nodes) == 14
+    assert all(cls.__eq__ is Record.__eq__ and cls.__hash__ is Record.__hash__ for cls in nodes)
+    assert monitor.MonitorResult._fields == ("verdict_codes", "final_satisfied")
+    assert "__init__" not in vars(metrics.RolloutEvaluation)
+    assert "outcome" not in metrics.RolloutEvaluation._fields
+
+
 def test_rollout_records_past_256_distinct_valuations_hash():
     record = RolloutRecord(**SAMPLES["RolloutRecord"][-1])
     assert len(record.valuations) == 300 and type(record.valuation_ids) is tuple

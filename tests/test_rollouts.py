@@ -463,6 +463,28 @@ def test_a_string_step_is_an_invalid_trace_not_its_characters():
         load_rollout(dict(BASE_DOC, trace=["grasped"]))
 
 
+def test_a_mapping_step_is_an_invalid_trace_not_its_keys():
+    # The wire format reads the dense step {"a": false} as `a` false; read as
+    # its keys it would make `a` true, so the constructor refuses it.
+    with pytest.raises(RolloutFormatError, match=r"^invalid trace: step 0 is the mapping \{'a': False\}"):
+        RolloutRecord("r", "t", "p", True, [{"a": False}])
+    assert load_rollout(dict(BASE_DOC, trace=[{"a": False}])).valuations == (frozenset(),)
+
+
+def test_a_repeated_key_is_an_error_not_last_wins():
+    text = json.dumps(BASE_DOC)
+    trace = json.dumps(BASE_DOC["trace"])
+    cases = {
+        "success": text.replace('"success": true', '"success": true, "success": false'),
+        "props": text.replace(trace, '[{"t": 0, "props": ["a"], "props": []}]'),
+        "a": text.replace(trace, '[{"a": true, "a": false}]'),
+    }
+    for key, repeated in cases.items():
+        assert repeated != text
+        with pytest.raises(RolloutFormatError, match=f"^invalid JSON: duplicate key '{key}'$"):
+            load_rollout(repeated)
+
+
 def test_serialize_round_trip_fuzzed():
     rng = random.Random(404)
     props = ["alpha", "beta", "gamma", "delta"]
