@@ -5,9 +5,12 @@ the class keywords ``norepr`` and ``nocompare`` name the fields left out of
 ``repr`` and of ``==`` and ``hash``. Every record compares, hashes, prints
 and pickles through the methods here. Only the formula nodes spell out their
 ``__init__``, one ``_set`` per field, because parsing builds one node per
-operator; a record that checks its arguments sets its fields through the
-generic constructor, and any other record uses it as it is (a keyword call
-in field order takes its fast path).
+operator; a record that checks its arguments (a ``Trace``, a ``Dfa``, a
+``RolloutRecord``) sets its fields through the generic constructor, and any
+other record uses it as it is (a keyword call in field order takes its fast
+path). :func:`_restore` builds a record from field values already known to
+be valid, such as a compiled DFA that shares its shape's tables, without
+running its constructor.
 """
 
 from itertools import repeat

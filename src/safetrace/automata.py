@@ -33,16 +33,17 @@ the trace ended there: a strong next contributes false, a weak next true. The
 initial state's flag encodes the degenerate empty-suffix case used
 internally; externally, acceptance is defined for nonempty traces only.
 
-Every state additionally carries a permanence label: ``PERM_TRUE`` if every
-state reachable from it (itself included) is accepting, ``PERM_FALSE`` if
-every reachable state is rejecting, ``UNDETERMINED`` otherwise. Monitors map
-these to definitive versus presumptive verdicts, encoded as the ``CODE_*``
-bytes below; :meth:`Dfa.run` is the one loop that runs an automaton.
+Every state additionally carries a verdict code, one of the ``CODE_*`` bytes
+below: permanently true if every state reachable from it (itself included)
+is accepting, permanently false if every reachable state is rejecting, and
+otherwise presumably true or false as the state itself accepts or rejects.
+Monitors read these as definitive versus presumptive verdicts, and a state's
+permanence label (``PERM_TRUE``, ``PERM_FALSE`` or ``UNDETERMINED``) is read
+from its code; :meth:`Dfa.run` is the one loop that runs an automaton.
 """
 
 from __future__ import annotations
 
-import copy
 from array import array
 from collections import deque
 from collections.abc import Mapping
@@ -51,6 +52,7 @@ from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Sequence
 
+from ._record import Record, _restore
 from .errors import AlphabetMismatchError, AlphabetTooLargeError
 from .formulas import (
     Always,
@@ -102,21 +104,36 @@ class Permanence(Enum):
     UNDETERMINED = "UNDETERMINED"
 
 
-class Dfa:
+# Structural identity ignores the run tables derived from it and the debug labels.
+_UNCOMPARED = ("successors", "verdict_codes", "_labels")
+
+
+class Dfa(Record, norepr=_UNCOMPARED, nocompare=_UNCOMPARED):
     """Deterministic automaton over valuation bitmasks.
 
     ``transitions[s][mask]`` is the successor of state ``s`` on the valuation
-    encoded by ``mask``; the table is total. Instances are immutable once
-    constructed and safe to share across threads and processes.
+    encoded by ``mask``; the table is total. An automaton is an immutable
+    record that compares, hashes and prints by ``props``, ``initial``,
+    ``accepting`` and ``transitions``, and is safe to share across threads
+    and processes.
 
-    The constructor also builds the run tables: ``successors``, the
-    transition table flattened row-major (``successors[s * alphabet_size +
-    mask]``; ``bytes`` up to 256 states, ``array('H')`` beyond, ``'L'`` past
-    65536), and ``verdict_codes``, the ``CODE_*`` byte of every state.
+    The constructor checks its arguments and builds the run tables:
+    ``successors``, the transition table flattened row-major
+    (``successors[s * alphabet_size + mask]``; ``bytes`` up to 256 states,
+    ``array('H')`` beyond, ``'L'`` past 65536), and ``verdict_codes``, the
+    ``CODE_*`` byte of every state, from which ``permanence`` is read.
 
     ``state_labels`` are debug labels, one per state, or ``None``; those of
     a compiled automaton are rendered when first read.
     """
+
+    props: tuple[str, ...]
+    initial: int
+    accepting: frozenset[int]
+    transitions: tuple[tuple[int, ...], ...]
+    successors: bytes | array
+    verdict_codes: bytes
+    _labels: tuple[str, ...] | _LazyLabels | None
 
     def __init__(
         self,
@@ -155,43 +172,16 @@ class Dfa:
         accepting = frozenset(accepting)
         if not all(0 <= a < n for a in accepting):
             raise ValueError("accepting set references unknown states")
-
-        self.props = props
-        self.initial = initial
-        self.accepting = accepting
-        self.transitions = tuple(rows)
-        self.permanence = _compute_permanence(self.transitions, accepting)
-        self._labels = tuple(state_labels) if state_labels is not None else None
         flat = chain.from_iterable(rows)
-        self.successors = bytes(flat) if n <= 256 else array("H" if n <= 1 << 16 else "L", flat)
-        self.verdict_codes = bytes(
-            CODE_TRUE if label is Permanence.PERM_TRUE
-            else CODE_FALSE if label is Permanence.PERM_FALSE
-            else CODE_PRESUMABLY_TRUE if s in accepting
-            else CODE_PRESUMABLY_FALSE
-            for s, label in enumerate(self.permanence)
-        )
+        successors = bytes(flat) if n <= 256 else array("H" if n <= 1 << 16 else "L", flat)
+        codes = _verdict_codes(rows, accepting)
+        labels = tuple(state_labels) if state_labels is not None else None
+        Record.__init__(self, props, initial, accepting, tuple(rows), successors, codes, labels)
 
-    # Structural identity ignores debug labels and the derived run tables.
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Dfa):
-            return NotImplemented
-        return (
-            self.props == other.props
-            and self.initial == other.initial
-            and self.accepting == other.accepting
-            and self.transitions == other.transitions
-            and self.permanence == other.permanence
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.props, self.initial, self.accepting, self.transitions))
-
-    def __repr__(self) -> str:
-        return (
-            f"Dfa(states={self.num_states}, props={list(self.props)}, "
-            f"accepting={sorted(self.accepting)})"
-        )
+    @property
+    def permanence(self) -> tuple[Permanence, ...]:
+        """Each state's permanence label, read from its verdict code."""
+        return tuple(map(_PERMANENCE.__getitem__, self.verdict_codes))
 
     @property
     def state_labels(self) -> tuple[str, ...] | None:
@@ -281,6 +271,10 @@ class Dfa:
 
 _NONZERO_TO_ONE = bytes(1) + bytes((1,)) * 255
 _CODE_BYTES = tuple(bytes((code,)) for code in range(4))
+#: The permanence label of each ``CODE_*``.
+_PERMANENCE = (
+    Permanence.PERM_TRUE, Permanence.PERM_FALSE, Permanence.UNDETERMINED, Permanence.UNDETERMINED
+)
 
 
 # ---------------------------------------------------------------------------
@@ -561,10 +555,11 @@ def compile_formula(f: Formula) -> Dfa:
             + format_formula(f)
         )
     # The run tables are shared as they are; the basis and the labels are f's.
-    dfa = copy.copy(_shape_dfa(shape, tuple(map(names.index, slots))))
-    dfa.props = tuple(names)
-    dfa._labels = _LazyLabels(f, dfa._labels.residuals)
-    return dfa
+    shared = _shape_dfa(shape, tuple(map(names.index, slots)))
+    return _restore(Dfa, (
+        tuple(names), 0, shared.accepting, shared.transitions, shared.successors,
+        shared.verdict_codes, _LazyLabels(f, shared._labels.residuals),
+    ))
 
 
 def _shape_key(f: Formula, slots: dict[str, int]) -> tuple | int:
@@ -596,8 +591,8 @@ def _shape_dfa(shape: tuple, ranks: tuple[int, ...]) -> Dfa:
     final, minimal_rows, representatives = _renumbered(0, accepting, rows, classes, symbols)
     dfa = Dfa(props, 0, final, minimal_rows)
     # Raw state 0 represents state 0, which the formula itself labels.
-    dfa._labels = _LazyLabels(formula, tuple(_compact(residuals[r]) for r in representatives[1:]))
-    return dfa
+    labels = _LazyLabels(formula, tuple(_compact(residuals[r]) for r in representatives[1:]))
+    return _restore(Dfa, (*dfa._values(dfa._fields[:-1]), labels))
 
 
 @lru_cache(maxsize=128)
@@ -645,44 +640,38 @@ def _shape_tables(shape: tuple) -> tuple:
     return formula, rows, final, order, _classes(0, final, rows)
 
 
-def _compute_permanence(
-    transitions: tuple[tuple[int, ...], ...], accepting: frozenset[int]
-) -> tuple[Permanence, ...]:
+def _verdict_codes(transitions: Sequence[Sequence[int]], accepting: frozenset[int]) -> bytes:
+    """The ``CODE_*`` byte of each state, from one backward reachability pass
+    that marks which of accepting and rejecting states each state reaches."""
     n = len(transitions)
     reverse: list[list[int]] = [[] for _ in range(n)]
     for s, row in enumerate(transitions):
         for target in set(row):
             reverse[target].append(s)
-
-    def backward_closure(seeds: Iterable[int]) -> set[int]:
-        seen = set(seeds)
-        queue = deque(seen)
-        while queue:
-            s = queue.popleft()
-            for prev in reverse[s]:
-                if prev not in seen:
-                    seen.add(prev)
-                    queue.append(prev)
-        return seen
-
-    reaches_rejecting = backward_closure(s for s in range(n) if s not in accepting)
-    reaches_accepting = backward_closure(accepting)
-    labels = []
-    for s in range(n):
-        if s not in reaches_rejecting:
-            labels.append(Permanence.PERM_TRUE)
-        elif s not in reaches_accepting:
-            labels.append(Permanence.PERM_FALSE)
-        else:
-            labels.append(Permanence.UNDETERMINED)
-    return tuple(labels)
+    # reaches[s]: bit 1 if s reaches an accepting state, bit 2 a rejecting one.
+    reaches = [1 if s in accepting else 2 for s in range(n)]
+    queue = deque(range(n))
+    while queue:
+        s = queue.popleft()
+        bits = reaches[s]
+        for prev in reverse[s]:
+            if bits & ~reaches[prev]:
+                reaches[prev] |= bits
+                queue.append(prev)
+    return bytes(
+        CODE_TRUE if r == 1
+        else CODE_FALSE if r == 2
+        else CODE_PRESUMABLY_TRUE if s in accepting
+        else CODE_PRESUMABLY_FALSE
+        for s, r in enumerate(reaches)
+    )
 
 
 def minimize(d: Dfa) -> Dfa:
     """Canonical minimal automaton: unreachable states removed, behaviorally
     indistinguishable states merged (partition refinement), states renumbered
     breadth-first from the initial state with symbols in ascending bitmask
-    order, permanence recomputed."""
+    order, verdict codes recomputed."""
     classes = _classes(d.initial, d.accepting, d.transitions)
     accepting, rows, representatives = _renumbered(
         d.initial, d.accepting, d.transitions, classes, range(d.alphabet_size)
@@ -818,13 +807,14 @@ def to_dot(d: Dfa) -> str:
     parallel edges to one target are merged into a single labeled edge."""
     lines = ["digraph dfa {", "  rankdir=LR;", '  __start [shape=point, label=""];']
     labels = d.state_labels
+    permanence = d.permanence
     for s in range(d.num_states):
         shape = "doublecircle" if s in d.accepting else "circle"
         label = f"q{s}"
         if labels is not None:
             escaped = labels[s].replace("\\", "\\\\").replace('"', '\\"')
             label += "\\n" + escaped
-        label += "\\n" + d.permanence[s].value
+        label += "\\n" + permanence[s].value
         lines.append(f'  q{s} [shape={shape}, label="{label}"];')
     lines.append(f"  __start -> q{d.initial};")
     for s in range(d.num_states):

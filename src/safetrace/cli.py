@@ -16,6 +16,7 @@ import argparse
 import functools
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import __version__
@@ -227,9 +228,7 @@ def _cmd_compile(args) -> int:
         _write_text(Path(args.out), artifact)
     if args.stdout:
         sys.stdout.write(artifact)
-    permanence = {label.value: 0 for label in set(dfa.permanence)}
-    for label in dfa.permanence:
-        permanence[label.value] += 1
+    permanence = Counter(label.value for label in dfa.permanence)
     summary = ", ".join(f"{k}={v}" for k, v in sorted(permanence.items()))
     _log(args, f"states: {dfa.num_states} ({summary}); props: {', '.join(dfa.props) or '-'}")
     return EXIT_OK

@@ -214,16 +214,18 @@ def _not_a_valuation(step: str | Mapping) -> str:
     return f"the {'string' if isinstance(step, str) else 'mapping'} {step!r}"
 
 
-class Trace:
+class Trace(Record):
     """A nonempty, immutable sequence of valuations.
 
     Each step is the set of propositions that hold there, given as any
     collection of names but a string or a mapping; anything absent is false
     (closed world). Step ``0`` is the first observation, step ``H`` the
-    last, so the length is ``H + 1``.
+    last, so the length is ``H + 1``. A trace is a record of its ``steps``,
+    each a frozenset.
     """
 
     __slots__ = ("steps",)
+    steps: tuple[frozenset[str], ...]
 
     def __init__(self, steps: Iterable[Iterable[str]]):
         normalized = tuple(steps)
@@ -234,15 +236,7 @@ class Trace:
             normalized = tuple(s if isinstance(s, frozenset) else frozenset(s) for s in normalized)
         if not normalized:
             raise ValueError("trace must contain at least one step")
-        object.__setattr__(self, "steps", normalized)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError("Trace is immutable")
-
-    def __reduce__(self):
-        # Pickling and copying rebuild through the constructor, since the
-        # default slot restore would go through ``__setattr__``.
-        return Trace, (self.steps,)
+        Record.__init__(self, normalized)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -252,16 +246,6 @@ class Trace:
 
     def __iter__(self) -> Iterator[frozenset[str]]:
         return iter(self.steps)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Trace) and self.steps == other.steps
-
-    def __hash__(self) -> int:
-        return hash(self.steps)
-
-    def __repr__(self) -> str:
-        rendered = ", ".join("{" + ",".join(sorted(s)) + "}" for s in self.steps)
-        return f"Trace([{rendered}])"
 
     def suffix(self, start: int) -> "Trace":
         """The trace from ``start`` (inclusive) to the end; must be nonempty."""

@@ -155,12 +155,12 @@ def evaluate_rollout(
 
     ``strict_end`` controls whether ending in a rejecting state (an unmet
     obligation at the horizon) counts as a violation alongside absorbing
-    mid-trace failures.
+    mid-trace failures. A rollout of another task than the spec's raises
+    :class:`SafetraceError` unless ``allow_task_mismatch`` is set.
     """
     if record.task_name != spec.task_name and not allow_task_mismatch:
         raise SafetraceError(
-            f"rollout task {record.task_name!r} does not match spec task "
-            f"{spec.task_name!r} (pass allow_task_mismatch to override)"
+            f"rollout task {record.task_name!r} does not match spec task {spec.task_name!r}"
         )
     n = len(record.valuation_ids)
     runs: dict[str, tuple] = {}

@@ -36,6 +36,7 @@ other kind of entry (``"formula"`` on a template instance, ``"bindings"`` or
 from __future__ import annotations
 
 import json
+import sys
 from collections.abc import Hashable
 from enum import Enum
 from functools import cache
@@ -360,9 +361,8 @@ def _parse_document(source: str) -> object:
 def _one_line(exc: Exception) -> str:
     """A parse error as one line: PyYAML's messages quote the offending
     source line under a caret, over several lines."""
-    import yaml  # loaded already whenever ``exc`` is a YAML error
-
-    if isinstance(exc, yaml.MarkedYAMLError) and exc.problem_mark is not None:
+    yaml = sys.modules.get("yaml")  # ``exc`` can be a YAML error only once yaml is loaded
+    if yaml is not None and isinstance(exc, yaml.MarkedYAMLError) and exc.problem_mark is not None:
         mark = exc.problem_mark
         text = ": ".join(part for part in (exc.context, exc.problem) if part)
         return f"{text} at line {mark.line + 1}, column {mark.column + 1}"

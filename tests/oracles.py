@@ -511,6 +511,11 @@ RECORD_MIRRORS = {
     for mirror in (
         *(_mirror(name, slots=True) for name in ("Formula", "TrueFormula", "FalseFormula")),
         _mirror("Prop", "name", slots=True),
+        _mirror("Trace", "steps", slots=True),
+        _mirror(
+            "Dfa", "props", "initial", "accepting", "transitions",
+            *((name, dataclasses.field(compare=False, repr=False)) for name in ("successors", "verdict_codes", "_labels")),
+        ),
         *(_mirror(name, "operand", slots=True) for name in _UNARY),
         *(_mirror(name, "left", "right", slots=True) for name in _BINARY),
         _mirror("InstanceMeta", "template_id", "category", "violated", "unsafe_flag_bytes"),

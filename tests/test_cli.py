@@ -172,6 +172,17 @@ def test_monitor_clean_pair_exits_zero(tmp_path):
     assert run_cli("monitor", str(rollout), str(spec), "-q") == 0
 
 
+def test_monitor_task_mismatch_is_one_error_line_naming_no_library_keyword(scenario_files, tmp_path, capsys):
+    rollout, _ = scenario_files  # a grasp_drop rollout
+    spec = tmp_path / "s.json"
+    run_cli("generate", "clean_pick_place", "--out", str(tmp_path / "r.json"), "--spec-out", str(spec), "-q")
+    capsys.readouterr()
+    assert run_cli("monitor", str(rollout), str(spec)) == 1
+    err = capsys.readouterr().err
+    assert err == "error: rollout task 'carry_bottle' does not match spec task 'place_mug_on_shelf'\n"
+    assert "allow_task_mismatch" not in err
+
+
 def test_monitor_missing_file_exits_one(tmp_path, capsys):
     assert run_cli("monitor", str(tmp_path / "nope.json"), str(tmp_path / "also.json")) == 1
     assert "error" in capsys.readouterr().err
@@ -633,25 +644,30 @@ def test_evaluate_writes_utf8_under_an_ascii_locale(tmp_path):
     assert rows[1].split(",")[0] == "p\u00f3licy"
 
 
-def test_json_specs_never_import_yaml(scenario_files):
+def test_json_specs_never_import_yaml(scenario_files, tmp_path):
     rollout, spec = scenario_files
+    # Wording the error of a JSON spec with a repeated key needs no yaml either.
+    repeated = tmp_path / "repeated.json"
+    repeated.write_text('{"task": "t", "task": "u"}')
     script = (
         "import sys\n"
         "from safetrace import cli, load_task_spec\n"
         "load_task_spec(open(sys.argv[2], encoding='utf-8').read())\n"
         "code = cli.main(['monitor', sys.argv[1], sys.argv[2], '-q'])\n"
-        "print(code, 'yaml' in sys.modules)\n"
+        "repeated = cli.main(['monitor', sys.argv[1], sys.argv[3], '-q'])\n"
+        "print(code, repeated, 'yaml' in sys.modules)\n"
     )
     src = str(Path(safetrace.__file__).resolve().parent.parent)
     completed = subprocess.run(
-        [sys.executable, "-c", script, str(rollout), str(spec)],
+        [sys.executable, "-c", script, str(rollout), str(spec), str(repeated)],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert completed.returncode == 0, completed.stderr
-    assert completed.stdout == "2 False\n"
+    assert completed.stdout == "2 1 False\n"
+    assert "duplicate key 'task'" in completed.stderr
 
 
 def test_sequential_runs_never_import_the_process_pool(scenario_files, tmp_path):

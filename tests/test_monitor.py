@@ -1,6 +1,5 @@
 """Stepwise monitoring: verdict lattice, exposure accounting, batch parity."""
 
-import copy
 import pickle
 import random
 from array import array
@@ -19,6 +18,7 @@ from safetrace.automata import (
     Permanence,
     compile_formula,
 )
+from safetrace._record import _restore
 from safetrace.errors import MonitorError
 from safetrace.formulas import Trace, evaluate, parse
 from safetrace.monitor import Monitor, MonitorResult, Verdict, run_masks, run_trace
@@ -447,9 +447,11 @@ class _CountingReads:
 @pytest.mark.parametrize("template_id", TEMPLATE_IDS)
 def test_constant_trace_reads_at_most_num_states_plus_one_entries(template_id):
     dfa = compile_formula(get_template(template_id).formula)
-    counted = copy.copy(dfa)
     for mask in range(dfa.alphabet_size):
-        counted.successors = table = _CountingReads(dfa.successors)
+        table = _CountingReads(dfa.successors)
+        counted = _restore(Dfa, (
+            dfa.props, dfa.initial, dfa.accepting, dfa.transitions, table, dfa.verdict_codes, dfa._labels
+        ))
         masks = bytes((mask,)) * 10_000
         assert counted.run(masks) == reference_run(dfa, masks)
         assert table.reads <= dfa.num_states + 1

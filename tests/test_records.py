@@ -10,11 +10,12 @@ import pickle
 
 import pytest
 
-from safetrace import formulas, metrics, monitor, properties, rollouts
+from safetrace import automata, formulas, metrics, monitor, properties, rollouts
 from safetrace._record import Record
-from safetrace.formulas import And, Prop, Trace
+from safetrace.automata import compile_formula
+from safetrace.formulas import And, Prop, Trace, parse
 from safetrace.metrics import aggregate, evaluate_rollout
-from safetrace.properties import get_template
+from safetrace.properties import TEMPLATE_IDS, get_template
 from safetrace.rollouts import (
     SCENARIOS,
     RolloutRecord,
@@ -29,7 +30,7 @@ from oracles import RECORD_MIRRORS
 RECORD_CLASSES = sorted(
     (
         obj
-        for module in (formulas, metrics, monitor, properties, rollouts)
+        for module in (automata, formulas, metrics, monitor, properties, rollouts)
         for obj in vars(module).values()
         if isinstance(obj, type) and issubclass(obj, Record) and obj.__module__ == module.__name__
         and not obj.__name__.startswith("_")
@@ -61,9 +62,24 @@ def _samples() -> dict[str, list[dict]]:
     unary = [{"operand": a}, {"operand": And(a, b)}]
     binary = [{"left": a, "right": b}, {"left": b, "right": a}]
     rollout = {"rollout_id": "r", "task_name": "t", "policy": "p", "success": True}
+    dfa = {"props": ("a",), "initial": 0, "accepting": [0], "transitions": [[0, 1], [1, 1]]}
+    compiled = compile_formula(parse("G (a -> F b)"))
     samples = {
         **{name: [{}] for name in ("Formula", "TrueFormula", "FalseFormula")},
         "Prop": [{"name": "a"}, {"name": "b"}],
+        # One name per step at most: a frozenset of several names can print
+        # in another order once unpickled, the dataclass mirror's as well.
+        "Trace": [{"steps": [["a"], []]}, {"steps": [["a"], [], ["b"]]}, {"steps": (frozenset("b"),)}],
+        "Dfa": [
+            dfa,
+            # Equal to the first: labels are neither compared nor shown.
+            {**dfa, "state_labels": ["G a", "false"]},
+            {**dfa, "accepting": [1]},
+            {**dfa, "props": ("b",)},
+            {name: getattr(compiled, name) for name in ("props", "initial", "accepting", "transitions", "state_labels")},
+            # More than 256 states: the successor table is an array('H').
+            {"props": (), "initial": 0, "accepting": [299], "transitions": [[min(s + 1, 299)] for s in range(300)]},
+        ],
         **dict.fromkeys(("Not", "Next", "WeakNext", "Always", "Eventually"), unary),
         **dict.fromkeys(("And", "Or", "Implies", "Until", "Release"), binary),
         "InstanceMeta": list(evaluations[0].instance_meta.values()),
@@ -108,7 +124,7 @@ def _result(operation, value):
 
 
 def test_every_record_class_has_a_mirror_and_samples():
-    assert len(RECORD_CLASSES) == 27
+    assert len(RECORD_CLASSES) == 29
     assert {cls.__name__ for cls in RECORD_CLASSES} == set(RECORD_MIRRORS) == set(SAMPLES)
 
 
@@ -170,12 +186,34 @@ def test_records_store_only_what_their_producers_measure():
     # Formula nodes compare and hash through Record; a monitor result keeps
     # its verdict codes and end state; an evaluation's outcome is read from
     # its `success` and `unsafe`, and its constructor is the generic one.
-    nodes = [cls for cls in RECORD_CLASSES if cls.__module__ == formulas.__name__]
+    nodes = [cls for cls in RECORD_CLASSES if issubclass(cls, formulas.Formula)]
     assert len(nodes) == 14
     assert all(cls.__eq__ is Record.__eq__ and cls.__hash__ is Record.__hash__ for cls in nodes)
     assert monitor.MonitorResult._fields == ("verdict_codes", "final_satisfied")
     assert "__init__" not in vars(metrics.RolloutEvaluation)
     assert "outcome" not in metrics.RolloutEvaluation._fields
+
+
+def test_traces_and_automata_take_their_value_semantics_from_record():
+    protocol = {"__eq__", "__hash__", "__setattr__", "__delattr__", "__reduce__", "__repr__"}
+    for cls in (Trace, automata.Dfa):
+        assert not protocol & vars(cls).keys()
+    # A state's permanence is read from its verdict code, stored once.
+    assert isinstance(vars(automata.Dfa)["permanence"], property)
+    assert "permanence" not in automata.Dfa._fields
+
+
+def test_compiled_automata_refuse_assignment():
+    dfa = compile_formula(get_template("phi2").formula)
+    for name in ("props", "successors", "_labels"):
+        with pytest.raises(AttributeError):
+            setattr(dfa, name, getattr(dfa, name))
+
+
+@pytest.mark.parametrize("template_id", TEMPLATE_IDS)
+def test_automata_hash_as_their_structure_did(template_id):
+    d = compile_formula(get_template(template_id).formula)
+    assert hash(d) == hash((d.props, d.initial, d.accepting, d.transitions))
 
 
 def test_rollout_records_past_256_distinct_valuations_hash():
