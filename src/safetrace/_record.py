@@ -25,6 +25,16 @@ def _restore(cls: type, values: tuple):
     return record
 
 
+def _field_repr(value) -> str:
+    """``repr(value)``, except that a frozenset of strings, alone or in a
+    tuple, lists its members sorted: their own order depends on the hash seed."""
+    if type(value) is tuple:
+        return f"({', '.join(map(_field_repr, value))}{',' if len(value) == 1 else ''})"
+    if type(value) is frozenset and value and all(type(v) is str for v in value):
+        return f"frozenset({{{', '.join(map(repr, sorted(value)))}}})"
+    return repr(value)
+
+
 class Record:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -72,7 +82,7 @@ class Record:
         return hash(self._values(self._compared))
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown)
+        shown = ", ".join(f"{f}={_field_repr(getattr(self, f))}" for f in self._shown)
         return f"{type(self).__qualname__}({shown})"
 
     def __setattr__(self, name: str, value) -> None:

@@ -697,14 +697,13 @@ def _classes(initial: int, accepting: frozenset[int], transitions: Sequence) -> 
                 seen.add(target)
                 reachable.append(target)
 
-    width = len(transitions[initial])
     cls = {s: (1 if s in accepting else 0) for s in reachable}
     count = len(set(cls.values()))
     while True:
         signatures: dict[tuple, int] = {}
         new_cls = {}
         for s in reachable:
-            key = (cls[s], tuple(cls[transitions[s][m]] for m in range(width)))
+            key = (cls[s], tuple(map(cls.__getitem__, transitions[s])))
             group = signatures.setdefault(key, len(signatures))
             new_cls[s] = group
         cls = new_cls

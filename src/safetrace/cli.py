@@ -25,6 +25,7 @@ from .errors import SafetraceError, located
 from .formulas import parse
 from .metrics import (
     ReportTally,
+    RolloutEvaluation,
     evaluate_rollout,
     export_report_csv,
     export_report_json,
@@ -234,10 +235,25 @@ def _cmd_compile(args) -> int:
     return EXIT_OK
 
 
+def _evaluate(where: str, text: str | None, spec_path: str, specs: dict, strict: bool) -> RolloutEvaluation:
+    """The evaluation of one rollout, the text ``text`` or, when it is
+    ``None``, the file ``where``, against the task spec at ``spec_path``,
+    which is loaded into ``specs`` on first use. The rollout is decoded
+    before its spec is loaded, so a bad rollout is reported first."""
+    if text is None:
+        record = _load(where, load_rollout)
+    else:
+        with located(where):
+            record = load_rollout(text)
+    spec = specs.get(spec_path)
+    if spec is None:
+        spec = specs[spec_path] = _load(spec_path, load_task_spec)
+    with located(where):
+        return evaluate_rollout(record, spec, strict_end=strict)
+
+
 def _cmd_monitor(args) -> int:
-    record = _load(args.rollout, load_rollout)
-    spec = _load(args.task_spec, load_task_spec)
-    evaluation = evaluate_rollout(record, spec, strict_end=args.strict_end_of_trace)
+    evaluation = _evaluate(args.rollout, None, args.task_spec, {}, args.strict_end_of_trace)
     text = monitor_report_json(evaluation)
     if args.out:
         _write_text(Path(args.out), text)
@@ -256,51 +272,34 @@ def _cmd_monitor(args) -> int:
         )
     _log(
         args,
-        f"rollout {record.rollout_id}: {len(violations)} of {len(runs)} "
+        f"rollout {evaluation.rollout_id}: {len(violations)} of {len(runs)} "
         f"instances violated",
     )
     return EXIT_VIOLATIONS if violations else EXIT_OK
 
 
-def _fold_pairs(share: list[tuple[str, str]], strict: bool) -> ReportTally:
-    """Evaluate manifest pairs ``(rollout path, spec path)`` into a tally;
-    each task spec is loaded once per share."""
-    specs: dict = {}
+def _fold_share(share: list[tuple[str, str | None, str]], specs: dict, strict: bool) -> ReportTally:
+    """Evaluate ``(where, text, spec path)`` items with :func:`_evaluate`
+    into a tally; each task spec is loaded once per share."""
     tally = ReportTally()
-    for rollout_path, spec_path in share:
-        record = _load(rollout_path, load_rollout)
-        spec = specs.get(spec_path)
-        if spec is None:
-            spec = specs[spec_path] = _load(spec_path, load_task_spec)
-        with located(rollout_path):
-            tally.add(evaluate_rollout(record, spec, strict_end=strict))
+    for where, text, spec_path in share:
+        tally.add(_evaluate(where, text, spec_path, specs, strict))
     return tally
 
 
-def _fold_lines(share: list[tuple[int, str]], path: str, spec, strict: bool) -> ReportTally:
-    """Evaluate numbered rollout lines of the JSONL file ``path`` against
-    ``spec`` into a tally."""
-    tally = ReportTally()
-    for line_no, line in share:
-        with located(f"{path}, line {line_no}"):
-            tally.add(evaluate_rollout(load_rollout(line), spec, strict_end=strict))
-    return tally
+# The task specs loaded so far and the end-of-trace strictness, which every
+# share of a pool's run has in common, set by the pool's initializer.
+_worker_common: tuple = ()
 
 
-# A pool worker's fold and the arguments that every share of the run has in
-# common, set by the pool's initializer.
-_worker_fold: tuple = ()
-
-
-def _start_worker(fold, *common) -> None:
-    global _worker_fold
-    _worker_fold = (fold, common)
+def _start_worker(specs: dict, strict: bool) -> None:
+    global _worker_common
+    _worker_common = (specs, strict)
 
 
 def _fold_in_worker(index: int, share: list) -> ReportTally:
     _move_to_cpu(index)
-    fold, common = _worker_fold
-    return fold(share, *common)
+    return _fold_share(share, *_worker_common)
 
 
 def _move_to_cpu(index: int) -> None:
@@ -322,26 +321,28 @@ def _move_to_cpu(index: int) -> None:
         pass
 
 
-def _fold(fold, items: list, common: tuple, workers: int) -> ReportTally:
-    """``fold(share, *common)`` over ``items``: in this process when at most
-    one worker is asked for, else as ``min(workers, len(items))`` contiguous
+def _fold(items: list, specs: dict, strict: bool, workers: int) -> ReportTally:
+    """:func:`_fold_share` over ``items``: in this process when at most one
+    worker is asked for, else as ``min(workers, len(items))`` contiguous
     shares, one per worker process, whose tallies are merged in input order.
 
     Each worker stops at the first error in its share, and ``pool.map``
     returns the shares in order, so the error raised is the first one in
     input order, as in this process. One share per worker, not many small
     chunks: each worker gets its input once and sends back one tally. The
-    pool's module is imported only when a pool starts.
+    specs and the strictness reach a worker through the pool's initializer,
+    so a forked worker inherits an already loaded spec without pickling it.
+    The pool's module is imported only when a pool starts.
     """
     workers = min(workers, len(items))
     if workers <= 1:
-        return fold(items, *common)
+        return _fold_share(items, specs, strict)
     from concurrent.futures import ProcessPoolExecutor
 
     bounds = [len(items) * i // workers for i in range(workers + 1)]
     shares = [items[start:end] for start, end in zip(bounds, bounds[1:])]
     with ProcessPoolExecutor(
-        max_workers=workers, initializer=_start_worker, initargs=(fold, *common)
+        max_workers=workers, initializer=_start_worker, initargs=(specs, strict)
     ) as pool:
         tallies = pool.map(_fold_in_worker, range(workers), shares)
         total = next(tallies)
@@ -353,32 +354,30 @@ def _fold(fold, items: list, common: tuple, workers: int) -> ReportTally:
 def _cmd_evaluate(args) -> int:
     if args.workers < 0:
         raise SafetraceError(f"--workers must be 0 or more, got {args.workers}")
-    strict = args.strict_end_of_trace
     if args.jsonl:
         if args.manifest:
             raise SafetraceError("give either a manifest or --jsonl, not both")
         if not args.task_spec:
             raise SafetraceError("--jsonl requires --task-spec")
-        spec = _load(args.task_spec, load_task_spec)
+        specs = {args.task_spec: _load(args.task_spec, load_task_spec)}
         lines = enumerate(_load(args.jsonl, str).split("\n"), start=1)
-        numbered = [(line_no, line) for line_no, text in lines if (line := text.strip())]
-        tally = _fold(_fold_lines, numbered, (args.jsonl, spec, strict), args.workers)
+        items = [(f"{args.jsonl}, line {n}", line, args.task_spec) for n, text in lines if (line := text.strip())]
     else:
         if not args.manifest:
             raise SafetraceError("a manifest path (or --jsonl) is required")
         manifest = _load(args.manifest, _read_json)
         base = Path(args.manifest).parent
-        jobs = []
+        specs, items = {}, []
         with located(args.manifest):
             pairs = manifest.get("pairs") if isinstance(manifest, dict) else None
             if not isinstance(pairs, list) or not pairs:
                 raise SafetraceError("manifest must contain a nonempty 'pairs' list")
             for entry in pairs:
                 try:
-                    jobs.append((str(base / entry["rollout"]), str(base / entry["task_spec"])))
+                    items.append((str(base / entry["rollout"]), None, str(base / entry["task_spec"])))
                 except (TypeError, KeyError) as exc:
                     raise SafetraceError(f"bad manifest entry {entry!r}") from exc
-        tally = _fold(_fold_pairs, jobs, (strict,), args.workers)
+    tally = _fold(items, specs, args.strict_end_of_trace, args.workers)
 
     with located(args.jsonl or args.manifest):
         report = tally.report(args.denominator)

@@ -149,16 +149,15 @@ def evaluate_rollout(
     spec: TaskSpec,
     *,
     strict_end: bool = True,
-    allow_task_mismatch: bool = False,
 ) -> RolloutEvaluation:
     """Monitor every instance of ``spec`` over the rollout's trace.
 
     ``strict_end`` controls whether ending in a rejecting state (an unmet
     obligation at the horizon) counts as a violation alongside absorbing
     mid-trace failures. A rollout of another task than the spec's raises
-    :class:`SafetraceError` unless ``allow_task_mismatch`` is set.
+    :class:`SafetraceError`.
     """
-    if record.task_name != spec.task_name and not allow_task_mismatch:
+    if record.task_name != spec.task_name:
         raise SafetraceError(
             f"rollout task {record.task_name!r} does not match spec task {spec.task_name!r}"
         )

@@ -350,17 +350,13 @@ def validate_rollout(r: RolloutRecord, spec: TaskSpec) -> list[Diagnostic]:
 class ScenarioParams(Record):
     """Parameters for :func:`generate_scenario`.
 
-    ``event_times`` optionally forces propositions on/off at given steps
-    after the script runs; this can invalidate the scenario's documented
-    label and is meant for hand-tuned test fixtures. ``flip_rate``, a
-    probability in [0, 1], only affects the ``random_walk`` scenario and the
-    benign noise proposition.
+    ``flip_rate``, a probability in [0, 1], only affects the
+    ``random_walk`` scenario and the benign noise proposition.
     """
 
     scenario_id: str
     length: int
     seed: int
-    event_times: tuple[tuple[int, str, bool], ...] | None = None
     flip_rate: float = 0.05
 
 
@@ -813,17 +809,6 @@ def generate_scenario(params: ScenarioParams) -> RolloutRecord:
         declared.update(name for _, name in bindings)
     for step in steps:
         declared.update(step)
-    if params.event_times:
-        for t, prop, value in params.event_times:
-            if not 0 <= t < params.length:
-                raise ScenarioError(f"event time {t} outside the trace (length {params.length})")
-            if not is_valid_proposition(prop):
-                raise ScenarioError(f"invalid event proposition {prop!r}")
-            declared.add(prop)
-            if value:
-                steps[t].add(prop)
-            else:
-                steps[t].discard(prop)
 
     return RolloutRecord(
         rollout_id=f"{params.scenario_id}-{params.seed:04d}",

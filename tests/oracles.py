@@ -548,7 +548,7 @@ RECORD_MIRRORS = {
         ),
         _mirror("Diagnostic", "code", "message"),
         _mirror(
-            "ScenarioParams", "scenario_id", "length", "seed", ("event_times", None), ("flip_rate", 0.05)
+            "ScenarioParams", "scenario_id", "length", "seed", ("flip_rate", 0.05)
         ),
         _mirror(
             "ScenarioInfo", "scenario_id", "task_name", "suite", "horizon", "min_length",

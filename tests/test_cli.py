@@ -179,7 +179,7 @@ def test_monitor_task_mismatch_is_one_error_line_naming_no_library_keyword(scena
     capsys.readouterr()
     assert run_cli("monitor", str(rollout), str(spec)) == 1
     err = capsys.readouterr().err
-    assert err == "error: rollout task 'carry_bottle' does not match spec task 'place_mug_on_shelf'\n"
+    assert err == f"error: {rollout}: rollout task 'carry_bottle' does not match spec task 'place_mug_on_shelf'\n"
     assert "allow_task_mismatch" not in err
 
 
@@ -562,6 +562,9 @@ def _error_cases(kind: str) -> dict[str, tuple[list[str], str, int | str | None]
         # A manifest's spec is loaded in each worker, so its error crosses the pool.
         "spec whose custom formula fails": (lines, bad_specs[0], "spec"),
         "spec whose custom formula has 9 propositions": (lines, bad_specs[1], "spec"),
+        # A manifest's rollout is decoded before its spec is loaded; the
+        # --jsonl spec is loaded before the file's lines are read.
+        "malformed first rollout and a failing spec": (["[1]", *lines[1:]], bad_specs[0], "spec" if kind == "jsonl" else 1),
     }
     if kind == "manifest":
         del cases["empty input"]  # a manifest without pairs never reaches the fold

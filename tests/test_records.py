@@ -6,10 +6,15 @@ import copy
 import dataclasses
 import itertools
 import json
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import safetrace
 from safetrace import automata, formulas, metrics, monitor, properties, rollouts
 from safetrace._record import Record
 from safetrace.automata import compile_formula
@@ -101,8 +106,7 @@ def _samples() -> dict[str, list[dict]]:
         "Diagnostic": [{"code": "c", "message": "m"}, {"code": "d", "message": "m"}],
         "ScenarioParams": [
             {"scenario_id": "grasp_drop", "length": 40, "seed": 0},
-            {"scenario_id": "grasp_drop", "length": 40, "seed": 0,
-             "event_times": ((3, "x", True),), "flip_rate": 0.5},
+            {"scenario_id": "grasp_drop", "length": 40, "seed": 0, "flip_rate": 0.5},
         ],
         # The last entry differs from the first only in its script.
         "ScenarioInfo": [info, other_info, {**_arguments(info), "script": other_info.script}],
@@ -201,6 +205,32 @@ def test_traces_and_automata_take_their_value_semantics_from_record():
     # A state's permanence is read from its verdict code, stored once.
     assert isinstance(vars(automata.Dfa)["permanence"], property)
     assert "permanence" not in automata.Dfa._fields
+
+
+def test_a_trace_reads_the_same_under_any_hash_seed_and_after_pickling():
+    # A step's names print sorted, whatever order its frozenset iterates in.
+    script = (
+        "import pickle\n"
+        "from safetrace.formulas import Trace\n"
+        "t = Trace([['a'], [], ['a', 'b'], ['c', 'b', 'a']])\n"
+        "print(repr(t))\n"
+        "print(repr(pickle.loads(pickle.dumps(t))))\n"
+    )
+    src = str(Path(safetrace.__file__).resolve().parent.parent)
+    outputs = set()
+    for seed in ("0", "7", "24"):
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        outputs.update(completed.stdout.splitlines())
+    assert outputs == {
+        "Trace(steps=(frozenset({'a'}), frozenset(), frozenset({'a', 'b'}), frozenset({'a', 'b', 'c'})))"
+    }
 
 
 def test_compiled_automata_refuse_assignment():

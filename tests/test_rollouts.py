@@ -450,8 +450,6 @@ def test_a_non_string_name_raises_each_entry_points_own_error():
         Dfa((5,), 0, [0], [[0, 0]])
     with pytest.raises(BindingError, match="slot 'Collision' bound to invalid proposition 5$"):
         instantiate("phi1", {"Collision": 5, "BadContact": "b"})
-    with pytest.raises(ScenarioError, match="^invalid event proposition 5$"):
-        generate_scenario(ScenarioParams("grasp_drop", 40, 0, event_times=((3, 5, True),)))
     with pytest.raises(RolloutFormatError, match="^step 1: invalid proposition 5$"):
         RolloutRecord("r", "t", "p", True, [["a"], ["a", 5]])
 
@@ -641,23 +639,6 @@ def test_generator_soundness_hundred_seed_sweep():
                 if info.violates:
                     target = evaluation.per_instance[info.target_template]
                     assert target.violation_kind == info.violation_kind, (sid, seed, length)
-
-
-def test_event_times_override():
-    params = ScenarioParams(
-        "clean_pick_place", 12, 0, event_times=((4, "collision", True),)
-    )
-    record = generate_scenario(params)
-    assert "collision" in record.trace[4]
-    spec = scenario_task_spec("clean_pick_place")
-    assert evaluate_rollout(record, spec).unsafe  # the forced collision trips phi1
-
-
-def test_event_times_bounds_checked():
-    with pytest.raises(ScenarioError, match="outside the trace"):
-        generate_scenario(
-            ScenarioParams("clean_pick_place", 12, 0, event_times=((12, "x", True),))
-        )
 
 
 def test_closed_world_stability():
