@@ -239,10 +239,7 @@ class Dfa(Record, norepr=_UNCOMPARED, nocompare=_UNCOMPARED):
         # copy its raw memory, not its elements.
         data = bytes(masks) if isinstance(masks, (bytes, bytearray)) else bytes(list(masks))
         n = len(data)
-        x = int.from_bytes(data, "little")
-        # ends[t] == 1 iff masks[t] != masks[t + 1]. The last byte compares
-        # masks[-1] with 0, so a trace ending in mask 0 has no marker there.
-        ends = (x ^ (x >> 8)).to_bytes(n, "little").translate(_NONZERO_TO_ONE)
+        ends = _run_ends(data)
         successors = self.successors
         verdict_codes = self.verdict_codes
         width = self.alphabet_size
@@ -267,6 +264,15 @@ class Dfa(Record, norepr=_UNCOMPARED, nocompare=_UNCOMPARED):
                 state = after
             start = stop
         return bytes(codes), state
+
+
+def _run_ends(data: bytes) -> bytes:
+    """One byte per byte of ``data``: 1 where ``data[t] != data[t + 1]``,
+    else 0. The last byte compares ``data[-1]`` with 0, so data ending in a
+    0 byte has no marker there; the maximal run of equal bytes starting at
+    ``start`` ends before ``ends.find(1, start) + 1 or len(data)``."""
+    x = int.from_bytes(data, "little")
+    return (x ^ (x >> 8)).to_bytes(len(data), "little").translate(_NONZERO_TO_ONE)
 
 
 _NONZERO_TO_ONE = bytes(1) + bytes((1,)) * 255

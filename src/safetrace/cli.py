@@ -31,6 +31,7 @@ from .metrics import (
     export_report_json,
     monitor_report_json,
 )
+from .monitor import MonitorResult
 from .properties import TEMPLATE_IDS, _json_text, _read_json, instantiate, load_task_spec
 from .rollouts import (
     SCENARIOS,
@@ -261,15 +262,16 @@ def _cmd_monitor(args) -> int:
         sys.stdout.write(text)
     runs = evaluation.runs
     violations = sorted(i for i, (*_, violated) in runs.items() if violated)
-    for instance_id in violations:
-        result = evaluation.per_instance[instance_id]
-        *_, category, _ = runs[instance_id]
-        _log(
-            args,
-            f"violation: {instance_id} ({category.value if category is not None else None}) "
-            f"kind={result.violation_kind} timestep={result.violation_timestep} "
-            f"exposure={float(result.exposure):.4f}",
-        )
+    if not args.quiet:  # the lines are built only to be printed
+        for instance_id in violations:
+            codes, accepting, _, category, _ = runs[instance_id]
+            result = MonitorResult(codes, accepting)
+            _log(
+                args,
+                f"violation: {instance_id} ({category.value if category is not None else None}) "
+                f"kind={result.violation_kind} timestep={result.violation_timestep} "
+                f"exposure={result.unsafe_steps / result.length:.4f}",
+            )
     _log(
         args,
         f"rollout {evaluation.rollout_id}: {len(violations)} of {len(runs)} "

@@ -57,7 +57,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from ._record import Record
-from .automata import CODE_FALSE
+from .automata import CODE_FALSE, CODE_PRESUMABLY_FALSE, _run_ends
 from .errors import SafetraceError
 from .monitor import _UNSAFE_FLAG_TABLE, MonitorResult, Verdict, _checked_run
 from .properties import SafetyCategory, TaskSpec, TEMPLATE_IDS, CUSTOM_TEMPLATE, SUITES, HORIZONS
@@ -202,21 +202,41 @@ def evaluate_rollout(
     )
 
 
-# The JSON text of the verdict each ``CODE_*`` byte stands for. A list: the
-# report maps every code through its ``__getitem__``, a direct method on a
-# list but a slot wrapper on a tuple, which ``map`` calls about four times
-# slower.
+# The JSON text of the verdict each ``CODE_*`` byte stands for, and that
+# text as a line of a report's ``"verdicts"`` array other than its last.
+# ``_VERDICT_LINE`` is a list: the per-step path maps codes through its
+# ``__getitem__``, a direct method on a list but a slot wrapper on a tuple,
+# which ``map`` calls about half as fast.
 _VERDICT_JSON = [json.dumps(v.value) for v in Verdict]
+_VERDICT_LINE = [text + ",\n        " for text in _VERDICT_JSON]
+# Numbers and booleans are written as ``json.dumps`` writes them (the repr
+# of an int or a finite float, ``true``, ``false``, ``null``) without
+# calling it: for anything but a string, ``json.dumps`` builds an encoder
+# per call, about three times the cost of a string, and a report writes six
+# such scalars per instance.
+_JSON_BOOL = ("false", "true")
 
 
-def _array(items: list[str], indent: str) -> str:
-    """A JSON array of already-encoded ``items``, laid out as
-    ``json.dumps(indent=2)`` lays it out when the array starts on a line
-    indented by ``indent``."""
-    if not items:
-        return "[]"
-    inner = "\n" + indent + "  "
-    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+def _verdict_lines(codes: bytes, out: list[str]) -> None:
+    """Append to ``out`` the verdicts of ``codes`` as the lines of a
+    monitor report's ``"verdicts"`` array, without its brackets.
+
+    A verdict repeats once it settles, so the lines are written one
+    repeated string per run of equal codes, found as :meth:`Dfa.run` finds
+    runs of equal masks. When runs average under 8 steps, one table entry
+    per step is cheaper (a run costs about as much as 10 steps); both ways
+    write the same text."""
+    body = codes[:-1]  # every verdict but the last is followed by a comma
+    ends = _run_ends(body)
+    if ends.count(1) * 8 > len(body):
+        out += map(_VERDICT_LINE.__getitem__, body)
+    else:
+        n, start = len(body), 0
+        while start < n:
+            stop = ends.find(1, start) + 1 or n
+            out.append(_VERDICT_LINE[body[start]] * (stop - start))
+            start = stop
+    out.append(_VERDICT_JSON[codes[-1]])
 
 
 def monitor_report_json(evaluation: RolloutEvaluation) -> str:
@@ -225,41 +245,51 @@ def monitor_report_json(evaluation: RolloutEvaluation) -> str:
     The document has a fixed shape: eight top-level keys, and per property
     instance (in id order) nine keys, among them one verdict per timestep.
     The text is what ``json.dumps(document, sort_keys=True, indent=2)``
-    writes for it, plus a newline; it is built from the verdict codes
-    directly, and only scalars go through ``json.dumps``.
+    writes for it, plus a newline; it is built from ``evaluation.runs``
+    directly, and only strings go through ``json.dumps``.
     """
     dumps = json.dumps
-    instances = []
-    for instance_id in sorted(evaluation.runs):
-        result = evaluation.per_instance[instance_id]
-        *_, category, violated = evaluation.runs[instance_id]
-        kind = result.violation_kind
-        verdicts = list(map(_VERDICT_JSON.__getitem__, result.verdict_codes))
-        instances.append(
-            "{\n"
-            f'      "category": {dumps(category.value if category is not None else None)},\n'
-            f'      "exposure": {dumps(float(result.exposure))},\n'
-            f'      "final_satisfied": {dumps(result.final_satisfied)},\n'
+    runs = evaluation.runs
+    out = ['{\n  "instances": [']
+    separator = "\n    "
+    for instance_id in sorted(runs):
+        codes, accepting, _, category, violated = runs[instance_id]
+        unsafe = codes.count(CODE_FALSE) + codes.count(CODE_PRESUMABLY_FALSE)
+        first_false = codes.find(CODE_FALSE)
+        if first_false >= 0:
+            kind, timestep = '"mid"', first_false
+        else:
+            kind, timestep = '"end"' if violated and not accepting else "null", "null"
+        out.append(
+            f"{separator}{{\n"
+            f'      "category": {"null" if category is None else dumps(category.value)},\n'
+            f'      "exposure": {unsafe / len(codes)!r},\n'
+            f'      "final_satisfied": {_JSON_BOOL[accepting]},\n'
             f'      "property_id": {dumps(instance_id)},\n'
-            f'      "unsafe_steps": {dumps(result.unsafe_steps)},\n'
-            f'      "verdicts": {_array(verdicts, "      ")},\n'
-            f'      "violated": {dumps(violated)},\n'
-            f'      "violation_kind": {dumps(kind if (kind == "mid" or violated) else None)},\n'
-            f'      "violation_timestep": {dumps(result.violation_timestep)}\n'
+            f'      "unsafe_steps": {unsafe},\n'
+            '      "verdicts": [\n        '
+        )
+        _verdict_lines(codes, out)
+        out.append(
+            "\n      ],\n"
+            f'      "violated": {_JSON_BOOL[violated]},\n'
+            f'      "violation_kind": {kind},\n'
+            f'      "violation_timestep": {timestep}\n'
             "    }"
         )
-    return (
-        "{\n"
-        f'  "instances": {_array(instances, "  ")},\n'
-        f'  "outcome": {dumps(evaluation.outcome.value)},\n'
+        separator = ",\n    "
+    out.append(
+        ("\n  ],\n" if runs else "],\n")
+        + f'  "outcome": {dumps(evaluation.outcome.value)},\n'
         f'  "policy": {dumps(evaluation.policy)},\n'
-        f'  "rollout_exposure": {dumps(float(evaluation.rollout_exposure))},\n'
+        f'  "rollout_exposure": {float(evaluation.rollout_exposure)!r},\n'
         f'  "rollout_id": {dumps(evaluation.rollout_id)},\n'
-        f'  "success": {dumps(evaluation.success)},\n'
+        f'  "success": {_JSON_BOOL[evaluation.success]},\n'
         f'  "task": {dumps(evaluation.task_name)},\n'
-        f'  "unsafe": {dumps(evaluation.unsafe)}\n'
+        f'  "unsafe": {_JSON_BOOL[evaluation.unsafe]}\n'
         "}\n"
     )
+    return "".join(out)
 
 
 def monitor_report_document(evaluation: RolloutEvaluation) -> dict:

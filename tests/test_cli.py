@@ -741,7 +741,7 @@ def _count_builds(monkeypatch) -> Counter:
     return built
 
 
-def test_evaluate_builds_no_per_instance_result_and_monitor_one_each(tmp_path, monkeypatch):
+def test_evaluate_and_quiet_monitor_build_no_per_instance_result(tmp_path, monkeypatch):
     rollout, spec = tmp_path / "rollout.json", tmp_path / "spec.json"
     generate = ["generate", "clean_pick_place", "--out", str(rollout), "--spec-out", str(spec)]
     assert run_cli(*generate, "-q") == 0
@@ -761,8 +761,12 @@ def test_evaluate_builds_no_per_instance_result_and_monitor_one_each(tmp_path, m
     jsonl = ["--jsonl", str(tmp_path / "rollouts.jsonl"), "--task-spec", str(spec)]
     assert run_cli("evaluate", *jsonl, "--out", str(tmp_path / "b"), "-q") == 0
     assert built == {}
-    assert run_cli("monitor", str(rollout), str(spec), "--out", str(tmp_path / "m.json")) == 2
-    assert built == {"MonitorResult": instances}
+    monitor = ["monitor", str(rollout), str(spec), "--out", str(tmp_path / "m.json")]
+    assert run_cli(*monitor, "-q") == 2
+    assert built == {}
+    # Only a violation line that is printed reads a result: "never" is the one.
+    assert run_cli(*monitor) == 2
+    assert built == {"MonitorResult": 1}
 
 
 def test_surrogate_identifiers_are_one_error_line(tmp_path, capsys):

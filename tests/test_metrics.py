@@ -10,7 +10,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from safetrace.automata import CODE_FALSE, CODE_PRESUMABLY_FALSE, CODE_PRESUMABLY_TRUE, CODE_TRUE
 from safetrace.errors import SafetraceError, TemplateError
@@ -291,17 +291,31 @@ _AWKWARD_TEXT = st.one_of(
 _CODES = (CODE_TRUE, CODE_FALSE, CODE_PRESUMABLY_TRUE, CODE_PRESUMABLY_FALSE)
 
 
+def _drawn_codes(rng: random.Random, alphabet: list[int], length: int, structured: bool) -> bytes:
+    """``length`` verdict codes from ``alphabet``: independent draws, whose
+    runs are almost all one step long, or runs of equal codes averaging
+    about 2, 8 or 200 steps, as monitors write them, so that the report
+    writer takes each of its two ways of writing verdicts."""
+    if not structured:
+        return bytes(rng.choices(alphabet, k=length))
+    codes = bytearray()
+    while len(codes) < length:
+        codes += bytes((rng.choice(alphabet),)) * rng.randint(1, rng.choice((4, 16, 400)))
+    return bytes(codes[:length])
+
+
 @st.composite
 def _monitor_evaluations(draw):
     """An evaluation built field by field, so that any verdict sequence,
     template, category, violation and identifier text can occur in it."""
-    length = draw(st.sampled_from((1, 1000)) | st.integers(1, 12))
+    length = draw(st.sampled_from((1, 1000)) | st.integers(1, 12) | st.integers(13, 3000))
     strict_end = draw(st.booleans())
     runs = {}
     for instance_id in draw(st.lists(_AWKWARD_TEXT, unique=True, max_size=4)):
         alphabet = sorted(draw(st.sets(st.sampled_from(_CODES), min_size=1)))
+        rng = random.Random(draw(st.integers()))
         runs[instance_id] = (
-            bytes(random.Random(draw(st.integers())).choices(alphabet, k=length)),
+            _drawn_codes(rng, alphabet, length, draw(st.booleans())),
             draw(st.booleans()),
             draw(st.sampled_from(TEMPLATE_IDS + (CUSTOM_TEMPLATE,))),
             draw(st.none() | st.sampled_from(SafetyCategory)),
@@ -325,7 +339,34 @@ def _monitor_evaluations(draw):
     )
 
 
+def _one_instance(codes: bytes) -> RolloutEvaluation:
+    """An evaluation of one instance whose verdict codes are ``codes``."""
+    violated = CODE_FALSE in codes
+    return RolloutEvaluation(
+        rollout_id="r",
+        task_name="t",
+        suite=SUITES[0],
+        horizon=HORIZONS[0],
+        policy="p",
+        success=True,
+        unsafe=violated,
+        rollout_exposure=Fraction(codes.count(CODE_FALSE) + codes.count(CODE_PRESUMABLY_FALSE), len(codes)),
+        length=len(codes),
+        strict_end=True,
+        runs={"i": (codes, False, CUSTOM_TEMPLATE, None, violated)},
+        groups={},
+    )
+
+
+_T, _F, _PT, _PF = (bytes((code,)) for code in _CODES)
+
+
 @given(_monitor_evaluations())
+@example(_one_instance(_PT * 1000))  # one run
+@example(_one_instance(_PT * 999 + _PF))  # a last run of one step
+@example(_one_instance(_PF * 10 + _T * 990))  # ends in code 0, which marks no run end
+@example(_one_instance((_PT + _PF) * 500))  # runs of one step
+@example(_one_instance(_F))  # one step
 @settings(max_examples=200, deadline=None)
 def test_monitor_report_json_matches_the_reference(evaluation):
     assert monitor_report_json(evaluation) == reference_monitor_text(evaluation)

@@ -444,17 +444,34 @@ class _CountingReads:
         return len(self.table)
 
 
+def _counting(dfa: Dfa) -> tuple[Dfa, _CountingReads]:
+    """A copy of ``dfa`` whose successor table counts its reads."""
+    table = _CountingReads(dfa.successors)
+    return _restore(Dfa, (
+        dfa.props, dfa.initial, dfa.accepting, dfa.transitions, table, dfa.verdict_codes, dfa._labels
+    )), table
+
+
 @pytest.mark.parametrize("template_id", TEMPLATE_IDS)
 def test_constant_trace_reads_at_most_num_states_plus_one_entries(template_id):
     dfa = compile_formula(get_template(template_id).formula)
     for mask in range(dfa.alphabet_size):
-        table = _CountingReads(dfa.successors)
-        counted = _restore(Dfa, (
-            dfa.props, dfa.initial, dfa.accepting, dfa.transitions, table, dfa.verdict_codes, dfa._labels
-        ))
+        counted, table = _counting(dfa)
         masks = bytes((mask,)) * 10_000
         assert counted.run(masks) == reference_run(dfa, masks)
         assert table.reads <= dfa.num_states + 1
+
+
+def test_a_trace_false_for_good_reads_at_most_two_entries():
+    # The run stops at the first permanent verdict, FALSE as well as TRUE:
+    # stepping on would only repeat it, once per run of equal masks.
+    dfa = compile_formula(parse("G !a"))
+    counted, table = _counting(dfa)
+    masks = bytes((1,)) + bytes((0, 1)) * 5_000
+    codes, state = counted.run(masks)
+    assert table.reads <= 2
+    assert (codes, state) == reference_run(dfa, masks)
+    assert codes == bytes((CODE_FALSE,)) * len(masks)
 
 
 def test_mask_sequence_types_give_the_same_result():
