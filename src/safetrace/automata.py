@@ -553,15 +553,20 @@ def compile_formula(f: Formula) -> Dfa:
     :data:`MAX_PROPOSITIONS` propositions.
     """
     slots: dict[str, int] = {}
-    shape = _shape_key(f, slots)
-    names = sorted(slots)
+    return _compile_shape(_shape_key(f, slots), tuple(slots), f)
+
+
+def _compile_shape(shape: tuple | int, slot_names: Sequence[str], f: Formula) -> Dfa:
+    """The automaton :func:`compile_formula` builds for ``f``, given its
+    shape and its distinct names in slot order, without walking ``f``."""
+    names = sorted(slot_names)
     if len(names) > MAX_PROPOSITIONS:
         raise AlphabetTooLargeError(
             f"formula uses {len(names)} propositions (cap {MAX_PROPOSITIONS}): "
             + format_formula(f)
         )
     # The run tables are shared as they are; the basis and the labels are f's.
-    shared = _shape_dfa(shape, tuple(map(names.index, slots)))
+    shared = _shape_dfa(shape, tuple(map(names.index, slot_names)))
     return _restore(Dfa, (
         tuple(names), 0, shared.accepting, shared.transitions, shared.successors,
         shared.verdict_codes, _LazyLabels(f, shared._labels.residuals),

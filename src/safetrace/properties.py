@@ -42,8 +42,8 @@ from enum import Enum
 from functools import cache
 from typing import Mapping
 
-from ._record import Record
-from .automata import Dfa, _shape_formula, _shape_key, compile_formula
+from ._record import Record, _restore
+from .automata import Dfa, _compile_shape, _shape_formula, _shape_key, compile_formula
 from .errors import BindingError, SafetraceError, TaskSpecError, TemplateError, located
 from .formulas import Formula, is_valid_proposition, parse, proposition_order
 
@@ -172,6 +172,9 @@ _TEMPLATES: tuple[PropertyTemplate, ...] = (
 )
 
 _TEMPLATES_BY_ID = {t.template_id: t for t in _TEMPLATES}
+# Each template's shape (see :func:`safetrace.automata.compile_formula`), its
+# slot ``i`` being ``slots[i]``: both list the slots in order of first occurrence.
+_TEMPLATE_SHAPES = {t.template_id: _shape_key(t.formula, {}) for t in _TEMPLATES}
 TEMPLATE_IDS = tuple(_TEMPLATES_BY_ID)
 
 
@@ -229,23 +232,26 @@ def instantiate(
         for slot, name in bindings.items():
             if not is_valid_proposition(name):
                 raise BindingError(f"slot {slot!r} bound to invalid proposition {name!r}")
-        values = [bindings[s] for s in template.slots]
-        if len(set(values)) != len(values) and not allow_duplicate_bindings:
+        values = tuple(bindings[s] for s in template.slots)
+        distinct = len(set(values)) == len(values)
+        if not distinct and not allow_duplicate_bindings:
             duplicates = sorted({v for v in values if values.count(v) > 1})
             raise BindingError(
                 f"propositions {duplicates} bound to more than one "
                 "slot (pass allow_duplicate_bindings to permit)"
             )
-    # ``template.slots`` lists the slots in order of first occurrence.
-    formula = _shape_formula(_shape_key(template.formula, {}), values)
-    return PropertyInstance(
-        instance_id=instance_id if instance_id is not None else template_id,
-        template_id=template_id,
-        bindings=tuple((s, bindings[s]) for s in template.slots),
-        formula=formula,
-        category=template.category,
-        dfa=compile_formula(formula),
-    )
+    shape = _TEMPLATE_SHAPES[template_id]
+    formula = _shape_formula(shape, values)
+    # One name bound to two slots merges them, which gives another shape.
+    dfa = _compile_shape(shape, values, formula) if distinct else compile_formula(formula)
+    return _restore(PropertyInstance, (
+        instance_id if instance_id is not None else template_id,
+        template_id,
+        tuple(zip(template.slots, values)),
+        formula,
+        template.category,
+        dfa,
+    ))
 
 
 def instantiate_custom(formula_text: str, *, instance_id: str) -> PropertyInstance:
@@ -425,23 +431,24 @@ def load_task_spec(source: str | dict) -> TaskSpec:
 
     instances = []
     for idx, entry in enumerate(entries):
-        with located(f"properties[{idx}]"):
+        instance_id = None  # set once checked; errors after that name it
+        try:
             if not isinstance(entry, dict):
                 raise TaskSpecError("must be a mapping")
-            extra = entry.keys() - _PROPERTY_KEYS
-            if extra:
+            if not _PROPERTY_KEYS.issuperset(entry):
+                extra = entry.keys() - _PROPERTY_KEYS
                 raise TaskSpecError(f"unknown keys {sorted(extra, key=str)}")
-            instance_id = entry.get("id")
-            _check_identifier(instance_id, "id", TaskSpecError)
-        with located(f"properties[{idx}] (id {instance_id!r})"):
+            _check_identifier(entry.get("id"), "id", TaskSpecError)
+            instance_id = entry["id"]
             template_id = entry.get("template")
             if not isinstance(template_id, str):
                 raise TaskSpecError("'template' must be a string")
             custom = template_id == CUSTOM_TEMPLATE
-            misplaced = entry.keys() - (_CUSTOM_KEYS if custom else _TEMPLATE_KEYS)
-            if misplaced:
+            allowed = _CUSTOM_KEYS if custom else _TEMPLATE_KEYS
+            if not allowed.issuperset(entry):
                 kind = "a custom formula" if custom else "a template instance"
-                raise TaskSpecError(f"keys {sorted(misplaced)} do not apply to {kind}")
+                misplaced = sorted(entry.keys() - allowed)
+                raise TaskSpecError(f"keys {misplaced} do not apply to {kind}")
             allow_duplicates = entry.get("allow_duplicate_bindings", False)
             if not isinstance(allow_duplicates, bool):
                 raise TaskSpecError("'allow_duplicate_bindings' must be true or false")
@@ -456,6 +463,12 @@ def load_task_spec(source: str | dict) -> TaskSpec:
                     raise TaskSpecError("'bindings' must be a mapping")
                 options = {"instance_id": instance_id, "allow_duplicate_bindings": allow_duplicates}
                 instances.append(instantiate(template_id, bindings, **options))
+        except SafetraceError as error:
+            where = f"properties[{idx}]"
+            if instance_id is not None:
+                where += f" (id {instance_id!r})"
+            error.where = (where, *error.where)
+            raise
 
     return TaskSpec(
         task_name=task,

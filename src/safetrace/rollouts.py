@@ -38,7 +38,7 @@ from typing import NoReturn
 
 from ._record import Record, _restore
 from .errors import RolloutFormatError, ScenarioError
-from .formulas import Trace, is_valid_proposition, propositions
+from .formulas import Trace, is_valid_proposition
 from .properties import TaskSpec, _check_identifier, _json_text, _read_json, get_template, load_task_spec
 
 __all__ = [
@@ -328,9 +328,7 @@ def validate_rollout(r: RolloutRecord, spec: TaskSpec) -> list[Diagnostic]:
             )
         )
     observed = frozenset().union(*r.valuations)
-    monitored: set[str] = set()
-    for inst in spec.instances:
-        monitored |= propositions(inst.formula)
+    monitored = frozenset().union(*(inst.dfa.props for inst in spec.instances))
     for p in sorted(monitored - observed):
         diagnostics.append(
             Diagnostic("bound_never_true", f"bound proposition {p!r} never observed true")

@@ -6,8 +6,8 @@ from itertools import product
 
 import pytest
 
-from safetrace import automata
-from safetrace.automata import compile_formula, dfa_to_json, to_dot
+from safetrace import automata, properties
+from safetrace.automata import Dfa, compile_formula, dfa_to_json, to_dot
 from safetrace.errors import (
     AlphabetTooLargeError,
     BindingError,
@@ -15,7 +15,7 @@ from safetrace.errors import (
     TaskSpecError,
     TemplateError,
 )
-from safetrace.formulas import evaluate, format_formula, parse, propositions
+from safetrace.formulas import Prop, evaluate, format_formula, operands, parse, propositions
 from safetrace.monitor import run_trace
 from safetrace.properties import (
     HORIZONS,
@@ -289,6 +289,49 @@ def test_keys_of_the_other_entry_kind_are_errors(entry, kind, keys):
     with pytest.raises(TaskSpecError) as info:
         load_task_spec(json.dumps(document))
     assert str(info.value) == f"properties[1] (id 'a'): keys {keys} do not apply to {kind}"
+    assert info.value.where == ("properties[1] (id 'a')",)
+
+
+_PHI1_BINDINGS = {"Collision": "c", "BadContact": "b"}
+
+
+@pytest.mark.parametrize(
+    "entry, error, where, message",
+    [
+        (["phi1"], TaskSpecError, ("properties[2]",), "must be a mapping"),
+        ({"id": "a", "template": "phi1", "bindings": _PHI1_BINDINGS, "z": 0, 1: 0},
+         TaskSpecError, ("properties[2]",), "unknown keys [1, 'z']"),
+        ({"id": "", "template": "phi1", "bindings": _PHI1_BINDINGS},
+         TaskSpecError, ("properties[2]",), "'id' must be a nonempty string"),
+        ({"template": "phi1", "bindings": _PHI1_BINDINGS},
+         TaskSpecError, ("properties[2]",), "'id' must be a nonempty string"),
+        ({"id": "a", "template": ["phi1"]},
+         TaskSpecError, ("properties[2] (id 'a')",), "'template' must be a string"),
+        ({"id": "a", "template": "phi1", "bindings": _PHI1_BINDINGS, "allow_duplicate_bindings": 1},
+         TaskSpecError, ("properties[2] (id 'a')",), "'allow_duplicate_bindings' must be true or false"),
+        ({"id": "a", "template": "custom"},
+         TaskSpecError, ("properties[2] (id 'a')",), "custom template requires a 'formula' string"),
+        ({"id": "a", "template": "phi1", "bindings": ["c", "b"]},
+         TaskSpecError, ("properties[2] (id 'a')",), "'bindings' must be a mapping"),
+        ({"id": "a", "template": "phi11", "bindings": {}},
+         TemplateError, ("properties[2] (id 'a')",),
+         "unknown template 'phi11'; known: phi1, phi2, phi3, phi4, phi5, phi6, phi7, phi8, phi9, phi10"),
+        ({"id": "a", "template": "phi3", "bindings": {"ObjReleased": "r"}},
+         BindingError, ("properties[2] (id 'a')", "phi3"), "missing bindings for slots ['Settled']"),
+        ({"id": "a", "template": "phi1", "bindings": {"Collision": "c", "BadContact": "c"}},
+         BindingError, ("properties[2] (id 'a')", "phi1"),
+         "propositions ['c'] bound to more than one slot (pass allow_duplicate_bindings to permit)"),
+    ],
+    ids=["entry", "keys", "id", "no_id", "template", "flag", "formula", "bindings",
+         "unknown_template", "missing_slot", "duplicate_binding"],
+)
+def test_every_entry_error_names_its_entry(entry, error, where, message):
+    # Two good entries first: the location is formatted only for the bad one.
+    good = [dict(MINIMAL_SPEC["properties"][0], id=f"good{i}") for i in range(2)]
+    with pytest.raises(error) as info:
+        load_task_spec(dict(MINIMAL_SPEC, properties=[*good, entry]))
+    assert info.value.where == where
+    assert str(info.value) == ": ".join((*where, message))
 
 
 def _rank_patterns(k: int):
@@ -302,6 +345,13 @@ def _rank_patterns(k: int):
 # Sorted name lists; the first binding of each rank pattern builds its
 # automaton, the others share its run tables.
 _NAME_LISTS = (("a", "b", "c"), ("ab_z", "b", "ba"), ("x", "y2", "y_1"), ("g2", "g20", "g3"))
+
+
+def _bound(f, bindings: dict):
+    """``f`` with each slot's proposition renamed to its bound name."""
+    if type(f) is Prop:
+        return Prop(bindings[f.name])
+    return type(f)(*(_bound(g, bindings) for g in operands(f)))
 
 
 @pytest.mark.parametrize("template", list_templates(), ids=lambda t: t.template_id)
@@ -320,6 +370,7 @@ def test_shape_shared_instances_match_a_fresh_compile(template):
     assert len(entries) == len(_NAME_LISTS) * {1: 1, 2: 3, 3: 13}[len(template.slots)]
     spec = load_task_spec(dict(MINIMAL_SPEC, properties=entries))
     for instance in spec.instances:
+        assert instance.formula == _bound(template.formula, dict(instance.bindings))
         shared = instance.dfa
         clear_shape_caches()
         fresh = compile_formula(instance.formula)
@@ -331,29 +382,68 @@ def test_shape_shared_instances_match_a_fresh_compile(template):
         assert shared.successors == fresh.successors
 
 
+def test_each_template_shape_numbers_its_slots_in_slots_order():
+    shapes = properties._TEMPLATE_SHAPES
+    assert list(shapes) == [template.template_id for template in list_templates()]
+    for template in list_templates():
+        shape = shapes[template.template_id]
+        assert automata._shape_formula(shape, template.slots) == template.formula
+
+
+def _ten_templates_bound_to(*objects: str) -> list[dict]:
+    return [
+        {
+            "id": f"{template.template_id}_{obj}",
+            "template": template.template_id,
+            "bindings": {slot: f"{slot.lower()}_{obj}" for slot in template.slots},
+        }
+        for obj in objects
+        for template in list_templates()
+    ]
+
+
+def test_a_warm_template_spec_loads_without_walking_a_formula_or_building_a_dfa(monkeypatch):
+    # A fallback to compile_formula writes the same bytes; only the cost shows it.
+    load_task_spec(dict(MINIMAL_SPEC, properties=_ten_templates_bound_to("warm")))
+    calls = {"shape walks": 0, "Dfa builds": 0}
+    shape_key, dfa_init = automata._shape_key, Dfa.__init__
+
+    def counting_shape_key(*args):
+        calls["shape walks"] += 1
+        return shape_key(*args)
+
+    def counting_dfa_init(self, *args, **kwargs):
+        calls["Dfa builds"] += 1
+        dfa_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(automata, "_shape_key", counting_shape_key)
+    monkeypatch.setattr(Dfa, "__init__", counting_dfa_init)
+    spec = load_task_spec(dict(MINIMAL_SPEC, properties=_ten_templates_bound_to("mug", "bowl", "cup")))
+    assert len(spec.instances) == 30
+    assert calls == {"shape walks": 0, "Dfa builds": 0}
+    # A name bound to two slots merges them into another shape: that entry
+    # compiles its own formula.
+    merged = {"id": "merged", "template": "phi2", "allow_duplicate_bindings": True,
+              "bindings": {"ObjGrasped": "g", "StableGrasp": "g", "ObjReleased": "r"}}
+    (instance,) = load_task_spec(dict(MINIMAL_SPEC, properties=[merged])).instances
+    assert calls["shape walks"] > 0
+    fresh = compile_formula(instance.formula)
+    assert instance.dfa == fresh and instance.dfa.props == fresh.props == ("g", "r")
+    assert instance.dfa.state_labels == fresh.state_labels
+
+
 def test_each_formula_shape_runs_progression_once_per_process():
     clear_shape_caches()
 
     def progressions() -> int:
         return automata._shape_tables.cache_info().misses
 
-    def spec(obj: str) -> dict:
-        return dict(MINIMAL_SPEC, properties=[
-            {
-                "id": f"{template.template_id}_{obj}",
-                "template": template.template_id,
-                "bindings": {slot: f"{slot.lower()}_{obj}" for slot in template.slots},
-            }
-            for template in list_templates()
-        ])
-
-    document = spec("mug")
-    document["properties"] += spec("bowl")["properties"] + spec("cup")["properties"]
+    document = dict(MINIMAL_SPEC, properties=_ten_templates_bound_to("mug", "bowl", "cup"))
     assert len(load_task_spec(document).instances) == 30
     # Ten templates, seven shapes: phi3 and phi7 are both G (p0 -> F p1),
     # phi4 and phi10 both G (p0 -> (!p1 U p2)), phi5 and phi9 G (p0 -> p1).
     assert progressions() == 7
-    load_task_spec(spec("plate"))
+    load_task_spec(dict(MINIMAL_SPEC, properties=_ten_templates_bound_to("plate")))
     assert progressions() == 7
     # A custom formula of a template's shape reuses its progression, and so
     # do direct instantiations.
