@@ -41,7 +41,7 @@ _EXPORTS = {
         "MAX_PROPOSITIONS", "Dfa", "Permanence", "compile_formula", "dfa_to_json", "equivalent",
         "minimize", "to_dot",
     ),
-    "monitor": ("Monitor", "MonitorResult", "Verdict", "run_trace"),
+    "monitor": ("MonitorResult", "Verdict", "run_trace"),
     "properties": (
         "CUSTOM_TEMPLATE", "HORIZONS", "SUITES", "TEMPLATE_IDS", "PropertyInstance",
         "PropertyTemplate", "SafetyCategory", "TaskSpec", "get_template", "instantiate",

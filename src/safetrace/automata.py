@@ -53,7 +53,7 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 from ._record import Record, _restore
-from .errors import AlphabetMismatchError, AlphabetTooLargeError
+from .errors import AlphabetMismatchError, AlphabetTooLargeError, MonitorError
 from .formulas import (
     Always,
     And,
@@ -224,6 +224,10 @@ class Dfa(Record, norepr=_UNCOMPARED, nocompare=_UNCOMPARED):
     def run(self, masks: Sequence[int]) -> tuple[bytes, int]:
         """Verdict code after each step, and the state the run ended in.
 
+        ``masks`` is a nonempty sequence of valuation bitmasks over this
+        automaton's alphabet (see :meth:`mask_of`): an empty one, or a mask
+        outside ``range(alphabet_size)``, raises :class:`MonitorError`.
+
         The run stops at the first permanent verdict, which every later step
         repeats; the state returned is then the one reached there, whose
         acceptance every continuation shares.
@@ -235,14 +239,26 @@ class Dfa(Record, norepr=_UNCOMPARED, nocompare=_UNCOMPARED):
         ``num_states`` steps; nothing here relies on it, since a mask without
         a fixed point is simply stepped through to the end of its run.
         """
+        width = self.alphabet_size
         # bytes() of any other buffer (array('H'), a cast memoryview) would
         # copy its raw memory, not its elements.
-        data = bytes(masks) if isinstance(masks, (bytes, bytearray)) else bytes(list(masks))
+        data = masks if isinstance(masks, (bytes, bytearray)) else list(masks)
+        if not data:
+            raise MonitorError("cannot monitor an empty trace")
+        if isinstance(data, list):
+            out_of_range = min(data) < 0 or max(data) >= width
+        else:
+            out_of_range = data.translate(None, _ALL_BYTES[:width])
+        if out_of_range:
+            raise MonitorError(
+                f"valuation masks must lie in range({width}) "
+                f"for a DFA over {len(self.props)} propositions"
+            )
+        data = bytes(data)
         n = len(data)
         ends = _run_ends(data)
         successors = self.successors
         verdict_codes = self.verdict_codes
-        width = self.alphabet_size
         permanent_below = CODE_PRESUMABLY_TRUE
         state = self.initial
         codes = bytearray()
@@ -275,6 +291,7 @@ def _run_ends(data: bytes) -> bytes:
     return (x ^ (x >> 8)).to_bytes(len(data), "little").translate(_NONZERO_TO_ONE)
 
 
+_ALL_BYTES = bytes(range(256))
 _NONZERO_TO_ONE = bytes(1) + bytes((1,)) * 255
 _CODE_BYTES = tuple(bytes((code,)) for code in range(4))
 #: The permanence label of each ``CODE_*``.

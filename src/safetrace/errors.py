@@ -66,7 +66,8 @@ class AlphabetMismatchError(SafetraceError):
 
 
 class MonitorError(SafetraceError):
-    """Raised on monitor protocol misuse (step after finalize, empty finalize)."""
+    """Raised when :meth:`Dfa.run <safetrace.automata.Dfa.run>` is given an
+    empty trace, or a valuation mask outside the automaton's alphabet."""
 
 
 class TemplateError(SafetraceError):

@@ -59,7 +59,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 from ._record import Record
 from .automata import CODE_FALSE, CODE_PRESUMABLY_FALSE, _run_ends
 from .errors import SafetraceError
-from .monitor import _UNSAFE_FLAG_TABLE, MonitorResult, Verdict, _checked_run
+from .monitor import _UNSAFE_FLAG_TABLE, MonitorResult, Verdict
 from .properties import SafetyCategory, TaskSpec, TEMPLATE_IDS, CUSTOM_TEMPLATE, SUITES, HORIZONS
 from .properties import _json_text, _read_json
 
@@ -170,7 +170,8 @@ def evaluate_rollout(
     unions: dict[tuple[str, str], tuple[bool, int]] = {}
     for inst in spec.instances:
         dfa = inst.dfa
-        codes, accepting = _checked_run(dfa, record.masks(dfa.props))
+        codes, state = dfa.run(record.masks(dfa.props))
+        accepting = state in dfa.accepting
         violated = CODE_FALSE in codes or (strict_end and not accepting)
         runs[inst.instance_id] = (codes, accepting, inst.template_id, inst.category, violated)
         bits = int.from_bytes(codes.translate(_UNSAFE_FLAG_TABLE), "big")

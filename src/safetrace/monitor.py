@@ -24,10 +24,9 @@ from typing import Iterable, Sequence
 
 from ._record import Record
 from .automata import CODE_FALSE, CODE_PRESUMABLY_FALSE, Dfa
-from .errors import MonitorError
 from .formulas import Trace
 
-__all__ = ["Verdict", "MonitorResult", "Monitor", "run_masks", "run_trace", "trace_masks"]
+__all__ = ["Verdict", "MonitorResult", "run_trace", "trace_masks"]
 
 
 class Verdict(Enum):
@@ -105,33 +104,7 @@ class MonitorResult(Record):
         return self.verdict_codes.translate(_UNSAFE_FLAG_TABLE)
 
 
-_ALL_BYTES = bytes(range(256))
 _UNSAFE_FLAG_TABLE = bytes(code in (CODE_FALSE, CODE_PRESUMABLY_FALSE) for code in range(256))
-
-
-def run_masks(d: Dfa, masks: Sequence[int]) -> MonitorResult:
-    """Monitor a nonempty sequence of valuation bitmasks over ``d``'s
-    alphabet (see :func:`trace_masks`); a mask outside the alphabet is a
-    :class:`MonitorError`."""
-    return MonitorResult(*_checked_run(d, masks))
-
-
-def _checked_run(d: Dfa, masks: Sequence[int]) -> tuple[bytes, bool]:
-    """The verdict codes of :func:`run_masks` and whether the last state is
-    accepting, without building the :class:`MonitorResult`."""
-    if len(masks) == 0:
-        raise MonitorError("cannot monitor an empty trace")
-    if isinstance(masks, (bytes, bytearray)):
-        out_of_range = masks.translate(None, _ALL_BYTES[: d.alphabet_size])
-    else:
-        out_of_range = min(masks) < 0 or max(masks) >= d.alphabet_size
-    if out_of_range:
-        raise MonitorError(
-            f"valuation masks must lie in range({d.alphabet_size}) "
-            f"for a DFA over {len(d.props)} propositions"
-        )
-    codes, state = d.run(masks)
-    return codes, state in d.accepting
 
 
 def trace_masks(d: Dfa, trace: Trace | Sequence[Iterable[str]]) -> bytes:
@@ -139,42 +112,8 @@ def trace_masks(d: Dfa, trace: Trace | Sequence[Iterable[str]]) -> bytes:
     return bytes(map(d.mask_of, trace))
 
 
-class Monitor:
-    """Online monitor over one compiled property DFA.
-
-    Valuations are fed one at a time with :meth:`step`, each returning the
-    verdict after that step; :meth:`finalize` closes the trace and produces
-    the :class:`MonitorResult`. Instances are single-use and strictly
-    sequential; run one monitor per property instance per rollout.
-    """
-
-    def __init__(self, dfa: Dfa):
-        self._dfa = dfa
-        self._state = dfa.initial
-        self._codes = bytearray()
-        self._finalized = False
-
-    @property
-    def steps_consumed(self) -> int:
-        return len(self._codes)
-
-    def step(self, valuation: Iterable[str]) -> Verdict:
-        if self._finalized:
-            raise MonitorError("step after finalize")
-        d = self._dfa
-        self._state = d.successors[self._state * d.alphabet_size + d.mask_of(valuation)]
-        code = d.verdict_codes[self._state]
-        self._codes.append(code)
-        return _VERDICTS[code]
-
-    def finalize(self) -> MonitorResult:
-        if not self._codes:
-            raise MonitorError("finalize before any step was consumed")
-        self._finalized = True
-        return MonitorResult(bytes(self._codes), self._state in self._dfa.accepting)
-
-
 def run_trace(d: Dfa, trace: Trace | Sequence[Iterable[str]]) -> MonitorResult:
-    """Monitor a whole trace at once; identical to stepping every valuation
-    through a fresh :class:`Monitor` and finalizing."""
-    return run_masks(d, trace_masks(d, trace))
+    """Monitor a whole nonempty trace: :meth:`Dfa.run` over its masks, and
+    whether the state it ends in is accepting."""
+    codes, state = d.run(trace_masks(d, trace))
+    return MonitorResult(codes, state in d.accepting)

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from safetrace import metrics
 from safetrace.automata import CODE_FALSE, CODE_PRESUMABLY_FALSE, CODE_PRESUMABLY_TRUE, CODE_TRUE
 from safetrace.errors import SafetraceError, TemplateError
 from safetrace.formulas import Trace
@@ -30,7 +31,7 @@ from safetrace.metrics import (
     monitor_report_document,
     monitor_report_json,
 )
-from safetrace.monitor import run_masks
+from safetrace.monitor import MonitorResult
 from safetrace.properties import (
     CUSTOM_TEMPLATE,
     HORIZONS,
@@ -236,7 +237,10 @@ def test_per_instance_results_built_on_read_equal_the_eager_ones(spec, trace, st
     record = RolloutRecord("r", "t", "p", True, trace)
     evaluation = evaluate_rollout(record, spec, strict_end=strict_end)
     unread = pickle.dumps(evaluation)
-    results = {inst.instance_id: run_masks(inst.dfa, record.masks(inst.dfa.props)) for inst in spec.instances}
+    results = {}
+    for inst in spec.instances:
+        codes, state = inst.dfa.run(record.masks(inst.dfa.props))
+        results[inst.instance_id] = MonitorResult(codes, state in inst.dfa.accepting)
     meta = {inst.instance_id: _eager_meta(inst, results[inst.instance_id], strict_end) for inst in spec.instances}
     runs = {
         i: (result.verdict_codes, result.final_satisfied, m.template_id, m.category, m.violated)
@@ -370,6 +374,35 @@ _T, _F, _PT, _PF = (bytes((code,)) for code in _CODES)
 @settings(max_examples=200, deadline=None)
 def test_monitor_report_json_matches_the_reference(evaluation):
     assert monitor_report_json(evaluation) == reference_monitor_text(evaluation)
+
+
+class _CountingLines(list):
+    """A verdict line table that counts its lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, code):
+        self.lookups += 1
+        return super().__getitem__(code)
+
+
+@pytest.mark.parametrize(
+    ("codes", "lookups"),
+    [
+        ((_PT * 20 + _PF * 20) * 25, 50),  # 50 runs of 20 steps: one lookup a run
+        ((_PT + _PF) * 500, 999),  # runs of one step: one lookup a step
+        (_PT * 1000, 1),  # one run
+    ],
+)
+def test_monitor_report_looks_up_one_verdict_line_per_run(monkeypatch, codes, lookups):
+    # Both ways write the same text, so only the count tells a writer that
+    # goes step by step on runs of 20 (999 lookups) from one that goes run
+    # by run (50); the last verdict is written from another table.
+    table = _CountingLines(metrics._VERDICT_LINE)
+    monkeypatch.setattr(metrics, "_VERDICT_LINE", table)
+    evaluation = _one_instance(codes)
+    assert monitor_report_json(evaluation) == reference_monitor_text(evaluation)
+    assert table.lookups == lookups
 
 
 # ---------------------------------------------------------------------------

@@ -21,43 +21,61 @@ from safetrace.automata import (
 from safetrace._record import _restore
 from safetrace.errors import MonitorError
 from safetrace.formulas import Trace, evaluate, parse
-from safetrace.monitor import Monitor, MonitorResult, Verdict, run_masks, run_trace
+from safetrace.monitor import MonitorResult, Verdict, run_trace
 from safetrace.properties import TEMPLATE_IDS, get_template, instantiate
 
 from oracles import all_traces, random_formula, random_trace, reference_monitor_result, reference_run
 
 
-def _verdicts(dfa, steps):
-    monitor = Monitor(dfa)
-    return [monitor.step(s) for s in steps], monitor
+def _readings(result: MonitorResult) -> dict:
+    """Every value ``result`` derives from its two fields, by the names of
+    :func:`oracles.reference_monitor_result`."""
+    return {
+        "verdicts": [v.value for v in result.verdicts],
+        "violated": result.violated,
+        "violation_timestep": result.violation_timestep,
+        "unsafe_steps": result.unsafe_steps,
+        "length": result.length,
+        "exposure": result.exposure,
+        "violation_kind": result.violation_kind,
+        "violates(True)": result.violates(True),
+        "violates(False)": result.violates(False),
+        "unsafe_flags()": result.unsafe_flags(),
+    }
+
+
+def _stepped_states(dfa: Dfa, trace) -> list[int]:
+    """The state after each valuation of ``trace``, stepping every one
+    through the nested transition table to the end of the trace."""
+    state, states = dfa.initial, []
+    for valuation in trace:
+        mask = sum(1 << bit for bit, p in enumerate(dfa.props) if p in valuation)
+        state = dfa.transitions[state][mask]
+        states.append(state)
+    return states
+
+
+def _stepped(dfa: Dfa, trace) -> dict:
+    """What monitoring ``trace`` over ``dfa`` reads, one valuation at a time."""
+    states = _stepped_states(dfa, trace)
+    codes = bytes(dfa.verdict_codes[state] for state in states)
+    return reference_monitor_result(codes, states[-1] in dfa.accepting)
 
 
 # ---------------------------------------------------------------------------
-# init / step
+# verdict sequences
 # ---------------------------------------------------------------------------
-
-
-def test_fresh_monitor_has_no_verdicts():
-    monitor = Monitor(compile_formula(parse("G !p")))
-    assert monitor.steps_consumed == 0
-
-
-def test_monitors_from_one_dfa_evolve_independently():
-    dfa = compile_formula(parse("G !p"))
-    first, second = Monitor(dfa), Monitor(dfa)
-    assert first.step({"p"}) is Verdict.FALSE
-    assert second.step(set()) is Verdict.PRESUMABLY_TRUE
 
 
 def test_trivial_property_is_immediately_true():
-    monitor = Monitor(compile_formula(parse("true")))
-    assert monitor.step({"anything"}) is Verdict.TRUE
+    result = run_trace(compile_formula(parse("true")), [{"anything"}])
+    assert result.verdicts == (Verdict.TRUE,)
 
 
 def test_invariant_verdict_sequence():
     dfa = compile_formula(parse("G !collision"))
-    verdicts, _ = _verdicts(dfa, [set(), set(), {"collision"}])
-    assert verdicts == [Verdict.PRESUMABLY_TRUE, Verdict.PRESUMABLY_TRUE, Verdict.FALSE]
+    verdicts = run_trace(dfa, [set(), set(), {"collision"}]).verdicts
+    assert verdicts == (Verdict.PRESUMABLY_TRUE, Verdict.PRESUMABLY_TRUE, Verdict.FALSE)
 
 
 def test_pending_obligation_verdict_sequence():
@@ -65,10 +83,9 @@ def test_pending_obligation_verdict_sequence():
     steps = [set() for _ in range(8)]
     steps[2].add("released")
     steps[5].add("settled")
-    verdicts, monitor = _verdicts(inst.dfa, steps)
+    result = run_trace(inst.dfa, steps)
     expected = ["pt", "pt", "pf", "pf", "pf", "pt", "pt", "pt"]
-    assert [v.value for v in verdicts] == expected
-    result = monitor.finalize()
+    assert [v.value for v in result.verdicts] == expected
     assert not result.violated
     assert result.final_satisfied
     assert result.unsafe_steps == 3
@@ -77,35 +94,22 @@ def test_pending_obligation_verdict_sequence():
 
 def test_eventuality_flips_to_permanent_true():
     dfa = compile_formula(parse("F done"))
-    verdicts, _ = _verdicts(dfa, [set(), {"done"}])
-    assert verdicts == [Verdict.PRESUMABLY_FALSE, Verdict.TRUE]
-
-
-def test_step_after_finalize_is_an_error():
-    monitor = Monitor(compile_formula(parse("F p")))
-    monitor.step(set())
-    monitor.finalize()
-    with pytest.raises(MonitorError):
-        monitor.step(set())
-
-
-def test_finalize_without_steps_is_an_error():
-    with pytest.raises(MonitorError):
-        Monitor(compile_formula(parse("F p"))).finalize()
+    verdicts = run_trace(dfa, [set(), {"done"}]).verdicts
+    assert verdicts == (Verdict.PRESUMABLY_FALSE, Verdict.TRUE)
 
 
 def test_a_string_valuation_is_an_error_not_its_characters():
     dfa = compile_formula(parse("G !a"))
     match = "not the string 'ab'"
     with pytest.raises(TypeError, match=match):
-        Monitor(dfa).step("ab")
+        run_trace(dfa, ["ab"])
     with pytest.raises(TypeError, match=match):
         run_trace(dfa, [set(), "ab"])
     with pytest.raises(TypeError, match=match):
         dfa.accepts([set(), "ab"])
     # The same names as a collection are read as names.
-    assert Monitor(dfa).step(["ab"]) is Verdict.PRESUMABLY_TRUE
-    assert Monitor(dfa).step(("a", "b")) is Verdict.FALSE
+    assert run_trace(dfa, [["ab"]]).verdicts == (Verdict.PRESUMABLY_TRUE,)
+    assert run_trace(dfa, [("a", "b")]).verdicts == (Verdict.FALSE,)
 
 
 def test_a_mapping_valuation_is_an_error_not_its_keys():
@@ -115,7 +119,7 @@ def test_a_mapping_valuation_is_an_error_not_its_keys():
     with pytest.raises(TypeError, match=match):
         dfa.mask_of({"a": False})
     with pytest.raises(TypeError, match=match):
-        Monitor(dfa).step({"a": False})
+        run_trace(dfa, [{"a": False}])
     with pytest.raises(TypeError, match=match):
         run_trace(dfa, [set(), {"a": False}])
     with pytest.raises(TypeError, match=match):
@@ -144,24 +148,12 @@ def test_verdicts_are_declared_in_code_order():
 @settings(max_examples=300, deadline=None)
 def test_monitor_result_reads_everything_from_its_codes(codes, final_satisfied):
     result = MonitorResult(codes, final_satisfied)
-    got = {
-        "verdicts": [v.value for v in result.verdicts],
-        "violated": result.violated,
-        "violation_timestep": result.violation_timestep,
-        "unsafe_steps": result.unsafe_steps,
-        "length": result.length,
-        "exposure": result.exposure,
-        "violation_kind": result.violation_kind,
-        "violates(True)": result.violates(True),
-        "violates(False)": result.violates(False),
-        "unsafe_flags()": result.unsafe_flags(),
-    }
-    assert got == reference_monitor_result(codes, final_satisfied)
+    assert _readings(result) == reference_monitor_result(codes, final_satisfied)
     assert type(result.exposure) is Fraction and type(result.verdicts) is tuple
 
 
 # ---------------------------------------------------------------------------
-# finalize
+# whole-trace results
 # ---------------------------------------------------------------------------
 
 
@@ -200,17 +192,35 @@ def test_trivial_run_has_zero_exposure():
 
 
 def test_run_trace_rejects_empty_trace():
-    with pytest.raises(MonitorError):
+    with pytest.raises(MonitorError, match="^cannot monitor an empty trace$"):
         run_trace(compile_formula(parse("F p")), [])
 
 
-def test_run_masks_rejects_masks_outside_the_alphabet():
-    dfa = compile_formula(parse("G !p"))  # one proposition: masks 0 and 1
-    for masks in ([2, 3], [0, 1, 2], [-1], b"\x00\x02", bytearray(b"\x01\xff")):
-        with pytest.raises(MonitorError, match=r"range\(2\)"):
-            run_masks(dfa, masks)
-    assert run_masks(dfa, b"\x00\x01").violation_timestep == 1
-    assert run_masks(dfa, [0, 0]).violated is False
+def test_run_rejects_masks_outside_the_alphabet():
+    for formula, cases in (
+        # One proposition: masks 0 and 1. 256 lies outside every alphabet
+        # and outside a byte.
+        ("G !p", ([2], [0, 2], [2, 3], [0, 1, 2], b"\x00\x02", bytearray(b"\x01\xff"), [-1], [256])),
+        ("G (a -> F b)", ([1, 4],)),  # two propositions: masks 0 to 3
+    ):
+        dfa = compile_formula(parse(formula))
+        message = (
+            f"valuation masks must lie in range({dfa.alphabet_size}) "
+            f"for a DFA over {len(dfa.props)} propositions"
+        )
+        for masks in cases:
+            with pytest.raises(MonitorError) as raised:
+                dfa.run(masks)
+            assert str(raised.value) == message, masks
+
+
+def test_run_rejects_an_empty_trace_and_runs_masks_in_the_alphabet():
+    dfa = compile_formula(parse("G !p"))
+    for masks in ([], b""):
+        with pytest.raises(MonitorError, match="^cannot monitor an empty trace$"):
+            dfa.run(masks)
+    assert dfa.run(b"\x00\x01")[0] == bytes((CODE_PRESUMABLY_TRUE, CODE_FALSE))
+    assert dfa.run([0, 0])[0] == bytes((CODE_PRESUMABLY_TRUE, CODE_PRESUMABLY_TRUE))
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +235,7 @@ def test_run_trace_matches_stepwise_fuzzed():
         dfa = compile_formula(f)
         trace = random_trace(rng, ("a", "b"), rng.randint(1, 12))
         batch = run_trace(dfa, trace)
-        monitor = Monitor(dfa)
-        for valuation in trace:
-            monitor.step(valuation)
-        assert monitor.finalize() == batch
+        assert _readings(batch) == _stepped(dfa, trace)
         if batch.violated:
             assert not batch.final_satisfied
 
@@ -317,10 +324,7 @@ def test_large_automaton_falls_back_to_generic_runner():
     assert result.final_satisfied
     assert result.verdicts[-1] is Verdict.TRUE  # last state is a PERM_TRUE sink
     assert result.unsafe_steps == n - 2  # pending until the counter saturates
-    monitor = Monitor(dfa)
-    for s in steps:
-        monitor.step(s)
-    assert monitor.finalize() == result
+    assert _readings(result) == _stepped(dfa, steps)
 
 
 def test_pickled_dfa_is_equal_and_monitors_identically():
@@ -341,11 +345,9 @@ def test_pickled_dfa_is_equal_and_monitors_identically():
 def test_verdict_agrees_with_permanence_labels():
     inst = instantiate("phi3", {"ObjReleased": "r", "Settled": "s"})
     dfa = inst.dfa
-    monitor = Monitor(dfa)
     steps = [set(), {"r"}, set(), {"s"}]
-    for valuation in steps:
-        verdict = monitor.step(valuation)
-        state = monitor._state
+    verdicts = run_trace(dfa, steps).verdicts
+    for verdict, state in zip(verdicts, _stepped_states(dfa, steps), strict=True):
         if dfa.permanence[state] is Permanence.PERM_TRUE:
             assert verdict is Verdict.TRUE
         elif dfa.permanence[state] is Permanence.PERM_FALSE:
@@ -424,9 +426,6 @@ def test_run_agrees_with_the_per_step_oracle(case):
     codes, state = reference_run(dfa, masks)
     assert dfa.run(masks) == (codes, state)
     assert dfa.run(bytes(masks)) == (codes, state)
-    result = run_masks(dfa, masks)
-    assert result.verdict_codes == codes
-    assert result.final_satisfied == (state in dfa.accepting)
 
 
 class _CountingReads:
@@ -477,8 +476,8 @@ def test_a_trace_false_for_good_reads_at_most_two_entries():
 def test_mask_sequence_types_give_the_same_result():
     dfa = compile_formula(get_template("phi2").formula)  # three propositions: masks 0..7
     masks = [0, 0, 1, 1, 1, 5, 7, 7, 2, 0, 0, 3, 6, 6, 0]
-    expected = run_masks(dfa, bytes(masks))
-    assert expected.verdict_codes == reference_run(dfa, masks)[0]
+    expected = dfa.run(bytes(masks))
+    assert expected == reference_run(dfa, masks)
     # bytes() of an array('H') would read its raw two-byte items.
     for given_masks in (
         bytearray(masks),
@@ -489,4 +488,4 @@ def test_mask_sequence_types_give_the_same_result():
         array("H", masks),
         memoryview(array("H", masks)),
     ):
-        assert run_masks(dfa, given_masks) == expected, type(given_masks)
+        assert dfa.run(given_masks) == expected, type(given_masks)

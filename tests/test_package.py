@@ -1,7 +1,10 @@
-"""The package namespace: what ``safetrace`` exports, and what importing it loads."""
+"""The package namespace: what ``safetrace`` exports, what importing it loads,
+and the README's tour of it."""
 
+import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 from importlib import import_module
@@ -10,12 +13,13 @@ from pathlib import Path
 import pytest
 
 import safetrace
+from safetrace import cli
 
 EXPORTED = [
     "AlphabetMismatchError", "AlphabetTooLargeError", "Always", "And", "BindingError",
     "CUSTOM_TEMPLATE", "DETERMINISTIC_SCENARIOS", "Dfa", "Diagnostic", "EvaluationReport",
     "Eventually", "FALSE", "FalseFormula", "Formula", "FormulaSyntaxError", "HORIZONS", "Implies",
-    "MAX_PROPOSITIONS", "Monitor", "MonitorError", "MonitorResult", "Next", "Not", "Or", "Outcome",
+    "MAX_PROPOSITIONS", "MonitorError", "MonitorResult", "Next", "Not", "Or", "Outcome",
     "Permanence", "PolicyRow", "Prop", "PropertyInstance", "PropertyTemplate", "Release",
     "ReportTally", "RolloutEvaluation", "RolloutFormatError", "RolloutRecord", "SCENARIOS",
     "SUITES", "SafetraceError", "SafetyCategory", "ScenarioError", "ScenarioInfo",
@@ -34,7 +38,7 @@ MODULES = ["automata", "errors", "formulas", "metrics", "monitor", "properties",
 
 
 def test_all_lists_the_exported_names():
-    assert len(EXPORTED) == 93
+    assert len(EXPORTED) == 92
     assert safetrace.__all__ == EXPORTED
     assert set(dir(safetrace)) >= set(EXPORTED)
 
@@ -110,3 +114,17 @@ def test_a_fresh_process_imports_only_the_modules_it_uses():
     }
     assert "safetrace.properties" in spec
     assert "safetrace.metrics" in report and "safetrace.rollouts" not in report
+
+
+def test_the_readme_library_tour_runs(tmp_path, monkeypatch, capsys):
+    # The tour reads task.json and rollout.json from the working directory.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    tour = re.search(r"^## Library tour\n\n```python\n(.*?)^```$", readme, re.M | re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    argv = ["generate", "clean_pick_place", "--out", "rollout.json", "--spec-out", "task.json", "-q"]
+    assert cli.main(argv) == 0
+    exec(compile(tour, "README.md (Library tour)", "exec"), {})
+    printed = capsys.readouterr().out
+    report = safetrace.load_report(printed)
+    assert printed == safetrace.export_report_json(report) + "\n"
+    assert json.loads(printed)["n_rollouts"] == 1
