@@ -149,9 +149,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="worker processes, at most one per manifest pair or --jsonl line, each "
-        "evaluating one contiguous share of the input; 0 or 1 means sequential "
-        "(default: 0)",
+        help="processes, this one included, each evaluating one contiguous share of the input; "
+        "at most one per rollout and per usable CPU; 0 or 1 means sequential (default: 0)",
     )
     p_evaluate.add_argument(
         "--denominator",
@@ -289,29 +288,14 @@ def _fold_share(share: list[tuple[str, str | None, str]], specs: dict, strict: b
     return tally
 
 
-# The task specs loaded so far and the end-of-trace strictness, which every
-# share of a pool's run has in common, set by the pool's initializer.
-_worker_common: tuple = ()
-
-
-def _start_worker(specs: dict, strict: bool) -> None:
-    global _worker_common
-    _worker_common = (specs, strict)
-
-
-def _fold_in_worker(index: int, share: list) -> ReportTally:
-    _move_to_cpu(index)
-    return _fold_share(share, *_worker_common)
-
-
 def _move_to_cpu(index: int) -> None:
     """Move this process onto the ``index``-th CPU it may run on, then let
     it run on all of them again, so the kernel may still move it later.
 
-    The kernel does not always spread a pool's workers by itself: on a
-    2-vCPU VM, both workers of a fresh ``evaluate`` process were seen to
-    stay on one vCPU for a whole run, for minutes at a time. Without CPU
-    affinity calls (outside Linux) or permission to make them, nothing moves.
+    The kernel does not always spread processes by itself: on a 2-vCPU VM,
+    both workers of a fresh ``evaluate`` were seen to stay on one vCPU for
+    minutes at a time. Without CPU affinity calls (outside Linux) or
+    permission to make them, nothing moves.
     """
     if not hasattr(os, "sched_setaffinity"):
         return
@@ -325,31 +309,57 @@ def _move_to_cpu(index: int) -> None:
 
 def _fold(items: list, specs: dict, strict: bool, workers: int) -> ReportTally:
     """:func:`_fold_share` over ``items``: in this process when at most one
-    worker is asked for, else as ``min(workers, len(items))`` contiguous
-    shares, one per worker process, whose tallies are merged in input order.
-
-    Each worker stops at the first error in its share, and ``pool.map``
-    returns the shares in order, so the error raised is the first one in
-    input order, as in this process. One share per worker, not many small
-    chunks: each worker gets its input once and sends back one tally. The
-    specs and the strictness reach a worker through the pool's initializer,
-    so a forked worker inherits an already loaded spec without pickling it.
-    The pool's module is imported only when a pool starts.
+    worker is asked for or there is no ``os.fork`` (Windows), else in
+    ``min(workers, len(items), usable CPUs)`` contiguous shares. This process
+    folds the first, and a forked child each other one, piping back its tally
+    or its first error. Shares are read in order, so the first error in input
+    order is raised. On any way out, children still running are killed.
     """
-    workers = min(workers, len(items))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(workers, len(items), cpus) if hasattr(os, "fork") else 1
     if workers <= 1:
         return _fold_share(items, specs, strict)
-    from concurrent.futures import ProcessPoolExecutor
+    import pickle
+    import signal
 
     bounds = [len(items) * i // workers for i in range(workers + 1)]
-    shares = [items[start:end] for start, end in zip(bounds, bounds[1:])]
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_start_worker, initargs=(specs, strict)
-    ) as pool:
-        tallies = pool.map(_fold_in_worker, range(workers), shares)
-        total = next(tallies)
-        for tally in tallies:
-            total.merge(tally)
+    children = {}  # pid: (the read end of its pipe, its share's first input), in share order
+    try:
+        for index, (start, end) in enumerate(zip(bounds[1:], bounds[2:]), 1):
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:
+                    _move_to_cpu(index)
+                    with open(write, "wb") as pipe:
+                        try:
+                            pickle.dump(_fold_share(items[start:end], specs, strict), pipe)
+                        except Exception as exc:
+                            pickle.dump(exc, pipe)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write)
+            children[pid] = (open(read, "rb"), items[start][0])
+        _move_to_cpu(0)
+        total = _fold_share(items[: bounds[1]], specs, strict)
+        for pid, (pipe, where) in list(children.items()):
+            with pipe:
+                result = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if code:
+                how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                with located(where):
+                    raise SafetraceError(f"worker process ended without a result ({how})")
+            result = pickle.loads(result)
+            if isinstance(result, Exception):
+                raise result
+            total.merge(result)
+    finally:
+        for pid, (pipe, _) in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     return total
 
 

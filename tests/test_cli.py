@@ -2,12 +2,11 @@
 
 import itertools
 import json
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -375,9 +374,9 @@ def test_evaluate_corpus_and_rerun_byte_identical(corpus_dir, tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
-def test_evaluate_rereads_a_spec_rewritten_between_runs(tmp_path):
-    # Two pairs, so that the --workers 2 runs start a pool and go through the
-    # spec cache of each worker's share.
+def test_evaluate_rereads_a_spec_rewritten_between_runs(tmp_path, two_cpus):
+    # Two pairs, so that the --workers 2 runs fork a child and go through the
+    # spec cache of each process's share.
     pairs = []
     for i in range(2):
         rollout = tmp_path / f"r{i}.json"
@@ -420,15 +419,42 @@ def test_evaluate_rereads_a_spec_rewritten_between_runs(tmp_path):
     assert run_cli("monitor", str(rollout), str(spec), "-q") == 0
 
 
+def _usable_cpus(monkeypatch, cpus: set[int]) -> None:
+    """Make ``evaluate`` see ``cpus`` as the CPUs it may use. No process
+    moves between CPUs meanwhile, so this one keeps its real affinity."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+
+
+@pytest.fixture()
+def two_cpus(monkeypatch):
+    """Two usable CPUs, so that ``--workers 2`` forks a child even on a
+    one-CPU runner."""
+    _usable_cpus(monkeypatch, {0, 1})
+
+
+def _count_forks(monkeypatch) -> list:
+    """A list that gets one entry per ``os.fork`` call of this process."""
+    forks, fork = [], os.fork
+
+    def counting_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def _assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 def test_evaluate_starts_at_most_one_worker_per_pair(tmp_path, monkeypatch):
-    pool_sizes = []
-
-    class RecordingPool(ProcessPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            pool_sizes.append(max_workers)
-            super().__init__(max_workers, **kwargs)
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    _usable_cpus(monkeypatch, set(range(8)))
+    forks = _count_forks(monkeypatch)
+    forks_per_run = []
     spec = {"task": "t", "suite": "atomic_fixture", "horizon": "atomic", "properties": []}
     (tmp_path / "s.json").write_text(json.dumps(spec))
     pairs, lines = [], []
@@ -444,9 +470,29 @@ def test_evaluate_starts_at_most_one_worker_per_pair(tmp_path, monkeypatch):
         stream.write_text("\n\n".join(lines[:n]) + "\n")
         for source in ([str(manifest)], ["--jsonl", str(stream), "--task-spec", str(tmp_path / "s.json")]):
             out = tmp_path / f"out{n}{len(source)}"
+            before = len(forks)
             assert run_cli("evaluate", *source, "--out", str(out), "--workers", "8", "-q") == 0
             assert json.loads((out / "report.json").read_text())["n_rollouts"] == n
-    assert pool_sizes == [2, 2]
+            forks_per_run.append(len(forks) - before)
+    # Two pairs are two shares: this process folds one and one child the other.
+    assert forks_per_run == [1, 1, 0, 0]
+    _assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+@pytest.mark.parametrize("cpus", ["affinity", "cpu_count"])
+def test_evaluate_forks_nothing_on_one_usable_cpu(tmp_path, monkeypatch, cpus):
+    if cpus == "affinity":
+        _usable_cpus(monkeypatch, {0})
+    else:  # where the affinity calls are missing, the CPU count bounds the processes
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    forks = _count_forks(monkeypatch)
+    lines, spec_text = _rollout_lines(3)
+    source = _evaluate_input(tmp_path, "jsonl", lines, spec_text)
+    assert run_cli("evaluate", *source, "--out", str(tmp_path / "out"), "--workers", "8", "-q") == 0
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["n_rollouts"] == 3
+    assert forks == []
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls")
@@ -457,19 +503,15 @@ def test_a_worker_moving_to_its_cpu_keeps_every_allowed_cpu():
         assert os.sched_getaffinity(0) == allowed
 
 
-class SpawnPool(ProcessPoolExecutor):
-    """A pool whose workers start from a fresh interpreter, so that what
-    reaches them (the initializer's task spec) and what comes back (tallies
-    and errors) must survive pickling."""
-
-    def __init__(self, max_workers=None, **kwargs):
-        super().__init__(max_workers, mp_context=multiprocessing.get_context("spawn"), **kwargs)
-
-
-@pytest.fixture(params=["default", "spawn"])
-def pool_start(request, monkeypatch):
-    if request.param == "spawn":
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SpawnPool)
+@pytest.fixture(params=["default", "no_fork"])
+def fork_start(request, monkeypatch):
+    """``--workers`` as this platform runs it, forking where ``os.fork``
+    exists, or as it runs without ``os.fork`` (Windows): in this process.
+    Three usable CPUs, so that ``--workers 8`` forks two children even on a
+    one-CPU runner."""
+    _usable_cpus(monkeypatch, {0, 1, 2})
+    if request.param == "no_fork":
+        monkeypatch.delattr(os, "fork", raising=False)
     return request.param
 
 
@@ -501,12 +543,12 @@ def _evaluate_input(tmp_path, kind: str, lines: list[str], spec_text: str) -> li
 
 
 @pytest.mark.parametrize("kind", ["jsonl", "manifest"])
-def test_evaluate_reports_are_byte_identical_across_worker_counts(tmp_path, kind, pool_start):
+def test_evaluate_reports_are_byte_identical_across_worker_counts(tmp_path, kind, fork_start):
     lines, spec_text = _rollout_lines(5)
     lines.insert(2, "  ")
     source = _evaluate_input(tmp_path, kind, lines, spec_text)
     outputs = {}
-    for workers in ("0", "2", "8"):  # 8 workers for 5 rollouts: 5 shares of one
+    for workers in ("0", "2", "8"):  # 8 workers on three CPUs: shares of 1, 2 and 2
         out = tmp_path / f"out{workers}"
         assert run_cli("evaluate", *source, "--out", str(out), "--workers", workers, "-q") == 0
         outputs[workers] = {p.name: p.read_bytes() for p in out.iterdir()}
@@ -515,7 +557,7 @@ def test_evaluate_reports_are_byte_identical_across_worker_counts(tmp_path, kind
     assert json.loads(outputs["0"]["report.json"])["n_rollouts"] == 5
 
 
-def test_evaluate_bytes_match_across_workers_when_specs_share_a_custom_shape(tmp_path, pool_start):
+def test_evaluate_bytes_match_across_workers_when_specs_share_a_custom_shape(tmp_path, fork_start):
     lines, spec_text = _rollout_lines(4)
     spec = json.loads(spec_text)
     names = sorted({name for entry in spec["properties"] for name in entry["bindings"].values()})
@@ -559,7 +601,7 @@ def _error_cases(kind: str) -> dict[str, tuple[list[str], str, int | str | None]
         "errors in both shares": ([lines[0], "[1]", other_task, lines[3]], spec_text, 2),
         "duplicate ids across shares": (lines[:3] + [lines[0]], spec_text, None),
         "empty input": ([], spec_text, None),
-        # A manifest's spec is loaded in each worker, so its error crosses the pool.
+        # A manifest's spec is loaded in each process, so its error is piped back.
         "spec whose custom formula fails": (lines, bad_specs[0], "spec"),
         "spec whose custom formula has 9 propositions": (lines, bad_specs[1], "spec"),
         # A manifest's rollout is decoded before its spec is loaded; the
@@ -572,7 +614,7 @@ def _error_cases(kind: str) -> dict[str, tuple[list[str], str, int | str | None]
 
 
 @pytest.mark.parametrize("kind", ["jsonl", "manifest"])
-def test_evaluate_errors_are_the_same_with_and_without_workers(tmp_path, capsys, kind, pool_start):
+def test_evaluate_errors_are_the_same_with_and_without_workers(tmp_path, capsys, kind, fork_start):
     for name, (lines, spec_text, first_bad) in _error_cases(kind).items():
         source = _evaluate_input(tmp_path, kind, lines, spec_text)
         results = []
@@ -580,6 +622,7 @@ def test_evaluate_errors_are_the_same_with_and_without_workers(tmp_path, capsys,
             out = tmp_path / f"out-{name}-{workers}"
             code = run_cli("evaluate", *source, "--out", str(out), "--workers", workers, "-q")
             results.append((code, capsys.readouterr().err, out.exists()))
+            _assert_no_child_left()  # also after an error in this process's share
         assert results[0] == results[1], name
         code, err, wrote = results[0]
         assert (code, wrote) == (1, False), name
@@ -597,6 +640,31 @@ def test_evaluate_errors_are_the_same_with_and_without_workers(tmp_path, capsys,
             else:
                 where = str(Path(source[0]).parent / f"r{first_bad - 1}.json")
             assert err.startswith(f"error: {where}: ") and err.count("\n") == 1, name
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+@pytest.mark.parametrize("kind", ["jsonl", "manifest"])
+def test_a_worker_killed_before_its_result_is_one_error_line(tmp_path, capsys, monkeypatch, two_cpus, kind):
+    # The forked child inherits the patch and kills itself, as the OOM killer would.
+    parent, fold_share = os.getpid(), cli._fold_share
+
+    def fold_or_die(share, specs, strict):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return fold_share(share, specs, strict)
+
+    monkeypatch.setattr(cli, "_fold_share", fold_or_die)
+    lines, spec_text = _rollout_lines(4)
+    source = _evaluate_input(tmp_path, kind, lines, spec_text)
+    out = tmp_path / "out"
+    assert run_cli("evaluate", *source, "--out", str(out), "--workers", "2", "-q") == 1
+    # The second share starts at the third rollout.
+    where = f"{source[1]}, line 3" if kind == "jsonl" else str(Path(source[0]).parent / "r2.json")
+    assert capsys.readouterr().err == (
+        f"error: {where}: worker process ended without a result (killed by signal {int(signal.SIGKILL)})\n"
+    )
+    assert not out.exists()
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize(
@@ -698,6 +766,32 @@ def test_sequential_runs_never_import_the_process_pool(scenario_files, tmp_path)
     assert completed.returncode == 0, completed.stderr
     # One pair is one worker at most, so even --workers 8 runs in process.
     assert completed.stdout == "0 2 0 False\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_forked_runs_never_import_multiprocessing(tmp_path):
+    lines, spec_text = _rollout_lines(2)
+    source = _evaluate_input(tmp_path, "manifest", lines, spec_text)
+    # Two usable CPUs even on a one-CPU runner, and a count of the forks.
+    script = (
+        "import os, sys\n"
+        "from safetrace import cli\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "forks, fork = [], os.fork\n"
+        "os.fork = lambda: forks.append(None) or fork()\n"
+        "code = cli.main(['evaluate', sys.argv[1], '--out', sys.argv[2], '--workers', '2', '-q'])\n"
+        "print(code, len(forks), sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
+    )
+    src = str(Path(safetrace.__file__).resolve().parent.parent)
+    completed = subprocess.run(
+        [sys.executable, "-c", script, source[0], str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout == "0 1 []\n"
 
 
 def test_package_never_imports_dataclasses_or_inspect(scenario_files, tmp_path):

@@ -150,7 +150,7 @@ def test_parse_error_survives_pickling():
     assert str(copy) == str(error)
     assert (copy.line, copy.column, copy.expected) == (error.line, error.column, error.expected)
     # Every error class keeps the location that two ``located`` blocks gave
-    # it, as a pool worker's error must.
+    # it, as the error a forked worker pipes back must.
     classes = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, SafetraceError)]
     assert len(classes) == 10
     for error in [error, *(cls("boom") for cls in classes if cls is not FormulaSyntaxError)]:
