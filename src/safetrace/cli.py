@@ -377,6 +377,8 @@ def _cmd_evaluate(args) -> int:
     else:
         if not args.manifest:
             raise SafetraceError("a manifest path (or --jsonl) is required")
+        if args.task_spec is not None:
+            raise SafetraceError("--task-spec is only meaningful with --jsonl")
         manifest = _load(args.manifest, _read_json)
         base = Path(args.manifest).parent
         specs, items = {}, []
@@ -413,11 +415,18 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_generate(args) -> int:
     if args.corpus:
+        flags = {"a scenario name": args.scenario, "--length": args.length,
+                 "--out": args.out, "--spec-out": args.spec_out}
+        given = [flag for flag, value in flags.items() if value is not None]
+        if given:
+            raise SafetraceError(f"{given[0]} is only meaningful without --corpus")
         if not args.out_dir:
             raise SafetraceError("--corpus requires --out-dir")
         manifest = build_corpus(args.out_dir)
         _log(args, f"corpus written; manifest at {manifest}")
         return EXIT_OK
+    if args.out_dir is not None:
+        raise SafetraceError("--out-dir is only meaningful with --corpus")
     if not args.scenario:
         raise SafetraceError("a scenario name (or --corpus) is required")
     info = SCENARIOS[args.scenario]

@@ -481,15 +481,17 @@ def reference_monitor_text(evaluation) -> str:
                 "verdicts": [v.value for v in result.verdicts],
             }
         )
-    outcome = ("success_" if evaluation.success else "fail_") + ("unsafe" if evaluation.unsafe else "safe")
+    # Read from the instances, not from the evaluation's ``unsafe`` and ``rollout_exposure``.
+    unsafe = any(m.violated for m in evaluation.instance_meta.values())
+    outcome = ("success_" if evaluation.success else "fail_") + ("unsafe" if unsafe else "safe")
     document = {
         "rollout_id": evaluation.rollout_id,
         "task": evaluation.task_name,
         "policy": evaluation.policy,
         "success": evaluation.success,
-        "unsafe": evaluation.unsafe,
+        "unsafe": unsafe,
         "outcome": outcome,
-        "rollout_exposure": float(evaluation.rollout_exposure),
+        "rollout_exposure": float(_exposure(evaluation, evaluation.per_instance)),
         "instances": instances,
     }
     return json.dumps(document, sort_keys=True, indent=2) + "\n"
@@ -521,7 +523,7 @@ RECORD_MIRRORS = {
         _mirror("InstanceMeta", "template_id", "category", "violated", "unsafe_flag_bytes"),
         _mirror(
             "RolloutEvaluation", "rollout_id", "task_name", "suite", "horizon", "policy",
-            "success", "unsafe", "rollout_exposure", "length", "strict_end", "runs", "groups",
+            "success", "length", "strict_end", "runs",
         ),
         _mirror("TableRow", "applicable_rollouts", "violation_rate", "mean_exposure"),
         _mirror(

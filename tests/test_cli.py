@@ -285,6 +285,30 @@ def test_generate_without_scenario_or_corpus_errors(capsys):
     assert run_cli("generate", "-q") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["grasp_drop", "--corpus", "--seed", "3", "--length", "40"], "a scenario name"),
+        (["--corpus", "--length", "40"], "--length"),
+        (["--corpus", "--out", "{tmp}/r.json"], "--out"),
+        (["--corpus", "--spec-out", "{tmp}/s.json"], "--spec-out"),
+    ],
+    ids=["scenario", "length", "out", "spec-out"],
+)
+def test_generate_corpus_with_a_single_rollout_flag_is_one_error_line(tmp_path, capsys, argv, flag):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert run_cli("generate", *argv, "--out-dir", str(tmp_path / "corpus")) == 1
+    assert capsys.readouterr().err == f"error: {flag} is only meaningful without --corpus\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_generate_out_dir_without_corpus_is_one_error_line(tmp_path, capsys):
+    assert run_cli("generate", "grasp_drop", "--out-dir", str(tmp_path / "d")) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --out-dir is only meaningful with --corpus\n"
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("flip_rate", ["2", "-1", "nan"])
 def test_generate_flip_rate_outside_unit_interval_is_one_error_line(tmp_path, capsys, flip_rate):
     out = tmp_path / "walk.json"
@@ -689,6 +713,13 @@ def test_evaluate_negative_workers_is_one_error_line(corpus_dir, tmp_path, capsy
     manifest = str(corpus_dir / "manifest.json")
     assert run_cli("evaluate", manifest, "--out", str(tmp_path / "out"), "--workers", "-3") == 1
     assert capsys.readouterr().err == "error: --workers must be 0 or more, got -3\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_evaluate_manifest_with_task_spec_is_one_error_line(corpus_dir, tmp_path, capsys):
+    manifest, spec = str(corpus_dir / "manifest.json"), str(corpus_dir / "specs" / "grasp_drop.json")
+    assert run_cli("evaluate", manifest, "--task-spec", spec, "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == "error: --task-spec is only meaningful with --jsonl\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -21,6 +21,7 @@ from safetrace.metrics import (
     Outcome,
     ReportTally,
     RolloutEvaluation,
+    TableRow,
     aggregate,
     evaluate_rollout,
     export_plot_data,
@@ -265,6 +266,25 @@ def test_per_instance_results_built_on_read_equal_the_eager_ones(spec, trace, st
     assert again == evaluation and dict(again.per_instance) == results and dict(again.instance_meta) == meta
 
 
+def test_an_evaluation_built_from_its_nine_fields_reads_as_the_evaluated_one():
+    # Whether a rollout is unsafe and its exposure are readings of ``runs``,
+    # so no field can disagree with what the monitors found.
+    fields = ("rollout_id", "task_name", "suite", "horizon", "policy", "success", "length", "strict_end", "runs")
+    assert RolloutEvaluation._fields == fields
+    record = generate_scenario(ScenarioParams("grasp_drop", 40, 3))
+    evaluation = evaluate_rollout(record, scenario_task_spec("grasp_drop"))
+    built = RolloutEvaluation(**{field: getattr(evaluation, field) for field in fields})
+    assert built == evaluation and built.unsafe is evaluation.unsafe is True
+    assert built.rollout_exposure == evaluation.rollout_exposure > 0
+    for mode in ("rollout", "task"):
+        report = aggregate([built], denominator=mode)
+        assert report == aggregate([evaluation], denominator=mode) == reference_report([evaluation], mode)
+    assert monitor_report_json(built) == monitor_report_json(evaluation) == reference_monitor_text(evaluation)
+    for name in ("unsafe", "rollout_exposure", "groups"):
+        with pytest.raises(TypeError):
+            _rebuilt(evaluation, **{name: None})
+
+
 def test_monitor_report_document_shape():
     steps = [set(), {"collision"}]
     document = monitor_report_document(evaluate_rollout(_record("rd", steps, False), SPEC))
@@ -325,27 +345,21 @@ def _monitor_evaluations(draw):
             draw(st.none() | st.sampled_from(SafetyCategory)),
             draw(st.booleans()),
         )
-    success = draw(st.booleans())
-    unsafe = any(violated for *_, violated in runs.values())
     return RolloutEvaluation(
         rollout_id=draw(_AWKWARD_TEXT),
         task_name=draw(_AWKWARD_TEXT),
         suite=SUITES[0],
         horizon=HORIZONS[0],
         policy=draw(_AWKWARD_TEXT),
-        success=success,
-        unsafe=unsafe,
-        rollout_exposure=Fraction(draw(st.integers(0, length)), length),
+        success=draw(st.booleans()),
         length=length,
         strict_end=strict_end,
         runs=runs,
-        groups={},
     )
 
 
 def _one_instance(codes: bytes) -> RolloutEvaluation:
     """An evaluation of one instance whose verdict codes are ``codes``."""
-    violated = CODE_FALSE in codes
     return RolloutEvaluation(
         rollout_id="r",
         task_name="t",
@@ -353,12 +367,9 @@ def _one_instance(codes: bytes) -> RolloutEvaluation:
         horizon=HORIZONS[0],
         policy="p",
         success=True,
-        unsafe=violated,
-        rollout_exposure=Fraction(codes.count(CODE_FALSE) + codes.count(CODE_PRESUMABLY_FALSE), len(codes)),
         length=len(codes),
         strict_end=True,
-        runs={"i": (codes, False, CUSTOM_TEMPLATE, None, violated)},
-        groups={},
+        runs={"i": (codes, False, CUSTOM_TEMPLATE, None, CODE_FALSE in codes)},
     )
 
 
@@ -932,6 +943,36 @@ def test_merge_copies_the_other_tallys_counts():
     for coordinates, cell in merged.cells.items():
         assert cell[4] is not part.cells.get(coordinates, [None] * 5)[4]
     assert part.report() == aggregate(batch[:3])
+
+
+def test_a_spec_without_instances_counts_its_rollouts_safe_in_every_rollout_row():
+    empty = load_task_spec(
+        json.dumps({"task": "empty", "suite": SUITES[1], "horizon": HORIZONS[1], "properties": []})
+    )
+    batch = [
+        evaluate_rollout(RolloutRecord(f"e{i}", "empty", f"p{i % 2}", i % 3 == 0, Trace([["a"]] * (i + 1))), empty)
+        for i in range(6)
+    ]
+    assert all(e.runs == {} and not e.unsafe and e.rollout_exposure == 0 for e in batch)
+    safe = TableRow(applicable_rollouts=6, violation_rate=Fraction(0), mean_exposure=Fraction(0))
+    merged = ReportTally(batch[:3])
+    merged.merge(ReportTally(batch[3:]))
+    for mode in ("rollout", "task"):
+        for report in (aggregate(batch, denominator=mode), merged.report(mode)):
+            assert report.n_rollouts == 6 and report.mean_rollout_exposure == 0
+            assert report.per_template == report.per_category == {}
+            assert report.per_suite == {SUITES[1]: safe} and report.per_horizon == {HORIZONS[1]: safe}
+            assert {p: (row.rollouts, row.mean_exposure) for p, row in report.per_policy.items()} == {
+                "p0": (3, 0), "p1": (3, 0)
+            }
+            assert report == reference_report(batch, mode)
+    # Beside a spec with instances, its rollouts count in no template or category row.
+    mixed = batch + [evaluate_rollout(_record("v", [set(), {"collision"}], True), SPEC)]
+    report = aggregate(mixed)
+    assert report.n_rollouts == 7 and report.overall_violation_rate == Fraction(1, 7)
+    assert {row.applicable_rollouts for row in report.per_template.values()} == {1}
+    assert report.per_suite[SUITES[1]] == safe and report.per_suite[SUITES[0]].applicable_rollouts == 1
+    assert merged.plot_data() == export_plot_data(batch)
 
 
 def test_exposure_sums_are_integer_counts_per_length():
