@@ -2,12 +2,15 @@
 
 Subcommands: ``compile`` (formula or template to DFA), ``monitor`` (one
 rollout against one task spec), ``evaluate`` (a manifest of rollout/spec
-pairs to a full report), ``generate`` (scripted scenarios or the bundled
-corpus), ``validate`` (non-fatal rollout/spec cross-checks).
+pairs, or a JSONL stream against one spec, to a full report), ``generate``
+(one scripted scenario), ``corpus`` (the bundled corpus), ``validate``
+(non-fatal rollout/spec cross-checks). Each subcommand's parser refuses what
+it does not read.
 
-Exit codes: 0 on success, 1 on any error, and 2 for a clean monitor run that
-found violations, so pipelines can gate on safety without parsing JSON. Logs
-go to stderr; data goes to files, or to stdout only with ``--stdout``.
+Exit codes: 0 on success, 1 on any error, a usage error included, and 2 only
+for a clean monitor run that found violations, so pipelines can gate on
+safety without parsing JSON. Every error is one ``error:`` line on stderr.
+Logs go to stderr; data goes to files, or to stdout only with ``--stdout``.
 """
 
 from __future__ import annotations
@@ -71,11 +74,21 @@ def _write_text(path: Path, content: str) -> None:
     path.write_text(content, encoding="utf-8")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that raises each usage error as a :class:`SafetraceError`
+    located at its ``prog`` (``safetrace generate``), so that :func:`main`
+    reports it as every other error: one ``error:`` line and exit 1."""
+
+    def error(self, message: str):
+        with located(self.prog):
+            raise SafetraceError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: ``parse_args`` leaves it as it
     was, and ``--bind`` appends to a copy of its default list."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="safetrace",
         description="Compile, monitor, and score temporal safety properties over rollout traces.",
     )
@@ -84,11 +97,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "-q", "--quiet", action="store_true", help="suppress stderr logging (default: off)"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_compile = sub.add_parser(
         "compile", help="compile a formula or bound template into a DFA", parents=[common]
     )
+    p_compile.set_defaults(run=_cmd_compile)
     group = p_compile.add_mutually_exclusive_group(required=True)
     group.add_argument("--formula", help="formula in concrete syntax, e.g. 'G !collision'")
     group.add_argument(
@@ -105,8 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_compile.add_argument(
         "--format",
         choices=["json", "dot"],
-        default="json",
-        help="output format (default: json)",
+        help="format of the artifact written by --out or --stdout (default: json)",
     )
     p_compile.add_argument(
         "--stdout", action="store_true", help="write the artifact to stdout (default: off)"
@@ -115,6 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_monitor = sub.add_parser(
         "monitor", help="monitor one rollout against one task spec", parents=[common]
     )
+    p_monitor.set_defaults(run=_cmd_monitor)
     p_monitor.add_argument("rollout", help="rollout JSON file")
     p_monitor.add_argument("task_spec", help="task spec JSON/YAML file")
     p_monitor.add_argument("--out", help="write the monitor report JSON here (default: none)")
@@ -126,12 +140,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_evaluate = sub.add_parser(
         "evaluate", help="evaluate a manifest of rollout/spec pairs into a report", parents=[common]
     )
-    p_evaluate.add_argument(
+    p_evaluate.set_defaults(run=_cmd_evaluate)
+    source = p_evaluate.add_mutually_exclusive_group(required=True)
+    source.add_argument(
         "manifest",
         nargs="?",
         help="manifest JSON listing rollout/task_spec path pairs",
     )
-    p_evaluate.add_argument(
+    source.add_argument(
         "--jsonl",
         help="alternative input: JSONL stream of rollout objects (requires --task-spec)",
     )
@@ -161,14 +177,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_strictness_flags(p_evaluate)
 
     p_generate = sub.add_parser(
-        "generate", help="generate a scripted scenario rollout or the bundled corpus", parents=[common]
+        "generate", help="generate a scripted scenario rollout", parents=[common]
     )
-    p_generate.add_argument(
-        "scenario",
-        nargs="?",
-        choices=sorted(SCENARIOS),
-        help="scenario to generate (omit with --corpus)",
-    )
+    p_generate.set_defaults(run=_cmd_generate)
+    p_generate.add_argument("scenario", choices=sorted(SCENARIOS), help="scenario to generate")
     p_generate.add_argument("--length", type=int, default=None, help="trace length (default: scenario default)")
     p_generate.add_argument("--seed", type=int, default=0, help="generator seed (default: 0)")
     p_generate.add_argument(
@@ -181,18 +193,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_generate.add_argument(
         "--spec-out", help="also write the matching task spec here (default: none)"
     )
-    p_generate.add_argument(
-        "--corpus",
-        action="store_true",
-        help="write the bundled 200-rollout corpus instead (default: off)",
+
+    p_corpus = sub.add_parser(
+        "corpus", help="write the bundled 200-rollout corpus and its manifest", parents=[common]
     )
-    p_generate.add_argument(
-        "--out-dir", help="output directory for --corpus (default: none)"
-    )
+    p_corpus.set_defaults(run=_cmd_corpus)
+    p_corpus.add_argument("directory", help="output directory")
 
     p_validate = sub.add_parser(
         "validate", help="cross-check a rollout against a task spec (warnings only)", parents=[common]
     )
+    p_validate.set_defaults(run=_cmd_validate)
     p_validate.add_argument("rollout", help="rollout JSON file")
     p_validate.add_argument("task_spec", help="task spec JSON/YAML file")
 
@@ -209,6 +220,9 @@ def _add_strictness_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_compile(args) -> int:
+    written = args.out or args.stdout
+    if args.format is not None and not written:
+        raise SafetraceError("--format is only meaningful with --out or --stdout")
     if args.template is not None:
         bindings = {}
         for item in args.bind:
@@ -224,11 +238,12 @@ def _cmd_compile(args) -> int:
         if args.bind:
             raise SafetraceError("--bind is only meaningful with --template")
         dfa = compile_formula(parse(args.formula))
-    artifact = _json_text(dfa_to_json(dfa)) if args.format == "json" else to_dot(dfa)
-    if args.out:
-        _write_text(Path(args.out), artifact)
-    if args.stdout:
-        sys.stdout.write(artifact)
+    if written:
+        artifact = to_dot(dfa) if args.format == "dot" else _json_text(dfa_to_json(dfa))
+        if args.out:
+            _write_text(Path(args.out), artifact)
+        if args.stdout:
+            sys.stdout.write(artifact)
     permanence = Counter(label.value for label in dfa.permanence)
     summary = ", ".join(f"{k}={v}" for k, v in sorted(permanence.items()))
     _log(args, f"states: {dfa.num_states} ({summary}); props: {', '.join(dfa.props) or '-'}")
@@ -366,17 +381,13 @@ def _fold(items: list, specs: dict, strict: bool, workers: int) -> ReportTally:
 def _cmd_evaluate(args) -> int:
     if args.workers < 0:
         raise SafetraceError(f"--workers must be 0 or more, got {args.workers}")
-    if args.jsonl:
-        if args.manifest:
-            raise SafetraceError("give either a manifest or --jsonl, not both")
+    if args.jsonl is not None:
         if not args.task_spec:
             raise SafetraceError("--jsonl requires --task-spec")
         specs = {args.task_spec: _load(args.task_spec, load_task_spec)}
         lines = enumerate(_load(args.jsonl, str).split("\n"), start=1)
         items = [(f"{args.jsonl}, line {n}", line, args.task_spec) for n, text in lines if (line := text.strip())]
     else:
-        if not args.manifest:
-            raise SafetraceError("a manifest path (or --jsonl) is required")
         if args.task_spec is not None:
             raise SafetraceError("--task-spec is only meaningful with --jsonl")
         manifest = _load(args.manifest, _read_json)
@@ -414,21 +425,6 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    if args.corpus:
-        flags = {"a scenario name": args.scenario, "--length": args.length,
-                 "--out": args.out, "--spec-out": args.spec_out}
-        given = [flag for flag, value in flags.items() if value is not None]
-        if given:
-            raise SafetraceError(f"{given[0]} is only meaningful without --corpus")
-        if not args.out_dir:
-            raise SafetraceError("--corpus requires --out-dir")
-        manifest = build_corpus(args.out_dir)
-        _log(args, f"corpus written; manifest at {manifest}")
-        return EXIT_OK
-    if args.out_dir is not None:
-        raise SafetraceError("--out-dir is only meaningful with --corpus")
-    if not args.scenario:
-        raise SafetraceError("a scenario name (or --corpus) is required")
     info = SCENARIOS[args.scenario]
     length = args.length if args.length is not None else info.default_length
     record = generate_scenario(
@@ -450,6 +446,12 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _cmd_corpus(args) -> int:
+    manifest = build_corpus(args.directory)
+    _log(args, f"corpus written; manifest at {manifest}")
+    return EXIT_OK
+
+
 def _cmd_validate(args) -> int:
     record = _load(args.rollout, load_rollout)
     spec = _load(args.task_spec, load_task_spec)
@@ -460,20 +462,10 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "compile": _cmd_compile,
-    "monitor": _cmd_monitor,
-    "evaluate": _cmd_evaluate,
-    "generate": _cmd_generate,
-    "validate": _cmd_validate,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        args = _build_parser().parse_args(argv)
+        return args.run(args)
     except (SafetraceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

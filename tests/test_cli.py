@@ -1,5 +1,6 @@
 """Exit codes, artifact determinism, and flag surface of the CLI."""
 
+import argparse
 import itertools
 import json
 import os
@@ -133,10 +134,8 @@ def test_back_to_back_calls_leak_no_parser_state(capsys):
         assert capsys.readouterr().err == ""
         assert run_cli("compile", "--formula", "G !p") == 0
         assert capsys.readouterr().err.endswith("props: p\n")
-        with pytest.raises(SystemExit) as excinfo:
-            run_cli("compile", "--formula", "G !p", "--no-such-flag")
-        assert excinfo.value.code == 2
-        assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+        assert run_cli("compile", "--formula", "G !p", "--no-such-flag") == 1
+        assert capsys.readouterr().err == "error: safetrace: unrecognized arguments: --no-such-flag\n"
 
 
 def test_compile_non_ascii_formula_is_one_error_line(capsys):
@@ -275,38 +274,49 @@ def test_generate_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_generate_unknown_scenario_exits_two_argparse(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        run_cli("generate", "not_a_scenario", "-q")
-    assert excinfo.value.code == 2  # argparse rejects bad choices
+def test_generate_unknown_scenario_is_one_error_line(capsys):
+    assert run_cli("generate", "not_a_scenario", "-q") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "error: safetrace generate: argument scenario: invalid choice: 'not_a_scenario' (choose from "
+    )
+    assert err.count("\n") == 1
 
 
 def test_generate_without_scenario_or_corpus_errors(capsys):
     assert run_cli("generate", "-q") == 1
+    assert capsys.readouterr().err == (
+        "error: safetrace generate: the following arguments are required: scenario\n"
+    )
 
 
 @pytest.mark.parametrize(
-    "argv, flag",
-    [
-        (["grasp_drop", "--corpus", "--seed", "3", "--length", "40"], "a scenario name"),
-        (["--corpus", "--length", "40"], "--length"),
-        (["--corpus", "--out", "{tmp}/r.json"], "--out"),
-        (["--corpus", "--spec-out", "{tmp}/s.json"], "--spec-out"),
-    ],
+    "argv",
+    [["grasp_drop"], ["--length", "40"], ["--out", "{tmp}/r.json"], ["--spec-out", "{tmp}/s.json"]],
     ids=["scenario", "length", "out", "spec-out"],
 )
-def test_generate_corpus_with_a_single_rollout_flag_is_one_error_line(tmp_path, capsys, argv, flag):
+def test_generate_corpus_with_a_single_rollout_flag_is_one_error_line(tmp_path, capsys, argv):
     argv = [arg.format(tmp=tmp_path) for arg in argv]
-    assert run_cli("generate", *argv, "--out-dir", str(tmp_path / "corpus")) == 1
-    assert capsys.readouterr().err == f"error: {flag} is only meaningful without --corpus\n"
+    assert run_cli("corpus", str(tmp_path / "corpus"), *argv) == 1
+    assert capsys.readouterr().err == f"error: safetrace: unrecognized arguments: {' '.join(argv)}\n"
     assert list(tmp_path.iterdir()) == []
 
 
 def test_generate_out_dir_without_corpus_is_one_error_line(tmp_path, capsys):
-    assert run_cli("generate", "grasp_drop", "--out-dir", str(tmp_path / "d")) == 1
+    out_dir = str(tmp_path / "d")
+    assert run_cli("generate", "grasp_drop", "--out-dir", out_dir) == 1
     captured = capsys.readouterr()
-    assert captured.err == "error: --out-dir is only meaningful with --corpus\n"
+    assert captured.err == f"error: safetrace: unrecognized arguments: --out-dir {out_dir}\n"
     assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
+def test_corpus_writes_the_bundled_corpus(tmp_path, capsys):
+    assert run_cli("corpus", str(tmp_path / "a")) == 0
+    assert capsys.readouterr().err == f"corpus written; manifest at {tmp_path / 'a' / 'manifest.json'}\n"
+    build_corpus(tmp_path / "b")
+    written = {p.relative_to(tmp_path / "a"): p.read_bytes() for p in (tmp_path / "a").rglob("*") if p.is_file()}
+    built = {p.relative_to(tmp_path / "b"): p.read_bytes() for p in (tmp_path / "b").rglob("*") if p.is_file()}
+    assert len(written) == 214 and written == built
 
 
 @pytest.mark.parametrize("flip_rate", ["2", "-1", "nan"])
@@ -1015,7 +1025,8 @@ def test_evaluate_jsonl_stream(tmp_path):
 def test_help_enumerates_flags_with_defaults(capsys):
     for argv, expected_flags in [
         (["evaluate", "--help"], ["--out", "--format", "--workers", "--denominator", "--strict-end-of-trace"]),
-        (["generate", "--help"], ["--length", "--seed", "--flip-rate", "--corpus", "--out-dir"]),
+        (["generate", "--help"], ["--length", "--seed", "--flip-rate", "--out", "--spec-out"]),
+        (["corpus", "--help"], ["--quiet"]),
         (["compile", "--help"], ["--formula", "--template", "--bind", "--format"]),
         (["monitor", "--help"], ["--out", "--stdout", "--strict-end-of-trace"]),
     ]:
@@ -1111,3 +1122,234 @@ def test_deeply_nested_input_is_an_error_naming_the_file(scenario_files, tmp_pat
     for argv, expected in cases:
         assert run_cli(*argv, "-q") == 1, argv
         assert capsys.readouterr().err == expected, argv
+
+
+# ---------------------------------------------------------------------------
+# every flag of every mode
+# ---------------------------------------------------------------------------
+
+#: The base argv of each mode; ``{name}`` stands for an input file of
+#: ``flag_inputs``. A release_unsettled rollout violates its spec only when
+#: an unmet end-of-trace obligation counts, so ``monitor`` exits 2 on the
+#: strict base and 0 on the lax one.
+_MODES = {
+    "compile formula": ["compile", "--formula", "G !p"],
+    "compile formula to a file": ["compile", "--formula", "G !p", "--out", "dfa"],
+    "compile template": ["compile", "--template", "phi1", "--bind", "Collision=hit", "--bind", "BadContact=touch"],
+    "monitor": ["monitor", "{rollout}", "{spec}"],
+    "monitor, lax": ["monitor", "{rollout}", "{spec}", "--no-strict-end-of-trace"],
+    "evaluate manifest": ["evaluate", "{manifest}", "--out", "out"],
+    "evaluate manifest, lax": ["evaluate", "{manifest}", "--out", "out", "--no-strict-end-of-trace"],
+    "evaluate jsonl": ["evaluate", "--jsonl", "{jsonl}", "--task-spec", "{spec}", "--out", "out"],
+    "generate": ["generate", "random_walk"],
+    "corpus": ["corpus", "corpus"],
+    "validate": ["validate", "{rollout}", "{spec}"],
+}
+
+#: Per mode, the arguments added to its base, each with what they must do:
+#: ``"changes"`` the exit code, stdout, stderr or the files written, without
+#: an error; or be ``"refused"``: exit 1, one ``error:`` line, nothing
+#: written. ``"same"`` is for ``--workers`` alone, which only splits the
+#: work: its report is byte-identical by contract.
+_FLAGS = {
+    "compile formula": [
+        (["--out", "dfa.json"], "changes"),
+        (["--stdout"], "changes"),
+        (["--format", "dot"], "refused"),
+        (["--format", "json"], "refused"),
+        (["--formula", "G !q"], "changes"),
+        (["--template", "phi1"], "refused"),
+        (["--bind", "Collision=hit"], "refused"),
+        (["-q"], "changes"),
+        (["--quiet"], "changes"),
+        (["--qiuet"], "refused"),
+        (["G !q"], "refused"),
+    ],
+    "compile formula to a file": [
+        (["--format", "dot"], "changes"),
+        (["--format", "svg"], "refused"),
+        (["--stdout"], "changes"),
+    ],
+    "compile template": [
+        (["--out", "dfa.json"], "changes"),
+        (["--stdout"], "changes"),
+        (["--format", "dot"], "refused"),
+        (["--formula", "G !p"], "refused"),
+        (["--template", "phi8"], "refused"),
+        (["--bind", "Collision=other"], "refused"),
+        (["--bind", "Nope=x"], "refused"),
+        (["--bind", "Collision"], "refused"),
+        (["-q"], "changes"),
+    ],
+    "monitor": [
+        (["--out", "monitor.json"], "changes"),
+        (["--stdout"], "changes"),
+        (["--no-strict-end-of-trace"], "changes"),
+        (["-q"], "changes"),
+        (["--strict-end-of-trce"], "refused"),
+        (["--no-such-flag"], "refused"),
+        (["--format", "json"], "refused"),
+        (["--workers", "2"], "refused"),
+        (["{spec}"], "refused"),
+    ],
+    "monitor, lax": [
+        (["--strict-end-of-trace"], "changes"),
+    ],
+    "evaluate manifest": [
+        (["--out", "elsewhere"], "changes"),
+        (["--format", "json"], "changes"),
+        (["--format", "csv"], "changes"),
+        (["--format", "dot"], "refused"),
+        (["--denominator", "task"], "changes"),
+        (["--denominator", "instance"], "refused"),
+        (["--workers", "2"], "same"),
+        (["--workers", "-1"], "refused"),
+        (["--workers", "x"], "refused"),
+        (["--no-strict-end-of-trace"], "changes"),
+        (["--task-spec", "{spec}"], "refused"),
+        (["--jsonl", "{jsonl}"], "refused"),
+        (["--stdout"], "refused"),
+        (["-q"], "changes"),
+        (["--quite"], "refused"),
+    ],
+    "evaluate manifest, lax": [
+        (["--strict-end-of-trace"], "changes"),
+    ],
+    "evaluate jsonl": [
+        (["{manifest}"], "refused"),
+        (["--format", "json"], "changes"),
+        (["--denominator", "task"], "changes"),
+        (["--workers", "2"], "same"),
+        (["--no-strict-end-of-trace"], "changes"),
+        (["-q"], "changes"),
+    ],
+    "generate": [
+        (["--length", "40"], "changes"),
+        (["--length", "0"], "refused"),
+        (["--length", "4.5"], "refused"),
+        (["--seed", "3"], "changes"),
+        (["--flip-rate", "0.5"], "changes"),
+        (["--flip-rate", "2"], "refused"),
+        (["--out", "r.json"], "changes"),
+        (["--spec-out", "s.json"], "changes"),
+        (["-q"], "changes"),
+        (["--corpus"], "refused"),
+        (["--out-dir", "d"], "refused"),
+        (["grasp_drop"], "refused"),
+    ],
+    "corpus": [
+        (["-q"], "changes"),
+        (["--seed", "3"], "refused"),
+        (["--flip-rate", "0.5"], "refused"),
+        (["--length", "40"], "refused"),
+        (["--out", "r.json"], "refused"),
+        (["--spec-out", "s.json"], "refused"),
+        (["--out-dir", "d"], "refused"),
+        (["grasp_drop"], "refused"),
+    ],
+    "validate": [
+        (["-q"], "changes"),
+        (["--out", "v.json"], "refused"),
+        (["--no-strict-end-of-trace"], "refused"),
+    ],
+}
+
+
+@pytest.fixture(scope="module")
+def flag_inputs(tmp_path_factory):
+    """A release_unsettled rollout and its spec, a manifest of that rollout
+    and two grasp_drop ones (two tasks, so both denominators differ), and a
+    JSONL file of three release_unsettled rollouts."""
+    directory = tmp_path_factory.mktemp("flag_inputs")
+    pairs, lines = [], []
+    for scenario, seed in [("release_unsettled", 0), ("grasp_drop", 0), ("grasp_drop", 1)]:
+        name = f"{scenario}-{seed}"
+        (directory / f"{name}.json").write_text(serialize_rollout(generate_scenario(ScenarioParams(scenario, 40, seed))))
+        (directory / f"{scenario}.json").write_text(json.dumps(scenario_spec_document(scenario)))
+        pairs.append({"rollout": f"{name}.json", "task_spec": f"{scenario}.json"})
+    for seed in range(3):
+        lines.append(json.dumps(json.loads(serialize_rollout(generate_scenario(ScenarioParams("release_unsettled", 40, seed))))))
+    (directory / "manifest.json").write_text(json.dumps({"pairs": pairs}))
+    (directory / "rollouts.jsonl").write_text("\n".join(lines) + "\n")
+    return {
+        "rollout": str(directory / "release_unsettled-0.json"),
+        "spec": str(directory / "release_unsettled.json"),
+        "manifest": str(directory / "manifest.json"),
+        "jsonl": str(directory / "rollouts.jsonl"),
+    }
+
+
+def _outcome(monkeypatch, capsys, directory: Path, argv: list[str]) -> tuple:
+    """Exit code, stdout, stderr and the files written (relative path to
+    bytes) of ``main(argv)`` run in the new empty directory ``directory``."""
+    directory.mkdir()
+    monkeypatch.chdir(directory)
+    code = main(argv)
+    out, err = capsys.readouterr()
+    files = {str(p.relative_to(directory)): p.read_bytes() for p in directory.rglob("*") if p.is_file()}
+    return code, out, err, files
+
+
+@pytest.mark.parametrize("mode", list(_FLAGS))
+def test_every_flag_changes_the_outcome_or_is_refused(tmp_path, monkeypatch, capsys, flag_inputs, mode):
+    base = [arg.format(**flag_inputs) for arg in _MODES[mode]]
+    expected = _outcome(monkeypatch, capsys, tmp_path / "base", base)
+    assert expected[0] in (0, 2), (mode, expected[2])
+    for n, (extra, effect) in enumerate(_FLAGS[mode]):
+        argv = [*base, *(arg.format(**flag_inputs) for arg in extra)]
+        code, out, err, files = outcome = _outcome(monkeypatch, capsys, tmp_path / f"run{n}", argv)
+        assert code != 2 or argv[0] == "monitor", (extra, err)
+        if effect == "refused":
+            assert (code, out, files) == (1, "", {}), (extra, err)
+            assert err.startswith("error: ") and err.count("\n") == 1, (extra, err)
+        elif effect == "changes":
+            assert code != 1 and outcome != expected, (extra, err)
+        else:
+            assert outcome == expected, extra
+
+
+def test_the_flag_table_covers_every_flag():
+    parser = cli._build_parser()
+    (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(subparsers.choices) == sorted({argv[0] for argv in _MODES.values()})
+    for command, subparser in subparsers.choices.items():
+        given = {arg for mode, cases in _FLAGS.items() if _MODES[mode][0] == command for extra, _ in cases for arg in extra}
+        for action in subparser._actions:
+            if action.option_strings and not isinstance(action, argparse._HelpAction):
+                assert given & set(action.option_strings), (command, action.option_strings)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["evaulate"],
+        ["--no-such-flag"],
+        ["compile"],
+        ["compile", "--formula", "G !p", "--template", "phi1"],
+        ["monitor", "r.json"],
+        ["validate"],
+        ["evaluate", "--out", "out"],
+        ["evaluate", "m.json"],
+        ["evaluate", "m.json", "--jsonl", "r.jsonl", "--out", "out"],
+        ["evaluate", "--jsonl", "r.jsonl", "--out", "out"],
+        ["evaluate", "m.json", "--out", "out", "--workers"],
+        ["generate", "random_walk", "--seed", "1.5"],
+        ["corpus"],
+        ["corpus", "a", "b"],
+    ],
+    ids=" ".join,
+)
+def test_a_usage_error_is_one_error_line_and_exit_one(tmp_path, monkeypatch, capsys, argv):
+    code, out, err, files = _outcome(monkeypatch, capsys, tmp_path / "run", argv)
+    assert (code, out, files) == (1, "", {})
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"]])
+def test_help_and_version_exit_zero(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out and captured.err == ""
