@@ -221,23 +221,33 @@ class Dfa(Record, norepr=_UNCOMPARED, nocompare=_UNCOMPARED):
         _, state = self.run([self.mask_of(valuation) for valuation in trace])
         return state in self.accepting
 
-    def run(self, masks: Sequence[int]) -> tuple[bytes, int]:
+    def run(self, masks: Sequence[int], ends: Sequence[int] | None = None) -> tuple[bytes, int]:
         """Verdict code after each step, and the state the run ended in.
 
         ``masks`` is a nonempty sequence of valuation bitmasks over this
         automaton's alphabet (see :meth:`mask_of`): an empty one, or a mask
         outside ``range(alphabet_size)``, raises :class:`MonitorError`.
+        Without ``ends`` there is one mask per step. With ``ends``, the
+        trace is given as runs, as :meth:`RolloutRecord.mask_runs` gives
+        it: ``masks[k]`` holds at every step of the ``k``-th run, which ends
+        before step ``ends[k]``. There must be one end per mask (else
+        :class:`MonitorError`), and the ends must increase, the last being
+        the trace's length; that is not checked.
 
         The run stops at the first permanent verdict, which every later step
         repeats; the state returned is then the one reached there, whose
         acceptance every continuation shares.
 
-        Masks are read one maximal run of equal masks at a time. Within a run
-        the state is stepped only until the mask maps it to itself, and the
-        rest of the run repeats that state's verdict. Minimized LTLf automata
-        are counter-free, so under a constant mask this happens within
-        ``num_states`` steps; nothing here relies on it, since a mask without
-        a fixed point is simply stepped through to the end of its run.
+        This is the one loop that steps an automaton, and it reads the trace
+        one maximal run of equal masks at a time: neighbouring steps or runs
+        of equal masks are walked as one, found with ``bytes.find`` over
+        :func:`_changes`. Within a run the state is stepped only until the
+        mask maps it to itself, and the rest of the run repeats that state's
+        verdict with one repeated-bytes append. Minimized LTLf automata are
+        counter-free, so under a constant mask this happens within
+        ``num_states`` steps; nothing here relies on it, since a mask
+        without a fixed point is simply stepped through to the end of its
+        run.
         """
         width = self.alphabet_size
         # bytes() of any other buffer (array('H'), a cast memoryview) would
@@ -255,18 +265,25 @@ class Dfa(Record, norepr=_UNCOMPARED, nocompare=_UNCOMPARED):
                 f"for a DFA over {len(self.props)} propositions"
             )
         data = bytes(data)
-        n = len(data)
-        ends = _run_ends(data)
+        m = len(data)
+        if ends is None:
+            ends = range(1, m + 1)
+        elif len(ends) != m:
+            raise MonitorError(f"{len(ends)} run ends for {m} masks")
+        # The run from ``k`` takes in every later run up to ``changes.find(1, k)``.
+        changes = _changes(data)
+        n = ends[-1]
         successors = self.successors
         verdict_codes = self.verdict_codes
         permanent_below = CODE_PRESUMABLY_TRUE
         state = self.initial
         codes = bytearray()
         append = codes.append
-        start = 0
-        while start < n:
-            stop = ends.find(1, start) + 1 or n
-            mask = data[start]
+        k = start = 0
+        while k < m:
+            mask = data[k]
+            k = changes.find(1, k) + 1 or m
+            stop = ends[k - 1]
             for t in range(start, stop):
                 after = successors[state * width + mask]
                 code = verdict_codes[after]
@@ -282,13 +299,12 @@ class Dfa(Record, norepr=_UNCOMPARED, nocompare=_UNCOMPARED):
         return bytes(codes), state
 
 
-def _run_ends(data: bytes) -> bytes:
-    """One byte per byte of ``data``: 1 where ``data[t] != data[t + 1]``,
-    else 0. The last byte compares ``data[-1]`` with 0, so data ending in a
-    0 byte has no marker there; the maximal run of equal bytes starting at
-    ``start`` ends before ``ends.find(1, start) + 1 or len(data)``."""
+def _changes(data: bytes) -> bytes:
+    """One byte per pair of neighbours in ``data``: 1 where ``data[t] !=
+    data[t + 1]``, else 0, found at C speed through ``data`` read as one
+    little-endian integer ``x``: the bytes of ``x ^ (x >> 8)``."""
     x = int.from_bytes(data, "little")
-    return (x ^ (x >> 8)).to_bytes(len(data), "little").translate(_NONZERO_TO_ONE)
+    return (x ^ (x >> 8)).to_bytes(len(data), "little")[:-1].translate(_NONZERO_TO_ONE)
 
 
 _ALL_BYTES = bytes(range(256))

@@ -58,10 +58,15 @@ def _log(args, message: str) -> None:
 
 
 def _load(path: str, loader):
-    """``loader`` applied to the UTF-8 text of the file ``path``; errors name it."""
+    """``loader`` applied to the UTF-8 text of the file ``path``, read with
+    universal newlines as ``Path.read_text`` reads it; errors name it. An
+    empty path, which would name nothing, is refused."""
+    if not path:
+        raise SafetraceError(f"{path!r}: empty path")
     with located(path):
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            with open(path, encoding="utf-8") as file:
+                text = file.read()
         except UnicodeDecodeError as exc:
             raise SafetraceError(f"not valid UTF-8 text ({exc.reason})") from exc
         except OSError as exc:

@@ -57,7 +57,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from ._record import Record
-from .automata import CODE_FALSE, CODE_PRESUMABLY_FALSE, _run_ends
+from .automata import CODE_FALSE, CODE_PRESUMABLY_FALSE, _changes
 from .errors import SafetraceError
 from .monitor import _UNSAFE_FLAG_TABLE, MonitorResult, Verdict
 from .properties import SafetyCategory, TaskSpec, TEMPLATE_IDS, CUSTOM_TEMPLATE, SUITES, HORIZONS
@@ -155,7 +155,10 @@ def evaluate_rollout(
     *,
     strict_end: bool = True,
 ) -> RolloutEvaluation:
-    """Monitor every instance of ``spec`` over the rollout's trace.
+    """Monitor every instance of ``spec`` over the rollout's trace: each
+    instance's automaton runs over the record's runs, projected onto its
+    propositions by :meth:`RolloutRecord.mask_runs`, once per run of equal
+    masks (see :meth:`Dfa.run`).
 
     ``strict_end`` controls whether ending in a rejecting state (an unmet
     obligation at the horizon) counts as a violation alongside absorbing
@@ -167,9 +170,10 @@ def evaluate_rollout(
             f"rollout task {record.task_name!r} does not match spec task {spec.task_name!r}"
         )
     runs: dict[str, tuple] = {}
-    for inst in spec.instances:
+    instances = spec.instances
+    for inst, mask_runs in zip(instances, record.mask_runs(inst.dfa.props for inst in instances)):
         dfa = inst.dfa
-        codes, state = dfa.run(record.masks(dfa.props))
+        codes, state = dfa.run(*mask_runs)
         accepting = state in dfa.accepting
         violated = CODE_FALSE in codes or (strict_end and not accepting)
         runs[inst.instance_id] = (codes, accepting, inst.template_id, inst.category, violated)
@@ -180,7 +184,7 @@ def evaluate_rollout(
         horizon=spec.horizon,
         policy=record.policy,
         success=record.success,
-        length=len(record.valuation_ids),
+        length=record.run_ends[-1],
         strict_end=strict_end,
         runs=runs,
     )
@@ -216,13 +220,13 @@ def _verdict_lines(codes: bytes, out: list[str]) -> None:
     per step is cheaper (a run costs about as much as 10 steps); both ways
     write the same text."""
     body = codes[:-1]  # every verdict but the last is followed by a comma
-    ends = _run_ends(body)
-    if ends.count(1) * 8 > len(body):
+    changes = _changes(body)
+    if changes.count(1) * 8 > len(body):
         out += map(_VERDICT_LINE.__getitem__, body)
     else:
         n, start = len(body), 0
         while start < n:
-            stop = ends.find(1, start) + 1 or n
+            stop = changes.find(1, start) + 1 or n
             out.append(_VERDICT_LINE[body[start]] * (stop - start))
             start = stop
     out.append(_VERDICT_JSON[codes[-1]])

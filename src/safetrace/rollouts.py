@@ -29,16 +29,18 @@ bundled 200-rollout corpus with task specs and a manifest.
 from __future__ import annotations
 
 import random
+import re
 from collections import defaultdict
-from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 from functools import cached_property
-from itertools import count
+from itertools import chain, compress, count, islice, repeat
+from operator import ne, sub
 from pathlib import Path
 from typing import NoReturn
 
 from ._record import Record, _restore
 from .errors import RolloutFormatError, ScenarioError
-from .formulas import Trace, is_valid_proposition
+from .formulas import _WORD_RE, RESERVED_WORDS, Trace, is_valid_proposition
 from .properties import TaskSpec, _check_identifier, _json_text, _read_json, get_template, load_task_spec
 
 __all__ = [
@@ -59,15 +61,17 @@ __all__ = [
 ]
 
 
-class RolloutRecord(Record, norepr=("valuations", "valuation_ids")):
+class RolloutRecord(Record, norepr=("valuations", "run_ids", "run_ends")):
     """One rollout: symbolic trace plus success flag and labels.
 
-    The record keeps the trace as its distinct valuations and one id per
-    step; :attr:`trace` is built from them when first read. The constructor
-    takes the trace as a :class:`Trace` or a nonempty list of steps. It
-    checks the labels, ``declared_props`` and the trace's shape with
-    :func:`load_rollout`'s rules and messages, and keeps ``declared_props``
-    sorted and without repeats, as :func:`load_rollout` does.
+    The record keeps the trace as its distinct valuations and its maximal
+    runs of equal valuations: one valuation id and one end offset per run.
+    :attr:`trace`, :attr:`valuation_ids` and :meth:`masks` are per-step
+    views built from them. The constructor takes the trace as a
+    :class:`Trace` or a nonempty list of steps. It checks the labels,
+    ``declared_props`` and the trace's shape with :func:`load_rollout`'s
+    rules and messages, builds the runs as :func:`load_rollout` does, and
+    keeps ``declared_props`` sorted and without repeats.
     """
 
     rollout_id: str
@@ -76,9 +80,12 @@ class RolloutRecord(Record, norepr=("valuations", "valuation_ids")):
     success: bool
     #: The trace's distinct valuations, in order of first occurrence.
     valuations: tuple[frozenset[str], ...]
-    #: Each step's index into ``valuations``: ``bytes`` while there are at
-    #: most 256 distinct valuations, else a tuple.
-    valuation_ids: bytes | tuple[int, ...]
+    #: Each run's index into ``valuations``; neighbouring runs differ.
+    #: ``bytes`` while there are at most 256 distinct valuations, else a tuple.
+    run_ids: bytes | tuple[int, ...]
+    #: Each run's end offset, the step after its last; the last is the
+    #: trace's length.
+    run_ends: tuple[int, ...]
     declared_props: tuple[str, ...] | None = None
 
     def __init__(
@@ -100,42 +107,58 @@ class RolloutRecord(Record, norepr=("valuations", "valuation_ids")):
                 raise RolloutFormatError(f"invalid trace: {exc}") from exc
         steps = trace.steps
         # Sorted steps word an invalid name as the smallest one of its step.
-        index = _valuation_index(steps, declared, lambda: [sorted(s, key=str) for s in steps])
+        index = _valuation_index(*_runs(steps), declared, lambda: [sorted(s, key=str) for s in steps])
         Record.__init__(self, rollout_id, task_name, policy, success, *index, declared)
         self.__dict__["trace"] = trace
 
     @cached_property
     def trace(self) -> Trace:
-        """The steps, built from the valuation index when first read."""
+        """The steps, built from the runs when first read."""
         return Trace(map(self.valuations.__getitem__, self.valuation_ids))
 
-    @cached_property
-    def _holds_in(self) -> dict[str, list[int]]:
-        """Proposition -> ids of the distinct valuations it is true in."""
+    @property
+    def valuation_ids(self) -> bytes | tuple[int, ...]:
+        """Each step's index into ``valuations``, of the type of ``run_ids``."""
+        ids = _per_step(self.run_ids, self.run_ends)
+        return bytes(ids) if isinstance(self.run_ids, bytes) else tuple(ids)
+
+    def mask_runs(self, bases: Iterable[Sequence[str]]) -> Iterator[tuple[bytes, tuple[int, ...]]]:
+        """For each basis of at most 8 propositions, the trace projected
+        onto it (bit ``i`` set when ``basis[i]`` is true) in the run form
+        :meth:`Dfa.run` takes: the mask of each of the record's runs, and
+        ``run_ends``. Neighbouring runs may project to equal masks;
+        :meth:`Dfa.run` walks them as one.
+
+        Once per call, the ids of the valuations each proposition is true
+        in are listed. Per basis, the mask of each distinct valuation goes
+        into a table, and the runs' valuation ids are mapped through it in
+        one pass.
+        """
         holds_in: dict[str, list[int]] = {}
         for i, valuation in enumerate(self.valuations):
             for p in valuation:
                 holds_in.setdefault(p, []).append(i)
-        return holds_in
+        ids, ends = self.run_ids, self.run_ends
+        size = max(256, len(self.valuations))
+        for props in bases:
+            table = bytearray(size)
+            for bit, p in enumerate(props):
+                flag = 1 << bit
+                for i in holds_in.get(p, ()):
+                    table[i] |= flag
+            yield (ids.translate(table) if isinstance(ids, bytes) else bytes(map(table.__getitem__, ids))), ends
 
     def masks(self, props: Sequence[str]) -> bytes:
-        """Every step projected onto the bitmask basis ``props`` (bit ``i``
-        set when ``props[i]`` is true), as :func:`monitor.trace_masks`
-        projects it; at most 8 propositions.
+        """Every step projected onto the bitmask basis ``props``, as
+        :func:`monitor.trace_masks` projects it; at most 8 propositions."""
+        ((masks, ends),) = self.mask_runs((props,))
+        return bytes(_per_step(masks, ends))
 
-        The mask of each distinct valuation goes into a table, and the
-        valuation ids are mapped through it in one pass.
-        """
-        table = bytearray(max(256, len(self.valuations)))
-        holds_in = self._holds_in
-        for bit, p in enumerate(props):
-            flag = 1 << bit
-            for i in holds_in.get(p, ()):
-                table[i] |= flag
-        ids = self.valuation_ids
-        if isinstance(ids, bytes):
-            return ids.translate(table)
-        return bytes(map(table.__getitem__, ids))
+
+def _per_step(values: Iterable, ends: Sequence[int]) -> Iterator:
+    """Each run's value once per step of the run, the runs ending before
+    ``ends``."""
+    return chain.from_iterable(map(repeat, values, map(sub, ends, (0, *ends))))
 
 
 # ---------------------------------------------------------------------------
@@ -153,19 +176,32 @@ def _check_labels(rollout_id, task, policy, success) -> None:
     _check_identifier(policy, "policy", RolloutFormatError)
 
 
+#: Valid proposition syntax (:func:`is_valid_proposition` but the reserved
+#: words) for every line of a text.
+_NAME_LINES = re.compile(rf"{_WORD_RE.pattern}(?:\n{_WORD_RE.pattern})*")
+
+
 def _declared_names(declared) -> tuple[str, ...] | None:
     """The declared propositions as a record keeps them, sorted and without
     repeats. They must be a collection of strings (neither a string nor a
-    mapping), and each is then checked in the order given."""
+    mapping), and each is then checked in the order given.
+
+    One match of :data:`_NAME_LINES` over the names joined by newlines
+    checks them all; a name holding a newline adds one, which the count of
+    newlines shows. Only a bad name is looked for name by name, to word it.
+    """
     if declared is None:
         return None
     listed = isinstance(declared, Iterable) and not isinstance(declared, (str, Mapping))
     names = list(declared) if listed else []
     if not listed or not all(isinstance(p, str) for p in names):
         raise RolloutFormatError("'declared_props' must be a list of strings")
-    for p in names:
-        if not is_valid_proposition(p):
-            raise RolloutFormatError(f"invalid declared proposition {p!r}")
+    joined = "\n".join(names)
+    well_formed = _NAME_LINES.fullmatch(joined) and joined.count("\n") == len(names) - 1
+    if names and not (well_formed and RESERVED_WORDS.isdisjoint(names)):
+        for p in names:
+            if not is_valid_proposition(p):
+                raise RolloutFormatError(f"invalid declared proposition {p!r}")
     return tuple(sorted(set(names)))
 
 
@@ -197,23 +233,37 @@ def _raise_first_error(steps: Iterable, declared: tuple[str, ...] | None) -> NoR
     raise AssertionError("the trace has no invalid or undeclared proposition")
 
 
+def _runs(steps: Sequence) -> tuple[list, list[int]]:
+    """The first step and the end offset of each maximal run of equal
+    ``steps``, found in one C-level pass that compares each step with the
+    next: the bytes ``changes`` are 1 where step ``t + 1`` differs from
+    step ``t``, so the runs end where they are 1, and at the last step."""
+    changes = bytes(map(ne, steps, islice(steps, 1, None)))
+    return list(compress(steps, b"\x01" + changes)), list(compress(range(1, len(steps) + 1), changes + b"\x01"))
+
+
 def _valuation_index(
-    keys: Iterable[Hashable], declared: tuple[str, ...] | None, steps: Callable[[], Iterable]
-) -> tuple[tuple[frozenset[str], ...], bytes | tuple[int, ...]]:
-    """Index a trace by its distinct valuations, checking their names.
+    keys: Iterable[Hashable], stops: list[int], declared: tuple[str, ...] | None, steps: Callable[[], Iterable]
+) -> tuple[tuple[frozenset[str], ...], bytes | tuple[int, ...], tuple[int, ...]]:
+    """Index a trace's runs by their distinct valuations, checking their names.
 
-    ``keys`` holds one key per step: a collection of its names (a tuple or
-    a frozenset). The distinct keys are numbered in one pass, in order of
-    first occurrence, and keys with the same names share one valuation id.
-    The union of the names is then checked once: each must be a valid
-    proposition and, when ``declared`` is given, one of them. Problems are
-    found over the distinct values, and worded by
-    :func:`_raise_first_error` over ``steps()``, the trace's steps in a form
-    :func:`_normalize_step` decodes; an unhashable key is one such problem.
+    ``keys`` holds one key per maximal run of equal steps, a collection of
+    the run's names (a tuple or a frozenset), and ``stops`` each run's end
+    offset (see :func:`_runs`). The distinct keys are numbered in one pass,
+    in order of first occurrence, and keys with the same names share one
+    valuation id. The union of the names is then checked once: each must
+    be one of ``declared`` when it is given (each declared name is valid),
+    else a valid proposition. Problems are found over the distinct values,
+    and worded by :func:`_raise_first_error` over ``steps()``, the trace's
+    steps in a form :func:`_normalize_step` decodes; an unhashable key is
+    one such problem.
 
-    Returns the distinct valuations in order of first occurrence, and each
-    step's id, its index into them: ``bytes`` for at most 256 distinct
-    valuations, else a tuple.
+    Returns the distinct valuations in order of first occurrence, each
+    run's id, its index into them (``bytes`` for at most 256 distinct
+    valuations, else a tuple), and the runs' end offsets. Keys with the
+    same names in another order (``["a", "b"]``, ``["b", "a"]``) differ as
+    steps but not as valuations, so neighbouring runs of such twins are
+    merged into one.
     """
     key_ids: dict[Hashable, int] = defaultdict(count().__next__)
     try:
@@ -223,11 +273,14 @@ def _valuation_index(
     ids: dict[frozenset[str], int] = {}
     id_of_key = [ids.setdefault(frozenset(key), len(ids)) for key in key_ids]
     names = frozenset().union(*ids)
-    if not all(map(is_valid_proposition, names)) or (declared is not None and not names.issubset(declared)):
+    if not (all(map(is_valid_proposition, names)) if declared is None else names.issubset(declared)):
         _raise_first_error(steps(), declared)
     if len(ids) < len(id_of_key):
         index = list(map(id_of_key.__getitem__, index))
-    return tuple(ids), (bytes if len(ids) <= 256 else tuple)(index)
+        changes = bytes(map(ne, index, islice(index, 1, None)))
+        index = list(compress(index, b"\x01" + changes))
+        stops = list(compress(stops, changes + b"\x01"))
+    return tuple(ids), (bytes if len(ids) <= 256 else tuple)(index), tuple(stops)
 
 
 def _check_trace_shape(trace) -> None:
@@ -240,14 +293,17 @@ def _check_trace_shape(trace) -> None:
 
 def _steps_from_document(
     raw_trace, declared: tuple[str, ...] | None
-) -> tuple[tuple[frozenset[str], ...], bytes | tuple[int, ...]]:
+) -> tuple[tuple[frozenset[str], ...], bytes | tuple[int, ...], tuple[int, ...]]:
     _check_trace_shape(raw_trace)
     if not (isinstance(raw_trace[0], dict) and "t" in raw_trace[0]):
-        if set(map(type, raw_trace)) == {list}:
-            keys = map(tuple, raw_trace)
-        else:
-            keys = [_normalize_step(step, t) for t, step in enumerate(raw_trace)]
-        return _valuation_index(keys, declared, lambda: raw_trace)
+        if isinstance(raw_trace[0], list):
+            heads, stops = _runs(raw_trace)
+            # A JSON value equal to a list is a list with equal items, so only
+            # the first step of each run needs its type checked and its key hashed.
+            if set(map(type, heads)) == {list}:
+                return _valuation_index(map(tuple, heads), stops, declared, lambda: raw_trace)
+        steps = [_normalize_step(step, t) for t, step in enumerate(raw_trace)]
+        return _valuation_index(*_runs(steps), declared, lambda: raw_trace)
 
     by_time: dict[int, frozenset[str]] = {}
     for entry in raw_trace:
@@ -268,7 +324,7 @@ def _steps_from_document(
     if missing:
         raise RolloutFormatError(f"missing timesteps: {missing[:5]}")
     steps = [by_time[t] for t in range(horizon + 1)]
-    return _valuation_index(steps, declared, lambda: list(map(list, steps)))
+    return _valuation_index(*_runs(steps), declared, lambda: list(map(list, steps)))
 
 
 def load_rollout(source: str | dict) -> RolloutRecord:

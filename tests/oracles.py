@@ -545,7 +545,8 @@ RECORD_MIRRORS = {
         _mirror(
             "RolloutRecord", "rollout_id", "task_name", "policy", "success",
             ("valuations", dataclasses.field(repr=False)),
-            ("valuation_ids", dataclasses.field(repr=False)),
+            ("run_ids", dataclasses.field(repr=False)),
+            ("run_ends", dataclasses.field(repr=False)),
             ("declared_props", None),
         ),
         _mirror("Diagnostic", "code", "message"),

@@ -186,6 +186,16 @@ def test_monitor_missing_file_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_monitor_empty_path_is_one_error_line_showing_it(scenario_files, tmp_path, capsys):
+    # Read as a path, "" is the working directory: "error: : Is a directory".
+    rollout, spec = scenario_files
+    out = tmp_path / "report.json"
+    for argv in (["", str(spec)], [str(rollout), ""]):
+        assert run_cli("monitor", *argv, "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: '': empty path\n"
+        assert not out.exists()
+
+
 def test_monitor_strict_end_flag(tmp_path):
     rollout = tmp_path / "r.json"
     spec = tmp_path / "s.json"
@@ -620,8 +630,9 @@ def test_evaluate_bytes_match_across_workers_when_specs_share_a_custom_shape(tmp
 def _error_cases(kind: str) -> dict[str, tuple[list[str], str, int | str | None]]:
     """Inputs of four rollouts and a task spec, so that ``--workers 2`` runs
     two shares of two, each with its own errors; with each, what the first
-    error in input order is about: the number of a rollout (its line), or
-    ``"spec"``."""
+    error in input order is about: the number of a rollout (its line),
+    ``"spec"``, or ``"path"`` when the batch's input is named by an empty
+    path instead."""
     lines, spec_text = _rollout_lines(4)
     other_task = json.dumps(dict(json.loads(lines[2]), task="other_task"))
     spec = json.loads(spec_text)
@@ -641,6 +652,8 @@ def _error_cases(kind: str) -> dict[str, tuple[list[str], str, int | str | None]
         # A manifest's rollout is decoded before its spec is loaded; the
         # --jsonl spec is loaded before the file's lines are read.
         "malformed first rollout and a failing spec": (["[1]", *lines[1:]], bad_specs[0], "spec" if kind == "jsonl" else 1),
+        # An empty path names no file; read as one, it would be the working directory.
+        "empty path": (lines, spec_text, "path"),
     }
     if kind == "manifest":
         del cases["empty input"]  # a manifest without pairs never reaches the fold
@@ -651,6 +664,8 @@ def _error_cases(kind: str) -> dict[str, tuple[list[str], str, int | str | None]
 def test_evaluate_errors_are_the_same_with_and_without_workers(tmp_path, capsys, kind, fork_start):
     for name, (lines, spec_text, first_bad) in _error_cases(kind).items():
         source = _evaluate_input(tmp_path, kind, lines, spec_text)
+        if first_bad == "path":
+            source = ["--jsonl", "", *source[2:]] if kind == "jsonl" else [""]
         results = []
         for workers in ("0", "2"):
             out = tmp_path / f"out-{name}-{workers}"
@@ -666,6 +681,8 @@ def test_evaluate_errors_are_the_same_with_and_without_workers(tmp_path, capsys,
             assert err == f"error: {batch}: duplicate rollout_id in evaluation batch: ['grasp_drop-0000']\n"
         elif name == "empty input":
             assert err == f"error: {batch}: cannot aggregate an empty evaluation collection\n"
+        elif name == "empty path":
+            assert err == "error: '': empty path\n"
         else:
             if first_bad == "spec":
                 where = f"{Path(source[-1]).parent / 'spec.json'}: properties[0] (id 'bad')"

@@ -21,8 +21,10 @@ from safetrace.automata import (
 from safetrace._record import _restore
 from safetrace.errors import MonitorError
 from safetrace.formulas import Trace, evaluate, parse
-from safetrace.monitor import MonitorResult, Verdict, run_trace
-from safetrace.properties import TEMPLATE_IDS, get_template, instantiate
+from safetrace.metrics import evaluate_rollout
+from safetrace.monitor import MonitorResult, Verdict, run_trace, trace_masks
+from safetrace.properties import TEMPLATE_IDS, PropertyInstance, TaskSpec, get_template, instantiate
+from safetrace.rollouts import RolloutRecord, load_rollout
 
 from oracles import all_traces, random_formula, random_trace, reference_monitor_result, reference_run
 
@@ -489,3 +491,61 @@ def test_mask_sequence_types_give_the_same_result():
         memoryview(array("H", masks)),
     ):
         assert dfa.run(given_masks) == expected, type(given_masks)
+
+
+def test_run_form_gives_the_per_step_result_and_checks_its_ends():
+    dfa = compile_formula(get_template("phi2").formula)
+    masks = [0, 0, 1, 1, 1, 5, 7, 7, 2, 0, 0, 3, 6, 6, 0]
+    # Neighbouring runs of equal masks (the first two) are walked as one.
+    runs = bytes((0, 0, 1, 5, 7, 2, 0, 3, 6, 0)), (1, 2, 5, 6, 8, 9, 11, 12, 14, 15)
+    assert dfa.run(*runs) == reference_run(dfa, masks)
+    with pytest.raises(MonitorError, match=r"^2 run ends for 3 masks$"):
+        dfa.run(b"\x00\x01\x00", (1, 2))
+
+
+def _counted_spec(dfa: Dfa) -> TaskSpec:
+    """A one-instance task spec for ``task`` whose automaton is ``dfa``."""
+    instance = PropertyInstance("i", "custom", (), parse("true"), None, dfa)
+    return TaskSpec("task", "atomic_fixture", "atomic", (instance,))
+
+
+def test_evaluate_steps_each_run_of_equal_projected_masks_once():
+    # 1,000 steps in 5 runs of equal masks over {a, b}; the unmonitored
+    # `noise` flips at every step, so each step is a run of equal
+    # valuations. Stepping once per step or once per valuation run reads
+    # 1,000 entries; once per run of equal masks, at most num_states a run.
+    dfa = compile_formula(parse("G (a -> F b)"))
+    counted, table = _counting(dfa)
+    masks = [mask for mask in (0, 1, 3, 2, 0) for _ in range(200)]
+    noise = (set(), {"noise"})
+    steps = [{p for bit, p in enumerate(dfa.props) if m >> bit & 1} | noise[t % 2] for t, m in enumerate(masks)]
+    record = RolloutRecord("r", "task", "p", True, steps)
+    assert len(record.run_ids) == 1_000
+    evaluation = evaluate_rollout(record, _counted_spec(counted))
+    codes, state = reference_run(dfa, trace_masks(dfa, steps))
+    assert evaluation.runs["i"][:2] == (codes, state in dfa.accepting)
+    assert table.reads <= 5 * dfa.num_states
+
+
+def test_the_decoder_hashes_one_key_per_run_of_equal_steps():
+    class CountedName(str):
+        """A proposition name that counts how often it is hashed."""
+
+        hashes = 0
+
+        def __hash__(self):
+            CountedName.hashes += 1
+            return str.__hash__(self)
+
+    # 1,000 steps in 5 runs of 7 names in all, each step its own list of its
+    # own name objects, as `json.loads` builds them. Keying every step would
+    # hash 1,400 names.
+    spellings = (["a", "b"], ["b"], [], ["b", "a", "a"], ["a"])
+    trace = [[CountedName(p) for p in spellings[t // 200]] for t in range(1_000)]
+    record = load_rollout({"rollout_id": "r", "task": "task", "policy": "p", "success": True, "trace": trace})
+    # Each run's key hashes its names twice (the key table looks it up, then
+    # stores it), its frozenset once more, and each distinct name is hashed
+    # once when checked: 3 * 7 + 2.
+    assert CountedName.hashes <= 3 * 7 + 2
+    assert record.run_ends == (200, 400, 600, 800, 1_000)
+    assert record.trace == Trace([set(step) for step in trace])

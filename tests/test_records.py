@@ -248,7 +248,7 @@ def test_automata_hash_as_their_structure_did(template_id):
 
 def test_rollout_records_past_256_distinct_valuations_hash():
     record = RolloutRecord(**SAMPLES["RolloutRecord"][-1])
-    assert len(record.valuations) == 300 and type(record.valuation_ids) is tuple
+    assert len(record.valuations) == 300 and type(record.run_ids) is tuple
     assert _result(hash, record)[0] == "value"
 
 

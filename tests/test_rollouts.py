@@ -1,6 +1,7 @@
 """Rollout wire format, validation diagnostics, and the scenario generator."""
 
 import json
+import pickle
 import random
 
 import pytest
@@ -26,7 +27,7 @@ from safetrace.rollouts import (
     validate_rollout,
 )
 
-from oracles import ReferenceDecodeError, reference_trace
+from oracles import ReferenceDecodeError, reference_run, reference_trace
 
 # ---------------------------------------------------------------------------
 # load / serialize
@@ -296,6 +297,66 @@ def test_table_projection_matches_per_step_projection(distinct, repeats, seed):
         for inst in _PROJECTION_SPEC.instances:
             assert record.masks(inst.dfa.props) == trace_masks(inst.dfa, steps)
         assert evaluate_rollout(record, _PROJECTION_SPEC) == reference
+
+
+@st.composite
+def _run_traces(draw) -> list:
+    """A rollout document's trace, drawn as runs of equal valuations over
+    ``_POOL``: runs of random length, every run one step long, one run, or
+    more than 256 distinct valuations. Steps are written as sparse lists
+    (a run may switch mid-way to a key-order twin of its spelling, such
+    as ``["a", "b"]`` then ``["b", "a", "a"]``), dense maps or shuffled
+    ``{"t", "props"}`` objects."""
+    shape = draw(st.sampled_from(("runs", "ones", "single", "wide")))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if shape == "wide":
+        codes = rng.sample(range(1 << len(_POOL)), rng.randint(257, 300))
+    else:
+        pool = rng.sample(range(1 << len(_POOL)), rng.randint(1, 6))
+        codes = [rng.choice(pool) for _ in range(1 if shape == "single" else rng.randint(2, 40))]
+        if shape == "ones":  # every neighbour differs, so every run is one step
+            codes = [c for i, c in enumerate(codes) if i == 0 or c != codes[i - 1]]
+    steps = []
+    for code in codes:
+        names = [p for i, p in enumerate(_POOL) if code >> i & 1]
+        spellings = [names, names[::-1], names[::-1] + names[:1]]
+        length = 1 if shape in ("ones", "wide") else rng.choice((1, 2, 3, rng.randint(4, 80)))
+        twin_from = rng.randint(1, length)
+        first, twin = rng.sample(spellings, 2)
+        steps += [list(first if t < twin_from else twin) for t in range(length)]
+    form = draw(st.sampled_from(("sparse", "dense", "timed")))
+    if form == "dense":
+        return [dict({p: True for p in step}, off=False) for step in steps]
+    if form == "timed":
+        timed = [{"t": t, "props": step} for t, step in enumerate(steps)]
+        rng.shuffle(timed)
+        return timed
+    return steps
+
+
+@given(_run_traces())
+@example([["p0", "p1"], ["p1", "p0", "p0"], ["p1", "p0"], ["p1"]])
+@settings(max_examples=150, deadline=None)
+def test_the_run_form_expands_to_the_reference_steps_and_monitors_as_they_do(raw_trace):
+    record = load_rollout(dict(BASE_DOC, trace=raw_trace))
+    steps = reference_trace(raw_trace)
+    ids, ends = record.run_ids, record.run_ends
+    assert isinstance(ids, bytes) == (len(record.valuations) <= 256)
+    # Maximal runs: each ends after the last, and neighbours name different sets.
+    assert len(ids) == len(ends) and all(a < b for a, b in zip((0, *ends), ends))
+    assert all(a != b for a, b in zip(ids, ids[1:]))
+    starts = (0, *ends[:-1])
+    assert [record.valuations[i] for i, a, b in zip(ids, starts, ends) for _ in range(a, b)] == steps
+    direct = RolloutRecord(BASE_DOC["rollout_id"], BASE_DOC["task"], BASE_DOC["policy"], BASE_DOC["success"], steps)
+    assert direct == record and hash(direct) == hash(record)
+    for again in (pickle.loads(pickle.dumps(record)), pickle.loads(pickle.dumps(direct))):
+        assert again == record and again.run_ends == ends and again.trace == Trace(steps)
+    evaluation = evaluate_rollout(record, _PROJECTION_SPEC)
+    bases = [inst.dfa.props for inst in _PROJECTION_SPEC.instances]
+    for inst, mask_runs in zip(_PROJECTION_SPEC.instances, record.mask_runs(bases)):
+        codes, state = reference_run(inst.dfa, trace_masks(inst.dfa, steps))
+        assert inst.dfa.run(*mask_runs) == (codes, state)
+        assert evaluation.runs[inst.instance_id][:2] == (codes, state in inst.dfa.accepting)
 
 
 def test_projection_past_65536_distinct_valuations():
