@@ -2,7 +2,8 @@
 
 The automaton alphabet is the set of valuations over the formula's own
 propositions, encoded as bitmasks: bit ``i`` of a symbol says whether
-``props[i]`` holds at that step (``props`` is sorted by name). Construction is
+``props[i]`` holds at that step (:func:`compile_formula` sorts ``props`` by
+name; a bound property instance lists them in slot order). Construction is
 by formula progression: each state is the residual obligation left after the
 consumed prefix (Bacchus & Kabanza's progression). Progressing through one
 valuation resolves every literal and rewrites the temporal operators into a
@@ -26,7 +27,11 @@ sorted int tuples and the formula the automaton was compiled from; the
 compile-time closure is not kept. Node ids depend only on the formula's tree,
 so formulas of one shape (names replaced by slots in order of first occurrence)
 share one raw automaton up to bit order: a bounded process-wide cache builds it
-once, and each formula renumbers it in its own letter order, as a compile would.
+once, with the shape's minimal automaton, whose bit ``i`` reads slot ``i``.
+Every binding of the shape shares that automaton's tables under its own names
+in slot order; :func:`compile_formula` renumbers the raw automaton in the
+formula's sorted letter order on each call, unless the names already occur
+sorted, where the shape's automaton is the canonical one.
 
 Whether a reached state is accepting is decided on its obligation set as if
 the trace ended there: a strong next contributes false, a weak next true. The
@@ -582,28 +587,49 @@ def compile_formula(f: Formula) -> Dfa:
 
     For every nonempty trace over the formula's propositions the automaton
     accepts exactly when :func:`safetrace.formulas.evaluate` holds at
-    position 0. Raises :class:`AlphabetTooLargeError` beyond
-    :data:`MAX_PROPOSITIONS` propositions.
+    position 0. Its propositions are sorted by name, and its states are
+    numbered breadth-first with symbols in ascending bitmask order. Raises
+    :class:`AlphabetTooLargeError` beyond :data:`MAX_PROPOSITIONS`
+    propositions.
     """
     slots: dict[str, int] = {}
-    return _compile_shape(_shape_key(f, slots), tuple(slots), f)
+    shape = _shape_key(f, slots)
+    names = sorted(slots)
+    if names == list(slots):  # the shape's own automaton is the canonical one
+        return _bind(shape, names, f)
+    _check_alphabet(len(names), f)
+    raw, _ = _shape_tables(shape)
+    return _minimal(raw, names, [slots[name] for name in names], f)
 
 
-def _compile_shape(shape: tuple | int, slot_names: Sequence[str], f: Formula) -> Dfa:
-    """The automaton :func:`compile_formula` builds for ``f``, given its
-    shape and its distinct names in slot order, without walking ``f``."""
-    names = sorted(slot_names)
-    if len(names) > MAX_PROPOSITIONS:
-        raise AlphabetTooLargeError(
-            f"formula uses {len(names)} propositions (cap {MAX_PROPOSITIONS}): "
-            + format_formula(f)
-        )
+def _bind_formula(f: Formula) -> Dfa:
+    """The automaton of ``f``'s shape, reading ``f``'s names in order of
+    first occurrence: see :func:`_bind`."""
+    slots: dict[str, int] = {}
+    return _bind(_shape_key(f, slots), tuple(slots), f)
+
+
+def _bind(shape: tuple | int, slot_names: Sequence[str], f: Formula) -> Dfa:
+    """The automaton of ``f``, a formula of this shape with distinct names
+    ``slot_names`` in slot order, without walking ``f``: the shape's own
+    automaton, its bit ``i`` reading ``slot_names[i]``.
+
+    It accepts what :func:`compile_formula` accepts, and differs from it by
+    a renaming of the alphabet bits, and so also in state numbering."""
+    _check_alphabet(len(slot_names), f)
+    _, shared = _shape_tables(shape)
     # The run tables are shared as they are; the basis and the labels are f's.
-    shared = _shape_dfa(shape, tuple(map(names.index, slot_names)))
     return _restore(Dfa, (
-        tuple(names), 0, shared.accepting, shared.transitions, shared.successors,
+        tuple(slot_names), 0, shared.accepting, shared.transitions, shared.successors,
         shared.verdict_codes, _LazyLabels(f, shared._labels.residuals),
     ))
+
+
+def _check_alphabet(count: int, f: Formula) -> None:
+    if count > MAX_PROPOSITIONS:
+        raise AlphabetTooLargeError(
+            f"formula uses {count} propositions (cap {MAX_PROPOSITIONS}): " + format_formula(f)
+        )
 
 
 def _shape_key(f: Formula, slots: dict[str, int]) -> tuple | int:
@@ -621,29 +647,28 @@ def _shape_formula(shape: tuple | int, names: Sequence[str]) -> Formula:
     return shape[0](*[_shape_formula(operand, names) for operand in shape[1:]])
 
 
-@lru_cache(maxsize=512)
-def _shape_dfa(shape: tuple, ranks: tuple[int, ...]) -> Dfa:
-    """The automaton of every formula of this shape whose name in slot ``i``
-    has rank ``ranks[i]`` among its sorted names: bit ``ranks[i]`` of a
-    symbol reads slot ``i``."""
-    formula, rows, accepting, residuals, classes = _shape_tables(shape)
-    props, symbols = [], [0]  # symbols[mask]: the shape's symbol for mask
-    for bit in range(len(ranks)):
-        slot = ranks.index(bit)
-        props.append(f"p{slot}")
+def _minimal(raw: tuple, props: Sequence[str], bit_slots: Sequence[int], f: Formula) -> Dfa:
+    """The minimal automaton of ``f`` over ``props`` from ``raw``, the raw
+    automaton of ``f``'s shape: bit ``i`` of a symbol reads slot
+    ``bit_slots[i]``, and states are numbered breadth-first with symbols in
+    ascending bitmask order."""
+    rows, accepting, residuals, classes = raw
+    symbols = [0]  # symbols[mask]: the shape's symbol for mask
+    for slot in bit_slots:
         symbols += [symbol | 1 << slot for symbol in symbols]
     final, minimal_rows, representatives = _renumbered(0, accepting, rows, classes, symbols)
     dfa = Dfa(props, 0, final, minimal_rows)
     # Raw state 0 represents state 0, which the formula itself labels.
-    labels = _LazyLabels(formula, tuple(_compact(residuals[r]) for r in representatives[1:]))
+    labels = _LazyLabels(f, tuple(_compact(residuals[r]) for r in representatives[1:]))
     return _restore(Dfa, (*dfa._values(dfa._fields[:-1]), labels))
 
 
 @lru_cache(maxsize=128)
-def _shape_tables(shape: tuple) -> tuple:
-    """The raw automaton of a shape: its formula, its rows, its accepting
-    states, the residual of each state and its Moore partition, shared by
-    every caller and so never modified."""
+def _shape_tables(shape: tuple) -> tuple[tuple, Dfa]:
+    """The raw automaton of a shape (its rows, its accepting states, the
+    residual of each state and its Moore partition) and the shape's minimal
+    automaton over ``p0``, ``p1``, ..., bit ``i`` reading slot ``i``; shared
+    by every caller and so never modified."""
     formula = _shape_formula(shape, [f"p{slot}" for slot in range(MAX_PROPOSITIONS)])
     root = to_nnf(formula)
     closure = _Closure(root, sorted(propositions(formula)))
@@ -681,7 +706,9 @@ def _shape_tables(shape: tuple) -> tuple:
             sub = (sub - read) & read
         rows.append([targets[mask & read] for mask in range(width)])
     final = frozenset(s for s, acc in enumerate(accepting) if acc)
-    return formula, rows, final, order, _classes(0, final, rows)
+    raw = (rows, final, order, _classes(0, final, rows))
+    # p0, p1, ... sort in slot order (at most p7).
+    return raw, _minimal(raw, sorted(closure.bits), range(len(closure.bits)), formula)
 
 
 def _verdict_codes(transitions: Sequence[Sequence[int]], accepting: frozenset[int]) -> bytes:

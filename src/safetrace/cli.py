@@ -237,8 +237,8 @@ def _cmd_compile(args) -> int:
             if slot in bindings:
                 raise SafetraceError(f"--bind names slot {slot!r} twice")
             bindings[slot] = prop
-        instance = instantiate(args.template, bindings)
-        dfa = instance.dfa
+        # The canonical automaton, as --formula exports it: props sorted.
+        dfa = compile_formula(instantiate(args.template, bindings).formula)
     else:
         if args.bind:
             raise SafetraceError("--bind is only meaningful with --template")

@@ -10,9 +10,9 @@ compiled DFA.
 
 A template is written once and bound to many objects, and every binding of
 it, like every custom formula that differs from another only in proposition
-names, has one shape: :func:`safetrace.automata.compile_formula` runs
-progression once per shape in a process, and bindings whose names sort the
-same way share one automaton's run tables.
+names, has one shape. Progression runs once per shape in a process, and every
+binding of a shape shares the shape's one automaton and its run tables, read
+through the binding's own names in slot order.
 
 A task specification document (JSON or YAML) groups the instances monitored
 for one task together with suite and horizon metadata::
@@ -43,7 +43,7 @@ from functools import cache
 from typing import Mapping
 
 from ._record import Record, _restore
-from .automata import Dfa, _compile_shape, _shape_formula, _shape_key, compile_formula
+from .automata import Dfa, _bind, _bind_formula, _shape_formula, _shape_key
 from .errors import BindingError, SafetraceError, TaskSpecError, TemplateError, located
 from .formulas import Formula, is_valid_proposition, parse, proposition_order
 
@@ -172,7 +172,7 @@ _TEMPLATES: tuple[PropertyTemplate, ...] = (
 )
 
 _TEMPLATES_BY_ID = {t.template_id: t for t in _TEMPLATES}
-# Each template's shape (see :func:`safetrace.automata.compile_formula`), its
+# Each template's shape (see :func:`safetrace.automata._shape_key`), its
 # slot ``i`` being ``slots[i]``: both list the slots in order of first occurrence.
 _TEMPLATE_SHAPES = {t.template_id: _shape_key(t.formula, {}) for t in _TEMPLATES}
 TEMPLATE_IDS = tuple(_TEMPLATES_BY_ID)
@@ -193,7 +193,14 @@ def get_template(template_id: str) -> PropertyTemplate:
 
 
 class PropertyInstance(Record, norepr=("dfa",), nocompare=("dfa",)):
-    """A template bound to concrete propositions, compiled and ready to run."""
+    """A template bound to concrete propositions, compiled and ready to run.
+
+    ``dfa`` is the automaton of the formula's shape under the bound names:
+    its ``props`` list them in slot order (the template's slots, or a custom
+    formula's names in order of first occurrence), so it may number its
+    bits and states otherwise than ``compile_formula(formula)``, the
+    canonical automaton of the same language.
+    """
 
     instance_id: str
     template_id: str
@@ -243,7 +250,7 @@ def instantiate(
     shape = _TEMPLATE_SHAPES[template_id]
     formula = _shape_formula(shape, values)
     # One name bound to two slots merges them, which gives another shape.
-    dfa = _compile_shape(shape, values, formula) if distinct else compile_formula(formula)
+    dfa = _bind(shape, values, formula) if distinct else _bind_formula(formula)
     return _restore(PropertyInstance, (
         instance_id if instance_id is not None else template_id,
         template_id,
@@ -264,7 +271,7 @@ def instantiate_custom(formula_text: str, *, instance_id: str) -> PropertyInstan
         bindings=(),
         formula=formula,
         category=None,
-        dfa=compile_formula(formula),
+        dfa=_bind_formula(formula),
     )
 
 

@@ -410,7 +410,8 @@ def test_compiled_dfa_holds_no_closure():
 # The process-wide shape cache
 # ---------------------------------------------------------------------------
 
-_SHAPE_CACHES = (automata._shape_tables, automata._shape_dfa)
+# One cache: each shape's raw automaton and its slot-order automaton.
+_SHAPE_CACHES = (automata._shape_tables,)
 
 
 def clear_shape_caches() -> None:

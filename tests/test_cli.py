@@ -15,10 +15,10 @@ import pytest
 import safetrace
 from safetrace import cli
 from safetrace.cli import main
-from safetrace.formulas import MAX_FORMULA_DEPTH
+from safetrace.formulas import MAX_FORMULA_DEPTH, format_formula
 from safetrace.metrics import InstanceMeta, evaluate_rollout
 from safetrace.monitor import MonitorResult
-from safetrace.properties import load_task_spec
+from safetrace.properties import instantiate, load_task_spec
 from safetrace.rollouts import (
     ScenarioParams,
     build_corpus,
@@ -90,6 +90,29 @@ def test_compile_template_to_dot(tmp_path):
     )
     assert code == 0
     check_dot_well_formed(out.read_text())
+
+
+@pytest.mark.parametrize(
+    "template, bindings",
+    [
+        ("phi1", {"Collision": "zeta", "BadContact": "alpha"}),
+        ("phi2", {"ObjGrasped": "zeta", "StableGrasp": "mid", "ObjReleased": "alpha"}),
+    ],
+    ids=["phi1", "phi2"],
+)
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_compile_template_exports_the_canonical_automaton_of_its_formula(template, bindings, fmt, capsys):
+    # The names sort otherwise than the slots order them, which is the order
+    # the bound instance's own automaton reads them in.
+    instance = instantiate(template, bindings)
+    assert list(instance.dfa.props) != sorted(bindings.values())
+    binds = [arg for slot, name in bindings.items() for arg in ("--bind", f"{slot}={name}")]
+    assert run_cli("compile", "--template", template, *binds, "--format", fmt, "--stdout") == 0
+    by_template = capsys.readouterr()
+    formula = format_formula(instance.formula)
+    assert run_cli("compile", "--formula", formula, "--format", fmt, "--stdout") == 0
+    assert by_template == capsys.readouterr()
+    assert by_template.err.endswith(f"props: {', '.join(sorted(bindings.values()))}\n")
 
 
 def test_compile_bind_naming_a_slot_twice_exits_one(capsys):

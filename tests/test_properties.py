@@ -1,8 +1,10 @@
 """Template catalog fidelity, instantiation, and task spec loading."""
 
 import json
+import random
 import time
-from itertools import product
+from itertools import permutations, product
+from math import factorial
 
 import pytest
 
@@ -15,8 +17,17 @@ from safetrace.errors import (
     TaskSpecError,
     TemplateError,
 )
-from safetrace.formulas import Prop, evaluate, format_formula, operands, parse, propositions
-from safetrace.monitor import run_trace
+from safetrace.formulas import (
+    Prop,
+    evaluate,
+    format_formula,
+    operands,
+    parse,
+    proposition_order,
+    propositions,
+)
+from safetrace.metrics import evaluate_rollout
+from safetrace.monitor import run_trace, trace_masks
 from safetrace.properties import (
     HORIZONS,
     SUITES,
@@ -27,8 +38,9 @@ from safetrace.properties import (
     list_templates,
     load_task_spec,
 )
+from safetrace.rollouts import RolloutRecord
 
-from oracles import all_traces
+from oracles import agree_on_all_traces, all_traces, random_formula, random_trace, reference_run
 from test_automata import clear_shape_caches
 
 # The catalog, as it must read after parsing (template id, category, text).
@@ -342,8 +354,8 @@ def _rank_patterns(k: int):
             yield pattern
 
 
-# Sorted name lists; the first binding of each rank pattern builds its
-# automaton, the others share its run tables.
+# Sorted name lists: the binding of a rank pattern that is not increasing
+# reads its names in another order than sorted.
 _NAME_LISTS = (("a", "b", "c"), ("ab_z", "b", "ba"), ("x", "y2", "y_1"), ("g2", "g20", "g3"))
 
 
@@ -369,17 +381,29 @@ def test_shape_shared_instances_match_a_fresh_compile(template):
             )
     assert len(entries) == len(_NAME_LISTS) * {1: 1, 2: 3, 3: 13}[len(template.slots)]
     spec = load_task_spec(dict(MINIMAL_SPEC, properties=entries))
+    distinct = []
     for instance in spec.instances:
+        values = [name for _, name in instance.bindings]
         assert instance.formula == _bound(template.formula, dict(instance.bindings))
-        shared = instance.dfa
+        bound = instance.dfa
+        # The bound names in slot order; a merged name once, where it first occurs.
+        assert bound.props == tuple(dict.fromkeys(values))
+        if len(set(values)) == len(values):
+            distinct.append(bound)
         clear_shape_caches()
         fresh = compile_formula(instance.formula)
-        assert shared == fresh and shared.props == fresh.props
-        assert shared.state_labels == fresh.state_labels
-        assert to_dot(shared) == to_dot(fresh)
-        assert dfa_to_json(shared) == dfa_to_json(fresh)
-        assert shared.verdict_codes == fresh.verdict_codes
-        assert shared.successors == fresh.successors
+        assert automata.equivalent(bound, fresh)
+        if list(bound.props) == sorted(bound.props):
+            assert bound == fresh and bound.props == fresh.props
+            assert bound.state_labels == fresh.state_labels
+            assert to_dot(bound) == to_dot(fresh)
+            assert dfa_to_json(bound) == dfa_to_json(fresh)
+            assert bound.verdict_codes == fresh.verdict_codes
+            assert bound.successors == fresh.successors
+        assert agree_on_all_traces(instance.formula, bound, 4)
+    # Every binding to distinct names shares the shape's one run table.
+    assert len(distinct) == len(_NAME_LISTS) * factorial(len(template.slots))
+    assert all(dfa.successors is distinct[0].successors for dfa in distinct)
 
 
 def test_each_template_shape_numbers_its_slots_in_slots_order():
@@ -430,6 +454,76 @@ def test_a_warm_template_spec_loads_without_walking_a_formula_or_building_a_dfa(
     fresh = compile_formula(instance.formula)
     assert instance.dfa == fresh and instance.dfa.props == fresh.props == ("g", "r")
     assert instance.dfa.state_labels == fresh.state_labels
+
+
+def test_a_cold_spec_builds_one_automaton_per_shape_whatever_the_name_order(monkeypatch):
+    # A build per order of the bound names writes the same bytes; only the
+    # count shows it.
+    orders = list(permutations(("a", "b", "c")))
+    custom = [
+        {"id": f"custom_{i}", "template": "custom", "formula": f"G ({x} -> F ({y} & X {z}))"}
+        for i, (x, y, z) in enumerate(orders)
+    ]
+    slots = get_template("phi2").slots
+    phi2 = [
+        {"id": f"phi2_{i}", "template": "phi2", "bindings": dict(zip(slots, order))}
+        for i, order in enumerate(orders)
+    ]
+    document = dict(MINIMAL_SPEC, properties=custom + phi2)
+    calls = {"Dfa builds": 0, "renumberings": 0}
+    dfa_init, renumbered = Dfa.__init__, automata._renumbered
+
+    def counting_dfa_init(self, *args, **kwargs):
+        calls["Dfa builds"] += 1
+        dfa_init(self, *args, **kwargs)
+
+    def counting_renumbered(*args):
+        calls["renumberings"] += 1
+        return renumbered(*args)
+
+    monkeypatch.setattr(Dfa, "__init__", counting_dfa_init)
+    monkeypatch.setattr(automata, "_renumbered", counting_renumbered)
+    clear_shape_caches()
+    spec = load_task_spec(document)
+    assert [instance.dfa.props for instance in spec.instances] == orders * 2
+    assert calls == {"Dfa builds": 2, "renumberings": 2}
+    load_task_spec(document)
+    assert calls == {"Dfa builds": 2, "renumberings": 2}
+
+
+# Four names whose order of first occurrence in a formula is rarely sorted.
+_FOUR_NAMES = ("m", "n1", "q_x", "zz")
+
+
+def test_renamed_custom_instances_monitor_as_their_canonical_automaton():
+    # The oracle: the plain per-step loop over a canonical compile, fed
+    # masks projected onto its sorted names, none of which the bound
+    # automata's run path shares.
+    rng = random.Random(34)
+    entries = []
+    while len(entries) < 24:
+        f = random_formula(rng, max_depth=rng.randint(2, 4), props=_FOUR_NAMES)
+        if len(propositions(f)) < 3:
+            continue
+        for renaming in rng.sample(list(permutations(_FOUR_NAMES)), 3):
+            g = _bound(f, dict(zip(_FOUR_NAMES, renaming)))
+            order = proposition_order(g)
+            if list(order) != sorted(order):
+                entries.append({"id": f"c{len(entries)}", "template": "custom", "formula": format_formula(g)})
+    spec = load_task_spec(dict(MINIMAL_SPEC, properties=entries))
+    canonical = {}
+    for instance in spec.instances:
+        assert instance.dfa.props == proposition_order(instance.formula)
+        assert list(instance.dfa.props) != sorted(instance.dfa.props)
+        assert agree_on_all_traces(instance.formula, instance.dfa, 4)
+        canonical[instance.instance_id] = compile_formula(instance.formula)
+    for _ in range(40):
+        steps = list(random_trace(rng, (*_FOUR_NAMES, "other"), rng.randint(1, 40)))
+        record = RolloutRecord("r", spec.task_name, "policy", True, steps)
+        evaluation = evaluate_rollout(record, spec)
+        for instance_id, dfa in canonical.items():
+            codes, state = reference_run(dfa, trace_masks(dfa, steps))
+            assert evaluation.runs[instance_id][:2] == (codes, state in dfa.accepting)
 
 
 def test_each_formula_shape_runs_progression_once_per_process():
