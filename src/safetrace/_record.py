@@ -10,18 +10,26 @@ operator; a record that checks its arguments (a ``Trace``, a ``Dfa``, a
 other record uses it as it is (a keyword call in field order takes its fast
 path). :func:`_restore` builds a record from field values already known to
 be valid, such as a compiled DFA that shares its shape's tables, without
-running its constructor.
+running its constructor. A field that is a ``cached_property`` of its class
+is set by a constructor like any other, and built on first read in a record
+restored without it.
 """
 
+from functools import cached_property
 from itertools import repeat
 
 _set = object.__setattr__
 
 
-def _restore(cls: type, values: tuple):
-    """The ``cls`` record with field ``values``, built without ``__init__``."""
+def _restore(cls: type, values: tuple, fields: tuple[str, ...] | None = None):
+    """The ``cls`` record with field ``values``, built without ``__init__``;
+    with ``fields``, the values are those of these fields, and every field
+    left out must be a ``cached_property`` of ``cls``."""
     record = cls.__new__(cls)
-    Record.__init__(record, *values)
+    if fields is None:
+        Record.__init__(record, *values)
+    else:
+        any(map(_set, repeat(record, len(fields)), fields, values))
     return record
 
 
@@ -45,7 +53,9 @@ class Record:
         own = tuple(cls.__dict__.get("__annotations__", ()))
         cls._fields = cls.__match_args__ = fields = cls._fields + own
         slots = cls.__dict__.get("__slots__", ())
-        cls._defaults = {**cls._defaults, **{f: vars(cls)[f] for f in own if f in vars(cls) and f not in slots}}
+        defaults = {f: vars(cls)[f] for f in own if f in vars(cls) and f not in slots}
+        # A field that is a cached_property is built on read: it has no default.
+        cls._defaults = {**cls._defaults, **{f: v for f, v in defaults.items() if not isinstance(v, cached_property)}}
         cls._compared = tuple(f for f in fields if f not in nocompare)
         cls._shown = tuple(f for f in fields if f not in norepr)
 

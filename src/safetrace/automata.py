@@ -23,8 +23,9 @@ the raw state it is first reached through, so the automaton, its labels and
 every export do not depend on the order in which raw states are found.
 
 State labels are rendered on first read, from each class's residual kept as
-sorted int tuples and the formula the automaton was compiled from; the
-compile-time closure is not kept. Node ids depend only on the formula's tree,
+sorted int tuples and the formula the automaton was compiled from, which a
+bound instance's labels build from the shape and its names when first read;
+the compile-time closure is not kept. Node ids depend only on the formula's tree,
 so formulas of one shape (names replaced by slots in order of first occurrence)
 share one raw automaton up to bit order: a bounded process-wide cache builds it
 once, with the shape's minimal automaton, whose bit ``i`` reads slot ``i``.
@@ -538,18 +539,35 @@ def _compact(residual: _Dnf) -> tuple[tuple[int, ...], ...]:
 class _LazyLabels:
     """The state labels of a compiled automaton, rendered on first read.
 
-    State 0 is labeled with ``formula`` itself and state ``s > 0`` with
-    ``residuals[s - 1]``, the compact residual of the raw state representing
-    it. Rendering interns ``formula``'s closure afresh, which gives the same
-    node ids as its shape's closure had at compile time.
+    State 0 is labeled with the automaton's formula itself and state
+    ``s > 0`` with ``residuals[s - 1]``, the compact residual of the raw
+    state representing it. Rendering interns the formula's closure afresh,
+    which gives the same node ids as its shape's closure had at compile
+    time. The formula is given, or else built from ``shape`` and its
+    ``names`` in slot order when first read, as a bound property instance
+    reads its own.
     """
 
-    __slots__ = ("formula", "residuals", "texts")
+    __slots__ = ("residuals", "shape", "names", "_formula", "texts")
 
-    def __init__(self, formula: Formula, residuals: tuple[tuple[tuple[int, ...], ...], ...]):
-        self.formula = formula
+    def __init__(
+        self,
+        residuals: tuple[tuple[tuple[int, ...], ...], ...],
+        formula: Formula | None = None,
+        shape: tuple | int | None = None,
+        names: Sequence[str] = (),
+    ):
         self.residuals = residuals
+        self._formula = formula
+        self.shape = shape
+        self.names = names
         self.texts: tuple[str, ...] | None = None
+
+    @property
+    def formula(self) -> Formula:
+        if self._formula is None:
+            self._formula = _shape_formula(self.shape, self.names)
+        return self._formula
 
     def render(self) -> tuple[str, ...]:
         if self.texts is None:
@@ -596,7 +614,7 @@ def compile_formula(f: Formula) -> Dfa:
     shape = _shape_key(f, slots)
     names = sorted(slots)
     if names == list(slots):  # the shape's own automaton is the canonical one
-        return _bind(shape, names, f)
+        return _bind(shape, tuple(names), f)
     _check_alphabet(len(names), f)
     raw, _ = _shape_tables(shape)
     return _minimal(raw, names, [slots[name] for name in names], f)
@@ -609,23 +627,27 @@ def _bind_formula(f: Formula) -> Dfa:
     return _bind(_shape_key(f, slots), tuple(slots), f)
 
 
-def _bind(shape: tuple | int, slot_names: Sequence[str], f: Formula) -> Dfa:
-    """The automaton of ``f``, a formula of this shape with distinct names
-    ``slot_names`` in slot order, without walking ``f``: the shape's own
-    automaton, its bit ``i`` reading ``slot_names[i]``.
+def _bind(shape: tuple | int, slot_names: tuple[str, ...], f: Formula | None = None) -> Dfa:
+    """The automaton of the formula of this shape with distinct names
+    ``slot_names`` in slot order, without walking or building that
+    formula: the shape's own automaton, its bit ``i`` reading
+    ``slot_names[i]``. The formula is ``f`` when given, and else its labels
+    build it when first read.
 
     It accepts what :func:`compile_formula` accepts, and differs from it by
     a renaming of the alphabet bits, and so also in state numbering."""
-    _check_alphabet(len(slot_names), f)
+    _check_alphabet(len(slot_names), f)  # only a parsed formula may be too wide
     _, shared = _shape_tables(shape)
     # The run tables are shared as they are; the basis and the labels are f's.
     return _restore(Dfa, (
-        tuple(slot_names), 0, shared.accepting, shared.transitions, shared.successors,
-        shared.verdict_codes, _LazyLabels(f, shared._labels.residuals),
+        slot_names, 0, shared.accepting, shared.transitions, shared.successors,
+        shared.verdict_codes, _LazyLabels(shared._labels.residuals, f, shape, slot_names),
     ))
 
 
 def _check_alphabet(count: int, f: Formula) -> None:
+    """Raise :class:`AlphabetTooLargeError`, naming ``f``, if its ``count``
+    propositions exceed :data:`MAX_PROPOSITIONS`."""
     if count > MAX_PROPOSITIONS:
         raise AlphabetTooLargeError(
             f"formula uses {count} propositions (cap {MAX_PROPOSITIONS}): " + format_formula(f)
@@ -659,7 +681,7 @@ def _minimal(raw: tuple, props: Sequence[str], bit_slots: Sequence[int], f: Form
     final, minimal_rows, representatives = _renumbered(0, accepting, rows, classes, symbols)
     dfa = Dfa(props, 0, final, minimal_rows)
     # Raw state 0 represents state 0, which the formula itself labels.
-    labels = _LazyLabels(f, tuple(_compact(residuals[r]) for r in representatives[1:]))
+    labels = _LazyLabels(tuple(_compact(residuals[r]) for r in representatives[1:]), f)
     return _restore(Dfa, (*dfa._values(dfa._fields[:-1]), labels))
 
 

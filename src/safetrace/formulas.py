@@ -35,7 +35,7 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping
 from operator import attrgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from ._record import Record, _set
 from .errors import FormulaSyntaxError
@@ -72,6 +72,9 @@ __all__ = [
 
 _WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 IDENT_RE = re.compile(_WORD_RE.pattern + r"\Z")
+#: Valid proposition syntax (:func:`is_valid_proposition` but the reserved
+#: words) for every line of a text.
+_NAME_LINES = re.compile(rf"{_WORD_RE.pattern}(?:\n{_WORD_RE.pattern})*")
 
 #: Words with a fixed meaning in the concrete syntax; not usable as propositions.
 RESERVED_WORDS = frozenset({"true", "false", "U", "R", "X", "WX", "G", "F"})
@@ -81,6 +84,22 @@ def is_valid_proposition(name: object) -> bool:
     """A proposition is a string, a letter followed by
     letters/digits/underscores, and not one of the reserved syntax words."""
     return isinstance(name, str) and bool(IDENT_RE.match(name)) and name not in RESERVED_WORDS
+
+
+def _all_propositions(names: Sequence[object]) -> bool:
+    """Whether every one of a nonempty sequence of ``names`` is a valid
+    proposition, checked all at once: one match of :data:`_NAME_LINES`
+    over the names joined by newlines, where a name holding a newline adds
+    one, which the count of newlines shows."""
+    try:
+        joined = "\n".join(names)
+    except TypeError:  # a name that is not a string
+        return False
+    return (
+        _NAME_LINES.fullmatch(joined) is not None
+        and joined.count("\n") == len(names) - 1
+        and RESERVED_WORDS.isdisjoint(names)
+    )
 
 
 class Formula(Record):
@@ -323,6 +342,28 @@ def _tokenize(text: str) -> list[_Token]:
             continue
         raise FormulaSyntaxError(f"unknown operator or character {c!r}", line, col)
     return tokens
+
+
+_WORD_SPLIT = re.compile(f"({_WORD_RE.pattern})")
+
+
+def _skeleton(text: str) -> tuple[tuple[str | int, ...], tuple[str, ...]]:
+    """The token skeleton of a formula text, and the names taken out of it.
+
+    The text is split at the words :func:`_tokenize` reads: the separators
+    and the reserved words stay as they are, and every other word becomes
+    its slot, numbered by first occurrence; the names are listed in slot
+    order. Two texts with equal skeletons tokenize alike up to their names
+    and columns, so both fail to parse, or they parse to formulas of one
+    shape. Words in a comment take slots as well: the rule stays one split.
+    """
+    parts: list[str | int] = _WORD_SPLIT.split(text)
+    slots: dict[str, int] = {}
+    for i in range(1, len(parts), 2):
+        word = parts[i]
+        if word not in RESERVED_WORDS:
+            parts[i] = slots.setdefault(word, len(slots))
+    return tuple(parts), tuple(slots)
 
 
 class _Parser:

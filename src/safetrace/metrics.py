@@ -33,8 +33,9 @@ Every table and plot panel is a projection of one fold, `ReportTally`:
 count cells keyed by (dimension, key, policy, task) holding rollouts,
 violated rollouts, successes, violated successes and the unsafe-step counts
 per trace length, from which a projection builds the exact sum of
-exposures. Projections add cells up, and `_pooled` alone turns a summed
-cell into rates. An evaluation keeps per instance only what its monitor
+exposures. Projections group cells, and `_pooled` alone turns a group into
+rates, adding its counts up as integers and making one exact fraction of
+its exposures. An evaluation keeps per instance only what its monitor
 found (``runs``: the verdict codes, whether the run ended accepting, the
 instance's template, category and violation); all else is read from it, and
 `ReportTally.add` unites the unsafe steps of each row a rollout counts in.
@@ -338,15 +339,16 @@ def _rows(cells: dict[tuple[str, str, str, str], list], dimension: str, group_of
     for (cell_dimension, *coordinates), cell in cells.items():
         if cell_dimension == dimension:
             groups.setdefault(group_of(*coordinates), []).append(cell)
-    return {group: _pooled([sum(c) for c in zip(*members)]) for group, members in groups.items()}
+    return {group: _pooled(members) for group, members in groups.items()}
 
 
-def _exposure_sum(unsafe_steps: Mapping[int, int]) -> Fraction:
-    """The sum of ``steps / length`` over trace length -> unsafe steps, as
-    one fraction over the lengths' least common multiple."""
-    common = math.lcm(*unsafe_steps)
+def _exposure_sum(unsafe_steps: Sequence[Mapping[int, int]]) -> Fraction:
+    """The sum of ``steps / length`` over every trace length -> unsafe
+    steps of ``unsafe_steps``, as one fraction over the lengths' least
+    common multiple."""
+    common = math.lcm(*{length for counts in unsafe_steps for length in counts})
     return Fraction(
-        sum(steps * (common // length) for length, steps in unsafe_steps.items()), common
+        sum(steps * (common // length) for counts in unsafe_steps for length, steps in counts.items()), common
     )
 
 
@@ -388,9 +390,11 @@ def _table(cells, dimension: str, mode: str) -> dict[str, TableRow]:
     }
 
 
-def _pooled(cell: list) -> PolicyRow:
-    """The rates of a summed cell: the one reader of a cell's counts."""
-    rollouts, violated, successes, violated_successes, exposure = cell
+def _pooled(cells: list[list]) -> PolicyRow:
+    """The rates of cells added up: the one reader of a cell's counts, which
+    it sums as integers before making one exact fraction of the exposures."""
+    rollouts, violated, successes, violated_successes = map(sum, zip(*(cell[:4] for cell in cells)))
+    exposure = _exposure_sum([cell[4] for cell in cells])
     outcome_counts = {
         Outcome.SUCCESS_SAFE: successes - violated_successes,
         Outcome.SUCCESS_UNSAFE: violated_successes,
@@ -417,11 +421,12 @@ class ReportTally:
     ``add`` folds one evaluation into the cells and forgets it; ``merge``
     adds the cells of a tally of another part of the batch. Cells hold
     integer sums: exposures as unsafe steps per trace length, which
-    ``report`` and ``plot_data`` turn into one exact fraction per cell. So a
-    tally of the whole batch equals the merge of tallies of its parts, in
-    any split and any order. The rollout ids are counted as well, and
-    ``report`` and ``plot_data`` raise on an empty batch or a duplicate id,
-    so these checks come after every rollout has been monitored.
+    ``report`` and ``plot_data`` add up per row and turn into one exact
+    fraction per row. So a tally of the whole batch equals the merge of
+    tallies of its parts, in any split and any order. The rollout ids are
+    counted as well, and ``report`` and ``plot_data`` raise on an empty
+    batch or a duplicate id, so these checks come after every rollout has
+    been monitored.
     """
 
     __slots__ = ("cells", "ids")
@@ -473,17 +478,14 @@ class ReportTally:
                 mine[4].update(unsafe_steps)
 
     def _checked_cells(self) -> dict[tuple[str, str, str, str], list]:
-        """The cells, each with its exact exposure sum in place of the
-        unsafe-step counts."""
+        """The cells, once the batch is known to be nonempty and free of
+        duplicate rollout ids."""
         if not self.ids:
             raise SafetraceError("cannot aggregate an empty evaluation collection")
         duplicates = sorted(i for i, count in self.ids.items() if count > 1)
         if duplicates:
             raise SafetraceError(f"duplicate rollout_id in evaluation batch: {duplicates}")
-        return {
-            coordinates: [*counts, _exposure_sum(unsafe_steps)]
-            for coordinates, (*counts, unsafe_steps) in self.cells.items()
-        }
+        return self.cells
 
     def report(self, denominator: str = "rollout") -> EvaluationReport:
         """The full report. ``denominator`` selects per-template/per-category

@@ -12,7 +12,9 @@ A template is written once and bound to many objects, and every binding of
 it, like every custom formula that differs from another only in proposition
 names, has one shape. Progression runs once per shape in a process, and every
 binding of a shape shares the shape's one automaton and its run tables, read
-through the binding's own names in slot order.
+through the binding's own names in slot order. A custom formula is parsed
+once per token skeleton (its text with the names taken out), and an
+instance's formula tree is built only when first read.
 
 A task specification document (JSON or YAML) groups the instances monitored
 for one task together with suite and horizon metadata::
@@ -37,15 +39,15 @@ from __future__ import annotations
 
 import json
 import sys
-from collections.abc import Hashable
+from collections import OrderedDict
+from collections.abc import Hashable, Mapping
 from enum import Enum
-from functools import cache
-from typing import Mapping
+from functools import cache, cached_property
 
 from ._record import Record, _restore
 from .automata import Dfa, _bind, _bind_formula, _shape_formula, _shape_key
 from .errors import BindingError, SafetraceError, TaskSpecError, TemplateError, located
-from .formulas import Formula, is_valid_proposition, parse, proposition_order
+from .formulas import Formula, _all_propositions, _skeleton, is_valid_proposition, parse, proposition_order
 
 __all__ = [
     "SafetyCategory",
@@ -195,6 +197,10 @@ def get_template(template_id: str) -> PropertyTemplate:
 class PropertyInstance(Record, norepr=("dfa",), nocompare=("dfa",)):
     """A template bound to concrete propositions, compiled and ready to run.
 
+    An instance that :func:`instantiate` or :func:`instantiate_custom` binds
+    takes its ``formula`` from its automaton's labels when first read, which
+    build the tree unless a parse gave it; it compares, hashes, prints and
+    pickles as if the tree were given to the constructor.
     ``dfa`` is the automaton of the formula's shape under the bound names:
     its ``props`` list them in slot order (the template's slots, or a custom
     formula's names in order of first occurrence), so it may number its
@@ -214,6 +220,16 @@ class PropertyInstance(Record, norepr=("dfa",), nocompare=("dfa",)):
         if self.template_id != CUSTOM_TEMPLATE:
             get_template(self.template_id)
 
+    @cached_property
+    def formula(self) -> Formula:
+        """The bound formula, as the automaton's labels hold it or build it
+        from the shape and the bound names (the constructor takes it as given)."""
+        return self.dfa._labels.formula
+
+
+# The fields of an instance whose formula its automaton's labels hold or build.
+_UNBUILT = tuple(field for field in PropertyInstance._fields if field != "formula")
+
 
 def instantiate(
     template_id: str,
@@ -229,7 +245,23 @@ def instantiate(
     set; distinct slots mapping to one proposition is usually a typo.
     """
     template = get_template(template_id)
-    with located(template_id):
+    values = tuple(map(bindings.get, template.slots)) if isinstance(bindings, Mapping) else ()
+    # All bindings are checked at once; only a failure is looked into, to word it.
+    if not (_all_propositions(values) and len(bindings) == len(values) == len(set(values))):
+        _check_bindings(template, bindings, allow_duplicate_bindings)
+    instance_id = instance_id if instance_id is not None else template_id
+    bound = (instance_id, template_id, tuple(zip(template.slots, values)))
+    shape = _TEMPLATE_SHAPES[template_id]
+    if len(set(values)) == len(values):
+        dfa = _bind(shape, values)
+    else:  # one name bound to two slots merges them, which gives another shape
+        dfa = _bind_formula(_shape_formula(shape, values))
+    return _restore(PropertyInstance, (*bound, template.category, dfa), _UNBUILT)
+
+
+def _check_bindings(template: PropertyTemplate, bindings: Mapping[str, str], allow_duplicates: bool) -> None:
+    """Raise the first :class:`BindingError` of ``bindings`` for ``template``."""
+    with located(template.template_id):
         missing = [s for s in template.slots if s not in bindings]
         if missing:
             raise BindingError(f"missing bindings for slots {missing}")
@@ -240,39 +272,45 @@ def instantiate(
             if not is_valid_proposition(name):
                 raise BindingError(f"slot {slot!r} bound to invalid proposition {name!r}")
         values = tuple(bindings[s] for s in template.slots)
-        distinct = len(set(values)) == len(values)
-        if not distinct and not allow_duplicate_bindings:
+        if len(set(values)) != len(values) and not allow_duplicates:
             duplicates = sorted({v for v in values if values.count(v) > 1})
             raise BindingError(
                 f"propositions {duplicates} bound to more than one "
                 "slot (pass allow_duplicate_bindings to permit)"
             )
-    shape = _TEMPLATE_SHAPES[template_id]
-    formula = _shape_formula(shape, values)
-    # One name bound to two slots merges them, which gives another shape.
-    dfa = _bind(shape, values, formula) if distinct else _bind_formula(formula)
-    return _restore(PropertyInstance, (
-        instance_id if instance_id is not None else template_id,
-        template_id,
-        tuple(zip(template.slots, values)),
-        formula,
-        template.category,
-        dfa,
-    ))
+
+
+#: Each custom formula skeleton parsed (see :func:`formulas._skeleton`) ->
+#: the formula's shape, and the skeleton slot in each of the shape's slots;
+#: the least recently used of more than this many is dropped. Each step on it
+#: is one dict operation, and every entry is right for its key, so threads
+#: racing on it can at worst parse one skeleton twice.
+_CUSTOM_SHAPES: OrderedDict[tuple, tuple[tuple | int, tuple[int, ...]]] = OrderedDict()
+_CUSTOM_SHAPES_BOUND = 128
 
 
 def instantiate_custom(formula_text: str, *, instance_id: str) -> PropertyInstance:
     """Escape hatch: monitor an arbitrary formula outside the template
-    catalog. Such instances carry no safety category."""
-    formula = parse(formula_text)
-    return PropertyInstance(
-        instance_id=instance_id,
-        template_id=CUSTOM_TEMPLATE,
-        bindings=(),
-        formula=formula,
-        category=None,
-        dfa=_bind_formula(formula),
-    )
+    catalog. Such instances carry no safety category.
+
+    A formula whose token skeleton was parsed before binds that skeleton's
+    shape to its own names without being parsed; only a new skeleton is
+    parsed, from ``formula_text`` itself, so errors name the caller's text.
+    """
+    skeleton, words = _skeleton(formula_text)
+    known = _CUSTOM_SHAPES.pop(skeleton, None)
+    formula = None
+    if known is None:
+        formula = parse(formula_text)
+        slots: dict[str, int] = {}
+        known = _shape_key(formula, slots), tuple(map(words.index, slots))
+    shape, order = known
+    # A formula of too many propositions raises here, before it is kept.
+    dfa = _bind(shape, tuple(map(words.__getitem__, order)), formula)
+    _CUSTOM_SHAPES[skeleton] = known
+    if len(_CUSTOM_SHAPES) > _CUSTOM_SHAPES_BOUND:
+        _CUSTOM_SHAPES.popitem(last=False)
+    return _restore(PropertyInstance, (instance_id, CUSTOM_TEMPLATE, (), None, dfa), _UNBUILT)
 
 
 class TaskSpec(Record):
@@ -418,8 +456,8 @@ def load_task_spec(source: str | dict) -> TaskSpec:
 
     Every property instance is instantiated and compiled eagerly, so binding
     or formula mistakes surface here rather than mid-evaluation. Instances
-    and custom formulas of one shape share one compilation (see the module
-    docstring).
+    and custom formulas of one shape share one compilation, and custom
+    formulas of one token skeleton one parse (see the module docstring).
     """
     data = _parse_document(source) if isinstance(source, str) else source
     if not isinstance(data, dict):

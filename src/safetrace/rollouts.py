@@ -29,7 +29,6 @@ bundled 200-rollout corpus with task specs and a manifest.
 from __future__ import annotations
 
 import random
-import re
 from collections import defaultdict
 from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 from functools import cached_property
@@ -40,7 +39,7 @@ from typing import NoReturn
 
 from ._record import Record, _restore
 from .errors import RolloutFormatError, ScenarioError
-from .formulas import _WORD_RE, RESERVED_WORDS, Trace, is_valid_proposition
+from .formulas import Trace, _all_propositions, is_valid_proposition
 from .properties import TaskSpec, _check_identifier, _json_text, _read_json, get_template, load_task_spec
 
 __all__ = [
@@ -176,19 +175,13 @@ def _check_labels(rollout_id, task, policy, success) -> None:
     _check_identifier(policy, "policy", RolloutFormatError)
 
 
-#: Valid proposition syntax (:func:`is_valid_proposition` but the reserved
-#: words) for every line of a text.
-_NAME_LINES = re.compile(rf"{_WORD_RE.pattern}(?:\n{_WORD_RE.pattern})*")
-
-
 def _declared_names(declared) -> tuple[str, ...] | None:
     """The declared propositions as a record keeps them, sorted and without
     repeats. They must be a collection of strings (neither a string nor a
     mapping), and each is then checked in the order given.
 
-    One match of :data:`_NAME_LINES` over the names joined by newlines
-    checks them all; a name holding a newline adds one, which the count of
-    newlines shows. Only a bad name is looked for name by name, to word it.
+    One regex match checks them all (:func:`formulas._all_propositions`);
+    only a bad name is looked for name by name, to word it.
     """
     if declared is None:
         return None
@@ -196,9 +189,7 @@ def _declared_names(declared) -> tuple[str, ...] | None:
     names = list(declared) if listed else []
     if not listed or not all(isinstance(p, str) for p in names):
         raise RolloutFormatError("'declared_props' must be a list of strings")
-    joined = "\n".join(names)
-    well_formed = _NAME_LINES.fullmatch(joined) and joined.count("\n") == len(names) - 1
-    if names and not (well_formed and RESERVED_WORDS.isdisjoint(names)):
+    if names and not _all_propositions(names):
         for p in names:
             if not is_valid_proposition(p):
                 raise RolloutFormatError(f"invalid declared proposition {p!r}")

@@ -1,14 +1,21 @@
 """Template catalog fidelity, instantiation, and task spec loading."""
 
 import json
+import pickle
 import random
+import re
+import string
+import sys
+import threading
 import time
 from itertools import permutations, product
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from safetrace import automata, properties
+from safetrace import automata, cli, formulas, properties
 from safetrace.automata import Dfa, compile_formula, dfa_to_json, to_dot
 from safetrace.errors import (
     AlphabetTooLargeError,
@@ -18,6 +25,7 @@ from safetrace.errors import (
     TemplateError,
 )
 from safetrace.formulas import (
+    RESERVED_WORDS,
     Prop,
     evaluate,
     format_formula,
@@ -31,6 +39,7 @@ from safetrace.monitor import run_trace, trace_masks
 from safetrace.properties import (
     HORIZONS,
     SUITES,
+    PropertyInstance,
     SafetyCategory,
     get_template,
     instantiate,
@@ -126,6 +135,8 @@ def test_instantiate_rejects_missing_and_unknown_slots():
         instantiate("phi3", {"ObjReleased": "r", "Settled": "s", "Extra": "x"})
     with pytest.raises(BindingError, match="invalid"):
         instantiate("phi3", {"ObjReleased": "r", "Settled": "3bad"})
+    with pytest.raises(BindingError, match="missing"):
+        instantiate("phi3", [("ObjReleased", "r"), ("Settled", "s")])
 
 
 def test_instantiate_unknown_template():
@@ -546,6 +557,304 @@ def test_each_formula_shape_runs_progression_once_per_process():
     instantiate_custom("G (zz -> F a)", instance_id="c3")
     instantiate("phi3", {"ObjReleased": "r", "Settled": "s"})
     assert progressions() == 7
+
+
+# ---------------------------------------------------------------------------
+# Custom formulas bound through their token skeleton; formulas built on read
+# ---------------------------------------------------------------------------
+
+_TOKEN = re.compile(r"<->|->|[()|&!]|[A-Za-z][A-Za-z0-9_]*")
+# Separators between two tokens; a comment holds only reserved words, so the
+# renamed texts of one printing share their skeleton.
+_SEPARATORS = ("", " ", "  ", "\t", "\n", " \r\n ", "  # G U X true\n", "#\n\t")
+# Names next to, or made of, reserved words.
+_SKELETON_NAMES = ("Gx", "X1", "WXa", "Until2", "Ftrue", "R_", "falsey", "TRUE", "p", "q9")
+
+
+_WORD_CHARS = frozenset(string.ascii_letters + string.digits + "_")
+
+
+def _printed(tokens: list[str], separators: list[str], renaming: dict[str, str]) -> str:
+    """``tokens`` with each name renamed, after each its separator; two
+    words are never run together."""
+    text = ""
+    for token, separator in zip(tokens, separators):
+        token = renaming.get(token, token)
+        if text[-1:] in _WORD_CHARS and token[0] in _WORD_CHARS:
+            text += " "
+        text += token + separator
+    return text
+
+
+def _syntax_error(build, text: str) -> tuple | None:
+    try:
+        build(text)
+    except FormulaSyntaxError as error:
+        return str(error), error.line, error.column, error.expected
+    return None
+
+
+def _custom(text: str) -> PropertyInstance:
+    return instantiate_custom(text, instance_id="c")
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.permutations(_SKELETON_NAMES),
+    st.permutations(_SKELETON_NAMES),
+    st.sampled_from(sorted(RESERVED_WORDS - {"true", "false"})),
+)
+@settings(max_examples=200, deadline=None)
+def test_a_custom_formula_bound_through_its_skeleton_equals_its_parse(seed, first, second, reserved):
+    rng = random.Random(seed)
+    f = random_formula(rng, max_depth=rng.randint(1, 4), props=_FOUR_NAMES)
+    tokens = _TOKEN.findall(format_formula(f))
+    separators = [rng.choice(_SEPARATORS) for _ in tokens]
+    properties._CUSTOM_SHAPES.clear()
+    texts = [_printed(tokens, separators, dict(zip(_FOUR_NAMES, names))) for names in (first, second)]
+    for i, text in enumerate(texts):
+        expected = parse(text)
+        instance = _custom(text)
+        # The second text, of the first one's skeleton, is not parsed, and
+        # its formula is built only now, when read.
+        assert (instance.dfa._labels._formula is None) == (i == 1)
+        reference = PropertyInstance("c", "custom", (), expected, None, automata._bind_formula(expected))
+        assert instance == reference and hash(instance) == hash(reference)
+        assert repr(instance) == repr(reference)
+        assert instance.formula == expected and hash(instance.formula) == hash(expected)
+        assert instance.dfa.props == proposition_order(expected)
+        assert instance.dfa.state_labels == reference.dfa.state_labels
+        _, shared = automata._shape_tables(automata._shape_key(expected, {}))
+        assert instance.dfa.successors is shared.successors
+    # A malformed text errs as parse does, whatever skeletons are known:
+    # one with a name replaced by a reserved word, so of the same
+    # separators as the texts just bound, and one with a stray character.
+    words = [i for i, token in enumerate(tokens) if token in _FOUR_NAMES]
+    malformed = []
+    if words:
+        renaming = dict(zip(_FOUR_NAMES, first))
+        at = rng.choice(words)
+        malformed.append(_printed([*tokens[:at], reserved, *tokens[at + 1:]], separators, renaming))
+    at = rng.randrange(len(texts[0]) + 1)
+    malformed.append(texts[0][:at] + rng.choice("()&|!-<>$") + texts[0][at:])
+    for text in malformed:
+        expected = _syntax_error(parse, text)
+        if expected is None:
+            continue
+        properties._CUSTOM_SHAPES.clear()
+        assert _syntax_error(_custom, text) == expected
+        _custom(texts[0])
+        assert _syntax_error(_custom, text) == expected
+
+
+def test_threads_sharing_the_skeleton_table_bind_every_formula_right():
+    # More skeletons than the table holds, so threads evict while others bind.
+    bound = properties._CUSTOM_SHAPES_BOUND
+    names = ("a", "b2", "c_", "Gx", "X1", "WXa", "Until2", "d", "e", "f", "g", "h", "k", "m", "n", "q", "r")
+    texts = [
+        f"G ({x} -> F ({y} & !{x}))" + " " * (i % (bound + 40))
+        for i, (x, y) in enumerate(permutations(names, 2))
+    ]
+    orders = [texts[50 * worker:] + texts[:50 * worker] for worker in range(4)]
+    errors, results = [], {}
+
+    def bind(worker: int) -> None:
+        try:
+            results[worker] = [instantiate_custom(text, instance_id="c") for text in orders[worker]]
+        except Exception as error:  # reported below
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=bind, args=(worker,)) for worker in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [] and len(results) == 4
+    assert len(properties._CUSTOM_SHAPES) <= bound
+    for worker, instances in results.items():
+        for text, instance in zip(orders[worker], instances):
+            expected = parse(text)
+            assert instance.formula == expected and instance.dfa.props == proposition_order(expected)
+
+
+def test_a_formula_too_wide_errs_alike_however_often_it_is_bound():
+    text = " | ".join(f"p{i}" for i in range(9))
+    errors = []
+    for _ in range(2):
+        with pytest.raises(AlphabetTooLargeError) as error:
+            _custom(text)
+        errors.append(str(error.value))
+    assert errors[0] == errors[1] == f"formula uses 9 propositions (cap 8): {text}"
+
+
+# Eight six-proposition CI-gate shapes, as the gate benchmark writes them.
+_GATE_SKELETONS = (
+    "G (({a} & {b}) -> ({c} U ({d} | {e})))",
+    "G ({a} -> F ({b} & X ({c} | {d} | !{e})))",
+    "G (({a} | {b}) -> X (!{c} U ({d} & !{e})))",
+    "G ({a} -> ({b} R ({c} | {d}))) & F ({e} | {f})",
+    "G ({a} -> F {b}) & G (({c} & {d}) -> !{e})",
+    "(!{a} U {b}) | G (({c} -> {d}) & ({e} -> WX {f}))",
+    "G ({a} -> (({b} & !{c}) U ({d} | {e})))",
+    "F ({a} & {b}) -> G ({c} -> F ({d} | {e} | {f}))",
+)
+_GATE_NAMES = ("gripper_closed", "near_fixture", "door_open", "holding_tool", "human_near", "speed_limited")
+
+
+def _gate_specs(count: int) -> list[dict]:
+    """``count`` specs of two custom formulas, of the eight skeletons in
+    turn under shuffled names, and a ``phi1`` instance."""
+    rng = random.Random(35)
+    specs = []
+    for i in range(count):
+        customs = []
+        for j in range(2):
+            names = rng.sample(_GATE_NAMES, 6)
+            text = _GATE_SKELETONS[(2 * i + j) % 8].format(**dict(zip("abcdef", names)))
+            customs.append({"id": f"custom_{j}", "template": "custom", "formula": text})
+        specs.append(dict(MINIMAL_SPEC, task=f"gate_{i}", properties=[*customs, *MINIMAL_SPEC["properties"]]))
+    return specs
+
+
+@pytest.fixture()
+def build_counts(monkeypatch):
+    """Counts of ``parse`` calls by the spec loader and of formula nodes
+    built outside them."""
+    counts = {"parses": 0, "nodes": 0}
+    parsing = []
+    parse_text = properties.parse
+
+    def counting_parse(text):
+        counts["parses"] += 1
+        parsing.append(text)
+        try:
+            return parse_text(text)
+        finally:
+            parsing.pop()
+
+    monkeypatch.setattr(properties, "parse", counting_parse)
+    for cls in (formulas.Prop, formulas._Unary, formulas._Binary):
+        def counting_init(self, *args, _init=cls.__init__):
+            counts["nodes"] += not parsing
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    return counts
+
+
+def test_400_custom_formulas_of_8_skeletons_parse_8_times_and_build_no_tree_until_read(build_counts):
+    # Parsing every formula, or building each bound tree, writes the same
+    # bytes; only the counts show it.
+    documents = _gate_specs(200)
+    load = [load_task_spec(document) for document in documents]  # every shape's automaton built
+    properties._CUSTOM_SHAPES.clear()
+    build_counts.update(parses=0, nodes=0)
+    specs = [load_task_spec(document) for document in documents]
+    assert build_counts == {"parses": 8, "nodes": 0}
+    assert specs == load and build_counts["nodes"] > 0  # comparing reads the formulas
+    for document, spec in zip(documents, specs):
+        for entry, instance in zip(document["properties"], spec.instances):
+            if "formula" in entry:
+                assert instance.formula == formulas.parse(entry["formula"])
+
+
+def test_the_monitor_and_evaluate_commands_build_no_formula_tree(build_counts, tmp_path, capsys):
+    documents = _gate_specs(2)
+    for document in documents:
+        load_task_spec(document)  # every shape's automaton built
+    properties._CUSTOM_SHAPES.clear()
+    pairs = []
+    rng = random.Random(35)
+    for i, document in enumerate(documents):
+        names = (*_GATE_NAMES, "collision", "bad_contact")
+        rollout = {
+            "rollout_id": f"r{i}", "task": document["task"], "policy": "ci", "success": True,
+            "declared_props": sorted(names),
+            "trace": [sorted(n for n in names if rng.random() < 0.3) for _ in range(50)],
+        }
+        (tmp_path / f"r{i}.json").write_text(json.dumps(rollout))
+        (tmp_path / f"s{i}.json").write_text(json.dumps(document))
+        pairs.append({"rollout": f"r{i}.json", "task_spec": f"s{i}.json"})
+    (tmp_path / "manifest.json").write_text(json.dumps({"pairs": pairs}))
+    build_counts.update(parses=0, nodes=0)
+    for i in range(2):
+        argv = ["monitor", str(tmp_path / f"r{i}.json"), str(tmp_path / f"s{i}.json"), "--stdout", "-q"]
+        assert cli.main(argv) in (0, 2)
+    assert build_counts == {"parses": 4, "nodes": 0}
+    argv = ["evaluate", str(tmp_path / "manifest.json"), "--workers", "0", "--out", str(tmp_path / "report"), "-q"]
+    assert cli.main(argv) == 0
+    assert build_counts == {"parses": 4, "nodes": 0}
+
+
+# ``safetrace compile --template phi2`` under these bindings, as recorded
+# when the formula of an instance was still built with it.
+_PHI2_BINDINGS = {"ObjGrasped": "grasp_z", "StableGrasp": "stable_m", "ObjReleased": "released_a"}
+_PHI2_COMPILED_DOT = """\
+digraph dfa {
+  rankdir=LR;
+  __start [shape=point, label=""];
+  q0 [shape=doublecircle, label="q0\\nG(grasp_z -> stable_m U released_a)\\nUNDETERMINED"];
+  q1 [shape=circle, label="q1\\nfalse\\nPERM_FALSE"];
+  q2 [shape=circle, label="q2\\nWX G(!grasp_z | stable_m U released_a) & X(stable_m U released_a)\\nUNDETERMINED"];
+  __start -> q0;
+  q0 -> q0 [label="!grasp_z & !released_a & !stable_m | !grasp_z & released_a & !stable_m | grasp_z & released_a & !stable_m | !grasp_z & !released_a & stable_m | !grasp_z & released_a & stable_m | grasp_z & released_a & stable_m"];
+  q0 -> q1 [label="grasp_z & !released_a & !stable_m"];
+  q0 -> q2 [label="grasp_z & !released_a & stable_m"];
+  q1 -> q1 [label="*"];
+  q2 -> q0 [label="!grasp_z & released_a & !stable_m | grasp_z & released_a & !stable_m | !grasp_z & released_a & stable_m | grasp_z & released_a & stable_m"];
+  q2 -> q1 [label="!grasp_z & !released_a & !stable_m | grasp_z & !released_a & !stable_m"];
+  q2 -> q2 [label="!grasp_z & !released_a & stable_m | grasp_z & !released_a & stable_m"];
+}
+"""
+# The labels of the instance's own automaton, its props in slot order.
+_PHI2_LABELS = (
+    "G(grasp_z -> stable_m U released_a)",
+    "false",
+    "WX G(!grasp_z | stable_m U released_a) & X(stable_m U released_a)",
+)
+
+
+def test_an_instance_formula_built_on_read_keeps_the_record_contract(capsys):
+    template = get_template("phi2")
+    formula = _bound(template.formula, _PHI2_BINDINGS)
+    eager = PropertyInstance(
+        "phi2", "phi2", tuple(_PHI2_BINDINGS.items()), formula, template.category, automata._bind_formula(formula)
+    )
+    assert vars(eager)["formula"] is formula
+    with pytest.raises(TypeError):
+        PropertyInstance("phi2", "phi2", (), category=None, dfa=eager.dfa)
+
+    def unread():
+        instance = instantiate("phi2", _PHI2_BINDINGS)
+        assert "formula" not in vars(instance)
+        return instance
+
+    instance = unread()
+    digest = hash(instance)
+    assert instance == eager and digest == hash(eager) and repr(instance) == repr(eager)
+    assert instance.formula == formula and hash(instance) == digest and instance == eager
+    assert instance.formula is instance.dfa._labels.formula  # one tree, built once
+    assert repr(unread()) == repr(eager)
+    before, after = unread(), unread()
+    after.formula
+    assert pickle.dumps(before) == pickle.dumps(after)
+    for copy in (pickle.loads(pickle.dumps(unread())), pickle.loads(pickle.dumps(after))):
+        assert copy == eager and hash(copy) == hash(eager) and repr(copy) == repr(eager)
+        assert copy.dfa.props == ("grasp_z", "stable_m", "released_a")
+        assert copy.dfa.state_labels == _PHI2_LABELS
+    assert unread().dfa.state_labels == _PHI2_LABELS
+    assert to_dot(unread().dfa) == to_dot(eager.dfa)
+    binds = [arg for slot, name in _PHI2_BINDINGS.items() for arg in ("--bind", f"{slot}={name}")]
+    exports = {"dot": _PHI2_COMPILED_DOT, "json": properties._json_text(dfa_to_json(compile_formula(formula)))}
+    for fmt, expected in exports.items():
+        assert cli.main(["compile", "--template", "phi2", *binds, "--format", fmt, "--stdout"]) == 0
+        assert capsys.readouterr().out == expected
 
 
 def test_custom_escape_hatch_in_spec():
