@@ -56,7 +56,8 @@ from collections.abc import Mapping
 from enum import Enum
 from functools import lru_cache
 from itertools import chain
-from typing import Iterable, Sequence
+from operator import mul, sub
+from typing import Iterable, Iterator, Sequence
 
 from ._record import Record, _restore
 from .errors import AlphabetMismatchError, AlphabetTooLargeError, MonitorError
@@ -98,9 +99,9 @@ __all__ = [
 #: per state, and every shipped property template uses at most three.
 MAX_PROPOSITIONS = 8
 
-#: Per-step verdict codes, one byte each: permanently true, permanently
-#: false, presumably true, presumably false. Codes below
-#: ``CODE_PRESUMABLY_TRUE`` are permanent.
+#: Verdict codes, one byte each: permanently true, permanently false,
+#: presumably true, presumably false. Codes below ``CODE_PRESUMABLY_TRUE``
+#: are permanent.
 CODE_TRUE, CODE_FALSE, CODE_PRESUMABLY_TRUE, CODE_PRESUMABLY_FALSE = range(4)
 
 
@@ -224,11 +225,11 @@ class Dfa(Record, norepr=_UNCOMPARED, nocompare=_UNCOMPARED):
         """
         if len(trace) == 0:
             raise ValueError("cannot run a DFA on an empty trace")
-        _, state = self.run([self.mask_of(valuation) for valuation in trace])
+        *_, state = self.run([self.mask_of(valuation) for valuation in trace])
         return state in self.accepting
 
-    def run(self, masks: Sequence[int], ends: Sequence[int] | None = None) -> tuple[bytes, int]:
-        """Verdict code after each step, and the state the run ended in.
+    def run(self, masks: Sequence[int], ends: Sequence[int] | None = None) -> tuple[bytes, tuple[int, ...], int]:
+        """The verdicts over a trace, as runs, and the state the run ended in.
 
         ``masks`` is a nonempty sequence of valuation bitmasks over this
         automaton's alphabet (see :meth:`mask_of`): an empty one, or a mask
@@ -240,20 +241,19 @@ class Dfa(Record, norepr=_UNCOMPARED, nocompare=_UNCOMPARED):
         :class:`MonitorError`), and the ends must increase, the last being
         the trace's length; that is not checked.
 
-        The run stops at the first permanent verdict, which every later step
-        repeats; the state returned is then the one reached there, whose
-        acceptance every continuation shares.
+        The verdicts are ``codes``, one ``CODE_*`` byte per maximal run of
+        equal verdicts, and ``ends``, each run's end offset as in
+        :attr:`RolloutRecord.run_ends`. The run stops at the first permanent
+        verdict, whose run then reaches the trace's end, at the state there.
 
         This is the one loop that steps an automaton, and it reads the trace
         one maximal run of equal masks at a time: neighbouring steps or runs
         of equal masks are walked as one, found with ``bytes.find`` over
         :func:`_changes`. Within a run the state is stepped only until the
-        mask maps it to itself, and the rest of the run repeats that state's
-        verdict with one repeated-bytes append. Minimized LTLf automata are
-        counter-free, so under a constant mask this happens within
-        ``num_states`` steps; nothing here relies on it, since a mask
-        without a fixed point is simply stepped through to the end of its
-        run.
+        mask maps it to itself. Minimized LTLf automata are counter-free, so
+        under a constant mask this happens within ``num_states`` steps;
+        nothing here relies on it, since a mask without a fixed point is
+        simply stepped through to the end of its run.
         """
         width = self.alphabet_size
         # bytes() of any other buffer (array('H'), a cast memoryview) would
@@ -281,10 +281,10 @@ class Dfa(Record, norepr=_UNCOMPARED, nocompare=_UNCOMPARED):
         n = ends[-1]
         successors = self.successors
         verdict_codes = self.verdict_codes
-        permanent_below = CODE_PRESUMABLY_TRUE
         state = self.initial
         codes = bytearray()
-        append = codes.append
+        starts: list[int] = []  # of each verdict run; a run ends where the next starts
+        last = -1
         k = start = 0
         while k < m:
             mask = data[k]
@@ -293,16 +293,17 @@ class Dfa(Record, norepr=_UNCOMPARED, nocompare=_UNCOMPARED):
             for t in range(start, stop):
                 after = successors[state * width + mask]
                 code = verdict_codes[after]
-                append(code)
-                if code < permanent_below:
-                    codes += _CODE_BYTES[code] * (n - 1 - t)
-                    return bytes(codes), after
+                if code != last:
+                    codes.append(code)
+                    starts.append(t)
+                    last = code
+                    if code < CODE_PRESUMABLY_TRUE:
+                        return bytes(codes), (*starts[1:], n), after
                 if after == state:
-                    codes += _CODE_BYTES[code] * (stop - 1 - t)
                     break
                 state = after
             start = stop
-        return bytes(codes), state
+        return bytes(codes), (*starts[1:], n), state
 
 
 def _changes(data: bytes) -> bytes:
@@ -313,9 +314,21 @@ def _changes(data: bytes) -> bytes:
     return (x ^ (x >> 8)).to_bytes(len(data), "little")[:-1].translate(_NONZERO_TO_ONE)
 
 
+def _per_step(pieces: Iterable[Sequence], ends: Sequence[int]) -> Iterator[Sequence]:
+    """The one expansion of a run form to steps: each run's piece, its value
+    as a one-item sequence (a byte, a line), repeated over the run's steps,
+    the runs ending before ``ends``. Joined, one value per step."""
+    return map(mul, pieces, map(sub, ends, (0, *ends)))
+
+
+def _bytes_per_step(data: bytes, ends: Sequence[int]) -> bytes:
+    """A run form of one byte per run, as one byte per step."""
+    return b"".join(_per_step(map(_BYTE_PIECES.__getitem__, data), ends))
+
+
 _ALL_BYTES = bytes(range(256))
+_BYTE_PIECES = [bytes((i,)) for i in _ALL_BYTES]
 _NONZERO_TO_ONE = bytes(1) + bytes((1,)) * 255
-_CODE_BYTES = tuple(bytes((code,)) for code in range(4))
 #: The permanence label of each ``CODE_*``.
 _PERMANENCE = (
     Permanence.PERM_TRUE, Permanence.PERM_FALSE, Permanence.UNDETERMINED, Permanence.UNDETERMINED

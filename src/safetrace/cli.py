@@ -283,8 +283,8 @@ def _cmd_monitor(args) -> int:
     violations = sorted(i for i, (*_, violated) in runs.items() if violated)
     if not args.quiet:  # the lines are built only to be printed
         for instance_id in violations:
-            codes, accepting, _, category, _ = runs[instance_id]
-            result = MonitorResult(codes, accepting)
+            codes, ends, accepting, _, category, _ = runs[instance_id]
+            result = MonitorResult(codes, ends, accepting)
             _log(
                 args,
                 f"violation: {instance_id} ({category.value if category is not None else None}) "

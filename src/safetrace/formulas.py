@@ -345,19 +345,20 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 _WORD_SPLIT = re.compile(f"({_WORD_RE.pattern})")
+_COMMENT = re.compile("#[^\n]*")
 
 
 def _skeleton(text: str) -> tuple[tuple[str | int, ...], tuple[str, ...]]:
     """The token skeleton of a formula text, and the names taken out of it.
 
-    The text is split at the words :func:`_tokenize` reads: the separators
-    and the reserved words stay as they are, and every other word becomes
-    its slot, numbered by first occurrence; the names are listed in slot
-    order. Two texts with equal skeletons tokenize alike up to their names
-    and columns, so both fail to parse, or they parse to formulas of one
-    shape. Words in a comment take slots as well: the rule stays one split.
+    Comments are dropped, as :func:`_tokenize` skips them; the rest is split
+    at the words it reads: the separators and the reserved words stay as
+    they are, and every other word becomes its slot, numbered by first
+    occurrence; the names are listed in slot order. Two texts with equal
+    skeletons tokenize alike up to their names and columns, so both fail
+    to parse, or they parse to formulas of one shape.
     """
-    parts: list[str | int] = _WORD_SPLIT.split(text)
+    parts: list[str | int] = _WORD_SPLIT.split(_COMMENT.sub("", text))
     slots: dict[str, int] = {}
     for i in range(1, len(parts), 2):
         word = parts[i]

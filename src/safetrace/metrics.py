@@ -36,7 +36,7 @@ per trace length, from which a projection builds the exact sum of
 exposures. Projections group cells, and `_pooled` alone turns a group into
 rates, adding its counts up as integers and making one exact fraction of
 its exposures. An evaluation keeps per instance only what its monitor
-found (``runs``: the verdict codes, whether the run ended accepting, the
+found (``runs``: the verdict runs, whether the run ended accepting, the
 instance's template, category and violation); all else is read from it, and
 `ReportTally.add` unites the unsafe steps of each row a rollout counts in.
 Integer counts make every projection independent of the evaluations'
@@ -58,9 +58,9 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from ._record import Record
-from .automata import CODE_FALSE, CODE_PRESUMABLY_FALSE, _changes
+from .automata import CODE_FALSE, _per_step
 from .errors import SafetraceError
-from .monitor import _UNSAFE_FLAG_TABLE, MonitorResult, Verdict
+from .monitor import MonitorResult, Verdict, _first_false, _unsafe_bits, _unsafe_flags, _unsafe_steps
 from .properties import SafetyCategory, TaskSpec, TEMPLATE_IDS, CUSTOM_TEMPLATE, SUITES, HORIZONS
 from .properties import _json_text, _read_json
 
@@ -112,9 +112,9 @@ class RolloutEvaluation(Record):
     success: bool
     length: int
     strict_end: bool
-    # Instance id -> (verdict codes, ended accepting, template id, category,
-    # violated under ``strict_end``), in spec order.
-    runs: dict[str, tuple[bytes, bool, str, SafetyCategory | None, bool]]
+    # Instance id -> (verdict codes and run ends, ended accepting, template
+    # id, category, violated under ``strict_end``), in spec order.
+    runs: dict[str, tuple[bytes, tuple[int, ...], bool, str, SafetyCategory | None, bool]]
 
     @property
     def unsafe(self) -> bool:
@@ -123,7 +123,7 @@ class RolloutEvaluation(Record):
     @property
     def rollout_exposure(self) -> Fraction:
         """The share of steps at which at least one instance was unsafe."""
-        union = reduce(int.__or__, [_unsafe_bits(codes) for codes, *_ in self.runs.values()], 0)
+        union = reduce(int.__or__, [_unsafe_bits(codes, ends) for codes, ends, *_ in self.runs.values()], 0)
         return Fraction(union.bit_count(), self.length)
 
     @property
@@ -137,15 +137,15 @@ class RolloutEvaluation(Record):
     @cached_property
     def per_instance(self) -> Mapping[str, MonitorResult]:
         """Instance id -> its monitor result, read-only."""
-        results = {i: MonitorResult(codes, accepting) for i, (codes, accepting, *_) in self.runs.items()}
+        results = {i: MonitorResult(*run[:3]) for i, run in self.runs.items()}
         return MappingProxyType(results)
 
     @cached_property
     def instance_meta(self) -> Mapping[str, InstanceMeta]:
         """Instance id -> its template, category, violation and unsafe flags, read-only."""
         meta = {
-            i: InstanceMeta(template_id, category, violated, codes.translate(_UNSAFE_FLAG_TABLE))
-            for i, (codes, _, template_id, category, violated) in self.runs.items()
+            i: InstanceMeta(template_id, category, violated, _unsafe_flags(codes, ends))
+            for i, (codes, ends, _, template_id, category, violated) in self.runs.items()
         }
         return MappingProxyType(meta)
 
@@ -174,10 +174,10 @@ def evaluate_rollout(
     instances = spec.instances
     for inst, mask_runs in zip(instances, record.mask_runs(inst.dfa.props for inst in instances)):
         dfa = inst.dfa
-        codes, state = dfa.run(*mask_runs)
+        codes, ends, state = dfa.run(*mask_runs)
         accepting = state in dfa.accepting
         violated = CODE_FALSE in codes or (strict_end and not accepting)
-        runs[inst.instance_id] = (codes, accepting, inst.template_id, inst.category, violated)
+        runs[inst.instance_id] = (codes, ends, accepting, inst.template_id, inst.category, violated)
     return RolloutEvaluation(
         rollout_id=record.rollout_id,
         task_name=record.task_name,
@@ -191,16 +191,8 @@ def evaluate_rollout(
     )
 
 
-def _unsafe_bits(codes: bytes) -> int:
-    """The unsafe steps of ``codes`` as bits, the first step the highest."""
-    return int.from_bytes(codes.translate(_UNSAFE_FLAG_TABLE), "big")
-
-
 # The JSON text of the verdict each ``CODE_*`` byte stands for, and that
 # text as a line of a report's ``"verdicts"`` array other than its last.
-# ``_VERDICT_LINE`` is a list: the per-step path maps codes through its
-# ``__getitem__``, a direct method on a list but a slot wrapper on a tuple,
-# which ``map`` calls about half as fast.
 _VERDICT_JSON = [json.dumps(v.value) for v in Verdict]
 _VERDICT_LINE = [text + ",\n        " for text in _VERDICT_JSON]
 # Numbers and booleans are written as ``json.dumps`` writes them (the repr
@@ -211,25 +203,10 @@ _VERDICT_LINE = [text + ",\n        " for text in _VERDICT_JSON]
 _JSON_BOOL = ("false", "true")
 
 
-def _verdict_lines(codes: bytes, out: list[str]) -> None:
-    """Append to ``out`` the verdicts of ``codes`` as the lines of a
-    monitor report's ``"verdicts"`` array, without its brackets.
-
-    A verdict repeats once it settles, so the lines are written one
-    repeated string per run of equal codes, found as :meth:`Dfa.run` finds
-    runs of equal masks. When runs average under 8 steps, one table entry
-    per step is cheaper (a run costs about as much as 10 steps); both ways
-    write the same text."""
-    body = codes[:-1]  # every verdict but the last is followed by a comma
-    changes = _changes(body)
-    if changes.count(1) * 8 > len(body):
-        out += map(_VERDICT_LINE.__getitem__, body)
-    else:
-        n, start = len(body), 0
-        while start < n:
-            stop = changes.find(1, start) + 1 or n
-            out.append(_VERDICT_LINE[body[start]] * (stop - start))
-            start = stop
+def _verdict_lines(codes: bytes, ends: Sequence[int], out: list[str]) -> None:
+    """Append to ``out`` a monitor report's ``"verdicts"`` lines for the runs
+    ``codes``, ``ends``: one repeated line per run; the last step's has no comma."""
+    out += _per_step(map(_VERDICT_LINE.__getitem__, codes), (*ends[:-1], ends[-1] - 1))
     out.append(_VERDICT_JSON[codes[-1]])
 
 
@@ -247,23 +224,21 @@ def monitor_report_json(evaluation: RolloutEvaluation) -> str:
     out = ['{\n  "instances": [']
     separator = "\n    "
     for instance_id in sorted(runs):
-        codes, accepting, _, category, violated = runs[instance_id]
-        unsafe = codes.count(CODE_FALSE) + codes.count(CODE_PRESUMABLY_FALSE)
-        first_false = codes.find(CODE_FALSE)
-        if first_false >= 0:
-            kind, timestep = '"mid"', first_false
-        else:
-            kind, timestep = '"end"' if violated and not accepting else "null", "null"
+        codes, ends, accepting, _, category, violated = runs[instance_id]
+        unsafe = _unsafe_steps(codes, ends)
+        first_false = _first_false(codes, ends)
+        kind = '"mid"' if first_false is not None else '"end"' if violated and not accepting else "null"
+        timestep = "null" if first_false is None else first_false
         out.append(
             f"{separator}{{\n"
             f'      "category": {"null" if category is None else dumps(category.value)},\n'
-            f'      "exposure": {unsafe / len(codes)!r},\n'
+            f'      "exposure": {unsafe / evaluation.length!r},\n'
             f'      "final_satisfied": {_JSON_BOOL[accepting]},\n'
             f'      "property_id": {dumps(instance_id)},\n'
             f'      "unsafe_steps": {unsafe},\n'
             '      "verdicts": [\n        '
         )
-        _verdict_lines(codes, out)
+        _verdict_lines(codes, ends, out)
         out.append(
             "\n      ],\n"
             f'      "violated": {_JSON_BOOL[violated]},\n'
@@ -444,8 +419,8 @@ class ReportTally:
         # (dimension, key) -> (violated, unsafe bits) of each row the rollout counts in.
         suite = ("suite", e.suite)
         rows: dict[tuple[str, str], tuple[bool, int]] = {suite: (False, 0)}
-        for codes, _, template_id, category, violated in e.runs.values():
-            bits = _unsafe_bits(codes)
+        for codes, ends, _, template_id, category, violated in e.runs.values():
+            bits = _unsafe_bits(codes, ends)
             keys = [suite, ("template", template_id)]
             if category is not None:
                 keys.append(("category", category.value))

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ._record import Record
-from .automata import CODE_FALSE, CODE_PRESUMABLY_FALSE, Dfa
+from .automata import CODE_FALSE, CODE_PRESUMABLY_FALSE, Dfa, _bytes_per_step
 from .formulas import Trace
 
 __all__ = ["Verdict", "MonitorResult", "run_trace", "trace_masks"]
@@ -45,38 +45,40 @@ _VERDICTS = tuple(Verdict)
 class MonitorResult(Record):
     """Outcome of monitoring one property instance over one trace.
 
-    ``verdict_codes`` stores one byte per timestep, a ``CODE_*`` value of
-    :mod:`safetrace.automata`; ``final_satisfied`` whether the last state
-    was accepting. Everything else is read from these two: ``verdicts``
-    decodes the codes, ``violated`` is whether a ``FALSE`` verdict occurred
-    (first at ``violation_timestep``), and ``exposure`` is
-    ``unsafe_steps / length`` as an exact fraction.
+    ``codes`` and ``ends`` are the verdict runs of :meth:`Dfa.run`, and
+    ``final_satisfied`` whether the last state was accepting. All else is
+    read from these: ``verdict_codes`` and ``verdicts`` per step,
+    ``violated`` (a ``FALSE`` verdict, first at ``violation_timestep``) and
+    ``exposure``, ``unsafe_steps / length`` as an exact fraction.
     """
 
-    verdict_codes: bytes
+    codes: bytes
+    ends: tuple[int, ...]
     final_satisfied: bool
 
     @property
+    def verdict_codes(self) -> bytes:
+        return _bytes_per_step(self.codes, self.ends)
+
+    @property
     def verdicts(self) -> tuple[Verdict, ...]:
-        return tuple(_VERDICTS[c] for c in self.verdict_codes)
+        return tuple(map(_VERDICTS.__getitem__, self.verdict_codes))
 
     @property
     def violated(self) -> bool:
-        return CODE_FALSE in self.verdict_codes
+        return CODE_FALSE in self.codes
 
     @property
     def violation_timestep(self) -> int | None:
-        first_false = self.verdict_codes.find(CODE_FALSE)
-        return None if first_false == -1 else first_false
+        return _first_false(self.codes, self.ends)
 
     @property
     def unsafe_steps(self) -> int:
-        codes = self.verdict_codes
-        return codes.count(CODE_FALSE) + codes.count(CODE_PRESUMABLY_FALSE)
+        return _unsafe_steps(self.codes, self.ends)
 
     @property
     def length(self) -> int:
-        return len(self.verdict_codes)
+        return self.ends[-1]
 
     @property
     def exposure(self) -> Fraction:
@@ -99,12 +101,30 @@ class MonitorResult(Record):
             return True
         return strict_end and not self.final_satisfied
 
-    def unsafe_flags(self) -> bytes:
-        """Per-step 0/1 flags marking FALSE or PRESUMABLY_FALSE verdicts."""
-        return self.verdict_codes.translate(_UNSAFE_FLAG_TABLE)
 
-
+# The readers of verdict runs below are the only code that looks inside them.
 _UNSAFE_FLAG_TABLE = bytes(code in (CODE_FALSE, CODE_PRESUMABLY_FALSE) for code in range(256))
+
+
+def _unsafe_flags(codes: bytes, ends: Sequence[int]) -> bytes:
+    """One 0/1 byte per step, 1 for a FALSE or PRESUMABLY_FALSE verdict."""
+    return _bytes_per_step(codes.translate(_UNSAFE_FLAG_TABLE), ends)
+
+
+def _unsafe_bits(codes: bytes, ends: Sequence[int]) -> int:
+    """The unsafe flags as one int, the first step's byte the highest."""
+    return int.from_bytes(_unsafe_flags(codes, ends), "big")
+
+
+def _unsafe_steps(codes: bytes, ends: Sequence[int]) -> int:
+    """The number of steps with a FALSE or PRESUMABLY_FALSE verdict."""
+    return sum(end - start for start, end, code in zip((0, *ends), ends, codes) if _UNSAFE_FLAG_TABLE[code])
+
+
+def _first_false(codes: bytes, ends: Sequence[int]) -> int | None:
+    """The first step with a FALSE verdict, or ``None``."""
+    k = codes.find(CODE_FALSE)
+    return None if k == -1 else ends[k - 1] if k else 0
 
 
 def trace_masks(d: Dfa, trace: Trace | Sequence[Iterable[str]]) -> bytes:
@@ -115,5 +135,5 @@ def trace_masks(d: Dfa, trace: Trace | Sequence[Iterable[str]]) -> bytes:
 def run_trace(d: Dfa, trace: Trace | Sequence[Iterable[str]]) -> MonitorResult:
     """Monitor a whole nonempty trace: :meth:`Dfa.run` over its masks, and
     whether the state it ends in is accepting."""
-    codes, state = d.run(trace_masks(d, trace))
-    return MonitorResult(codes, state in d.accepting)
+    codes, ends, state = d.run(trace_masks(d, trace))
+    return MonitorResult(codes, ends, state in d.accepting)

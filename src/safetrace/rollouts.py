@@ -32,12 +32,13 @@ import random
 from collections import defaultdict
 from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 from functools import cached_property
-from itertools import chain, compress, count, islice, repeat
-from operator import ne, sub
+from itertools import chain, compress, count, islice
+from operator import ne
 from pathlib import Path
 from typing import NoReturn
 
 from ._record import Record, _restore
+from .automata import _per_step
 from .errors import RolloutFormatError, ScenarioError
 from .formulas import Trace, _all_propositions, is_valid_proposition
 from .properties import TaskSpec, _check_identifier, _json_text, _read_json, get_template, load_task_spec
@@ -65,12 +66,12 @@ class RolloutRecord(Record, norepr=("valuations", "run_ids", "run_ends")):
 
     The record keeps the trace as its distinct valuations and its maximal
     runs of equal valuations: one valuation id and one end offset per run.
-    :attr:`trace`, :attr:`valuation_ids` and :meth:`masks` are per-step
-    views built from them. The constructor takes the trace as a
-    :class:`Trace` or a nonempty list of steps. It checks the labels,
-    ``declared_props`` and the trace's shape with :func:`load_rollout`'s
-    rules and messages, builds the runs as :func:`load_rollout` does, and
-    keeps ``declared_props`` sorted and without repeats.
+    :attr:`trace` and :attr:`valuation_ids` are per-step views built from
+    them. The constructor takes the trace as a :class:`Trace` or a nonempty
+    list of steps. It checks the labels, ``declared_props`` and the trace's
+    shape with :func:`load_rollout`'s rules and messages, builds the runs as
+    :func:`load_rollout` does, and keeps ``declared_props`` sorted and
+    without repeats.
     """
 
     rollout_id: str
@@ -118,7 +119,7 @@ class RolloutRecord(Record, norepr=("valuations", "run_ids", "run_ends")):
     @property
     def valuation_ids(self) -> bytes | tuple[int, ...]:
         """Each step's index into ``valuations``, of the type of ``run_ids``."""
-        ids = _per_step(self.run_ids, self.run_ends)
+        ids = chain.from_iterable(_per_step(zip(self.run_ids), self.run_ends))
         return bytes(ids) if isinstance(self.run_ids, bytes) else tuple(ids)
 
     def mask_runs(self, bases: Iterable[Sequence[str]]) -> Iterator[tuple[bytes, tuple[int, ...]]]:
@@ -146,18 +147,6 @@ class RolloutRecord(Record, norepr=("valuations", "run_ids", "run_ends")):
                 for i in holds_in.get(p, ()):
                     table[i] |= flag
             yield (ids.translate(table) if isinstance(ids, bytes) else bytes(map(table.__getitem__, ids))), ends
-
-    def masks(self, props: Sequence[str]) -> bytes:
-        """Every step projected onto the bitmask basis ``props``, as
-        :func:`monitor.trace_masks` projects it; at most 8 propositions."""
-        ((masks, ends),) = self.mask_runs((props,))
-        return bytes(_per_step(masks, ends))
-
-
-def _per_step(values: Iterable, ends: Sequence[int]) -> Iterator:
-    """Each run's value once per step of the run, the runs ending before
-    ``ends``."""
-    return chain.from_iterable(map(repeat, values, map(sub, ends, (0, *ends))))
 
 
 # ---------------------------------------------------------------------------

@@ -17,16 +17,18 @@ exposures taken from the per-step verdict codes as sets of step indices, to
 anchor the count fold in ``safetrace.metrics``.
 
 `reference_run` is the plain per-step DFA loop, one table lookup per mask,
-to anchor the run-wise loop in ``safetrace.automata.Dfa.run``.
+to anchor the run-wise loop in ``safetrace.automata.Dfa.run``; `runs_of`
+and `per_step` convert between its per-step codes and the run form
+``Dfa.run`` returns, one step at a time.
 
 `reference_monitor_result` reads every derived value of a monitor result
 off its verdict codes one step at a time, to anchor the properties of
 ``safetrace.monitor.MonitorResult``.
 
 `reference_monitor_text` builds the monitor report as a document, with each
-verdict decoded through its ``Verdict`` enum, and dumps it with
-``json.dumps``, to anchor the fixed-shape writer
-``safetrace.metrics.monitor_report_json``.
+verdict decoded through its ``Verdict`` enum and every count read off the
+per-step verdict codes, and dumps it with ``json.dumps``, to anchor the
+fixed-shape writer ``safetrace.metrics.monitor_report_json``.
 
 `RECORD_MIRRORS` holds, for each record class of the package, a frozen
 dataclass with the same name, fields, field order, defaults and field
@@ -235,6 +237,28 @@ def reference_run(d, masks) -> tuple[bytes, int]:
     return bytes(codes), state
 
 
+def runs_of(codes: bytes) -> tuple[bytes, tuple[int, ...]]:
+    """Per-step verdict codes in the run form ``Dfa.run`` returns: one code
+    per maximal run of equal codes, and each run's end offset."""
+    run_codes, ends = bytearray(), []
+    for t, code in enumerate(codes):
+        if run_codes and run_codes[-1] == code:
+            ends[-1] = t + 1
+        else:
+            run_codes.append(code)
+            ends.append(t + 1)
+    return bytes(run_codes), tuple(ends)
+
+
+def per_step(codes: bytes, ends) -> bytes:
+    """The run form ``codes``, ``ends`` as one code per step."""
+    steps = bytearray()
+    for code, end in zip(codes, ends, strict=True):
+        while len(steps) < end:
+            steps.append(code)
+    return bytes(steps)
+
+
 #: The verdict each ``CODE_*`` byte stands for, as the monitor report writes it.
 _VERDICT_TEXTS = {CODE_TRUE: "T", CODE_FALSE: "F", CODE_PRESUMABLY_TRUE: "pt", CODE_PRESUMABLY_FALSE: "pf"}
 
@@ -257,7 +281,6 @@ def reference_monitor_result(codes: bytes, final_satisfied: bool) -> dict:
         "violation_kind": "mid" if violated else None if final_satisfied else "end",
         "violates(True)": violated or not final_satisfied,
         "violates(False)": violated,
-        "unsafe_flags()": bytes(unsafe),
     }
 
 
@@ -467,16 +490,20 @@ def reference_monitor_text(evaluation) -> str:
     for instance_id in sorted(evaluation.per_instance):
         result = evaluation.per_instance[instance_id]
         m = evaluation.instance_meta[instance_id]
-        kind = result.violation_kind
+        # Read off the per-step codes, not from the result's run readers.
+        codes = result.verdict_codes
+        first_false = codes.find(CODE_FALSE)
+        unsafe = codes.count(CODE_FALSE) + codes.count(CODE_PRESUMABLY_FALSE)
+        kind = "mid" if first_false != -1 else None if result.final_satisfied else "end"
         instances.append(
             {
                 "property_id": instance_id,
                 "category": m.category.value if m.category is not None else None,
                 "violated": m.violated,
                 "violation_kind": kind if (kind == "mid" or m.violated) else None,
-                "violation_timestep": result.violation_timestep,
-                "unsafe_steps": result.unsafe_steps,
-                "exposure": float(result.exposure),
+                "violation_timestep": first_false if first_false != -1 else None,
+                "unsafe_steps": unsafe,
+                "exposure": float(Fraction(unsafe, len(codes))),
                 "final_satisfied": result.final_satisfied,
                 "verdicts": [v.value for v in result.verdicts],
             }
@@ -535,7 +562,7 @@ RECORD_MIRRORS = {
             "mean_rollout_exposure", "outcome_shares", "unsafe_success_share", "per_template",
             "per_category", "per_suite", "per_horizon", "per_policy", "denominator_mode",
         ),
-        _mirror("MonitorResult", "verdict_codes", "final_satisfied"),
+        _mirror("MonitorResult", "codes", "ends", "final_satisfied"),
         _mirror("PropertyTemplate", "template_id", "category", "formula", "slots", "description"),
         _mirror(
             "PropertyInstance", "instance_id", "template_id", "bindings", "formula", "category",

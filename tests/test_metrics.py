@@ -32,7 +32,7 @@ from safetrace.metrics import (
     monitor_report_document,
     monitor_report_json,
 )
-from safetrace.monitor import MonitorResult
+from safetrace.monitor import MonitorResult, trace_masks
 from safetrace.properties import (
     CUSTOM_TEMPLATE,
     HORIZONS,
@@ -51,7 +51,7 @@ from safetrace.rollouts import (
     scenario_task_spec,
 )
 
-from oracles import reference_monitor_text, reference_report
+from oracles import reference_monitor_text, reference_report, runs_of
 
 SPEC = load_task_spec(
     json.dumps(
@@ -108,8 +108,8 @@ def test_rollout_exposure_is_union_of_instance_unsafe_steps():
     steps[5].add("settled")
     steps[3].add("collision")
     evaluation = evaluate_rollout(_record("r2", steps, True), SPEC)
-    flags_settle = evaluation.per_instance["settle"].unsafe_flags()
-    flags_inv = evaluation.per_instance["inv"].unsafe_flags()
+    flags_settle = evaluation.instance_meta["settle"].unsafe_flag_bytes
+    flags_inv = evaluation.instance_meta["inv"].unsafe_flag_bytes
     assert flags_settle == bytes([0, 0, 1, 1, 1, 0, 0, 0, 0, 0])
     assert flags_inv == bytes([0, 0, 0, 1, 1, 1, 1, 1, 1, 1])
     # union {2,3,4} | {3..9} = {2..9} -> 8 of 10
@@ -138,10 +138,10 @@ def test_union_exposure_hand_example():
     steps[3].add("tb")
     steps[5].add("db")  # b pending at {3,4}
     evaluation = evaluate_rollout(_record("r3", steps, True), spec)
-    assert evaluation.per_instance["a"].unsafe_flags() == bytes(
+    assert evaluation.instance_meta["a"].unsafe_flag_bytes == bytes(
         [0, 0, 1, 1, 0, 0, 0, 0, 0, 0]
     )
-    assert evaluation.per_instance["b"].unsafe_flags() == bytes(
+    assert evaluation.instance_meta["b"].unsafe_flag_bytes == bytes(
         [0, 0, 0, 1, 1, 0, 0, 0, 0, 0]
     )
     assert evaluation.rollout_exposure == Fraction(3, 10)
@@ -221,7 +221,7 @@ def _eager_meta(inst, result, strict_end):
         template_id=inst.template_id,
         category=inst.category,
         violated=result.violates(strict_end),
-        unsafe_flag_bytes=result.unsafe_flags(),
+        unsafe_flag_bytes=bytes(code in (CODE_FALSE, CODE_PRESUMABLY_FALSE) for code in result.verdict_codes),
     )
 
 
@@ -240,11 +240,11 @@ def test_per_instance_results_built_on_read_equal_the_eager_ones(spec, trace, st
     unread = pickle.dumps(evaluation)
     results = {}
     for inst in spec.instances:
-        codes, state = inst.dfa.run(record.masks(inst.dfa.props))
-        results[inst.instance_id] = MonitorResult(codes, state in inst.dfa.accepting)
+        codes, ends, state = inst.dfa.run(trace_masks(inst.dfa, trace))
+        results[inst.instance_id] = MonitorResult(codes, ends, state in inst.dfa.accepting)
     meta = {inst.instance_id: _eager_meta(inst, results[inst.instance_id], strict_end) for inst in spec.instances}
     runs = {
-        i: (result.verdict_codes, result.final_satisfied, m.template_id, m.category, m.violated)
+        i: (result.codes, result.ends, result.final_satisfied, m.template_id, m.category, m.violated)
         for (i, result), m in zip(results.items(), meta.values())
     }
     assert evaluation == _rebuilt(evaluation, runs=runs) == evaluation
@@ -318,8 +318,7 @@ _CODES = (CODE_TRUE, CODE_FALSE, CODE_PRESUMABLY_TRUE, CODE_PRESUMABLY_FALSE)
 def _drawn_codes(rng: random.Random, alphabet: list[int], length: int, structured: bool) -> bytes:
     """``length`` verdict codes from ``alphabet``: independent draws, whose
     runs are almost all one step long, or runs of equal codes averaging
-    about 2, 8 or 200 steps, as monitors write them, so that the report
-    writer takes each of its two ways of writing verdicts."""
+    about 2, 8 or 200 steps, as monitors write them."""
     if not structured:
         return bytes(rng.choices(alphabet, k=length))
     codes = bytearray()
@@ -339,7 +338,7 @@ def _monitor_evaluations(draw):
         alphabet = sorted(draw(st.sets(st.sampled_from(_CODES), min_size=1)))
         rng = random.Random(draw(st.integers()))
         runs[instance_id] = (
-            _drawn_codes(rng, alphabet, length, draw(st.booleans())),
+            *runs_of(_drawn_codes(rng, alphabet, length, draw(st.booleans()))),
             draw(st.booleans()),
             draw(st.sampled_from(TEMPLATE_IDS + (CUSTOM_TEMPLATE,))),
             draw(st.none() | st.sampled_from(SafetyCategory)),
@@ -369,7 +368,7 @@ def _one_instance(codes: bytes) -> RolloutEvaluation:
         success=True,
         length=len(codes),
         strict_end=True,
-        runs={"i": (codes, False, CUSTOM_TEMPLATE, None, CODE_FALSE in codes)},
+        runs={"i": (*runs_of(codes), False, CUSTOM_TEMPLATE, None, CODE_FALSE in codes)},
     )
 
 
@@ -379,7 +378,7 @@ _T, _F, _PT, _PF = (bytes((code,)) for code in _CODES)
 @given(_monitor_evaluations())
 @example(_one_instance(_PT * 1000))  # one run
 @example(_one_instance(_PT * 999 + _PF))  # a last run of one step
-@example(_one_instance(_PF * 10 + _T * 990))  # ends in code 0, which marks no run end
+@example(_one_instance(_PF * 10 + _T * 990))  # ends in code 0
 @example(_one_instance((_PT + _PF) * 500))  # runs of one step
 @example(_one_instance(_F))  # one step
 @settings(max_examples=200, deadline=None)
@@ -400,15 +399,15 @@ class _CountingLines(list):
 @pytest.mark.parametrize(
     ("codes", "lookups"),
     [
-        ((_PT * 20 + _PF * 20) * 25, 50),  # 50 runs of 20 steps: one lookup a run
-        ((_PT + _PF) * 500, 999),  # runs of one step: one lookup a step
+        ((_PT * 20 + _PF * 20) * 25, 50),  # 50 runs of 20 steps
+        ((_PT + _PF) * 500, 1000),  # runs of one step
+        (_PT * 999 + _PF, 2),  # a last run of one step
         (_PT * 1000, 1),  # one run
     ],
 )
 def test_monitor_report_looks_up_one_verdict_line_per_run(monkeypatch, codes, lookups):
-    # Both ways write the same text, so only the count tells a writer that
-    # goes step by step on runs of 20 (999 lookups) from one that goes run
-    # by run (50); the last verdict is written from another table.
+    # One lookup a run, whatever the runs' lengths: a writer that went step
+    # by step would write the same text with one lookup a step.
     table = _CountingLines(metrics._VERDICT_LINE)
     monkeypatch.setattr(metrics, "_VERDICT_LINE", table)
     evaluation = _one_instance(codes)

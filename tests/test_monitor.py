@@ -2,6 +2,7 @@
 
 import pickle
 import random
+import time
 from array import array
 from fractions import Fraction
 from functools import lru_cache
@@ -21,16 +22,33 @@ from safetrace.automata import (
 from safetrace._record import _restore
 from safetrace.errors import MonitorError
 from safetrace.formulas import Trace, evaluate, parse
-from safetrace.metrics import evaluate_rollout
-from safetrace.monitor import MonitorResult, Verdict, run_trace, trace_masks
-from safetrace.properties import TEMPLATE_IDS, PropertyInstance, TaskSpec, get_template, instantiate
+from safetrace.metrics import _verdict_lines, evaluate_rollout
+from safetrace.monitor import MonitorResult, Verdict, _unsafe_bits, run_trace, trace_masks
+from safetrace.properties import (
+    TEMPLATE_IDS,
+    PropertyInstance,
+    TaskSpec,
+    get_template,
+    instantiate,
+    instantiate_custom,
+    list_templates,
+)
 from safetrace.rollouts import RolloutRecord, load_rollout
 
-from oracles import all_traces, random_formula, random_trace, reference_monitor_result, reference_run
+from oracles import (
+    all_traces,
+    per_step,
+    random_formula,
+    random_trace,
+    reference_monitor_result,
+    reference_run,
+    runs_of,
+)
+from test_properties import _rank_patterns
 
 
 def _readings(result: MonitorResult) -> dict:
-    """Every value ``result`` derives from its two fields, by the names of
+    """Every value ``result`` derives from its fields, by the names of
     :func:`oracles.reference_monitor_result`."""
     return {
         "verdicts": [v.value for v in result.verdicts],
@@ -42,8 +60,20 @@ def _readings(result: MonitorResult) -> dict:
         "violation_kind": result.violation_kind,
         "violates(True)": result.violates(True),
         "violates(False)": result.violates(False),
-        "unsafe_flags()": result.unsafe_flags(),
     }
+
+
+def _per_step_run(dfa: Dfa, masks, ends=None) -> tuple[bytes, int]:
+    """``dfa.run(masks, ends)`` with its verdict runs expanded to one code
+    per step, once they are checked to be maximal runs that cover the
+    trace: neighbouring codes differ, and the ends strictly increase up to
+    the trace's length."""
+    codes, run_ends, state = dfa.run(masks, ends)
+    assert type(codes) is bytes and type(run_ends) is tuple and len(codes) == len(run_ends)
+    assert all(a != b for a, b in zip(codes, codes[1:]))
+    assert all(a < b for a, b in zip((0, *run_ends), run_ends))
+    assert run_ends[-1] == (len(masks) if ends is None else ends[-1])
+    return per_step(codes, run_ends), state
 
 
 def _stepped_states(dfa: Dfa, trace) -> list[int]:
@@ -130,7 +160,7 @@ def test_a_mapping_valuation_is_an_error_not_its_keys():
 
 
 # ---------------------------------------------------------------------------
-# MonitorResult: two fields, the rest read from them
+# MonitorResult: three fields, the rest read from them
 # ---------------------------------------------------------------------------
 
 
@@ -149,7 +179,8 @@ def test_verdicts_are_declared_in_code_order():
 @example(bytes([CODE_PRESUMABLY_FALSE, CODE_FALSE, CODE_FALSE]), False)
 @settings(max_examples=300, deadline=None)
 def test_monitor_result_reads_everything_from_its_codes(codes, final_satisfied):
-    result = MonitorResult(codes, final_satisfied)
+    result = MonitorResult(*runs_of(codes), final_satisfied)
+    assert result.verdict_codes == codes
     assert _readings(result) == reference_monitor_result(codes, final_satisfied)
     assert type(result.exposure) is Fraction and type(result.verdicts) is tuple
 
@@ -221,8 +252,8 @@ def test_run_rejects_an_empty_trace_and_runs_masks_in_the_alphabet():
     for masks in ([], b""):
         with pytest.raises(MonitorError, match="^cannot monitor an empty trace$"):
             dfa.run(masks)
-    assert dfa.run(b"\x00\x01")[0] == bytes((CODE_PRESUMABLY_TRUE, CODE_FALSE))
-    assert dfa.run([0, 0])[0] == bytes((CODE_PRESUMABLY_TRUE, CODE_PRESUMABLY_TRUE))
+    assert dfa.run(b"\x00\x01")[:2] == (bytes((CODE_PRESUMABLY_TRUE, CODE_FALSE)), (1, 2))
+    assert dfa.run([0, 0])[:2] == (bytes((CODE_PRESUMABLY_TRUE,)), (2,))
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +457,8 @@ def _runs(draw) -> tuple[Dfa, list[int]]:
 def test_run_agrees_with_the_per_step_oracle(case):
     dfa, masks = case
     codes, state = reference_run(dfa, masks)
-    assert dfa.run(masks) == (codes, state)
-    assert dfa.run(bytes(masks)) == (codes, state)
+    assert _per_step_run(dfa, masks) == (codes, state)
+    assert dfa.run(bytes(masks)) == dfa.run(masks) == (*runs_of(codes), state)
 
 
 class _CountingReads:
@@ -459,7 +490,7 @@ def test_constant_trace_reads_at_most_num_states_plus_one_entries(template_id):
     for mask in range(dfa.alphabet_size):
         counted, table = _counting(dfa)
         masks = bytes((mask,)) * 10_000
-        assert counted.run(masks) == reference_run(dfa, masks)
+        assert _per_step_run(counted, masks) == reference_run(dfa, masks)
         assert table.reads <= dfa.num_states + 1
 
 
@@ -469,17 +500,17 @@ def test_a_trace_false_for_good_reads_at_most_two_entries():
     dfa = compile_formula(parse("G !a"))
     counted, table = _counting(dfa)
     masks = bytes((1,)) + bytes((0, 1)) * 5_000
-    codes, state = counted.run(masks)
+    codes, ends, state = counted.run(masks)
     assert table.reads <= 2
-    assert (codes, state) == reference_run(dfa, masks)
-    assert codes == bytes((CODE_FALSE,)) * len(masks)
+    assert (per_step(codes, ends), state) == reference_run(dfa, masks)
+    assert (codes, ends) == (bytes((CODE_FALSE,)), (len(masks),))
 
 
 def test_mask_sequence_types_give_the_same_result():
     dfa = compile_formula(get_template("phi2").formula)  # three propositions: masks 0..7
     masks = [0, 0, 1, 1, 1, 5, 7, 7, 2, 0, 0, 3, 6, 6, 0]
     expected = dfa.run(bytes(masks))
-    assert expected == reference_run(dfa, masks)
+    assert _per_step_run(dfa, bytes(masks)) == reference_run(dfa, masks)
     # bytes() of an array('H') would read its raw two-byte items.
     for given_masks in (
         bytearray(masks),
@@ -498,9 +529,34 @@ def test_run_form_gives_the_per_step_result_and_checks_its_ends():
     masks = [0, 0, 1, 1, 1, 5, 7, 7, 2, 0, 0, 3, 6, 6, 0]
     # Neighbouring runs of equal masks (the first two) are walked as one.
     runs = bytes((0, 0, 1, 5, 7, 2, 0, 3, 6, 0)), (1, 2, 5, 6, 8, 9, 11, 12, 14, 15)
-    assert dfa.run(*runs) == reference_run(dfa, masks)
+    assert _per_step_run(dfa, *runs) == reference_run(dfa, masks)
     with pytest.raises(MonitorError, match=r"^2 run ends for 3 masks$"):
         dfa.run(b"\x00\x01\x00", (1, 2))
+
+
+@st.composite
+def _bound_template_runs(draw) -> tuple[Dfa, bytes, tuple[int, ...]]:
+    """A template bound under one of its rank patterns, and a trace over its
+    alphabet in run form, neighbouring runs of equal masks allowed."""
+    template = draw(st.sampled_from(list_templates()))
+    pattern = draw(st.sampled_from(list(_rank_patterns(len(template.slots)))))
+    bindings = {slot: ("a", "b", "c")[rank] for slot, rank in zip(template.slots, pattern)}
+    dfa = instantiate(template.template_id, bindings, allow_duplicate_bindings=True).dfa
+    runs = draw(st.lists(st.tuples(st.integers(0, dfa.alphabet_size - 1), st.integers(1, 60)), min_size=1, max_size=12))
+    ends, end = [], 0
+    for _, length in runs:
+        end += length
+        ends.append(end)
+    return dfa, bytes(mask for mask, _ in runs), tuple(ends)
+
+
+@given(_bound_template_runs())
+@settings(max_examples=300, deadline=None)
+def test_bound_templates_give_maximal_verdict_runs_that_expand_to_the_oracle(case):
+    dfa, masks, ends = case
+    steps = per_step(masks, ends)
+    assert _per_step_run(dfa, masks, ends) == reference_run(dfa, steps)
+    assert dfa.run(masks, ends) == dfa.run(steps)
 
 
 def _counted_spec(dfa: Dfa) -> TaskSpec:
@@ -523,8 +579,50 @@ def test_evaluate_steps_each_run_of_equal_projected_masks_once():
     assert len(record.run_ids) == 1_000
     evaluation = evaluate_rollout(record, _counted_spec(counted))
     codes, state = reference_run(dfa, trace_masks(dfa, steps))
-    assert evaluation.runs["i"][:2] == (codes, state in dfa.accepting)
+    assert evaluation.runs["i"][:3] == (*runs_of(codes), state in dfa.accepting)
     assert table.reads <= 5 * dfa.num_states
+
+
+def test_an_evaluation_keeps_verdicts_in_space_of_their_runs_not_their_steps():
+    # 100,000 steps, over which each instance's verdict changes at most
+    # twice: an evaluation that kept a code per step would hold 100,000
+    # bytes per instance.
+    n = 100_000
+    events = {10_000: "grasp", 30_000: "release", 60_000: "collision", 90_000: "done"}
+    steps = [{events[t]} if t in events else set() for t in range(n)]
+    record = RolloutRecord("r", "task", "p", True, steps)
+    formulas = {"inv": "G !collision", "resp": "G (grasp -> F release)", "goal": "F done", "idle": "G !never"}
+    instances = tuple(instantiate_custom(text, instance_id=i) for i, text in formulas.items())
+    evaluation = evaluate_rollout(record, TaskSpec("task", "atomic_fixture", "atomic", instances))
+    assert [len(codes) for codes, *_ in evaluation.runs.values()] == [2, 3, 2, 1]
+    for codes, ends, *_ in evaluation.runs.values():
+        assert len(ends) == len(codes) and ends[-1] == n
+    assert len(pickle.dumps(evaluation)) < 1_000
+    assert evaluation.per_instance["resp"].verdict_codes == per_step(
+        bytes((CODE_PRESUMABLY_TRUE, CODE_PRESUMABLY_FALSE, CODE_PRESUMABLY_TRUE)), (10_000, 30_000, n)
+    )
+    assert [r.unsafe_steps for r in evaluation.per_instance.values()] == [40_000, 20_000, 90_000, 0]
+
+
+def test_reading_verdict_runs_costs_time_linear_in_the_steps():
+    # A verdict that changes at every step: one run per step. The readers
+    # behind ReportTally.add and monitor reports must stay linear here; a
+    # reader that shifts an n-bit int per run costs n^2, about ten times
+    # the linear growth from 2,000 to 200,000 steps.
+    def best_time(n):
+        codes = bytes((CODE_PRESUMABLY_TRUE, CODE_PRESUMABLY_FALSE)) * (n // 2)
+        ends = tuple(range(1, n + 1))
+        result = MonitorResult(codes, ends, False)
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            assert _unsafe_bits(codes, ends).bit_count() == result.unsafe_steps == n // 2
+            assert len(result.verdict_codes) == n
+            _verdict_lines(codes, ends, [])
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert best_time(200_000) < 400 * best_time(2_000)
 
 
 def test_the_decoder_hashes_one_key_per_run_of_equal_steps():

@@ -1,5 +1,6 @@
 """Template catalog fidelity, instantiation, and task spec loading."""
 
+import gc
 import json
 import pickle
 import random
@@ -8,6 +9,7 @@ import string
 import sys
 import threading
 import time
+import tracemalloc
 from itertools import permutations, product
 from math import factorial
 
@@ -49,7 +51,7 @@ from safetrace.properties import (
 )
 from safetrace.rollouts import RolloutRecord
 
-from oracles import agree_on_all_traces, all_traces, random_formula, random_trace, reference_run
+from oracles import agree_on_all_traces, all_traces, random_formula, random_trace, reference_run, runs_of
 from test_automata import clear_shape_caches
 
 # The catalog, as it must read after parsing (template id, category, text).
@@ -534,7 +536,7 @@ def test_renamed_custom_instances_monitor_as_their_canonical_automaton():
         evaluation = evaluate_rollout(record, spec)
         for instance_id, dfa in canonical.items():
             codes, state = reference_run(dfa, trace_masks(dfa, steps))
-            assert evaluation.runs[instance_id][:2] == (codes, state in dfa.accepting)
+            assert evaluation.runs[instance_id][:3] == (*runs_of(codes), state in dfa.accepting)
 
 
 def test_each_formula_shape_runs_progression_once_per_process():
@@ -681,6 +683,27 @@ def test_threads_sharing_the_skeleton_table_bind_every_formula_right():
         for text, instance in zip(orders[worker], instances):
             expected = parse(text)
             assert instance.formula == expected and instance.dfa.props == proposition_order(expected)
+
+
+def test_the_skeleton_table_keeps_no_comment_text():
+    # 32 skeletons, told apart by their trailing spaces, each with its own
+    # 42 KB comment. A key that kept the comment's words held about 5 bytes
+    # per byte of text; without them, 32 keys hold about 21 KB in all.
+    _custom("G (a -> F b)")  # the shape's tables are built before measuring
+    properties._CUSTOM_SHAPES.clear()
+    texts = [f"G (a -> F b){' ' * i} # " + " ".join(f"w{i}_{j}" for j in range(5_000)) for i in range(32)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for text in texts:
+            _custom(text)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(properties._CUSTOM_SHAPES) == 32
+    assert retained < sum(map(len, texts)) / 20
 
 
 def test_a_formula_too_wide_errs_alike_however_often_it_is_bound():

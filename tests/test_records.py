@@ -188,12 +188,12 @@ def test_records_construct_as_their_dataclass_mirrors(cls):
 
 def test_records_store_only_what_their_producers_measure():
     # Formula nodes compare and hash through Record; a monitor result keeps
-    # its verdict codes and end state; an evaluation's outcome is read from
+    # its verdict runs and end state; an evaluation's outcome is read from
     # its `success` and `unsafe`, and its constructor is the generic one.
     nodes = [cls for cls in RECORD_CLASSES if issubclass(cls, formulas.Formula)]
     assert len(nodes) == 14
     assert all(cls.__eq__ is Record.__eq__ and cls.__hash__ is Record.__hash__ for cls in nodes)
-    assert monitor.MonitorResult._fields == ("verdict_codes", "final_satisfied")
+    assert monitor.MonitorResult._fields == ("codes", "ends", "final_satisfied")
     assert "__init__" not in vars(metrics.RolloutEvaluation)
     assert "outcome" not in metrics.RolloutEvaluation._fields
 
@@ -254,9 +254,9 @@ def test_rollout_records_past_256_distinct_valuations_hash():
 
 def test_rollout_records_read_their_cached_trace_after_pickling_and_copying():
     record = RolloutRecord("r", "t", "p", True, [["a"], [], ["a", "b"], ["b"]])
-    expected = (record.trace, record.masks(("a", "b")))
+    expected = (record.trace, list(record.mask_runs([("a", "b")])))
     for again in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
-        assert (again.trace, again.masks(("a", "b"))) == expected
+        assert (again.trace, list(again.mask_runs([("a", "b")]))) == expected
 
 
 def test_decoded_rollout_records_copy_after_their_trace_is_read():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from safetrace import rollouts
-from safetrace.automata import Dfa
+from safetrace.automata import Dfa, _bytes_per_step
 from safetrace.errors import BindingError, RolloutFormatError, ScenarioError
 from safetrace.formulas import Prop, Trace, is_valid_proposition
 from safetrace.metrics import evaluate_rollout
@@ -27,7 +27,7 @@ from safetrace.rollouts import (
     validate_rollout,
 )
 
-from oracles import ReferenceDecodeError, reference_run, reference_trace
+from oracles import ReferenceDecodeError, reference_run, reference_trace, runs_of
 
 # ---------------------------------------------------------------------------
 # load / serialize
@@ -294,8 +294,9 @@ def test_table_projection_matches_per_step_projection(distinct, repeats, seed):
         assert isinstance(record.valuation_ids, bytes) == (distinct <= 256)
         assert record == records[0] and hash(record) == hash(records[0])
         assert record.trace == Trace(steps)
-        for inst in _PROJECTION_SPEC.instances:
-            assert record.masks(inst.dfa.props) == trace_masks(inst.dfa, steps)
+        bases = [inst.dfa.props for inst in _PROJECTION_SPEC.instances]
+        for inst, (masks, ends) in zip(_PROJECTION_SPEC.instances, record.mask_runs(bases)):
+            assert _bytes_per_step(masks, ends) == trace_masks(inst.dfa, steps)
         assert evaluate_rollout(record, _PROJECTION_SPEC) == reference
 
 
@@ -355,8 +356,8 @@ def test_the_run_form_expands_to_the_reference_steps_and_monitors_as_they_do(raw
     bases = [inst.dfa.props for inst in _PROJECTION_SPEC.instances]
     for inst, mask_runs in zip(_PROJECTION_SPEC.instances, record.mask_runs(bases)):
         codes, state = reference_run(inst.dfa, trace_masks(inst.dfa, steps))
-        assert inst.dfa.run(*mask_runs) == (codes, state)
-        assert evaluation.runs[inst.instance_id][:2] == (codes, state in inst.dfa.accepting)
+        assert inst.dfa.run(*mask_runs) == (*runs_of(codes), state)
+        assert evaluation.runs[inst.instance_id][:3] == (*runs_of(codes), state in inst.dfa.accepting)
 
 
 def test_projection_past_65536_distinct_valuations():
